@@ -12,7 +12,6 @@ from __future__ import annotations
 
 import csv
 import math
-import os
 import time
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
@@ -21,6 +20,7 @@ from itertools import product
 import numpy as np
 
 from . import estimate, lsm, network, process
+from .atomic import atomic_write
 from .errors import DataError, EmptyGroup
 
 GENERATORS = ("dcsbm", "dcmmsbm", "rdpg")
@@ -272,6 +272,7 @@ def simulate_cell_data(cell: Cell, config: ExperimentConfig, rng: np.random.Gene
             latent_true = None
             truth_spec = estimate.DesignSpec("nar")
             mu_true = np.concatenate([[params.alpha, params.theta], params.gamma])
+        del p_matrix  # free this N x N array before the simulation's eigendecomposition
         panel = process.simulate_enar(
             params, graph,
             latent_true if latent_true is not None else np.zeros((cell.n, 0)),
@@ -408,8 +409,7 @@ def _fmt(value) -> str:
 def results_to_csv(results: list[ReplicationResult], path: str, timing: bool = True) -> None:
     """Write the stable results schema; ``timing=False`` zeroes the wall-clock
     column so outputs can be compared byte for byte."""
-    tmp = f"{path}.tmp.{os.getpid()}"
-    with open(tmp, "w", newline="") as fh:
+    with atomic_write(path, newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(RESULT_COLUMNS)
         for r in results:
@@ -420,7 +420,6 @@ def results_to_csv(results: list[ReplicationResult], path: str, timing: bool = T
                 _fmt(r.rmse_theta), _fmt(r.rmse_beta), _fmt(r.rmsp),
                 _fmt(r.sigma2_hat), _fmt(r.aic), _fmt(r.bic), r.status, _fmt(wall),
             ])
-    os.replace(tmp, path)
 
 
 def read_results_csv(path: str) -> list[ReplicationResult]:
@@ -443,15 +442,14 @@ def read_results_csv(path: str) -> list[ReplicationResult]:
     return out
 
 
-_GROUP_ALIASES = {"n": "n", "t": "t", "k": "k", "gen": "gen", "truth": "truth",
-                  "fit": "fit", "rep": "rep", "seed": "seed"}
+_GROUP_FIELDS = {"n", "t", "k", "gen", "truth", "fit", "rep", "seed"}
 
 
 def _group_field(name: str) -> str:
     key = name.lower()
-    if key not in _GROUP_ALIASES:
+    if key not in _GROUP_FIELDS:
         raise DataError(f"cannot group by {name!r}")
-    return _GROUP_ALIASES[key]
+    return key
 
 
 def summarize(results: list[ReplicationResult], group_by: list[str]) -> list[dict]:
@@ -498,10 +496,8 @@ def summarize(results: list[ReplicationResult], group_by: list[str]) -> list[dic
 
 def summary_to_csv(rows: list[dict], group_by: list[str], path: str) -> None:
     cols = list(group_by) + ["metric", "count", "mean", "sd", "median", "q1", "q3"]
-    tmp = f"{path}.tmp.{os.getpid()}"
-    with open(tmp, "w", newline="") as fh:
+    with atomic_write(path, newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(cols)
         for row in rows:
             writer.writerow([_fmt(row[c]) for c in cols])
-    os.replace(tmp, path)

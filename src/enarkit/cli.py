@@ -19,8 +19,8 @@ import sys
 import numpy as np
 
 from . import bench, estimate, lsm, network, process
+from .atomic import atomic_write
 from .errors import (
-    CholeskyFailure,
     DataError,
     DimensionMismatch,
     EigConvergenceFailure,
@@ -29,7 +29,6 @@ from .errors import (
     InvalidProbability,
     IsolatedNode,
     IsolationRetriesExceeded,
-    LyapunovNonconvergence,
     NotStationary,
     RankDeficient,
     ShapeMismatch,
@@ -42,9 +41,8 @@ EXIT_DATA = 3
 EXIT_NUMERICAL = 4
 
 _NUMERICAL_ERRORS = (
-    NotStationary, RankDeficient, EigConvergenceFailure, CholeskyFailure,
-    LyapunovNonconvergence, IsolationRetriesExceeded, InvalidProbability,
-    IsolatedNode, ZeroDenominator,
+    NotStationary, RankDeficient, EigConvergenceFailure, IsolationRetriesExceeded,
+    InvalidProbability, IsolatedNode, ZeroDenominator,
 )
 _DATA_ERRORS = (DataError, DimensionMismatch, ShapeMismatch, EmptyGroup)
 
@@ -73,14 +71,6 @@ def _env_seed(default: int = 0) -> int:
         return int(raw)
     except ValueError as exc:
         raise DataError(f"ENARKIT_SEED={raw!r} is not an integer") from exc
-
-
-def _atomic_write_json(doc: dict, path: str) -> None:
-    tmp = f"{path}.tmp.{os.getpid()}"
-    with open(tmp, "w") as fh:
-        json.dump(doc, fh, indent=2)
-        fh.write("\n")
-    os.replace(tmp, path)
 
 
 def _load_json(path: str) -> dict:
@@ -192,7 +182,9 @@ def cmd_simulate(args) -> int:
         truth["beta2"] = params.beta2
         truth["s"] = params.s
         truth["r"] = data.r_true
-    _atomic_write_json(truth, doc["out_truth"])
+    with atomic_write(doc["out_truth"]) as fh:
+        json.dump(truth, fh, indent=2)
+        fh.write("\n")
     print(json.dumps({
         "edges": doc["out_edges"], "panel": doc["out_panel"], "truth": doc["out_truth"],
         "n": n, "t": t, "k": k, "seed": seed,
@@ -285,8 +277,7 @@ def cmd_predict(args) -> int:
     y_hat = estimate.predict_one_step(fit, graph, y_t, z_t, latent)
     actual = panel.y[:, t_cond + 1] if t_cond + 1 <= panel.t else None
 
-    tmp = f"{args.out}.tmp.{os.getpid()}"
-    with open(tmp, "w", newline="") as fh:
+    with atomic_write(args.out, newline="") as fh:
         writer = csv.writer(fh)
         header = ["node", "y_hat"] + (["y_actual"] if actual is not None else [])
         writer.writerow(header)
@@ -295,7 +286,6 @@ def cmd_predict(args) -> int:
             if actual is not None:
                 row.append(repr(float(actual[i])))
             writer.writerow(row)
-    os.replace(tmp, args.out)
 
     summary = {"forecast": args.out, "target_t": t_cond + 1, "n": panel.n}
     if actual is not None:

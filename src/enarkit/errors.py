@@ -39,14 +39,6 @@ class NotStationary(EnarkitError):
     """|alpha| + |theta| >= 1: no stationary solution exists."""
 
 
-class LyapunovNonconvergence(EnarkitError):
-    """The stationary-covariance fixed point did not converge."""
-
-
-class CholeskyFailure(EnarkitError):
-    """Covariance factorization failed even after diagonal jitter."""
-
-
 class DimensionMismatch(EnarkitError):
     """Inputs have incompatible dimensions."""
 

@@ -21,12 +21,13 @@ from __future__ import annotations
 
 import json
 import math
-import os
 from dataclasses import dataclass, field
 
 import numpy as np
 import scipy.linalg
+from scipy.special import ndtri
 
+from .atomic import atomic_write
 from .errors import (
     DataError,
     DimensionMismatch,
@@ -422,71 +423,11 @@ def rmsp(w_t: np.ndarray, mu_hat: np.ndarray, mu_true: np.ndarray) -> float:
     return float(np.linalg.norm(w_t @ (mu_hat - mu_true)) / denom)
 
 
-# Wichura's rational approximation of the standard normal quantile, good to
-# well below the 1e-9 the intervals need. Checked against scipy in tests.
-_PPND_A = (
-    3.3871328727963666080, 1.3314166789178437745e2, 1.9715909503065514427e3,
-    1.3731693765509461125e4, 4.5921953931549871457e4, 6.7265770927008700853e4,
-    3.3430575583588128105e4, 2.5090809287301226727e3,
-)
-_PPND_B = (
-    1.0, 4.2313330701600911252e1, 6.8718700749205790830e2, 5.3941960214247511077e3,
-    2.1213794301586595867e4, 3.9307895800092710610e4, 2.8729085735721942674e4,
-    5.2264952788528545610e3,
-)
-_PPND_C = (
-    1.42343711074968357734, 4.63033784615654529590, 5.76949722146069140550,
-    3.64784832476320460504, 1.27045825245236838258, 2.41780725177450611770e-1,
-    2.27238449892691845833e-2, 7.74545014278341407640e-4,
-)
-_PPND_D = (
-    1.0, 2.05319162663775882187, 1.67638483018380384940, 6.89767334985100004550e-1,
-    1.48103976427480074590e-1, 1.51986665636164571966e-2, 5.47593808499534494600e-4,
-    1.05075007164441684324e-9,
-)
-_PPND_E = (
-    6.65790464350110377720, 5.46378491116411436990, 1.78482653991729133580,
-    2.96560571828504891230e-1, 2.65321895265761230930e-2, 1.24266094738807843860e-3,
-    2.71155556874348757815e-5, 2.01033439929228813265e-7,
-)
-_PPND_F = (
-    1.0, 5.99832206555887937690e-1, 1.36929880922735805310e-1, 1.48753612908506148525e-2,
-    7.86869131145613259100e-4, 1.84631831751005468180e-5, 1.42151175831644588870e-7,
-    2.04426310338993978564e-15,
-)
-
-
-def _poly(coeffs, x: float) -> float:
-    acc = 0.0
-    for c in reversed(coeffs):
-        acc = acc * x + c
-    return acc
-
-
-def norm_quantile(p: float) -> float:
-    """Inverse standard normal CDF."""
-    if not 0.0 < p < 1.0:
-        raise DataError(f"quantile argument {p} must lie in (0, 1)")
-    q = p - 0.5
-    if abs(q) <= 0.425:
-        r = 0.180625 - q * q
-        return q * _poly(_PPND_A, r) / _poly(_PPND_B, r)
-    r = p if q < 0 else 1.0 - p
-    r = math.sqrt(-math.log(r))
-    if r <= 5.0:
-        r -= 1.6
-        val = _poly(_PPND_C, r) / _poly(_PPND_D, r)
-    else:
-        r -= 5.0
-        val = _poly(_PPND_E, r) / _poly(_PPND_F, r)
-    return -val if q < 0 else val
-
-
 def confint(fit: FitResult, index: int, level: float) -> tuple[float, float]:
     """Symmetric normal-quantile interval from the plug-in covariance."""
     if not 0.0 < level < 1.0:
         raise DataError(f"level {level} must lie in (0, 1)")
-    z = norm_quantile(0.5 + level / 2.0)
+    z = float(ndtri(0.5 + level / 2.0))
     center = float(fit.mu_hat[index])
     half = z * float(fit.se[index])
     return center - half, center + half
@@ -523,11 +464,9 @@ def fit_to_json_dict(fit: FitResult, diagnostics: Diagnostics | None = None) -> 
 
 
 def write_fit_json(fit: FitResult, path: str, diagnostics: Diagnostics | None = None) -> None:
-    tmp = f"{path}.tmp.{os.getpid()}"
-    with open(tmp, "w") as fh:
+    with atomic_write(path) as fh:
         json.dump(fit_to_json_dict(fit, diagnostics), fh, indent=2)
         fh.write("\n")
-    os.replace(tmp, path)
 
 
 def read_fit_json(path: str) -> FitResult:

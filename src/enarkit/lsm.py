@@ -15,13 +15,13 @@ finite-difference suite pins this convention.
 from __future__ import annotations
 
 import csv
-import os
 import warnings
 from dataclasses import dataclass, field
 
 import numpy as np
 from scipy.special import expit
 
+from .atomic import atomic_write
 from .errors import DataError, DimensionMismatch
 from .network import DENSE_EIG_LIMIT, Graph, _sample_without_isolation
 
@@ -269,13 +269,11 @@ def sample_lsm_graph(
 
 def write_latent_csv(state: LsmState, path: str) -> None:
     """Export the latent estimate as ``node,v,q1,...,qK`` (atomic replace)."""
-    tmp = f"{path}.tmp.{os.getpid()}"
-    with open(tmp, "w", newline="") as fh:
+    with atomic_write(path, newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(["node", "v"] + [f"q{j + 1}" for j in range(state.k)])
         for i in range(state.n):
             writer.writerow([i, repr(float(state.v[i]))] + [repr(float(x)) for x in state.q[i]])
-    os.replace(tmp, path)
 
 
 def read_latent_csv(path: str) -> LsmState:

@@ -12,7 +12,6 @@ sign convention so that repeated runs agree exactly.
 from __future__ import annotations
 
 import csv
-import os
 import warnings
 from dataclasses import dataclass, field
 from typing import Union
@@ -20,6 +19,7 @@ from typing import Union
 import numpy as np
 import scipy.sparse.linalg
 
+from .atomic import atomic_write
 from .errors import (
     DataError,
     EigConvergenceFailure,
@@ -411,12 +411,10 @@ def read_edge_csv(path: str, n_nodes: int | None = None) -> Graph:
 
 def write_edge_csv(g: Graph, path: str) -> None:
     """Write each undirected edge once as ``src,dst`` (atomic replace)."""
-    tmp = f"{path}.tmp.{os.getpid()}"
-    with open(tmp, "w", newline="") as fh:
+    with atomic_write(path, newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(["src", "dst"])
         iu = np.triu_indices(g.n, k=1)
         present = g.adjacency[iu] > 0
         for i, j in zip(iu[0][present], iu[1][present]):
             writer.writerow([int(i), int(j)])
-    os.replace(tmp, path)

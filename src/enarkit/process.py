@@ -8,7 +8,10 @@ with L the symmetric normalized Laplacian of the observed graph. When
 |alpha| + |theta| < 1 the process has a unique strictly stationary solution
 whose mean solves (I - G) phi = latent effect for G = alpha*I + theta*L and
 whose lag-0 covariance solves the discrete Lyapunov equation
-Gamma = G Gamma G' + c I with c = sigma^2 + gamma' Sigma_z gamma.
+Gamma = G Gamma G' + c I with c = sigma^2 + gamma' Sigma_z gamma. G is
+symmetric with the eigenvectors of L, so one eigendecomposition
+G = V diag(g) V' gives both in closed form: phi = V ((V' b) / (1 - g)) and
+Gamma(0) = V diag(c / (1 - g^2)) V'.
 
 The latent effect is U beta for the embedding model and r X beta for the
 additive+multiplicative model, where r = N^{-s} T^{-1/2}.
@@ -18,24 +21,13 @@ from __future__ import annotations
 
 import csv
 import math
-import os
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import (
-    CholeskyFailure,
-    DataError,
-    DimensionMismatch,
-    LyapunovNonconvergence,
-    NotStationary,
-)
+from .atomic import atomic_write
+from .errors import DataError, DimensionMismatch, NotStationary
 from .network import Graph, normalized_laplacian
-
-LYAPUNOV_TOL = 1e-12
-LYAPUNOV_MAX_ITERS = 100_000
-EXACT_INIT_LIMIT = 512
-BURN_IN_STEPS = 500
 
 
 @dataclass
@@ -157,13 +149,40 @@ class Panel:
 
 @dataclass
 class StationaryMoments:
-    """Transition matrix, stationary mean/covariance, and innovation scale."""
+    """Stationary law held as the eigendecomposition G = V diag(g_eig) V'
+    of the transition matrix.
 
-    g: np.ndarray
+    ``eigvecs`` holds the orthonormal eigenvectors V and ``g_eig`` the
+    eigenvalues; G and Gamma(0) are built from them only when asked for, so
+    a simulation keeps a single N x N array. ``iterations`` is always 0,
+    since no iteration runs; the field stays so that records which report it
+    keep their schema.
+    """
+
     phi: np.ndarray
-    gamma0: np.ndarray
     c: float
+    eigvecs: np.ndarray
+    g_eig: np.ndarray
     iterations: int = field(default=0)
+
+    @property
+    def g(self) -> np.ndarray:
+        """Transition matrix V diag(g_eig) V'."""
+        return (self.eigvecs * self.g_eig) @ self.eigvecs.T
+
+    def apply_g(self, y: np.ndarray) -> np.ndarray:
+        """G y computed as V (g_eig * (V' y))."""
+        return self.eigvecs @ (self.g_eig * (self.eigvecs.T @ y))
+
+    @property
+    def stationary_var(self) -> np.ndarray:
+        """Eigenvalues c / (1 - g_eig^2) of Gamma(0)."""
+        return self.c / (1.0 - self.g_eig**2)
+
+    @property
+    def gamma0(self) -> np.ndarray:
+        """Lag-0 covariance V diag(c / (1 - g_eig^2)) V'."""
+        return autocov(self, 0)
 
 
 def check_stationarity(alpha: float, theta: float) -> bool:
@@ -173,7 +192,9 @@ def check_stationarity(alpha: float, theta: float) -> bool:
 
 def transition_matrix(graph: Graph, alpha: float, theta: float) -> np.ndarray:
     # isolated nodes get a zero Laplacian row: no peer term, plain AR(1)
-    return alpha * np.eye(graph.n) + theta * normalized_laplacian(graph, allow_isolated=True)
+    g = theta * normalized_laplacian(graph, allow_isolated=True)
+    g[np.diag_indices(graph.n)] += alpha
+    return g
 
 
 def stationary_moments(
@@ -184,9 +205,10 @@ def stationary_moments(
 ) -> StationaryMoments:
     """Stationary mean and lag-0 covariance of the process on ``graph``.
 
-    The mean solves (I - G) phi = latent_effect directly; the covariance is
-    the fixed point of Gamma <- G Gamma G' + c I starting from c I, run to a
-    1e-12 relative Frobenius change.
+    One symmetric eigendecomposition G = V diag(g) V' of the transition
+    matrix, whose eigenvectors are those of the Laplacian, gives the mean
+    phi = V ((V' b) / (1 - g)) for b = ``latent_effect`` and the covariance
+    Gamma(0) = V diag(c / (1 - g^2)) V', which is built on demand.
     """
     if not check_stationarity(params.alpha, params.theta):
         raise NotStationary(f"|{params.alpha}| + |{params.theta}| >= 1")
@@ -195,50 +217,33 @@ def stationary_moments(
         raise DimensionMismatch(
             f"latent effect has shape {latent_effect.shape}, expected ({graph.n},)"
         )
-    g = transition_matrix(graph, params.alpha, params.theta)
-    phi = np.linalg.solve(np.eye(graph.n) - g, latent_effect)
+    # numpy's eigh rather than scipy's: the simulation runs on numpy's BLAS,
+    # and waking scipy's separate BLAS thread pool here slows `mc --jobs 2`
+    # workers, which already oversubscribe the cores, by about a third
+    g_eig, v = np.linalg.eigh(transition_matrix(graph, params.alpha, params.theta))
+    phi = v @ ((v.T @ latent_effect) / (1.0 - g_eig))
     c = params.sigma**2 + cov_spec.quad_form(params.gamma)
-    gamma0 = c * np.eye(graph.n)
-    iterations = 0
-    if c > 0:
-        for iterations in range(1, LYAPUNOV_MAX_ITERS + 1):
-            nxt = g @ gamma0 @ g.T + c * np.eye(graph.n)
-            delta = np.linalg.norm(nxt - gamma0) / np.linalg.norm(nxt)
-            gamma0 = nxt
-            if delta < LYAPUNOV_TOL:
-                break
-        else:
-            raise LyapunovNonconvergence(
-                f"no convergence in {LYAPUNOV_MAX_ITERS} iterations"
-            )
-    gamma0 = (gamma0 + gamma0.T) / 2.0
-    return StationaryMoments(g=g, phi=phi, gamma0=gamma0, c=c, iterations=iterations)
+    return StationaryMoments(phi=phi, c=c, eigvecs=v, g_eig=g_eig)
 
 
 def autocov(m: StationaryMoments, h: int) -> np.ndarray:
-    """Lag-h autocovariance: G^h Gamma(0) for h >= 0, its transpose image
-    Gamma(0) (G')^{-h} for h < 0."""
-    if h >= 0:
-        return np.linalg.matrix_power(m.g, h) @ m.gamma0
-    return m.gamma0 @ np.linalg.matrix_power(m.g.T, -h)
+    """Lag-h autocovariance G^|h| Gamma(0) = V diag(g^|h| c / (1 - g^2)) V'.
+
+    G and Gamma(0) are symmetric and commute, so Gamma(-h) = Gamma(h)'
+    = Gamma(h).
+    """
+    return (m.eigvecs * (m.g_eig ** abs(h) * m.stationary_var)) @ m.eigvecs.T
 
 
 def _stationary_start(
     moments: StationaryMoments, rng: np.random.Generator
 ) -> np.ndarray:
-    """Exact draw from N(phi, Gamma(0)) via Cholesky with one jitter retry."""
-    n = moments.phi.size
+    """Exact draw from N(phi, Gamma(0)) as phi + V (sqrt(c / (1 - g^2)) * xi)
+    with xi standard normal; Gamma(0) itself is never formed."""
     if moments.c == 0.0:
         return moments.phi.copy()
-    try:
-        chol = np.linalg.cholesky(moments.gamma0)
-    except np.linalg.LinAlgError:
-        jitter = 1e-10 * np.trace(moments.gamma0) / n
-        try:
-            chol = np.linalg.cholesky(moments.gamma0 + jitter * np.eye(n))
-        except np.linalg.LinAlgError as exc:
-            raise CholeskyFailure("stationary covariance is numerically indefinite") from exc
-    return moments.phi + chol @ rng.standard_normal(n)
+    xi = rng.standard_normal(moments.phi.size)
+    return moments.phi + moments.eigvecs @ (np.sqrt(moments.stationary_var) * xi)
 
 
 def _simulate(
@@ -261,14 +266,8 @@ def _simulate(
         if y_cur.shape != (n,):
             raise DimensionMismatch(f"y0 has shape {y_cur.shape}, expected ({n},)")
         y_cur = y_cur.copy()
-    elif n <= EXACT_INIT_LIMIT:
-        y_cur = _stationary_start(moments, rng)
     else:
-        y_cur = moments.phi.copy()
-        for _ in range(BURN_IN_STEPS):
-            z_t = rng.standard_normal((n, p)) * sd
-            eps = params.sigma * rng.standard_normal(n)
-            y_cur = moments.g @ y_cur + latent_effect + z_t @ params.gamma + eps
+        y_cur = _stationary_start(moments, rng)
 
     y = np.empty((n, t_len + 1))
     z = np.empty((n, t_len, p))
@@ -276,7 +275,7 @@ def _simulate(
     for t in range(t_len):
         z[:, t, :] = rng.standard_normal((n, p)) * sd
         eps = params.sigma * rng.standard_normal(n)
-        y[:, t + 1] = moments.g @ y[:, t] + latent_effect + z[:, t, :] @ params.gamma + eps
+        y[:, t + 1] = moments.apply_g(y[:, t]) + latent_effect + z[:, t, :] @ params.gamma + eps
     return Panel(y=y, z=z)
 
 
@@ -292,8 +291,8 @@ def simulate_enar(
     """Simulate from the embedding model with latent effect U beta.
 
     ``embedding_truth`` holds the population eigenvectors (N x K). Starts
-    from an exact stationary draw at desk scale, a burned-in path above
-    that; pass ``y0`` to pin the initial state instead.
+    from an exact stationary draw at every N; pass ``y0`` to pin the
+    initial state instead.
     """
     u = np.atleast_2d(np.asarray(embedding_truth, dtype=float))
     if u.shape[0] != graph.n or u.shape[1] != params.k:
@@ -327,9 +326,8 @@ def simulate_amnar(
 def write_panel_csv(panel: Panel, path: str) -> None:
     """Long-format panel: ``node,t,y,z1,...,zp``; the final time carries no
     covariates so those fields are left empty. Atomic replace."""
-    tmp = f"{path}.tmp.{os.getpid()}"
     p = panel.p
-    with open(tmp, "w", newline="") as fh:
+    with atomic_write(path, newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(["node", "t", "y"] + [f"z{j + 1}" for j in range(p)])
         for i in range(panel.n):
@@ -340,7 +338,6 @@ def write_panel_csv(panel: Panel, path: str) -> None:
                 else:
                     row += [""] * p
                 writer.writerow(row)
-    os.replace(tmp, path)
 
 
 def read_panel_csv(path: str) -> Panel:

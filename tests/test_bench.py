@@ -209,6 +209,13 @@ class TestSummarize:
         frow = next(r for r in summary if r["metric"] == "failure_rate")
         assert frow["mean"] == 1.0
 
+    def test_group_field_names(self):
+        rows = run_grid(smoke_config(reps=1, fit_models=["nar"]))
+        summary = summarize(rows, ["N"])
+        assert {r["N"] for r in summary} == {20}
+        with pytest.raises(DataError):
+            summarize(rows, ["bogus"])
+
     def test_summary_csv_written(self, tmp_path):
         cfg = smoke_config(reps=2, fit_models=["nar", "enar"])
         rows = run_grid(cfg)

@@ -67,6 +67,14 @@ class TestSimulate:
         leftovers = [p for p in os.listdir(tmp_path) if ".tmp." in p]
         assert leftovers == []
 
+    def test_unwritable_output_is_io_error_without_temp_file(self, tmp_path, capsys):
+        (tmp_path / "truth.json").mkdir()
+        path, _ = write_sim_config(tmp_path)
+        code, _, err = run_cli(capsys, "simulate", "--config", str(path))
+        assert code == 3
+        assert json.loads(err)["error"] == "io"
+        assert [p for p in os.listdir(tmp_path) if ".tmp." in p] == []
+
 
 class TestFitPredict:
     @pytest.fixture()

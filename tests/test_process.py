@@ -199,19 +199,26 @@ class TestSimulate:
         rel = np.linalg.norm(emp - m.gamma0) / np.linalg.norm(m.gamma0)
         assert rel < 0.05
 
-    def test_burn_in_path_above_exact_limit(self):
-        import enarkit.process as proc
-
-        g = ring_graph(20)
-        params = basic_params(0.2, 0.2, sigma=0.5)
-        old = proc.EXACT_INIT_LIMIT
-        proc.EXACT_INIT_LIMIT = 10  # force the burn-in branch
-        try:
-            panel = simulate_enar(params, g, np.zeros((20, 0)), no_cov(), 50,
-                                  np.random.default_rng(3))
-        finally:
-            proc.EXACT_INIT_LIMIT = old
-        assert np.all(np.isfinite(panel.y))
+    def test_start_draw_follows_stationary_law(self):
+        # y_0 over many seeds: every entry of the sample mean and covariance
+        # lies within 5 sampling standard errors of phi and Gamma(0)
+        n, reps = 6, 4000
+        a = np.zeros((n, n))
+        for i, j in [(0, 1), (1, 2), (2, 3), (3, 0), (0, 2), (3, 4), (4, 5)]:
+            a[i, j] = a[j, i] = 1.0
+        g = Graph(n, a)
+        u = np.linalg.qr(np.random.default_rng(0).standard_normal((n, 2)))[0]
+        params = EnarParams(0.3, 0.5, np.array([1.0, -0.5]), np.array([0.4]), 0.5)
+        cov = CovariateSpec(1, np.array([2.0]))
+        m = stationary_moments(g, u @ params.beta, params, cov)
+        y0 = np.array([
+            simulate_enar(params, g, u, cov, 1, np.random.default_rng(seed)).y[:, 0]
+            for seed in range(reps)
+        ])
+        var = np.diag(m.gamma0)
+        assert np.all(np.abs(y0.mean(axis=0) - m.phi) < 5 * np.sqrt(var / reps))
+        se_cov = np.sqrt((np.outer(var, var) + m.gamma0**2) / reps)
+        assert np.all(np.abs(np.cov(y0, rowvar=False) - m.gamma0) < 5 * se_cov)
 
 
 class TestAmnar:
@@ -267,6 +274,14 @@ class TestPanelCsv:
         back = read_panel_csv(str(path))
         assert np.array_equal(back.y, panel.y)
         assert back.p == 0
+
+    def test_failed_replace_leaves_no_temp_file(self, tmp_path):
+        target = tmp_path / "panel.csv"
+        target.mkdir()
+        panel = Panel(y=np.zeros((2, 3)), z=np.zeros((2, 2, 0)))
+        with pytest.raises(OSError):
+            write_panel_csv(panel, str(target))
+        assert [p.name for p in tmp_path.iterdir()] == ["panel.csv"]
 
     def test_missing_row_rejected(self, tmp_path):
         path = tmp_path / "gap.csv"
