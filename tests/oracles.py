@@ -10,6 +10,20 @@ import numpy as np
 from enarkit.lsm import LsmState, lsm_loglik
 
 
+def dense_transition(graph, alpha: float, theta: float) -> np.ndarray:
+    """G = alpha I + theta D^{-1/2} A D^{-1/2}, entry by entry from the adjacency."""
+    a = np.asarray(graph.adjacency, dtype=float)
+    n = a.shape[0]
+    deg = a.sum(axis=1)
+    g = np.zeros((n, n))
+    for i in range(n):
+        g[i, i] = alpha
+        for j in range(n):
+            if a[i, j]:
+                g[i, j] += theta * a[i, j] / np.sqrt(deg[i] * deg[j])
+    return g
+
+
 def kron_gamma0(g: np.ndarray, c: float) -> np.ndarray:
     """Stationary covariance from vec(Gamma) = (I - G (x) G)^{-1} vec(c I)."""
     n = g.shape[0]

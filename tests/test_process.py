@@ -17,7 +17,7 @@ from enarkit.process import (
     stationary_moments,
     write_panel_csv,
 )
-from oracles import kron_gamma0, random_stationary_instance
+from oracles import dense_transition, kron_gamma0, random_stationary_instance
 
 
 def ring_graph(n):
@@ -70,9 +70,13 @@ class TestStationaryMoments:
         for _ in range(25):
             g, alpha, theta = random_stationary_instance(rng)
             params = basic_params(alpha, theta, sigma=rng.uniform(0.2, 1.5))
-            m = stationary_moments(g, rng.standard_normal(g.n), params, no_cov())
-            oracle = kron_gamma0(m.g, m.c)
+            b = rng.standard_normal(g.n)
+            m = stationary_moments(g, b, params, no_cov())
+            big_g = dense_transition(g, alpha, theta)
+            oracle = kron_gamma0(big_g, params.sigma**2)
             assert np.max(np.abs(m.gamma0 - oracle)) < 1e-10
+            assert np.allclose(m.phi, np.linalg.solve(np.eye(g.n) - big_g, b), atol=1e-10)
+            assert np.allclose(m.g, big_g, atol=1e-12)
 
     def test_innovation_scale_includes_covariates(self):
         g = ring_graph(4)
@@ -87,7 +91,8 @@ class TestStationaryMoments:
         g, alpha, theta = random_stationary_instance(rng)
         params = basic_params(alpha, theta, sigma=1.0)
         m = stationary_moments(g, np.zeros(g.n), params, no_cov())
-        resid = np.linalg.norm(m.gamma0 - (m.g @ m.gamma0 @ m.g.T + m.c * np.eye(g.n)))
+        big_g = dense_transition(g, alpha, theta)
+        resid = np.linalg.norm(m.gamma0 - (big_g @ m.gamma0 @ big_g.T + np.eye(g.n)))
         assert resid < 1e-8 * np.linalg.norm(m.gamma0)
 
     def test_gamma0_psd(self):
@@ -107,6 +112,16 @@ class TestAutocov:
     def test_lag_zero_identity(self):
         m = self.moments()
         assert np.array_equal(autocov(m, 0), m.gamma0)
+
+    def test_lags_match_dense_oracle(self):
+        rng = np.random.default_rng(6)
+        g, alpha, theta = random_stationary_instance(rng)
+        m = stationary_moments(g, np.zeros(g.n), basic_params(alpha, theta, sigma=1.0), no_cov())
+        big_g = dense_transition(g, alpha, theta)
+        gamma0 = kron_gamma0(big_g, 1.0)
+        for h in (1, 2, 3):
+            expected = np.linalg.matrix_power(big_g, h) @ gamma0
+            assert np.max(np.abs(autocov(m, h) - expected)) < 1e-10
 
     def test_lag_one_scalar_g(self):
         g = ring_graph(4)
@@ -145,6 +160,18 @@ class TestSimulate:
         panel = simulate_enar(params, g, u, cov, 20, np.random.default_rng(1), y0=m.phi)
         for t in range(21):
             assert np.max(np.abs(panel.y[:, t] - m.phi)) < 1e-12
+
+    def test_noise_free_step_applies_dense_transition(self):
+        rng = np.random.default_rng(8)
+        g, alpha, theta = random_stationary_instance(rng)
+        u = np.linalg.qr(rng.standard_normal((g.n, 1)))[0]
+        params = EnarParams(alpha, theta, np.array([0.7]), np.zeros(0), 0.0)
+        y0 = rng.standard_normal(g.n)
+        panel = simulate_enar(params, g, u, no_cov(), 5, rng, y0=y0)
+        big_g = dense_transition(g, alpha, theta)
+        for t in range(5):
+            expected = big_g @ panel.y[:, t] + u @ params.beta
+            assert np.max(np.abs(panel.y[:, t + 1] - expected)) < 1e-12
 
     def test_ergodic_mean_matches_phi(self):
         n, t_len, k = 50, 100_000, 3
@@ -201,7 +228,8 @@ class TestSimulate:
 
     def test_start_draw_follows_stationary_law(self):
         # y_0 over many seeds: every entry of the sample mean and covariance
-        # lies within 5 sampling standard errors of phi and Gamma(0)
+        # lies within 5 sampling standard errors of phi and Gamma(0), both
+        # taken from the dense oracles rather than the eigenpairs
         n, reps = 6, 4000
         a = np.zeros((n, n))
         for i, j in [(0, 1), (1, 2), (2, 3), (3, 0), (0, 2), (3, 4), (4, 5)]:
@@ -210,15 +238,17 @@ class TestSimulate:
         u = np.linalg.qr(np.random.default_rng(0).standard_normal((n, 2)))[0]
         params = EnarParams(0.3, 0.5, np.array([1.0, -0.5]), np.array([0.4]), 0.5)
         cov = CovariateSpec(1, np.array([2.0]))
-        m = stationary_moments(g, u @ params.beta, params, cov)
+        big_g = dense_transition(g, params.alpha, params.theta)
+        phi = np.linalg.solve(np.eye(n) - big_g, u @ params.beta)
+        gamma0 = kron_gamma0(big_g, params.sigma**2 + 2.0 * 0.4**2)
         y0 = np.array([
             simulate_enar(params, g, u, cov, 1, np.random.default_rng(seed)).y[:, 0]
             for seed in range(reps)
         ])
-        var = np.diag(m.gamma0)
-        assert np.all(np.abs(y0.mean(axis=0) - m.phi) < 5 * np.sqrt(var / reps))
-        se_cov = np.sqrt((np.outer(var, var) + m.gamma0**2) / reps)
-        assert np.all(np.abs(np.cov(y0, rowvar=False) - m.gamma0) < 5 * se_cov)
+        var = np.diag(gamma0)
+        assert np.all(np.abs(y0.mean(axis=0) - phi) < 5 * np.sqrt(var / reps))
+        se_cov = np.sqrt((np.outer(var, var) + gamma0**2) / reps)
+        assert np.all(np.abs(np.cov(y0, rowvar=False) - gamma0) < 5 * se_cov)
 
 
 class TestAmnar:
@@ -248,8 +278,9 @@ class TestAmnar:
                              np.zeros(0), 0.8, 0.25)
         r = rate_multiplier(g.n, 10, params.s)
         m = stationary_moments(g, r * (x @ params.beta), params, no_cov())
-        assert np.max(np.abs(m.gamma0 - kron_gamma0(m.g, m.c))) < 1e-10
-        assert np.allclose((np.eye(g.n) - m.g) @ m.phi, r * (x @ params.beta), atol=1e-10)
+        big_g = dense_transition(g, alpha, theta)
+        assert np.max(np.abs(m.gamma0 - kron_gamma0(big_g, params.sigma**2))) < 1e-10
+        assert np.allclose((np.eye(g.n) - big_g) @ m.phi, r * (x @ params.beta), atol=1e-10)
 
     def test_s_bounds_enforced(self):
         with pytest.raises(DataError):
