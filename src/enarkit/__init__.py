@@ -12,12 +12,11 @@ from .network import (
     Embedding,
     Graph,
     RdpgSpec,
-    generate_dcmmsbm,
-    generate_dcsbm,
-    generate_rdpg,
+    connection_matrix,
     normalized_laplacian,
     procrustes_align,
     read_edge_csv,
+    sample_graph,
     select_k,
     spectral_embed,
     write_edge_csv,
@@ -45,6 +44,7 @@ from .estimate import (
     fit_amnar,
     fit_enar,
     fit_ls,
+    fit_with_latents,
     predict_one_step,
     rmse_rel,
     rmsp,

@@ -263,7 +263,7 @@ def simulate_cell_data(cell: Cell, config: ExperimentConfig, rng: np.random.Gene
     else:
         gen_spec = _make_generator_spec(cell, config, rng)
         p_matrix = network.connection_matrix(gen_spec)
-        graph = network._sample_without_isolation(p_matrix, rng, allow_isolated=True)
+        graph = network.sample_graph(p_matrix, rng, allow_isolated=True)
         if cell.truth == "enar":
             latent_true = network.embed_symmetric(p_matrix, cell.k).vectors
             truth_spec = estimate.DesignSpec("enar", cell.k)
@@ -317,29 +317,17 @@ def _run_replication_body(
     )
 
     # fit stage
-    if cell.fit == "amnar":
-        if config.oracle_latents and cell.truth == "amnar":
-            spec = estimate.DesignSpec("amnar", cell.k, s=config.s)
-            w, y_resp = estimate.build_design(panel, lap, latent_true, spec)
-            fit = estimate.fit_ls(w, y_resp)
-            fit.spec, fit.names = spec, spec.coef_names(panel.p)
-            fit.r = process.rate_multiplier(cell.n, cell.t, config.s)
-            latent_fit = latent_true
-        else:
-            fit, state_hat, _ = estimate.fit_amnar(
-                panel, graph, cell.k, config.s, config.lsm_config, rng
-            )
-            latent_fit = state_hat.x()
+    if config.oracle_latents and cell.fit == cell.truth and cell.fit != "nar":
+        fit, _ = estimate.fit_with_latents(panel, lap, latent_true, data.truth_spec)
+        latent_fit = latent_true
+    elif cell.fit == "amnar":
+        fit, state_hat, _ = estimate.fit_amnar(
+            panel, graph, cell.k, config.s, config.lsm_config, rng
+        )
+        latent_fit = state_hat.x()
     elif cell.fit == "enar":
-        if config.oracle_latents and cell.truth == "enar":
-            spec = estimate.DesignSpec("enar", cell.k)
-            w, y_resp = estimate.build_design(panel, lap, latent_true, spec)
-            fit = estimate.fit_ls(w, y_resp)
-            fit.spec, fit.names = spec, spec.coef_names(panel.p)
-            latent_fit = latent_true
-        else:
-            fit, emb, _ = estimate.fit_enar(panel, graph, cell.k)
-            latent_fit = emb.vectors
+        fit, emb, _ = estimate.fit_enar(panel, graph, cell.k)
+        latent_fit = emb.vectors
     else:
         fit, _, _ = estimate.fit_enar(panel, graph, 0)
         latent_fit = None

@@ -95,25 +95,34 @@ def _validate_keys(doc: dict, allowed: dict, where: str) -> None:
             )
 
 
-_SIM_SCHEMA = {
-    "model": (str,), "generator": (str,), "n": (int,), "t": (int,), "k": (int,),
-    "seed": (int,), "alpha": (int, float), "theta": (int, float),
-    "beta": (list,), "beta2": (int, float), "s": (int, float),
-    "gamma": (list,), "sigma": (int, float), "cov_variances": (list,),
-    "q_block": (int, float), "rho": (int, float),
-    "out_edges": (str,), "out_panel": (str,), "out_truth": (str,),
-}
-
-_MC_SCHEMA = {
-    "n_values": (list,), "t_values": (list,), "k_values": (list,),
-    "generators": (list,), "truth_models": (list,), "fit_models": (list,),
-    "reps": (int,), "base_seed": (int,),
+# Model parameters shared by simulate and mc; absent keys keep the
+# ExperimentConfig defaults.
+_PARAM_SCHEMA = {
     "alpha": (int, float), "theta": (int, float), "beta": (list,),
     "beta2": (int, float), "s": (int, float), "gamma": (list,),
     "sigma": (int, float), "cov_variances": (list,),
     "q_block": (int, float), "rho": (int, float),
+}
+
+_SIM_SCHEMA = {
+    **_PARAM_SCHEMA,
+    "model": (str,), "generator": (str,), "n": (int,), "t": (int,), "k": (int,),
+    "seed": (int,), "out_edges": (str,), "out_panel": (str,), "out_truth": (str,),
+}
+
+_MC_SCHEMA = {
+    **_PARAM_SCHEMA,
+    "n_values": (list,), "t_values": (list,), "k_values": (list,),
+    "generators": (list,), "truth_models": (list,), "fit_models": (list,),
+    "reps": (int,), "base_seed": (int,),
     "oracle_latents": (bool,), "lsm_max_iters": (int,),
 }
+
+
+def _experiment_config(doc: dict, keys, **fields) -> bench.ExperimentConfig:
+    """ExperimentConfig from ``fields`` plus each of ``keys`` present in
+    ``doc``, so every other default lives only in ExperimentConfig."""
+    return bench.ExperimentConfig(**{key: doc[key] for key in keys if key in doc}, **fields)
 
 
 def cmd_simulate(args) -> int:
@@ -135,17 +144,11 @@ def cmd_simulate(args) -> int:
         seed = doc.get("seed", _env_seed())
     n, t, k = doc["n"], doc["t"], doc["k"]
 
-    config = bench.ExperimentConfig(
+    config = _experiment_config(
+        doc, _PARAM_SCHEMA,
         n_values=[n], t_values=[t], k_values=[k],
         generators=[generator], truth_models=[model], fit_models=["nar"],
         reps=1, base_seed=seed,
-        alpha=doc.get("alpha", 0.2), theta=doc.get("theta", 0.2),
-        beta=np.asarray(doc["beta"], dtype=float) if doc.get("beta") is not None else None,
-        beta2=doc.get("beta2", 1.0), s=doc.get("s", 0.25),
-        gamma=np.asarray(doc.get("gamma", [1 / 3, -1 / 6, 0.0]), dtype=float),
-        sigma=doc.get("sigma", 0.5),
-        cov_variances=np.asarray(doc.get("cov_variances", [3.0, 2.0, 1.0]), dtype=float),
-        q_block=doc.get("q_block", 9.0 / 40.0), rho=doc.get("rho"),
     )
     cell = bench.Cell(generator, model, "nar", n, t, k)
     rng = np.random.default_rng(seed)
@@ -230,12 +233,7 @@ def cmd_fit(args) -> int:
             lsm.write_latent_csv(state, args.latent_out)
     else:  # enr
         spec = estimate.DesignSpec("enr", args.k, grand_mean=not args.omit_grand_mean)
-        emb = network.spectral_embed(graph, args.k)
-        lap = np.zeros((graph.n, graph.n))
-        w, y_resp = estimate.build_design(panel, lap, emb.vectors, spec)
-        fit = estimate.fit_ls(w, y_resp)
-        fit.spec, fit.names = spec, spec.coef_names(panel.p)
-        diag = estimate._adjacency_diagnostics(graph, args.k, w)
+        fit, _, diag = estimate._fit_embedded(panel, graph, spec)
 
     estimate.write_fit_json(fit, args.out, diag)
     print(json.dumps({"fit": args.out, "model": model, "n_obs": fit.n_obs,
@@ -311,27 +309,18 @@ def cmd_mc(args) -> int:
     for req in ("n_values", "t_values", "k_values"):
         if req not in doc:
             raise DataError(f"{args.config}: missing required key {req!r}")
-    base_seed = doc.get("base_seed", _env_seed())
+    if args.reps is not None:
+        doc["reps"] = args.reps
     lsm_cfg = None
     if doc.get("lsm_max_iters") is not None:
         lsm_cfg = lsm.LsmConfig(max_iters=doc["lsm_max_iters"])
-    config = bench.ExperimentConfig(
+    config = _experiment_config(
+        doc,
+        [*_PARAM_SCHEMA, "generators", "truth_models", "fit_models", "reps", "oracle_latents"],
         n_values=[int(v) for v in doc["n_values"]],
         t_values=[int(v) for v in doc["t_values"]],
         k_values=[int(v) for v in doc["k_values"]],
-        generators=doc.get("generators", ["dcmmsbm"]),
-        truth_models=doc.get("truth_models", ["enar"]),
-        fit_models=doc.get("fit_models", ["enar", "nar"]),
-        reps=args.reps if args.reps is not None else doc.get("reps", 200),
-        base_seed=base_seed,
-        alpha=doc.get("alpha", 0.2), theta=doc.get("theta", 0.2),
-        beta=np.asarray(doc["beta"], dtype=float) if doc.get("beta") is not None else None,
-        beta2=doc.get("beta2", 1.0), s=doc.get("s", 0.25),
-        gamma=np.asarray(doc.get("gamma", [1 / 3, -1 / 6, 0.0]), dtype=float),
-        sigma=doc.get("sigma", 0.5),
-        cov_variances=np.asarray(doc.get("cov_variances", [3.0, 2.0, 1.0]), dtype=float),
-        q_block=doc.get("q_block", 9.0 / 40.0), rho=doc.get("rho"),
-        oracle_latents=doc.get("oracle_latents", False),
+        base_seed=doc.get("base_seed", _env_seed()),
         lsm_config=lsm_cfg,
     )
     results = bench.run_grid(config, parallelism=args.jobs)

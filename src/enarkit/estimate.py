@@ -34,7 +34,7 @@ from .errors import (
     RankDeficient,
     ZeroDenominator,
 )
-from .network import Embedding, Graph, leading_abs_eigenvalues, normalized_laplacian, spectral_embed
+from .network import Embedding, Graph, normalized_laplacian, spectral_embed
 from .process import Panel, rate_multiplier
 
 MODELS = ("nar", "enar", "amnar", "enr")
@@ -190,7 +190,7 @@ def _check_latent(latent, n: int, cols: int) -> np.ndarray | None:
 
 def build_design(
     panel: Panel,
-    laplacian: np.ndarray,
+    laplacian: np.ndarray | None,
     latent,
     spec: DesignSpec,
 ) -> tuple[np.ndarray, np.ndarray]:
@@ -198,11 +198,10 @@ def build_design(
 
     Row t*N + i holds the regressors for node i's transition into time t+1;
     the response vector stacks y_1 .. y_T in the same order. The AMNAR
-    latent block is multiplied by r = N^{-s} T^{-1/2} here.
+    latent block is multiplied by r = N^{-s} T^{-1/2} here. The regression
+    variant has no peer term, so its ``laplacian`` may be None.
     """
-    n, t_len, p = panel.n, panel.t, panel.p
-    if laplacian.shape != (n, n):
-        raise DimensionMismatch(f"laplacian shape {laplacian.shape} != ({n}, {n})")
+    n, t_len = panel.n, panel.t
     latent = _check_latent(latent, n, spec.latent_cols)
     if spec.model == "amnar":
         latent = rate_multiplier(n, t_len, spec.s) * latent
@@ -215,6 +214,8 @@ def build_design(
         w = _time_slice(spec, latent, panel.y[:, 0], panel.y[:, 0], panel.z[:, 0, :])
         return w, panel.y[:, 1].copy()
 
+    if np.shape(laplacian) != (n, n):
+        raise DimensionMismatch(f"laplacian shape {np.shape(laplacian)} != ({n}, {n})")
     ly = laplacian @ panel.y[:, :t_len]
     rows = [
         _time_slice(spec, latent, panel.y[:, t], ly[:, t], panel.z[:, t, :])
@@ -280,17 +281,51 @@ def fit_ls(w: np.ndarray, y_resp: np.ndarray) -> FitResult:
     )
 
 
-def _adjacency_diagnostics(graph: Graph, k: int, w: np.ndarray) -> Diagnostics:
+def fit_with_latents(
+    panel: Panel, laplacian: np.ndarray | None, latent, spec: DesignSpec
+) -> tuple[FitResult, np.ndarray]:
+    """Least-squares fit of ``spec`` with the latent columns given.
+
+    Returns the named fit (with r set for amnar) and its design matrix.
+    """
+    w, y_resp = build_design(panel, laplacian, latent, spec)
+    fit = fit_ls(w, y_resp)
+    fit.spec, fit.names = spec, spec.coef_names(panel.p)
+    if spec.model == "amnar":
+        fit.r = rate_multiplier(panel.n, panel.t, spec.s)
+    return fit, w
+
+
+def _adjacency_diagnostics(
+    eigenvalues: np.ndarray | None, k: int, n: int, density: float, w: np.ndarray
+) -> Diagnostics:
+    """Eigengap and kappa from the leading min(k+1, n) adjacency eigenvalues
+    (ordered by magnitude), plus the design condition number."""
     if k < 1:
         eigengap = kappa = math.nan
     else:
-        vals = leading_abs_eigenvalues(graph.adjacency, min(k + 1, graph.n))
-        discarded = vals[k] if k < graph.n else 0.0
+        vals = np.abs(eigenvalues)
+        discarded = vals[k] if k < vals.size else 0.0
         eigengap = float(vals[k - 1] - discarded)
-        dens = graph.density
-        kappa = math.sqrt(k * graph.n * dens) / eigengap if eigengap > 0 else math.inf
+        kappa = math.sqrt(k * n * density) / eigengap if eigengap > 0 else math.inf
     cond = float(np.linalg.cond(w.T @ w)) if w.shape[1] else math.nan
     return Diagnostics(eigengap=eigengap, kappa=kappa, condition_number=cond)
+
+
+def _fit_embedded(
+    panel: Panel, graph: Graph, spec: DesignSpec
+) -> tuple[FitResult, Embedding, Diagnostics]:
+    """Fit an embedding model (enar or enr) from one eigendecomposition.
+
+    The adjacency is embedded with one spare eigenpair: the first k columns
+    are the latent block and the k+1 eigenvalues give the eigengap.
+    """
+    k = spec.k
+    full = spectral_embed(graph, k + 1 if k < graph.n else k)
+    emb = Embedding(full.vectors[:, :k], full.eigenvalues[:k], k)
+    lap = None if spec.model == "enr" else normalized_laplacian(graph, allow_isolated=True)
+    fit, w = fit_with_latents(panel, lap, emb.vectors, spec)
+    return fit, emb, _adjacency_diagnostics(full.eigenvalues, k, graph.n, graph.density, w)
 
 
 def fit_enar(
@@ -298,23 +333,17 @@ def fit_enar(
 ) -> tuple[FitResult, Embedding, Diagnostics]:
     """Embed the observed graph, build the design, and fit by least squares.
 
-    ``k = 0`` drops the latent block entirely, which is exactly the plain
-    network autoregression fit.
+    One eigendecomposition of the adjacency, with k+1 eigenpairs, gives both
+    the k-dimensional embedding and the eigengap diagnostics. ``k = 0``
+    drops the latent block entirely, which is exactly the plain network
+    autoregression fit.
     """
-    lap = normalized_laplacian(graph, allow_isolated=True)
     if k >= 1:
-        emb = spectral_embed(graph, k)
-        spec = DesignSpec("enar", k)
-        latent = emb.vectors
-    else:
-        emb = Embedding(np.zeros((graph.n, 0)), np.zeros(0), 0)
-        spec = DesignSpec("nar")
-        latent = None
-    w, y_resp = build_design(panel, lap, latent, spec)
-    fit = fit_ls(w, y_resp)
-    fit.spec = spec
-    fit.names = spec.coef_names(panel.p)
-    return fit, emb, _adjacency_diagnostics(graph, k, w)
+        return _fit_embedded(panel, graph, DesignSpec("enar", k))
+    lap = normalized_laplacian(graph, allow_isolated=True)
+    fit, w = fit_with_latents(panel, lap, None, DesignSpec("nar"))
+    emb = Embedding(np.zeros((graph.n, 0)), np.zeros(0), 0)
+    return fit, emb, _adjacency_diagnostics(None, 0, graph.n, graph.density, w)
 
 
 def fit_amnar(
@@ -328,20 +357,17 @@ def fit_amnar(
     """Estimate the latent-space factors by constrained MLE, then fit.
 
     Returns (FitResult, LsmState, Diagnostics). The latent design columns
-    are the MLE's [Q | v] scaled by r = N^{-s} T^{-1/2}.
+    are the MLE's [Q | v] scaled by r = N^{-s} T^{-1/2}. The eigengap
+    diagnostics take one adjacency eigendecomposition of their own.
     """
     from . import lsm as lsm_mod
 
     lsm_fit = lsm_mod.fit_lsm(graph, k, lsm_config, rng)
     x_hat = np.column_stack([lsm_fit.state.q, lsm_fit.state.v])
-    spec = DesignSpec("amnar", k, s=s)
     lap = normalized_laplacian(graph, allow_isolated=True)
-    w, y_resp = build_design(panel, lap, x_hat, spec)
-    fit = fit_ls(w, y_resp)
-    fit.spec = spec
-    fit.names = spec.coef_names(panel.p)
-    fit.r = rate_multiplier(panel.n, panel.t, s)
-    diag = _adjacency_diagnostics(graph, k, w)
+    fit, w = fit_with_latents(panel, lap, x_hat, DesignSpec("amnar", k, s=s))
+    eigenvalues = spectral_embed(graph, k + 1 if k < graph.n else k).eigenvalues
+    diag = _adjacency_diagnostics(eigenvalues, k, graph.n, graph.density, w)
     diag.lsm_loglik = lsm_fit.loglik_trace[-1]
     diag.lsm_centering = lsm_fit.state.centering_residual()
     diag.lsm_diagonality = lsm_fit.state.diagonality_residual()
@@ -351,13 +377,14 @@ def fit_amnar(
 
 def design_slice(
     spec: DesignSpec,
-    laplacian: np.ndarray,
+    laplacian: np.ndarray | None,
     latent,
     y_t: np.ndarray,
     z_t: np.ndarray,
     r: float | None = None,
 ) -> np.ndarray:
-    """Design rows (N x d) for a single time point."""
+    """Design rows (N x d) for a single time point; ``laplacian`` may be
+    None for the regression variant."""
     y_t = np.asarray(y_t, dtype=float).reshape(-1)
     n = y_t.shape[0]
     z_t = np.asarray(z_t, dtype=float)
@@ -387,8 +414,7 @@ def predict_one_step(
     n = graph.n
     if np.asarray(y_t).reshape(-1).shape != (n,):
         raise DimensionMismatch(f"y_t must have {n} entries")
-    lap = (np.zeros((n, n)) if fit.spec.model == "enr"
-           else normalized_laplacian(graph, allow_isolated=True))
+    lap = None if fit.spec.model == "enr" else normalized_laplacian(graph, allow_isolated=True)
     w_t = design_slice(fit.spec, lap, latent, y_t, z_t, r=fit.r)
     if w_t.shape[1] != fit.mu_hat.shape[0]:
         raise DimensionMismatch(

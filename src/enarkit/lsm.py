@@ -23,7 +23,7 @@ from scipy.special import expit
 
 from .atomic import atomic_write
 from .errors import DataError, DimensionMismatch
-from .network import DENSE_EIG_LIMIT, Graph, _sample_without_isolation
+from .network import Graph, _leading_eigenpairs, sample_graph
 
 MIN_STEP = 1e-12
 
@@ -174,19 +174,6 @@ def project_constraints(state: LsmState, row_norm_cap: float | None = None) -> L
     return LsmState(q, v)
 
 
-def _top_k_positive_eigh(a: np.ndarray, k: int) -> tuple[np.ndarray, np.ndarray]:
-    """Largest-k algebraic eigenpairs of a symmetric matrix."""
-    n = a.shape[0]
-    if n <= DENSE_EIG_LIMIT or k >= n - 1:
-        vals, vecs = np.linalg.eigh(a)
-        return vals[-k:][::-1], vecs[:, -k:][:, ::-1]
-    import scipy.sparse.linalg
-
-    vals, vecs = scipy.sparse.linalg.eigsh(a, k=k, which="LA", tol=1e-8, maxiter=10 * n)
-    order = np.argsort(vals)[::-1]
-    return vals[order], vecs[:, order]
-
-
 def _spectral_init(graph: Graph, k: int, rng: np.random.Generator) -> LsmState:
     """Warm start: degree-matched additive effects, residual spectrum for q."""
     n = graph.n
@@ -194,7 +181,7 @@ def _spectral_init(graph: Graph, k: int, rng: np.random.Generator) -> LsmState:
     p0 = np.clip(graph.degrees / max(n - 1, 1), eps, 1.0 - eps)
     v0 = np.log(p0 / (1.0 - p0))
     resid = graph.adjacency - expit(v0[:, None] + v0[None, :])
-    vals, vecs = _top_k_positive_eigh(resid, k)
+    vals, vecs = _leading_eigenpairs(resid, k, "LA")
     q0 = vecs * np.sqrt(np.clip(vals, 0.0, None))
     weak = np.sqrt(np.clip(vals, 0.0, None)) < 1e-8
     if np.any(weak):
@@ -264,7 +251,7 @@ def sample_lsm_graph(
     isolated nodes like the other generators unless told otherwise."""
     p = expit(state.chi())
     np.fill_diagonal(p, 0.0)
-    return _sample_without_isolation(p, rng, allow_isolated)
+    return sample_graph(p, rng, allow_isolated)
 
 
 def write_latent_csv(state: LsmState, path: str) -> None:

@@ -6,7 +6,8 @@ either from explicit latent positions (with a sparsity factor) or from a
 (degree-corrected, possibly mixed-membership) block structure, and resample
 until every node has at least one neighbour. Spectral embeddings keep the
 eigenvectors of the k eigenvalues of largest magnitude with a deterministic
-sign convention so that repeated runs agree exactly.
+sign convention and, above the dense limit, a fixed Lanczos start, so that
+repeated runs agree exactly.
 """
 
 from __future__ import annotations
@@ -29,8 +30,10 @@ from .errors import (
     ShapeMismatch,
 )
 
-# Above this size the dense symmetric eigensolver gives way to Lanczos.
+# Above this size the dense symmetric eigensolver gives way to Lanczos,
+# started from a fixed pseudo-random vector drawn with this seed.
 DENSE_EIG_LIMIT = 1024
+_LANCZOS_START_SEED = 20240601
 ISOLATION_MAX_RETRIES = 100
 
 
@@ -201,56 +204,28 @@ def connection_matrix(spec: LatentGraphSpec) -> np.ndarray:
     return p
 
 
-def _bernoulli_graph(p: np.ndarray, rng: np.random.Generator) -> Graph:
-    """One hollow symmetric Bernoulli draw from probability matrix ``p``."""
-    n = p.shape[0]
-    iu = np.triu_indices(n, k=1)
-    draws = (rng.random(iu[0].size) < p[iu]).astype(float)
-    a = np.zeros((n, n))
-    a[iu] = draws
-    a = a + a.T
-    return Graph(n, a)
-
-
-def _sample_without_isolation(
+def sample_graph(
     p: np.ndarray, rng: np.random.Generator, allow_isolated: bool = False
 ) -> Graph:
-    if allow_isolated:
-        return _bernoulli_graph(p, rng)
-    for _ in range(ISOLATION_MAX_RETRIES):
-        g = _bernoulli_graph(p, rng)
-        if np.all(g.degrees > 0):
+    """Hollow symmetric Bernoulli graph with edge probabilities ``p``.
+
+    Build ``p`` with ``connection_matrix`` (or any symmetric matrix of
+    probabilities). Resamples (up to ISOLATION_MAX_RETRIES draws) whenever
+    the draw leaves some node isolated; ``allow_isolated`` accepts the first
+    draw as-is, which is the only workable choice in sparse degree-corrected
+    regimes where isolation-free draws essentially never occur.
+    """
+    n = p.shape[0]
+    iu = np.triu_indices(n, k=1)
+    for _ in range(1 if allow_isolated else ISOLATION_MAX_RETRIES):
+        a = np.zeros((n, n))
+        a[iu] = rng.random(iu[0].size) < p[iu]
+        g = Graph(n, a + a.T)
+        if allow_isolated or np.all(g.degrees > 0):
             return g
     raise IsolationRetriesExceeded(
         f"no isolation-free draw in {ISOLATION_MAX_RETRIES} attempts"
     )
-
-
-def generate_rdpg(
-    spec: RdpgSpec, rng: np.random.Generator, allow_isolated: bool = False
-) -> Graph:
-    """Sample a graph with edge probabilities rho * x_i'x_j.
-
-    Resamples (up to a bounded number of attempts) whenever the draw leaves
-    some node isolated; ``allow_isolated`` accepts the first draw as-is,
-    which is the only workable choice in sparse degree-corrected regimes
-    where isolation-free draws essentially never occur.
-    """
-    return _sample_without_isolation(connection_matrix(spec), rng, allow_isolated)
-
-
-def generate_dcsbm(
-    spec: DcsbmSpec, rng: np.random.Generator, allow_isolated: bool = False
-) -> Graph:
-    """Sample from the degree-corrected block model (hard memberships)."""
-    return _sample_without_isolation(connection_matrix(spec), rng, allow_isolated)
-
-
-def generate_dcmmsbm(
-    spec: DcmmsbmSpec, rng: np.random.Generator, allow_isolated: bool = False
-) -> Graph:
-    """Sample from the degree-corrected mixed-membership block model."""
-    return _sample_without_isolation(connection_matrix(spec), rng, allow_isolated)
 
 
 def _order_by_magnitude(eigenvalues: np.ndarray) -> np.ndarray:
@@ -271,39 +246,54 @@ def _fix_signs(vectors: np.ndarray) -> np.ndarray:
     return out
 
 
+def _leading_eigenpairs(
+    a: np.ndarray, k: int, which: str
+) -> tuple[np.ndarray, np.ndarray]:
+    """k leading eigenpairs of a symmetric matrix, leading first.
+
+    ``which`` is "LM" (largest |eigenvalue|, ties by value then index) or
+    "LA" (largest eigenvalue). Dense ``eigh`` up to DENSE_EIG_LIMIT rows,
+    Lanczos above that from a fixed start vector drawn from its own stream,
+    so repeated calls agree bit for bit and no caller's rng is consumed.
+    """
+    n = a.shape[0]
+    if n <= DENSE_EIG_LIMIT or k >= n - 1:
+        vals, vecs = np.linalg.eigh(a)
+    else:
+        v0 = np.random.default_rng(_LANCZOS_START_SEED).uniform(-1.0, 1.0, n)
+        try:
+            vals, vecs = scipy.sparse.linalg.eigsh(
+                a, k=k, which=which, tol=1e-8, maxiter=10 * n, v0=v0
+            )
+        except scipy.sparse.linalg.ArpackNoConvergence as exc:
+            raise EigConvergenceFailure(str(exc)) from exc
+    if which == "LM":
+        order = _order_by_magnitude(vals)[:k]
+    else:
+        order = np.argsort(vals, kind="stable")[::-1][:k]
+    return vals[order], vecs[:, order]
+
+
 def embed_symmetric(a: np.ndarray, k: int) -> Embedding:
     """Leading-|eigenvalue| eigenpairs of a symmetric matrix.
 
-    Dense solver up to DENSE_EIG_LIMIT rows, Lanczos above that.
+    Each eigenvector's largest-magnitude entry is positive. Dense solver up
+    to DENSE_EIG_LIMIT rows, Lanczos from a fixed start above that, so the
+    result is deterministic at every size. The first j columns of a k-pair
+    embedding are those of the j-pair embedding on the dense path; on the
+    Lanczos path they agree to the solver tolerance.
     """
     a = np.asarray(a, dtype=float)
     n = a.shape[0]
     if not 1 <= k <= n:
         raise ShapeMismatch(f"k = {k} must satisfy 1 <= k <= {n}")
-    if n <= DENSE_EIG_LIMIT or k >= n - 1:
-        vals, vecs = np.linalg.eigh(a)
-        order = _order_by_magnitude(vals)[:k]
-        vals, vecs = vals[order], vecs[:, order]
-    else:
-        try:
-            vals, vecs = scipy.sparse.linalg.eigsh(
-                a, k=k, which="LM", tol=1e-8, maxiter=10 * n
-            )
-        except scipy.sparse.linalg.ArpackNoConvergence as exc:
-            raise EigConvergenceFailure(str(exc)) from exc
-        order = _order_by_magnitude(vals)
-        vals, vecs = vals[order], vecs[:, order]
+    vals, vecs = _leading_eigenpairs(a, k, "LM")
     return Embedding(_fix_signs(vecs), vals, k)
 
 
 def spectral_embed(g: Graph, k: int) -> Embedding:
     """Adjacency spectral embedding of a graph in dimension ``k``."""
     return embed_symmetric(g.adjacency, k)
-
-
-def leading_abs_eigenvalues(a: np.ndarray, m: int) -> np.ndarray:
-    """The m largest |eigenvalues| of a symmetric matrix, descending."""
-    return np.abs(embed_symmetric(a, min(m, a.shape[0])).eigenvalues)
 
 
 def procrustes_align(

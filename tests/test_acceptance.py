@@ -268,7 +268,7 @@ def test_criterion_09_embedding_concentration():
         draw_rng = np.random.default_rng(9_000 + n)
         residuals = []
         for _ in range(20):
-            g = network._sample_without_isolation(p, draw_rng, allow_isolated=True)
+            g = network.sample_graph(p, draw_rng, allow_isolated=True)
             u_hat = network.spectral_embed(g, k).vectors
             residuals.append(network.procrustes_align(u_hat, u_p)[1])
         medians.append(float(np.median(residuals)))

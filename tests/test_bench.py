@@ -17,6 +17,7 @@ from enarkit.bench import (
     summary_to_csv,
 )
 from enarkit.errors import DataError, EmptyGroup
+from enarkit.lsm import LsmConfig
 
 
 def smoke_config(**overrides):
@@ -129,6 +130,20 @@ class TestRunGrid:
         p1, p2 = tmp_path / "a.csv", tmp_path / "b.csv"
         results_to_csv(serial, str(p1), timing=False)
         results_to_csv(parallel, str(p2), timing=False)
+        assert p1.read_bytes() == p2.read_bytes()
+
+    def test_parallel_identity_on_lanczos_path(self, tmp_path, lanczos_path):
+        # workers are forked, so they inherit the patched eigensolver switch
+        cfg = smoke_config(truth_models=["enar", "amnar"], fit_models=["enar", "amnar"],
+                           n_values=[40], t_values=[6], reps=2,
+                           lsm_config=LsmConfig(max_iters=20))
+        serial = run_grid(cfg, parallelism=1)
+        assert "LM" in lanczos_path and "LA" in lanczos_path
+        parallel = run_grid(cfg, parallelism=2)
+        p1, p2 = tmp_path / "a.csv", tmp_path / "b.csv"
+        results_to_csv(serial, str(p1), timing=False)
+        results_to_csv(parallel, str(p2), timing=False)
+        assert all(r.status == "ok" for r in serial)
         assert p1.read_bytes() == p2.read_bytes()
 
     def test_results_csv_round_trip(self, tmp_path):

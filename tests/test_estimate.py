@@ -188,6 +188,9 @@ class TestNoiselessRecovery:
         fit = fit_ls(w, y)
         truth = np.concatenate([beta, [alpha], gamma])
         assert np.max(np.abs(fit.mu_hat - truth)) < 1e-8
+        # the regression variant has no peer term, so it needs no Laplacian
+        w_none, y_none = build_design(panel, None, self.u, DesignSpec("enr", 3))
+        assert np.array_equal(w_none, w) and np.array_equal(y_none, y)
 
     def test_enr_without_grand_mean(self):
         rng = self.rng
@@ -246,6 +249,10 @@ class TestModelCompositions:
         g, _, _, _, panel = self.make_panel()
         fit, emb, diag = fit_enar(panel, g, 2)
         assert fit.names == ["beta_1", "beta_2", "alpha", "theta", "gamma_1"]
+        # one three-pair decomposition gives the two-pair embedding and the gap
+        assert np.array_equal(emb.vectors, spectral_embed(g, 2).vectors)
+        mags = np.sort(np.abs(np.linalg.eigvalsh(g.adjacency)))[::-1]
+        assert diag.eigengap == pytest.approx(mags[1] - mags[2], abs=1e-10)
         assert diag.eigengap >= 0
         assert diag.kappa >= 0
         assert diag.condition_number >= 1

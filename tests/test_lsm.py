@@ -175,6 +175,16 @@ class TestFitLsm:
             medians.append(np.median(errs))
         assert medians[1] < medians[0]
 
+    def test_lanczos_start_repeat_fits_bitwise_equal(self, lanczos_path):
+        rng = np.random.default_rng(12)
+        g = random_graph(60, 0.2, rng)
+        first = fit_lsm(g, 2, LsmConfig(max_iters=20), np.random.default_rng(0))
+        second = fit_lsm(g, 2, LsmConfig(max_iters=20), np.random.default_rng(0))
+        assert lanczos_path == ["LA", "LA"]
+        assert np.array_equal(first.state.q, second.state.q)
+        assert np.array_equal(first.state.v, second.state.v)
+        assert first.loglik_trace == second.loglik_trace
+
 
 def planted_state(n, k, rng):
     """Dense-ish planted instance with visible multiplicative structure."""

@@ -14,11 +14,10 @@ from enarkit.network import (
     RdpgSpec,
     connection_matrix,
     embed_symmetric,
-    generate_dcsbm,
-    generate_rdpg,
     normalized_laplacian,
     procrustes_align,
     read_edge_csv,
+    sample_graph,
     select_k,
     spectral_embed,
     write_edge_csv,
@@ -105,18 +104,18 @@ class TestLaplacian:
 class TestGenerators:
     def test_rdpg_all_ones_complete(self):
         spec = RdpgSpec(np.ones((6, 1)), rho=1.0)
-        g = generate_rdpg(spec, np.random.default_rng(0))
+        g = sample_graph(connection_matrix(spec), np.random.default_rng(0))
         assert np.array_equal(g.adjacency, complete_graph(6).adjacency)
 
     def test_rdpg_zero_positions_exhausts_retries(self):
         spec = RdpgSpec(np.zeros((5, 1)), rho=1.0)
         with pytest.raises(IsolationRetriesExceeded):
-            generate_rdpg(spec, np.random.default_rng(0))
+            sample_graph(connection_matrix(spec), np.random.default_rng(0))
 
     def test_rdpg_density_matches_probability(self):
         n = 1000
         x = np.full((n, 2), 1 / np.sqrt(2))
-        g = generate_rdpg(RdpgSpec(x, rho=0.5), np.random.default_rng(11))
+        g = sample_graph(connection_matrix(RdpgSpec(x, rho=0.5)), np.random.default_rng(11))
         n_pairs = n * (n - 1) / 2
         se = np.sqrt(0.5 * 0.5 / n_pairs)
         assert abs(g.density - 0.5) < 3 * se
@@ -129,7 +128,7 @@ class TestGenerators:
         block = 2 * 0.225 * np.eye(k) + 0.225 * np.ones((k, k))
         for draw in range(5):
             spec = DcsbmSpec(block, rng.integers(0, k, 40), rng.lognormal(0, 1, 40), 8.0)
-            g = generate_dcsbm(spec, rng, allow_isolated=True)
+            g = sample_graph(connection_matrix(spec), rng, allow_isolated=True)
             a = g.adjacency
             assert np.array_equal(a, a.T)
             assert np.all(np.diag(a) == 0)
@@ -140,12 +139,12 @@ class TestGenerators:
         k = 2
         block = 2 * 0.225 * np.eye(k) + 0.225 * np.ones((k, k))
         spec = DcsbmSpec(block, rng.integers(0, k, 40), np.ones(40), 12.0)
-        g = generate_dcsbm(spec, rng)
+        g = sample_graph(connection_matrix(spec), rng)
         assert np.all(g.degrees > 0)
 
     def test_dcsbm_complete_when_saturated(self):
         spec = DcsbmSpec(np.ones((1, 1)), np.zeros(5, dtype=int), np.ones(5), 4.0)
-        g = generate_dcsbm(spec, np.random.default_rng(0))
+        g = sample_graph(connection_matrix(spec), np.random.default_rng(0))
         assert np.array_equal(g.adjacency, complete_graph(5).adjacency)
 
     def test_block_ratio_three(self):
@@ -161,7 +160,7 @@ class TestGenerators:
         memberships = np.repeat([0, 1], n // 2)
         degrees = rng.lognormal(0, 1, n)
         spec = DcsbmSpec(block, memberships, degrees, n ** 0.5)
-        g = generate_dcsbm(spec, rng, allow_isolated=True)
+        g = sample_graph(connection_matrix(spec), rng, allow_isolated=True)
         same = memberships[:, None] == memberships[None, :]
         iu = np.triu_indices(n, 1)
         within_mask = same[iu]
@@ -256,6 +255,17 @@ class TestSpectralEmbed:
     def test_k_bounds(self):
         with pytest.raises(ShapeMismatch):
             spectral_embed(complete_graph(3), 4)
+
+    def test_lanczos_repeat_calls_bitwise_equal(self, lanczos_path):
+        rng = np.random.default_rng(8)
+        n = 150
+        a = np.triu((rng.random((n, n)) < 0.1).astype(float), 1)
+        a = a + a.T
+        first = embed_symmetric(a, 4)
+        second = embed_symmetric(a, 4)
+        assert lanczos_path == ["LM", "LM"]
+        assert np.array_equal(first.vectors, second.vectors)
+        assert np.array_equal(first.eigenvalues, second.eigenvalues)
 
 
 class TestProcrustes:
