@@ -83,12 +83,22 @@ def _load_json(path: str) -> dict:
         raise DataError(f"{path}: invalid JSON at line {exc.lineno}: {exc.msg}") from exc
 
 
+# The only config keys that may be null, as their defaults are None: beta
+# and rho then follow the ExperimentConfig rules, and lsm_max_iters keeps
+# the LsmConfig default.
+_NULLABLE = {"beta", "rho", "lsm_max_iters"}
+
+
 def _validate_keys(doc: dict, allowed: dict, where: str) -> None:
     unknown = set(doc) - set(allowed)
     if unknown:
         raise DataError(f"{where}: unknown keys {sorted(unknown)}")
     for key, types in allowed.items():
-        if key in doc and doc[key] is not None and not isinstance(doc[key], types):
+        if key not in doc or (doc[key] is None and key in _NULLABLE):
+            continue
+        if doc[key] is None:
+            raise DataError(f"{where}: key {key!r} may not be null")
+        if not isinstance(doc[key], types):
             raise DataError(
                 f"{where}: key {key!r} has type {type(doc[key]).__name__}, "
                 f"expected {'/'.join(t.__name__ for t in types)}"
@@ -159,14 +169,7 @@ def cmd_simulate(args) -> int:
 
     params = data.params
     latent = data.latent_true
-    if model == "amnar":
-        effect = data.r_true * (latent @ params.beta)
-    elif model == "enar":
-        effect = latent @ params.beta
-    else:
-        effect = np.zeros(n)
-    moments = process.stationary_moments(data.graph, effect, params, config.cov_spec())
-    phi_round = np.round(moments.phi, 9)
+    phi_round = np.round(data.panel.phi, 9)
     truth = {
         "model": model, "generator": generator,
         "n": n, "t": t, "k": k, "seed": seed,

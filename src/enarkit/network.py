@@ -12,7 +12,6 @@ repeated runs agree exactly.
 
 from __future__ import annotations
 
-import csv
 import warnings
 from dataclasses import dataclass, field
 from typing import Union
@@ -21,6 +20,7 @@ import numpy as np
 import scipy.sparse.linalg
 
 from .atomic import atomic_write
+from .csvio import Table, load_columns, repeated_rows
 from .errors import (
     DataError,
     EigConvergenceFailure,
@@ -364,47 +364,50 @@ def select_k(
 def read_edge_csv(path: str, n_nodes: int | None = None) -> Graph:
     """Load an undirected edge list with header ``src,dst``.
 
-    Node ids are 0-based and each edge must appear exactly once; self loops
-    and duplicates are rejected with the offending row number.
+    Node ids are 0-based and each edge must appear exactly once; negative
+    ids, self loops and duplicates are rejected with the row number of the
+    first offending row.
     """
-    edges: list[tuple[int, int]] = []
-    seen: set[tuple[int, int]] = set()
-    with open(path, newline="") as fh:
-        reader = csv.reader(fh)
-        header = next(reader, None)
-        if header is None or [h.strip() for h in header[:2]] != ["src", "dst"]:
-            raise DataError(f"{path}: expected header 'src,dst', got {header}")
-        for row_no, row in enumerate(reader, start=2):
-            if not row or (len(row) == 1 and not row[0].strip()):
-                continue
-            try:
-                i, j = int(row[0]), int(row[1])
-            except (ValueError, IndexError) as exc:
-                raise DataError(f"{path}: row {row_no}: cannot parse edge {row!r}") from exc
-            if i < 0 or j < 0:
-                raise DataError(f"{path}: row {row_no}: negative node id")
-            if i == j:
-                raise DataError(f"{path}: row {row_no}: self-loop on node {i}")
-            key = (min(i, j), max(i, j))
-            if key in seen:
-                raise DataError(f"{path}: row {row_no}: duplicate edge {key}")
-            seen.add(key)
-            edges.append(key)
-    n = n_nodes if n_nodes is not None else (max(max(e) for e in edges) + 1 if edges else 0)
+    table = Table(path)
+    header = table.header
+    if header is None or [h.strip() for h in header[:2]] != ["src", "dst"]:
+        raise DataError(f"{path}: expected header 'src,dst', got {header}")
+    lines = table.lines
+    edges = np.empty((0, 2), dtype=np.int64)
+    if lines:
+        edges = load_columns(
+            lines, (0, 1), np.int64,
+            lambda j: f"{table.where(j)}: cannot parse edge {lines[j]!r}",
+        )
+    src, dst = edges[:, 0], edges[:, 1]
+    lo, hi = np.minimum(src, dst), np.maximum(src, dst)
+    # the first row breaking any rule, with the rules checked in this order
+    # on that row
+    offenders = (np.flatnonzero(lo < 0), np.flatnonzero(src == dst), repeated_rows(lo, hi))
+    firsts = [rows[0] for rows in offenders if rows.size]
+    if firsts:
+        j = min(firsts)
+        where = table.where(j)
+        if lo[j] < 0:
+            raise DataError(f"{where}: negative node id")
+        if src[j] == dst[j]:
+            raise DataError(f"{where}: self-loop on node {src[j]}")
+        raise DataError(f"{where}: duplicate edge ({lo[j]}, {hi[j]})")
+    n = n_nodes if n_nodes is not None else (int(hi.max()) + 1 if hi.size else 0)
+    over = np.flatnonzero(hi >= n)
+    if over.size:
+        j = over[0]
+        raise DataError(f"{table.where(j)}: edge ({lo[j]},{hi[j]}) exceeds node count {n}")
     a = np.zeros((n, n))
-    for i, j in edges:
-        if i >= n or j >= n:
-            raise DataError(f"{path}: edge ({i},{j}) exceeds node count {n}")
-        a[i, j] = a[j, i] = 1.0
+    a[lo, hi] = a[hi, lo] = 1.0
     return Graph(n, a)
 
 
 def write_edge_csv(g: Graph, path: str) -> None:
-    """Write each undirected edge once as ``src,dst`` (atomic replace)."""
+    """Write each undirected edge once as ``src,dst`` with CRLF line ends
+    (atomic replace)."""
+    iu = np.triu_indices(g.n, k=1)
+    present = g.adjacency[iu] > 0
+    pairs = zip(iu[0][present].tolist(), iu[1][present].tolist())
     with atomic_write(path, newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["src", "dst"])
-        iu = np.triu_indices(g.n, k=1)
-        present = g.adjacency[iu] > 0
-        for i, j in zip(iu[0][present], iu[1][present]):
-            writer.writerow([int(i), int(j)])
+        fh.write("".join(["src,dst\r\n", *(f"{i},{j}\r\n" for i, j in pairs)]))

@@ -19,13 +19,14 @@ additive+multiplicative model, where r = N^{-s} T^{-1/2}.
 
 from __future__ import annotations
 
-import csv
 import math
 from dataclasses import dataclass, field
+from itertools import compress
 
 import numpy as np
 
 from .atomic import atomic_write
+from .csvio import Table, load_columns, repeated_rows
 from .errors import DataError, DimensionMismatch, NotStationary
 from .network import Graph, normalized_laplacian
 
@@ -119,10 +120,15 @@ def rate_multiplier(n: int, t: int, s: float) -> float:
 @dataclass
 class Panel:
     """Responses y (N x (T+1), column t holds y_t) and covariates z
-    (N x T x p, slice t holds Z_t feeding the transition to t+1)."""
+    (N x T x p, slice t holds Z_t feeding the transition to t+1).
+
+    ``phi`` is the stationary mean of the process a simulator drew the
+    panel from; it is None for panels built or read from data.
+    """
 
     y: np.ndarray
     z: np.ndarray
+    phi: np.ndarray | None = field(default=None, repr=False)
 
     def __post_init__(self):
         self.y = np.asarray(self.y, dtype=float)
@@ -276,7 +282,7 @@ def _simulate(
         z[:, t, :] = rng.standard_normal((n, p)) * sd
         eps = params.sigma * rng.standard_normal(n)
         y[:, t + 1] = moments.apply_g(y[:, t]) + latent_effect + z[:, t, :] @ params.gamma + eps
-    return Panel(y=y, z=z)
+    return Panel(y=y, z=z, phi=moments.phi)
 
 
 def simulate_enar(
@@ -325,58 +331,88 @@ def simulate_amnar(
 
 def write_panel_csv(panel: Panel, path: str) -> None:
     """Long-format panel: ``node,t,y,z1,...,zp``; the final time carries no
-    covariates so those fields are left empty. Atomic replace."""
-    p = panel.p
+    covariates so those fields are left empty. Floats are written by
+    ``repr`` (exact round trip), lines end in CRLF. Atomic replace."""
+    t_len, p = panel.t, panel.p
+    w = p + 1
+    # One format template for a node's T+1 lines: field 0 is the node id
+    # and fields 1, 2, ... take y_0, z_0, y_1, z_1, ..., y_T in that order.
+    fields = [f"{{{k}!r}}" for k in range(1, t_len * w + 2)]
+    template = "".join(
+        [f"{{0}},{t},{','.join(fields[t * w : (t + 1) * w])}\r\n" for t in range(t_len)]
+        + [f"{{0}},{t_len},{fields[-1]}{',' * p}\r\n"]
+    )
+    cells = np.empty(t_len * w + 1)
+    grid = cells[:-1].reshape(t_len, w)
     with atomic_write(path, newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["node", "t", "y"] + [f"z{j + 1}" for j in range(p)])
+        fh.write(",".join(["node", "t", "y"] + [f"z{j + 1}" for j in range(p)]) + "\r\n")
+        # one node at a time: a whole-panel tolist() would hold every cell
+        # as a Python float at once
         for i in range(panel.n):
-            for t in range(panel.t + 1):
-                row = [i, t, repr(float(panel.y[i, t]))]
-                if t < panel.t:
-                    row += [repr(float(v)) for v in panel.z[i, t, :]]
-                else:
-                    row += [""] * p
-                writer.writerow(row)
+            grid[:, 0], grid[:, 1:], cells[-1] = panel.y[i, :-1], panel.z[i], panel.y[i, -1]
+            fh.write(template.format(i, *cells.tolist()))
+
+
+_PANEL_KEYS = np.dtype([("node", np.int64), ("t", np.int64), ("y", np.float64)])
 
 
 def read_panel_csv(path: str) -> Panel:
-    """Exact inverse of :func:`write_panel_csv`."""
-    with open(path, newline="") as fh:
-        reader = csv.reader(fh)
-        header = next(reader, None)
-        if header is None or header[:3] != ["node", "t", "y"]:
-            raise DataError(f"{path}: expected header 'node,t,y,z1,...', got {header}")
-        p = len(header) - 3
-        rows: dict[tuple[int, int], tuple[float, list[str]]] = {}
-        for row_no, row in enumerate(reader, start=2):
-            if not row or (len(row) == 1 and not row[0].strip()):
-                continue
-            try:
-                node, t = int(row[0]), int(row[1])
-                yv = float(row[2])
-            except (ValueError, IndexError) as exc:
-                raise DataError(f"{path}: row {row_no}: cannot parse {row!r}") from exc
-            if (node, t) in rows:
-                raise DataError(f"{path}: row {row_no}: duplicate (node={node}, t={t})")
-            rows[(node, t)] = (yv, row[3 : 3 + p])
-    if not rows:
+    """Exact inverse of :func:`write_panel_csv`.
+
+    Rows may come in any order, with LF or CRLF line ends and blank lines
+    between them. Every (node, t) from 0 up to the largest node and time
+    must appear exactly once, and every row before the final time must
+    carry ``p`` covariates; a violation raises :class:`DataError` naming
+    the row, or the node and time.
+    """
+    table = Table(path)
+    header = table.header
+    if header is None or header[:3] != ["node", "t", "y"]:
+        raise DataError(f"{path}: expected header 'node,t,y,z1,...', got {header}")
+    p = len(header) - 3
+    lines = table.lines
+    if not lines:
         raise DataError(f"{path}: empty panel")
-    n = max(k[0] for k in rows) + 1
-    t_max = max(k[1] for k in rows)
-    y = np.empty((n, t_max + 1))
-    z = np.empty((n, t_max, p))
-    for i in range(n):
-        for t in range(t_max + 1):
-            if (i, t) not in rows:
-                raise DataError(f"{path}: missing row for node {i}, t {t}")
-            yv, zs = rows[(i, t)]
-            y[i, t] = yv
-            if t < t_max:
-                try:
-                    z[i, t, :] = [float(v) for v in zs]
-                except ValueError as exc:
-                    raise DataError(
-                        f"{path}: covariates missing or malformed at node {i}, t {t}"
-                    ) from exc
-    return Panel(y=y, z=z)
+    keys = load_columns(
+        lines, (0, 1, 2), _PANEL_KEYS,
+        lambda j: f"{table.where(j)}: cannot parse {lines[j]!r}",
+    )
+    node, t = keys["node"], keys["t"]
+    m = len(lines)
+    # a complete panel of m rows has every node id and time below m
+    outside = np.flatnonzero((node < 0) | (t < 0) | (node >= m) | (t >= m))
+    if outside.size:
+        j = outside[0]
+        raise DataError(
+            f"{table.where(j)}: node {node[j]}, t {t[j]} outside 0..{m - 1} "
+            f"for a panel of {m} rows"
+        )
+    n, t_len = int(node.max()) + 1, int(t.max())
+    width = t_len + 1
+    slot = node * width + t  # row-major position in the N x (T+1) response matrix
+    # slots from m up cannot all be filled by m rows: one shared overflow
+    # bin keeps the count at m + 1 entries whatever the ids
+    counts = np.bincount(np.minimum(slot, m), minlength=m + 1)
+    if counts[:m].max(initial=0) > 1:
+        j = repeated_rows(slot)[0]
+        raise DataError(f"{table.where(j)}: duplicate (node={node[j]}, t={t[j]})")
+    empty = np.flatnonzero(counts[: min(n * width, m)] == 0)
+    if empty.size or n * width > m:
+        i, s = divmod(int(empty[0]) if empty.size else m, width)
+        raise DataError(f"{path}: missing row for node {i}, t {s}")
+
+    y = np.empty(n * width)
+    y[slot] = keys["y"]
+    z = np.empty((n * t_len, p))
+    if p and t_len:
+        # the final time's covariate fields are empty and never parsed
+        before = t < t_len
+        rows = np.flatnonzero(before)
+        z[node[rows] * t_len + t[rows]] = load_columns(
+            list(compress(lines, before.tolist())), range(3, 3 + p), np.float64,
+            lambda j: (
+                f"{table.where(rows[j])}: covariates missing or malformed at "
+                f"node {node[rows[j]]}, t {t[rows[j]]}"
+            ),
+        )
+    return Panel(y=y.reshape(n, width), z=z.reshape(n, t_len, p))

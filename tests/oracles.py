@@ -5,6 +5,8 @@ dense normal equations, pairwise Python loops, and central finite
 differences. None of it shares code with the library paths it validates.
 """
 
+import csv
+
 import numpy as np
 
 from enarkit.lsm import LsmState, lsm_loglik
@@ -66,6 +68,35 @@ def lsm_fd_gradient(state: LsmState, graph, h: float = 1e-6):
         minus.v[i] -= h
         dv[i] = (lsm_loglik(plus, graph) - lsm_loglik(minus, graph)) / (2 * h)
     return dq, dv
+
+
+def write_panel_csv_loop(panel, path) -> None:
+    """Panel CSV one cell at a time through ``csv.writer``: the reference
+    format the library's panel writer must reproduce byte for byte."""
+    p = panel.p
+    with open(path, "w", newline="") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(["node", "t", "y"] + [f"z{j + 1}" for j in range(p)])
+        for i in range(panel.n):
+            for t in range(panel.t + 1):
+                row = [i, t, repr(float(panel.y[i, t]))]
+                if t < panel.t:
+                    row += [repr(float(v)) for v in panel.z[i, t, :]]
+                else:
+                    row += [""] * p
+                writer.writerow(row)
+
+
+def write_edge_csv_loop(graph, path) -> None:
+    """Edge list one pair at a time through ``csv.writer``: the reference
+    format the library's edge writer must reproduce byte for byte."""
+    with open(path, "w", newline="") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(["src", "dst"])
+        for i in range(graph.n):
+            for j in range(i + 1, graph.n):
+                if graph.adjacency[i, j] > 0:
+                    writer.writerow([i, j])
 
 
 def random_orthogonal(k: int, rng: np.random.Generator) -> np.ndarray:

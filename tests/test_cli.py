@@ -54,6 +54,20 @@ class TestSimulate:
         assert code == 3
         assert "bogus" in json.loads(err)["message"]
 
+    @pytest.mark.parametrize("key", ["alpha", "gamma", "seed", "n"])
+    def test_null_without_none_default_rejected(self, tmp_path, capsys, key):
+        path, _ = write_sim_config(tmp_path, **{key: None})
+        code, _, err = run_cli(capsys, "simulate", "--config", str(path))
+        assert code == 3
+        assert f"{key!r} may not be null" in json.loads(err)["message"]
+
+    def test_null_beta_and_rho_keep_their_rules(self, tmp_path, capsys):
+        path, _ = write_sim_config(tmp_path, beta=None, rho=None)
+        assert run_cli(capsys, "simulate", "--config", str(path))[0] == 0
+        truth = json.loads((tmp_path / "truth.json").read_text())
+        assert truth["beta"] == [1.0, -0.5]
+        assert truth["rho"] == pytest.approx(30 ** -0.5)
+
     def test_deterministic_given_seed(self, tmp_path, capsys):
         path, cfg = write_sim_config(tmp_path)
         run_cli(capsys, "simulate", "--config", str(path))
@@ -288,6 +302,21 @@ class TestMc:
         assert header == ("gen,truth,fit,N,T,K,rep,seed,alpha_hat,theta_hat,"
                           "rmse_alpha,rmse_theta,rmse_beta,rmsp,sigma2_hat,"
                           "aic,bic,status,wall_ms")
+
+    @pytest.mark.parametrize("key", ["sigma", "base_seed", "reps"])
+    def test_null_without_none_default_rejected(self, tmp_path, capsys, key):
+        cfg_path = tmp_path / "mc.json"
+        cfg_path.write_text(json.dumps({
+            "n_values": [12], "t_values": [4], "k_values": [2],
+            "fit_models": ["nar"], "reps": 1, "rho": None, "lsm_max_iters": None, key: None,
+        }))
+        code, _, err = run_cli(
+            capsys, "mc", "--config", str(cfg_path),
+            "--out", str(tmp_path / "r.csv"), "--summary-out", str(tmp_path / "s.csv"),
+        )
+        assert code == 3
+        assert f"{key!r} may not be null" in json.loads(err)["message"]
+        assert not (tmp_path / "r.csv").exists()
 
     def test_reps_override(self, tmp_path, capsys):
         cfg_path = tmp_path / "mc.json"

@@ -22,7 +22,7 @@ from enarkit.network import (
     spectral_embed,
     write_edge_csv,
 )
-from oracles import random_orthogonal
+from oracles import random_orthogonal, write_edge_csv_loop
 
 
 def path_graph(n):
@@ -363,6 +363,42 @@ class TestEdgeCsv:
         path.write_text("a,b\n0,1\n")
         with pytest.raises(DataError):
             read_edge_csv(str(path))
+
+    def test_bytes_match_csv_writer(self, tmp_path):
+        rng = np.random.default_rng(1)
+        a = np.triu((rng.random((30, 30)) < 0.2).astype(float), 1)
+        g = Graph(30, a + a.T)
+        fast, ref = tmp_path / "fast.csv", tmp_path / "ref.csv"
+        write_edge_csv(g, str(fast))
+        write_edge_csv_loop(g, str(ref))
+        assert fast.read_bytes() == ref.read_bytes()
+        write_edge_csv(Graph(3, np.zeros((3, 3))), str(fast))
+        assert fast.read_bytes() == b"src,dst\r\n"
+        assert read_edge_csv(str(fast), n_nodes=3).adjacency.sum() == 0
+
+    def test_shuffled_reversed_pairs_lf_ends_and_blank_lines(self, tmp_path):
+        path = tmp_path / "edges.csv"
+        path.write_text("src,dst\n3,1\n\n0,2\n  \n2,1\n", newline="")
+        expected = np.zeros((5, 5))
+        for i, j in ((1, 3), (0, 2), (1, 2)):
+            expected[i, j] = expected[j, i] = 1.0
+        assert np.array_equal(read_edge_csv(str(path), n_nodes=5).adjacency, expected)
+        assert read_edge_csv(str(path)).n == 4
+
+    @pytest.mark.parametrize("body, message", [
+        ("src,dst\n0,1\n\n2,3\n3,2\n", r"row 5: duplicate edge \(2, 3\)"),
+        ("src,dst\n0,1\n2,-1\n", "row 3: negative node id"),
+        ("src,dst\n0,1\n-1,-1\n", "row 3: negative node id"),
+        ("src,dst\n2,2\n0,1\n1,0\n", "row 2: self-loop on node 2"),
+        ("src,dst\n0,1\n1,x\n", r"row 3: cannot parse edge '1,x'"),
+        ("src,dst\n0,1\n4\n", r"row 3: cannot parse edge '4'"),
+        ("src,dst\n0,1\n1,9\n", r"row 3: edge \(1,9\) exceeds node count 5"),
+    ])
+    def test_malformed_file_names_offender(self, tmp_path, body, message):
+        path = tmp_path / "bad.csv"
+        path.write_text(body)
+        with pytest.raises(DataError, match=message):
+            read_edge_csv(str(path), n_nodes=5)
 
 
 class TestEmbeddingConcentration:

@@ -17,7 +17,12 @@ from enarkit.process import (
     stationary_moments,
     write_panel_csv,
 )
-from oracles import dense_transition, kron_gamma0, random_stationary_instance
+from oracles import (
+    dense_transition,
+    kron_gamma0,
+    random_stationary_instance,
+    write_panel_csv_loop,
+)
 
 
 def ring_graph(n):
@@ -318,6 +323,66 @@ class TestPanelCsv:
         path = tmp_path / "gap.csv"
         path.write_text("node,t,y,z1\n0,0,1.0,0.5\n0,1,2.0,\n1,0,3.0,0.25\n")
         with pytest.raises(DataError):
+            read_panel_csv(str(path))
+
+    @pytest.mark.parametrize("p", [3, 0])
+    def test_bytes_match_csv_writer_and_round_trip_bitwise(self, tmp_path, p):
+        rng = np.random.default_rng(2)
+        special = [np.nan, np.inf, -np.inf, -0.0, 5e-324, 1e300, 1e-7, -1e-7]
+        y = rng.standard_normal((4, 6))
+        y.flat[: len(special)] = special
+        z = rng.standard_normal((4, 5, p))
+        if p:
+            z.flat[-len(special) :] = special[::-1]
+        panel = Panel(y=y, z=z)
+        fast, ref = tmp_path / "fast.csv", tmp_path / "ref.csv"
+        write_panel_csv(panel, str(fast))
+        write_panel_csv_loop(panel, str(ref))
+        assert fast.read_bytes() == ref.read_bytes()
+        back = read_panel_csv(str(fast))
+        assert back.y.tobytes() == panel.y.tobytes()
+        assert back.z.tobytes() == panel.z.tobytes()
+        assert back.z.shape == (4, 5, p)
+
+    def test_shuffled_rows_lf_ends_and_blank_lines_round_trip(self, tmp_path):
+        rng = np.random.default_rng(3)
+        panel = Panel(y=rng.standard_normal((5, 4)), z=rng.standard_normal((5, 3, 2)))
+        panel.y[2, 1], panel.z[1, 0, 1] = -0.0, 5e-324
+        path = tmp_path / "panel.csv"
+        write_panel_csv(panel, str(path))
+        header, *rows = path.read_bytes().decode().splitlines()
+        rows = [rows[k] for k in rng.permutation(len(rows))]
+        rows[3:3] = ["", "   "]
+        path.write_text("\n".join([header, *rows, ""]), newline="")
+        back = read_panel_csv(str(path))
+        assert back.y.tobytes() == panel.y.tobytes()
+        assert back.z.tobytes() == panel.z.tobytes()
+
+    @pytest.mark.parametrize("body, message", [
+        ("node,t,y,z1\n0,0,1.0,0.5\n0,1,2.0,\n0,0,3.0,0.25\n",
+         r"row 4: duplicate \(node=0, t=0\)"),
+        ("node,t,y,z1\n0,0,1.0,0.5\n0,1,2.0,\n1,0,3.0,0.25\n",
+         "missing row for node 1, t 1"),
+        ("node,t,y,z1\n0,0,1.0,0.5\n0,1,2.0,\n\n1,1,3.0,\n",
+         "missing row for node 1, t 0"),
+        ("node,t,y,z1,z2\n0,0,1.0,0.5,x\n0,1,2.0,,\n",
+         "row 2: covariates missing or malformed at node 0, t 0"),
+        ("node,t,y,z1,z2\n0,1,2.0,,\n0,0,1.0,0.5\n",
+         "row 3: covariates missing or malformed at node 0, t 0"),
+        ("node,t,y\n0,0,1.0\n\nx,1,2.0\n", r"row 4: cannot parse 'x,1,2.0'"),
+        ("node,t,y\n0,0,1.0\n0,1.5,2.0\n", r"row 3: cannot parse '0,1.5,2.0'"),
+        ("node,t,y\n0,0,1.0\n0,1,abc\n", r"row 3: cannot parse '0,1,abc'"),
+        ("node,t,y\n0,0,1.0\n0,1\n", r"row 3: cannot parse '0,1'"),
+        ("node,t,y\n0,0,1.0\n-1,1,2.0\n", "row 3: node -1, t 1 outside"),
+        ("node,t,y\n0,0,1.0\n1000000000000,0,2.0\n", "row 3: node 1000000000000, t 0 outside"),
+        ("node,time,y\n0,0,1.0\n", "expected header"),
+        ("", "expected header"),
+        ("node,t,y\n\n", "empty panel"),
+    ])
+    def test_malformed_file_names_offender(self, tmp_path, body, message):
+        path = tmp_path / "bad.csv"
+        path.write_text(body)
+        with pytest.raises(DataError, match=message):
             read_panel_csv(str(path))
 
     def test_dimension_coherence_enforced(self):
