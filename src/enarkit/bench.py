@@ -20,7 +20,7 @@ from itertools import product
 import numpy as np
 
 from . import estimate, lsm, network, process
-from .atomic import atomic_write
+from .csvio import write_table
 from .errors import DataError, EmptyGroup
 
 GENERATORS = ("dcsbm", "dcmmsbm", "rdpg")
@@ -312,8 +312,8 @@ def _run_replication_body(
 
     lap = network.normalized_laplacian(graph, allow_isolated=True)
     y_last = panel.y[:, -1]
-    w_true = estimate.design_slice(
-        data.truth_spec, lap, latent_true, y_last, z_next, r=data.r_true
+    w_true = estimate.design_rows(
+        data.truth_spec, lap, latent_true, y_last[:, None], z_next[:, None, :], data.r_true
     )
 
     # fit stage
@@ -388,26 +388,17 @@ def run_grid(config: ExperimentConfig, parallelism: int = 1) -> list[Replication
     return results
 
 
-def _fmt(value) -> str:
-    if isinstance(value, float):
-        return repr(value)
-    return str(value)
-
-
 def results_to_csv(results: list[ReplicationResult], path: str, timing: bool = True) -> None:
     """Write the stable results schema; ``timing=False`` zeroes the wall-clock
     column so outputs can be compared byte for byte."""
-    with atomic_write(path, newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(RESULT_COLUMNS)
-        for r in results:
-            wall = r.wall_ms if timing else 0.0
-            writer.writerow([
-                r.gen, r.truth, r.fit, r.n, r.t, r.k, r.rep, r.seed,
-                _fmt(r.alpha_hat), _fmt(r.theta_hat), _fmt(r.rmse_alpha),
-                _fmt(r.rmse_theta), _fmt(r.rmse_beta), _fmt(r.rmsp),
-                _fmt(r.sigma2_hat), _fmt(r.aic), _fmt(r.bic), r.status, _fmt(wall),
-            ])
+    write_table(path, RESULT_COLUMNS, (
+        [
+            r.gen, r.truth, r.fit, r.n, r.t, r.k, r.rep, r.seed,
+            r.alpha_hat, r.theta_hat, r.rmse_alpha, r.rmse_theta, r.rmse_beta, r.rmsp,
+            r.sigma2_hat, r.aic, r.bic, r.status, r.wall_ms if timing else 0.0,
+        ]
+        for r in results
+    ))
 
 
 def read_results_csv(path: str) -> list[ReplicationResult]:
@@ -484,8 +475,4 @@ def summarize(results: list[ReplicationResult], group_by: list[str]) -> list[dic
 
 def summary_to_csv(rows: list[dict], group_by: list[str], path: str) -> None:
     cols = list(group_by) + ["metric", "count", "mean", "sd", "median", "q1", "q3"]
-    with atomic_write(path, newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(cols)
-        for row in rows:
-            writer.writerow([_fmt(row[c]) for c in cols])
+    write_table(path, cols, ([row[c] for c in cols] for row in rows))

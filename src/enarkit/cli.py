@@ -10,7 +10,6 @@ ENARKIT_SEED provides the base seed when none is given.
 from __future__ import annotations
 
 import argparse
-import csv
 import hashlib
 import json
 import os
@@ -20,6 +19,7 @@ import numpy as np
 
 from . import bench, estimate, lsm, network, process
 from .atomic import atomic_write
+from .csvio import write_table
 from .errors import (
     DataError,
     DimensionMismatch,
@@ -278,15 +278,11 @@ def cmd_predict(args) -> int:
     y_hat = estimate.predict_one_step(fit, graph, y_t, z_t, latent)
     actual = panel.y[:, t_cond + 1] if t_cond + 1 <= panel.t else None
 
-    with atomic_write(args.out, newline="") as fh:
-        writer = csv.writer(fh)
-        header = ["node", "y_hat"] + (["y_actual"] if actual is not None else [])
-        writer.writerow(header)
-        for i in range(panel.n):
-            row = [i, repr(float(y_hat[i]))]
-            if actual is not None:
-                row.append(repr(float(actual[i])))
-            writer.writerow(row)
+    header, columns = ["node", "y_hat"], [y_hat]
+    if actual is not None:
+        header.append("y_actual")
+        columns.append(actual)
+    write_table(args.out, header, zip(range(panel.n), *(c.tolist() for c in columns)))
 
     summary = {"forecast": args.out, "target_t": t_cond + 1, "n": panel.n}
     if actual is not None:

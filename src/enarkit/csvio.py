@@ -1,18 +1,20 @@
-"""Numeric CSV tables parsed by numpy's C loader.
+"""CSV tables: one header line over rows of numbers and identifiers.
 
-A table is one header line over many rows of numbers. The file is split
-into lines once, blank lines are dropped, and whole columns are parsed by
-``np.loadtxt``; when a parse fails, the first offending line is found
-afterwards, so every error still names the file row it came from.
+Reading splits the file into lines once, drops blank lines and parses whole
+columns with numpy's C loader ``np.loadtxt``; when a parse fails, the first
+offending line is found afterwards, so every error still names the file row
+it came from. Writing formats each float by ``repr`` (an exact round trip),
+ends lines in CRLF and replaces the file atomically.
 """
 
 from __future__ import annotations
 
 import csv
-from collections.abc import Callable, Sequence
+from collections.abc import Callable, Iterable, Sequence
 
 import numpy as np
 
+from .atomic import atomic_write
 from .errors import DataError
 
 
@@ -77,3 +79,21 @@ def repeated_rows(*keys: np.ndarray) -> np.ndarray:
         ranked = key[order]
         same &= ranked[1:] == ranked[:-1]
     return np.sort(order[1:][same])
+
+
+_FLOATS = (float, np.floating)
+
+
+def _field(value) -> str:
+    # repr of a numpy float reads "np.float64(...)", so convert first
+    return repr(float(value)) if isinstance(value, _FLOATS) else str(value)
+
+
+def write_table(path: str, header: Sequence[str], rows: Iterable[Sequence]) -> None:
+    """Write ``header`` and ``rows`` as comma-separated lines ending in CRLF
+    (atomic replace). Floats are written as ``repr(float(v))``, everything
+    else by ``str``. Fields are never quoted, so none may hold a comma, a
+    double quote or a line break."""
+    with atomic_write(path, newline="") as fh:
+        lines = [",".join(header)] + [",".join(map(_field, row)) for row in rows]
+        fh.write("\r\n".join(lines) + "\r\n")

@@ -148,31 +148,6 @@ class Diagnostics:
         return out
 
 
-def _time_slice(
-    spec: DesignSpec,
-    latent_scaled: np.ndarray | None,
-    y_t: np.ndarray,
-    ly_t: np.ndarray,
-    z_t: np.ndarray,
-) -> np.ndarray:
-    """Design rows for all nodes at one time point."""
-    n = y_t.shape[0]
-    blocks = []
-    if latent_scaled is not None and latent_scaled.shape[1]:
-        blocks.append(latent_scaled)
-    if spec.model == "enr":
-        if spec.grand_mean:
-            blocks.append(np.ones((n, 1)))
-    else:
-        blocks.append(y_t[:, None])
-        blocks.append(ly_t[:, None])
-    if z_t.shape[1]:
-        blocks.append(z_t)
-    if not blocks:
-        return np.zeros((n, 0))
-    return np.column_stack(blocks)
-
-
 def _check_latent(latent, n: int, cols: int) -> np.ndarray | None:
     if cols == 0:
         return None
@@ -186,6 +161,44 @@ def _check_latent(latent, n: int, cols: int) -> np.ndarray | None:
             f"latent matrix has shape {latent.shape}, expected ({n}, {cols})"
         )
     return latent
+
+
+def design_rows(
+    spec: DesignSpec,
+    laplacian: np.ndarray | None,
+    latent,
+    y_lag: np.ndarray,
+    z: np.ndarray,
+    r: float | None = None,
+) -> np.ndarray:
+    """Design rows for the lagged responses ``y_lag`` (N x T) and the
+    covariates ``z`` (N x T x p), filled by column blocks.
+
+    Row t*N + i holds node i at lag column t: [r latent | y | L y | z], or
+    [latent | 1 | z] for the regression variant, whose grand-mean column is
+    optional and whose ``laplacian`` may be None. ``r`` scales the AMNAR
+    latent block.
+    """
+    n, t_len = y_lag.shape
+    latent = _check_latent(latent, n, spec.latent_cols)
+    if spec.model == "amnar":
+        if r is None:
+            raise DataError("the amnar design needs its latent scale r")
+        latent = r * latent
+    col, p = spec.latent_cols, z.shape[2]
+    d = col + (int(spec.grand_mean) if spec.model == "enr" else 2) + p
+    w = np.empty((t_len, n, d))
+    if col:
+        w[:, :, :col] = latent
+    if spec.model != "enr":
+        if np.shape(laplacian) != (n, n):
+            raise DimensionMismatch(f"laplacian shape {np.shape(laplacian)} != ({n}, {n})")
+        w[:, :, col] = y_lag.T
+        w[:, :, col + 1] = (laplacian @ y_lag).T
+    elif spec.grand_mean:
+        w[:, :, col] = 1.0
+    w[:, :, d - p :] = z.transpose(1, 0, 2)
+    return w.reshape(t_len * n, d)
 
 
 def build_design(
@@ -202,28 +215,13 @@ def build_design(
     variant has no peer term, so its ``laplacian`` may be None.
     """
     n, t_len = panel.n, panel.t
-    latent = _check_latent(latent, n, spec.latent_cols)
-    if spec.model == "amnar":
-        latent = rate_multiplier(n, t_len, spec.s) * latent
-
-    if spec.model == "enr":
-        if t_len != 1:
-            raise DimensionMismatch(
-                f"the regression variant expects a single transition, got T={t_len}"
-            )
-        w = _time_slice(spec, latent, panel.y[:, 0], panel.y[:, 0], panel.z[:, 0, :])
-        return w, panel.y[:, 1].copy()
-
-    if np.shape(laplacian) != (n, n):
-        raise DimensionMismatch(f"laplacian shape {np.shape(laplacian)} != ({n}, {n})")
-    ly = laplacian @ panel.y[:, :t_len]
-    rows = [
-        _time_slice(spec, latent, panel.y[:, t], ly[:, t], panel.z[:, t, :])
-        for t in range(t_len)
-    ]
-    w = np.vstack(rows)
-    y_resp = panel.y[:, 1:].T.reshape(-1)
-    return w, y_resp
+    r = rate_multiplier(n, t_len, spec.s) if spec.model == "amnar" else None
+    if spec.model == "enr" and t_len != 1:
+        raise DimensionMismatch(
+            f"the regression variant expects a single transition, got T={t_len}"
+        )
+    w = design_rows(spec, laplacian, latent, panel.y[:, :t_len], panel.z, r)
+    return w, panel.y[:, 1:].T.reshape(-1)
 
 
 def fit_ls(w: np.ndarray, y_resp: np.ndarray) -> FitResult:
@@ -375,32 +373,6 @@ def fit_amnar(
     return fit, lsm_fit.state, diag
 
 
-def design_slice(
-    spec: DesignSpec,
-    laplacian: np.ndarray | None,
-    latent,
-    y_t: np.ndarray,
-    z_t: np.ndarray,
-    r: float | None = None,
-) -> np.ndarray:
-    """Design rows (N x d) for a single time point; ``laplacian`` may be
-    None for the regression variant."""
-    y_t = np.asarray(y_t, dtype=float).reshape(-1)
-    n = y_t.shape[0]
-    z_t = np.asarray(z_t, dtype=float)
-    if z_t.ndim == 1:
-        z_t = z_t.reshape(n, -1) if z_t.size else np.zeros((n, 0))
-    if z_t.shape[0] != n:
-        raise DimensionMismatch(f"z_t has {z_t.shape[0]} rows, expected {n}")
-    latent = _check_latent(latent, n, spec.latent_cols)
-    if spec.model == "amnar":
-        if r is None:
-            raise DataError("the amnar design needs its latent scale r")
-        latent = r * latent
-    ly_t = y_t if spec.model == "enr" else laplacian @ y_t
-    return _time_slice(spec, latent, y_t, ly_t, z_t)
-
-
 def predict_one_step(
     fit: FitResult,
     graph: Graph,
@@ -412,10 +384,16 @@ def predict_one_step(
     if fit.spec is None:
         raise DataError("fit carries no design spec; cannot build forecast design")
     n = graph.n
-    if np.asarray(y_t).reshape(-1).shape != (n,):
+    y_t = np.asarray(y_t, dtype=float).reshape(-1)
+    if y_t.shape != (n,):
         raise DimensionMismatch(f"y_t must have {n} entries")
+    z_t = np.asarray(z_t, dtype=float)
+    if z_t.ndim == 1:
+        z_t = z_t.reshape(n, -1) if z_t.size else np.zeros((n, 0))
+    if z_t.shape[0] != n:
+        raise DimensionMismatch(f"z_t has {z_t.shape[0]} rows, expected {n}")
     lap = None if fit.spec.model == "enr" else normalized_laplacian(graph, allow_isolated=True)
-    w_t = design_slice(fit.spec, lap, latent, y_t, z_t, r=fit.r)
+    w_t = design_rows(fit.spec, lap, latent, y_t[:, None], z_t[:, None, :], fit.r)
     if w_t.shape[1] != fit.mu_hat.shape[0]:
         raise DimensionMismatch(
             f"design has {w_t.shape[1]} columns but fit has {fit.mu_hat.shape[0]} coefficients"

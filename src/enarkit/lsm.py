@@ -14,16 +14,15 @@ finite-difference suite pins this convention.
 
 from __future__ import annotations
 
-import csv
 import warnings
 from dataclasses import dataclass, field
 
 import numpy as np
 from scipy.special import expit
 
-from .atomic import atomic_write
+from .csvio import Table, load_columns, repeated_rows, write_table
 from .errors import DataError, DimensionMismatch
-from .network import Graph, _leading_eigenpairs, sample_graph
+from .network import Graph, _fix_signs, _leading_eigenpairs, sample_graph
 
 MIN_STEP = 1e-12
 
@@ -148,13 +147,8 @@ def project_constraints(state: LsmState, row_norm_cap: float | None = None) -> L
         q = q - q.mean(axis=0)
         vals, vecs = np.linalg.eigh(q.T @ q)
         order = np.argsort(vals)[::-1]
-        vecs = vecs[:, order]
         # sign convention keeps the projection idempotent
-        for j in range(vecs.shape[1]):
-            idx = int(np.argmax(np.abs(vecs[:, j])))
-            if vecs[idx, j] < 0:
-                vecs[:, j] = -vecs[:, j]
-        return q @ vecs
+        return q @ _fix_signs(vecs[:, order])
 
     def cap_rows(q: np.ndarray, v: np.ndarray) -> tuple[np.ndarray, np.ndarray, bool]:
         norms = np.sqrt((q**2).sum(axis=1) + v**2)
@@ -256,35 +250,46 @@ def sample_lsm_graph(
 
 def write_latent_csv(state: LsmState, path: str) -> None:
     """Export the latent estimate as ``node,v,q1,...,qK`` (atomic replace)."""
-    with atomic_write(path, newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["node", "v"] + [f"q{j + 1}" for j in range(state.k)])
-        for i in range(state.n):
-            writer.writerow([i, repr(float(state.v[i]))] + [repr(float(x)) for x in state.q[i]])
+    write_table(
+        path, ["node", "v"] + [f"q{j + 1}" for j in range(state.k)],
+        ([i, *row] for i, row in enumerate(np.column_stack([state.v, state.q]).tolist())),
+    )
 
 
 def read_latent_csv(path: str) -> LsmState:
-    with open(path, newline="") as fh:
-        reader = csv.reader(fh)
-        header = next(reader, None)
-        if header is None or header[:2] != ["node", "v"]:
-            raise DataError(f"{path}: expected header 'node,v,q1,...', got {header}")
-        k = len(header) - 2
-        rows = {}
-        for row_no, row in enumerate(reader, start=2):
-            if not row or (len(row) == 1 and not row[0].strip()):
-                continue
-            try:
-                rows[int(row[0])] = (float(row[1]), [float(x) for x in row[2 : 2 + k]])
-            except (ValueError, IndexError) as exc:
-                raise DataError(f"{path}: row {row_no}: cannot parse {row!r}") from exc
-    if not rows:
+    """Exact inverse of :func:`write_latent_csv`.
+
+    Rows may come in any order, with LF or CRLF line ends and blank lines
+    between them. Every node from 0 up to the largest id must appear exactly
+    once; a row that does not parse or lacks a column, a negative or a
+    repeated node id raises :class:`DataError` naming the row, and so does a
+    missing node, naming the node.
+    """
+    table = Table(path)
+    header = table.header
+    if header is None or header[:2] != ["node", "v"]:
+        raise DataError(f"{path}: expected header 'node,v,q1,...', got {header}")
+    k = len(header) - 2
+    lines = table.lines
+    if not lines:
         raise DataError(f"{path}: empty latent file")
-    n = max(rows) + 1
-    v = np.empty(n)
-    q = np.empty((n, k))
-    for i in range(n):
-        if i not in rows:
-            raise DataError(f"{path}: missing node {i}")
-        v[i], q[i, :] = rows[i][0], rows[i][1]
+    rows = load_columns(
+        lines, range(k + 2), np.dtype([("node", np.int64), ("vq", np.float64, (k + 1,))]),
+        lambda j: f"{table.where(j)}: cannot parse {lines[j]!r}",
+    )
+    node, vq = rows["node"], rows["vq"]
+    firsts = [bad[0] for bad in (np.flatnonzero(node < 0), repeated_rows(node)) if bad.size]
+    if firsts:
+        j = min(firsts)
+        kind = "negative" if node[j] < 0 else "duplicate"
+        raise DataError(f"{table.where(j)}: {kind} node id {node[j]}")
+    m = len(lines)
+    # m distinct ids are 0..m-1 unless one reaches m; ids from m up share
+    # one slot, so a huge id allocates nothing
+    present = np.zeros(m + 1, dtype=bool)
+    present[np.minimum(node, m)] = True
+    if present[m]:
+        raise DataError(f"{path}: missing node {int(np.argmin(present))}")
+    v, q = np.empty(m), np.empty((m, k))
+    v[node], q[node] = vq[:, 0], vq[:, 1:]
     return LsmState(q, v)

@@ -19,8 +19,7 @@ from typing import Union
 import numpy as np
 import scipy.sparse.linalg
 
-from .atomic import atomic_write
-from .csvio import Table, load_columns, repeated_rows
+from .csvio import Table, load_columns, repeated_rows, write_table
 from .errors import (
     DataError,
     EigConvergenceFailure,
@@ -230,9 +229,7 @@ def sample_graph(
 
 def _order_by_magnitude(eigenvalues: np.ndarray) -> np.ndarray:
     """Indices sorting eigenvalues by |value| desc, then value desc, then index."""
-    order = np.arange(len(eigenvalues))
-    keys = sorted(order, key=lambda i: (-abs(eigenvalues[i]), -eigenvalues[i], i))
-    return np.array(keys)
+    return np.lexsort((-eigenvalues, -np.abs(eigenvalues)))  # stable: ties keep index order
 
 
 def _fix_signs(vectors: np.ndarray) -> np.ndarray:
@@ -408,6 +405,4 @@ def write_edge_csv(g: Graph, path: str) -> None:
     (atomic replace)."""
     iu = np.triu_indices(g.n, k=1)
     present = g.adjacency[iu] > 0
-    pairs = zip(iu[0][present].tolist(), iu[1][present].tolist())
-    with atomic_write(path, newline="") as fh:
-        fh.write("".join(["src,dst\r\n", *(f"{i},{j}\r\n" for i, j in pairs)]))
+    write_table(path, ["src", "dst"], zip(iu[0][present].tolist(), iu[1][present].tolist()))

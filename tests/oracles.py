@@ -99,6 +99,92 @@ def write_edge_csv_loop(graph, path) -> None:
                     writer.writerow([i, j])
 
 
+def write_latent_csv_loop(state, path) -> None:
+    """Latent estimate one node at a time through ``csv.writer``."""
+    with open(path, "w", newline="") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(["node", "v"] + [f"q{j + 1}" for j in range(state.k)])
+        for i in range(state.n):
+            writer.writerow([i, repr(float(state.v[i]))] + [repr(float(x)) for x in state.q[i]])
+
+
+def write_forecast_csv_loop(y_hat, actual, path) -> None:
+    """Forecast CSV ``node,y_hat[,y_actual]`` one node at a time through
+    ``csv.writer``."""
+    with open(path, "w", newline="") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(["node", "y_hat"] + (["y_actual"] if actual is not None else []))
+        for i in range(len(y_hat)):
+            row = [i, repr(float(y_hat[i]))]
+            if actual is not None:
+                row.append(repr(float(actual[i])))
+            writer.writerow(row)
+
+
+def _fmt(value) -> str:
+    return repr(value) if isinstance(value, float) else str(value)
+
+
+def write_results_csv_loop(results, columns, path) -> None:
+    """Results CSV (timing kept) one replication at a time through ``csv.writer``."""
+    with open(path, "w", newline="") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(columns)
+        for r in results:
+            writer.writerow([
+                r.gen, r.truth, r.fit, r.n, r.t, r.k, r.rep, r.seed,
+                _fmt(r.alpha_hat), _fmt(r.theta_hat), _fmt(r.rmse_alpha),
+                _fmt(r.rmse_theta), _fmt(r.rmse_beta), _fmt(r.rmsp),
+                _fmt(r.sigma2_hat), _fmt(r.aic), _fmt(r.bic), r.status, _fmt(r.wall_ms),
+            ])
+
+
+def write_summary_csv_loop(rows, group_by, path) -> None:
+    """Summary CSV one (group, metric) row at a time through ``csv.writer``."""
+    cols = list(group_by) + ["metric", "count", "mean", "sd", "median", "q1", "q3"]
+    with open(path, "w", newline="") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(cols)
+        for row in rows:
+            writer.writerow([_fmt(row[c]) for c in cols])
+
+
+def magnitude_order_sorted(eigenvalues) -> np.ndarray:
+    """Indices by |value| desc, then value desc, then index, from a Python
+    sort on an explicit key tuple."""
+    keys = sorted(
+        range(len(eigenvalues)),
+        key=lambda i: (-abs(eigenvalues[i]), -eigenvalues[i], i),
+    )
+    return np.array(keys, dtype=np.intp)
+
+
+def design_rows_loop(panel, laplacian, latent, spec) -> tuple[np.ndarray, np.ndarray]:
+    """Design and responses of ``build_design``, entry by entry: row t*N + i
+    is [r latent_i | y_it | sum_j L_ij y_jt | z_it] for the lag models and
+    [latent_i | 1 | z_it] (grand mean optional) for the regression variant,
+    with r = N^{-s} T^{-1/2} for amnar and 1 otherwise."""
+    n, t_len, p = panel.n, panel.t, panel.p
+    cols = 0 if latent is None else latent.shape[1]
+    r = n ** (-spec.s) / np.sqrt(t_len) if spec.model == "amnar" else 1.0
+    rows, resp = [], []
+    for t in range(t_len):
+        for i in range(n):
+            row = [r * latent[i, c] for c in range(cols)]
+            if spec.model == "enr":
+                if spec.grand_mean:
+                    row.append(1.0)
+            else:
+                peer = 0.0
+                for j in range(n):
+                    peer += laplacian[i, j] * panel.y[j, t]
+                row += [panel.y[i, t], peer]
+            row += [panel.z[i, t, c] for c in range(p)]
+            rows.append(row)
+            resp.append(panel.y[i, t + 1])
+    return np.array(rows, dtype=float), np.array(resp)
+
+
 def random_orthogonal(k: int, rng: np.random.Generator) -> np.ndarray:
     """Haar-ish orthogonal matrix from the QR of a Gaussian draw."""
     q, r = np.linalg.qr(rng.standard_normal((k, k)))

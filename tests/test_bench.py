@@ -5,8 +5,10 @@ import numpy as np
 import pytest
 
 from enarkit.bench import (
+    RESULT_COLUMNS,
     Cell,
     ExperimentConfig,
+    ReplicationResult,
     derive_seed,
     alternating_beta,
     read_results_csv,
@@ -18,6 +20,7 @@ from enarkit.bench import (
 )
 from enarkit.errors import DataError, EmptyGroup
 from enarkit.lsm import LsmConfig
+from oracles import write_results_csv_loop, write_summary_csv_loop
 
 
 def smoke_config(**overrides):
@@ -239,3 +242,55 @@ class TestSummarize:
         summary_to_csv(summary, ["fit", "N"], str(path))
         header = path.read_text().splitlines()[0]
         assert header == "fit,N,metric,count,mean,sd,median,q1,q3"
+
+
+def mixed_results():
+    """Two ok rows and two failed ones, with NaN, infinite and extreme
+    metrics and a timing column."""
+    rows = [
+        ReplicationResult("dcmmsbm", "enar", "enar", 40, 20, 2, rep, 1000 + rep)
+        for rep in range(4)
+    ]
+    rows[0].alpha_hat, rows[0].theta_hat, rows[0].rmsp = 0.1 + 0.2, -0.0, 5e-324
+    rows[0].aic, rows[0].bic, rows[0].wall_ms = 1e300, -math.inf, 12.345678901234567
+    rows[1].alpha_hat, rows[1].sigma2_hat, rows[1].wall_ms = 1 / 3, 2.5e-7, 0.5
+    rows[2].status, rows[2].wall_ms = "RankDeficient", 3.0
+    rows[3].status = "IsolationRetriesExceeded"
+    return rows
+
+
+class TestCsvWriters:
+    """The shared table writer against ``csv.writer`` loops."""
+
+    def test_results_bytes_match_csv_writer(self, tmp_path):
+        rows = mixed_results()
+        assert math.isnan(rows[2].alpha_hat)  # failed rows keep NaN metrics
+        fast, ref = tmp_path / "fast.csv", tmp_path / "ref.csv"
+        results_to_csv(rows, str(fast))
+        write_results_csv_loop(rows, RESULT_COLUMNS, str(ref))
+        assert fast.read_bytes() == ref.read_bytes()
+        back = read_results_csv(str(fast))
+        assert [r.status for r in back] == [r.status for r in rows]
+        assert back[0].rmsp == 5e-324 and back[0].wall_ms == rows[0].wall_ms
+
+    def test_results_without_timing_zero_the_wall_column(self, tmp_path):
+        rows = mixed_results()
+        path = tmp_path / "results.csv"
+        results_to_csv(rows, str(path), timing=False)
+        lines = path.read_bytes().split(b"\r\n")
+        assert lines[-1] == b"" and all(line.endswith(b",0.0") for line in lines[1:-1])
+
+    def test_numpy_floats_written_as_plain_numbers(self, tmp_path):
+        rows = mixed_results()
+        rows[1].alpha_hat = np.float64(rows[1].alpha_hat)
+        path = tmp_path / "results.csv"
+        results_to_csv(rows, str(path))
+        assert b"np.float64" not in path.read_bytes()
+        assert read_results_csv(str(path))[1].alpha_hat == 1 / 3
+
+    def test_summary_bytes_match_csv_writer(self, tmp_path):
+        summary = summarize(mixed_results(), ["fit", "N", "rep"])
+        fast, ref = tmp_path / "fast.csv", tmp_path / "ref.csv"
+        summary_to_csv(summary, ["fit", "N", "rep"], str(fast))
+        write_summary_csv_loop(summary, ["fit", "N", "rep"], str(ref))
+        assert fast.read_bytes() == ref.read_bytes()

@@ -7,6 +7,7 @@ import pytest
 from enarkit.cli import main
 from enarkit.network import Graph, write_edge_csv
 from enarkit.process import Panel, read_panel_csv, write_panel_csv
+from oracles import write_forecast_csv_loop
 
 
 def run_cli(capsys, *argv):
@@ -198,6 +199,31 @@ class TestFitPredict:
         rows = (tmp_path / "forecast.csv").read_text().splitlines()
         assert rows[0] == "node,y_hat,y_actual"
         assert len(rows) == 61
+
+    @pytest.mark.parametrize("window", [[], ["--window-len", "100"]])
+    def test_forecast_bytes_match_csv_writer(self, simulated, capsys, window):
+        from enarkit.estimate import predict_one_step, read_fit_json
+        from enarkit.network import read_edge_csv, spectral_embed
+
+        tmp_path, cfg = simulated
+        fit_path, out = tmp_path / "fit.json", tmp_path / "forecast.csv"
+        data = ["--edges", cfg["out_edges"], "--panel", cfg["out_panel"]]
+        run_cli(capsys, "fit", *data, "--model", "enar", "--k", "2", "--out", str(fit_path))
+        code, _, _ = run_cli(
+            capsys, "predict", "--fit", str(fit_path), *data, *window, "--out", str(out)
+        )
+        assert code == 0
+        panel = read_panel_csv(cfg["out_panel"])
+        graph = read_edge_csv(cfg["out_edges"], n_nodes=panel.n)
+        if window:  # condition on t = 99; the panel holds the target y_100
+            y_t, z_t, actual = panel.y[:, 99], panel.z[:, 99, :], panel.y[:, 100]
+        else:  # forecast past the panel: no covariates, no actual
+            y_t, z_t, actual = panel.y[:, -1], np.zeros((panel.n, panel.p)), None
+        y_hat = predict_one_step(
+            read_fit_json(str(fit_path)), graph, y_t, z_t, spectral_embed(graph, 2).vectors
+        )
+        write_forecast_csv_loop(y_hat, actual, str(tmp_path / "ref.csv"))
+        assert out.read_bytes() == (tmp_path / "ref.csv").read_bytes()
 
     def test_enr_fit_on_single_transition(self, tmp_path, capsys):
         path, cfg = write_sim_config(tmp_path, n=40, t=1, seed=9)

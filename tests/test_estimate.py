@@ -5,13 +5,13 @@ import numpy as np
 import pytest
 import scipy.special
 
-from enarkit.errors import DataError, RankDeficient, ZeroDenominator
+from enarkit.errors import DataError, DimensionMismatch, RankDeficient, ZeroDenominator
 from enarkit.estimate import (
     DesignSpec,
     Diagnostics,
     build_design,
     confint,
-    design_slice,
+    design_rows,
     fit_amnar,
     fit_enar,
     fit_ls,
@@ -22,8 +22,8 @@ from enarkit.estimate import (
     write_fit_json,
 )
 from enarkit.network import Graph, normalized_laplacian, spectral_embed
-from enarkit.process import CovariateSpec, EnarParams, Panel, simulate_enar
-from oracles import ls_dense, random_orthogonal
+from enarkit.process import CovariateSpec, EnarParams, Panel, rate_multiplier, simulate_enar
+from oracles import design_rows_loop, ls_dense, random_orthogonal
 
 
 def random_graph(n, density, rng):
@@ -427,6 +427,118 @@ class TestDesignSpecValidation:
         panel = Panel(y=rng.standard_normal((10, 3)), z=rng.standard_normal((10, 2, 1)))
         spec = DesignSpec("enar", 2)
         w, _ = build_design(panel, lap, u, spec)
-        slice0 = design_slice(spec, lap, u, panel.y[:, 0], panel.z[:, 0, :])
+        slice0 = design_rows(spec, lap, u, panel.y[:, :1], panel.z[:, :1, :])
         # matrix-matrix vs matrix-vector products round differently in BLAS
         assert np.max(np.abs(w[:10] - slice0)) < 1e-12
+
+
+class TestDesignRows:
+    """``build_design`` against a design built entry by entry."""
+
+    N, T, P = 9, 4, 2
+
+    def case(self, model, seed=12):
+        rng = np.random.default_rng(seed)
+        g = random_graph(self.N, 0.4, rng)
+        lap = normalized_laplacian(g)
+        t_len = 1 if model.startswith("enr") else self.T
+        panel = Panel(
+            y=rng.standard_normal((self.N, t_len + 1)),
+            z=rng.standard_normal((self.N, t_len, self.P)),
+        )
+        spec = {
+            "nar": DesignSpec("nar"),
+            "enar": DesignSpec("enar", 2),
+            "amnar": DesignSpec("amnar", 2, s=0.3),
+            "enr": DesignSpec("enr", 2),
+            "enr-no-mean": DesignSpec("enr", 2, grand_mean=False),
+        }[model]
+        latent = rng.standard_normal((self.N, spec.latent_cols)) if spec.latent_cols else None
+        return panel, lap, latent, spec
+
+    @pytest.mark.parametrize("model", ["nar", "enar", "amnar", "enr", "enr-no-mean"])
+    def test_matches_entrywise_reference(self, model):
+        panel, lap, latent, spec = self.case(model)
+        w, y = build_design(panel, lap, latent, spec)
+        w_ref, y_ref = design_rows_loop(panel, lap, latent, spec)
+        assert w.shape == w_ref.shape and w.flags.c_contiguous
+        assert y.tobytes() == y_ref.tobytes()
+        peer = [] if model.startswith("enr") else [spec.latent_cols + 1]
+        exact = np.delete(np.arange(w.shape[1]), peer)
+        assert w[:, exact].tobytes() == w_ref[:, exact].tobytes()
+        if peer:
+            # a BLAS product sums in another order than the Python loop
+            assert np.max(np.abs(w[:, peer] - w_ref[:, peer])) < 1e-12
+
+    @pytest.mark.parametrize("model", ["nar", "enar", "amnar", "enr", "enr-no-mean"])
+    def test_one_column_calls_match_each_time_block(self, model):
+        panel, lap, latent, spec = self.case(model, seed=13)
+        w, _ = build_design(panel, lap, latent, spec)
+        r = rate_multiplier(panel.n, panel.t, spec.s) if model == "amnar" else None
+        for t in range(panel.t):
+            block = design_rows(spec, lap, latent, panel.y[:, t : t + 1], panel.z[:, t : t + 1], r)
+            assert np.max(np.abs(block - w[t * self.N : (t + 1) * self.N]), initial=0) < 1e-12
+
+    def test_amnar_needs_its_scale(self):
+        panel, lap, latent, spec = self.case("amnar")
+        with pytest.raises(DataError, match="latent scale"):
+            design_rows(spec, lap, latent, panel.y[:, :1], panel.z[:, :1])
+
+    def test_peer_models_check_the_laplacian(self):
+        panel, _, latent, spec = self.case("enar")
+        for lap in (None, np.eye(self.N + 1)):
+            with pytest.raises(DimensionMismatch, match="laplacian shape"):
+                design_rows(spec, lap, latent, panel.y[:, :1], panel.z[:, :1])
+
+    def test_latent_shape_checked(self):
+        panel, lap, latent, spec = self.case("enar")
+        with pytest.raises(DimensionMismatch, match="latent matrix"):
+            design_rows(spec, lap, latent[:, :1], panel.y[:, :1], panel.z[:, :1])
+        with pytest.raises(DimensionMismatch, match="requires a latent"):
+            design_rows(spec, lap, None, panel.y[:, :1], panel.z[:, :1])
+
+    def forecast_fit(self, spec, rng):
+        """A fit of ``spec`` with random coefficients; amnar gets the scale
+        r = N^{-s} of a one-transition panel."""
+        mu = rng.standard_normal(len(spec.coef_names(self.P)))
+        fit = fit_ls(rng.standard_normal((40, mu.size)), rng.standard_normal(40))
+        fit.mu_hat, fit.spec = mu, spec
+        fit.r = rate_multiplier(self.N, 1, spec.s) if spec.model == "amnar" else None
+        return fit
+
+    @pytest.mark.parametrize("model", ["nar", "enar", "amnar", "enr"])
+    def test_forecast_matches_entrywise_design(self, model):
+        panel, _, latent, spec = self.case(model, seed=14)
+        rng = np.random.default_rng(15)
+        graph = random_graph(self.N, 0.4, rng)
+        fit = self.forecast_fit(spec, rng)
+        z_next = rng.standard_normal((self.N, self.P))
+        y_hat = predict_one_step(fit, graph, panel.y[:, -1], z_next, latent)
+        w_ref, _ = design_rows_loop(
+            Panel(y=panel.y[:, [-1, -1]], z=z_next[:, None, :]),
+            normalized_laplacian(graph), latent, spec,
+        )
+        assert np.max(np.abs(y_hat - w_ref @ fit.mu_hat)) < 1e-12
+
+    def test_forecast_input_errors_are_typed(self):
+        panel, _, latent, spec = self.case("enar")
+        rng = np.random.default_rng(16)
+        graph = random_graph(self.N, 0.4, rng)
+        fit = self.forecast_fit(spec, rng)
+        y_t, z_t = panel.y[:, -1], rng.standard_normal((self.N, self.P))
+        with pytest.raises(DimensionMismatch, match="y_t must have"):
+            predict_one_step(fit, graph, y_t[1:], z_t, latent)
+        with pytest.raises(DimensionMismatch, match="z_t has"):
+            predict_one_step(fit, graph, y_t, z_t[1:], latent)
+        with pytest.raises(DimensionMismatch, match="coefficients"):
+            predict_one_step(fit, graph, y_t, z_t[:, :1], latent)
+        # covariates given flat, one per node
+        fit_1 = self.forecast_fit(DesignSpec("enar", 2), rng)
+        fit_1.mu_hat = fit_1.mu_hat[:-1]
+        assert np.array_equal(
+            predict_one_step(fit_1, graph, y_t, z_t[:, 0], latent),
+            predict_one_step(fit_1, graph, y_t, z_t[:, :1], latent),
+        )
+        fit.spec = None
+        with pytest.raises(DataError, match="no design spec"):
+            predict_one_step(fit, graph, y_t, z_t, latent)

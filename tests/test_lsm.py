@@ -1,4 +1,5 @@
 import math
+import re
 
 import numpy as np
 import pytest
@@ -14,8 +15,14 @@ from enarkit.lsm import (
     sample_lsm_graph,
     write_latent_csv,
 )
+from enarkit.errors import DataError
 from enarkit.network import Graph
-from oracles import lsm_fd_gradient, lsm_loglik_loop, random_orthogonal
+from oracles import (
+    lsm_fd_gradient,
+    lsm_loglik_loop,
+    random_orthogonal,
+    write_latent_csv_loop,
+)
 
 
 def empty_graph(n):
@@ -202,3 +209,52 @@ class TestLatentCsv:
         back = read_latent_csv(str(path))
         assert np.array_equal(back.q, state.q)
         assert np.array_equal(back.v, state.v)
+
+    @pytest.mark.parametrize("k", [2, 0])
+    def test_bytes_match_csv_writer_and_round_trip_bitwise(self, tmp_path, k):
+        rng = np.random.default_rng(12)
+        special = [np.nan, np.inf, -np.inf, -0.0, 5e-324, 1e300]
+        state = LsmState(rng.standard_normal((8, k)), rng.standard_normal(8))
+        state.v[: len(special)] = special
+        if k:
+            state.q.flat[-len(special) :] = special[::-1]
+        fast, ref = tmp_path / "fast.csv", tmp_path / "ref.csv"
+        write_latent_csv(state, str(fast))
+        write_latent_csv_loop(state, str(ref))
+        assert fast.read_bytes() == ref.read_bytes()
+        back = read_latent_csv(str(fast))
+        assert back.q.shape == state.q.shape
+        assert back.q.tobytes() == state.q.tobytes()
+        assert back.v.tobytes() == state.v.tobytes()
+
+    def test_shuffled_rows_lf_ends_and_blank_lines(self, tmp_path):
+        state = random_state(7, 2, np.random.default_rng(13))
+        path = tmp_path / "latent.csv"
+        write_latent_csv(state, str(path))
+        header, *rows = path.read_bytes().decode().splitlines()
+        rows = rows[::-1]
+        rows[2:2] = ["", "  "]
+        path.write_text("\n".join([header, *rows, ""]), newline="")
+        back = read_latent_csv(str(path))
+        assert back.q.tobytes() == state.q.tobytes()
+        assert back.v.tobytes() == state.v.tobytes()
+
+    @pytest.mark.parametrize("body, message", [
+        # nodes 0, 1, 0 again and -1: the repeat is the first offender
+        ("node,v,q1\n0,1,2\n1,3,4\n0,9,8\n-1,5,6\n", "row 4: duplicate node id 0"),
+        ("node,v,q1\n0,1,2\n-1,5,6\n1,3,4\n", "row 3: negative node id -1"),
+        ("node,v,q1\n0,1,2\n\n1,3,4\n1,3,4\n", "row 5: duplicate node id 1"),
+        ("node,v,q1\n0,1,2\n1,3,x\n", "row 3: cannot parse '1,3,x'"),
+        ("node,v,q1\n0,1,2\n1,3\n", "row 3: cannot parse '1,3'"),
+        ("node,v,q1\n0.5,1,2\n", "row 2: cannot parse '0.5,1,2'"),
+        ("node,v,q1\n0,1,2\n2,3,4\n", "missing node 1"),
+        ("node,v,q1\n0,1,2\n99999999999999,3,4\n", "missing node 1"),
+        ("node,v,q1\n", "empty latent file"),
+        ("", "expected header"),
+        ("id,v,q1\n0,1,2\n", "expected header"),
+    ])
+    def test_malformed_file_names_offender(self, tmp_path, body, message):
+        path = tmp_path / "latent.csv"
+        path.write_text(body, newline="")
+        with pytest.raises(DataError, match=re.escape(message)):
+            read_latent_csv(str(path))

@@ -12,6 +12,7 @@ from enarkit.network import (
     DcmmsbmSpec,
     Graph,
     RdpgSpec,
+    _order_by_magnitude,
     connection_matrix,
     embed_symmetric,
     normalized_laplacian,
@@ -22,7 +23,7 @@ from enarkit.network import (
     spectral_embed,
     write_edge_csv,
 )
-from oracles import random_orthogonal, write_edge_csv_loop
+from oracles import magnitude_order_sorted, random_orthogonal, write_edge_csv_loop
 
 
 def path_graph(n):
@@ -234,6 +235,18 @@ class TestSpectralEmbed:
         emb = embed_symmetric(a, 6)
         mags = np.abs(emb.eigenvalues)
         assert np.all(np.diff(mags) <= 1e-12)
+
+    def test_order_by_magnitude_matches_python_sort(self):
+        rng = np.random.default_rng(9)
+        edge = np.array([3, -3, 0, -0.0, 2, -2, 2, 3, 1e-300, -1e-300])
+        spectra = [edge, np.zeros(0), np.array([-0.0, 0.0, 0.0])]
+        for _ in range(50):
+            n = int(rng.integers(1, 30))
+            spectra.append(rng.standard_normal(n))
+            # ties in magnitude and in value
+            spectra.append(rng.choice([-2.0, -1.0, -0.0, 0.0, 1.0, 2.0], size=n))
+        for vals in spectra:
+            assert np.array_equal(_order_by_magnitude(vals), magnitude_order_sorted(vals))
 
     def test_dense_and_lanczos_paths_agree(self):
         rng = np.random.default_rng(8)
