@@ -5,11 +5,16 @@ replication derives its seed from the base seed and the cell coordinates
 so the runs are reproducible under any execution order or worker count.
 The fit model is deliberately left out of the seed so that competing fits
 of the same cell see the same simulated data, which is what the estimation
-comparisons assume.
+comparisons assume. ``run_grid`` therefore draws each replication's data
+once, with its normalized Laplacian and true forecast, and scores every
+fit model on that one draw; each fit starts from its own copy of the
+generator as it stood right after the draw, so a row does not depend on
+which other fits share its draw.
 """
 
 from __future__ import annotations
 
+import copy
 import csv
 import math
 import time
@@ -163,8 +168,8 @@ def _splitmix64(x: int) -> int:
 def derive_seed(base_seed: int, cell: Cell, rep_index: int) -> int:
     """Splitmix-style hash of (base seed, data coordinates, rep index).
 
-    The fit model is excluded on purpose: all fits of one replication share
-    the same data draw.
+    The fit model is excluded on purpose: all fits of one replication score
+    the same data, which ``run_grid`` draws once and shares among them.
     """
     state = _splitmix64(base_seed & _MASK64)
     payload = f"{cell.gen}|{cell.truth}|{cell.n}|{cell.t}|{cell.k}|{rep_index}".encode()
@@ -286,8 +291,42 @@ def simulate_cell_data(cell: Cell, config: ExperimentConfig, rng: np.random.Gene
     )
 
 
-def run_replication(cell: Cell, rep_index: int, config: ExperimentConfig) -> ReplicationResult:
-    """One generate-simulate-fit-score pass; failures are recorded, not raised."""
+@dataclass
+class SharedDraw:
+    """One replication's data plus what every fit of it reuses: the
+    generator as it stood right after the draw, the normalized Laplacian of
+    the graph and the true noise-free forecast."""
+
+    data: CellData
+    rng: np.random.Generator
+    laplacian: np.ndarray
+    target: np.ndarray
+
+
+def draw_replication(cell: Cell, config: ExperimentConfig, seed: int) -> SharedDraw:
+    """Draw the data of ``cell`` from ``seed``; the fit model plays no part."""
+    rng = np.random.default_rng(seed)
+    data = simulate_cell_data(cell, config, rng)
+    lap = network.normalized_laplacian(data.graph, allow_isolated=True)
+    y_last = data.panel.y[:, -1]
+    w_true = estimate.design_rows(
+        data.truth_spec, lap, data.latent_true, y_last[:, None], data.z_next[:, None, :],
+        data.r_true,
+    )
+    return SharedDraw(data, rng, lap, w_true @ data.mu_true)
+
+
+def run_replication(
+    cell: Cell,
+    rep_index: int,
+    config: ExperimentConfig,
+    draw: SharedDraw | Exception | None = None,
+) -> ReplicationResult:
+    """One fit-score pass; failures are recorded, not raised.
+
+    ``draw`` is the replication's shared data draw, or the exception that
+    drawing it raised; when None the data is drawn here.
+    """
     seed = derive_seed(config.base_seed, cell, rep_index)
     out = ReplicationResult(
         gen=cell.gen, truth=cell.truth, fit=cell.fit,
@@ -295,26 +334,23 @@ def run_replication(cell: Cell, rep_index: int, config: ExperimentConfig) -> Rep
     )
     started = time.perf_counter()
     try:
-        _run_replication_body(cell, config, seed, out)
+        if draw is None:
+            draw = draw_replication(cell, config, seed)
+        if isinstance(draw, Exception):
+            raise draw
+        _fit_and_score(cell, config, draw, out)
     except Exception as exc:  # per-row capture keeps the grid alive
         out.status = type(exc).__name__
     out.wall_ms = (time.perf_counter() - started) * 1000.0
     return out
 
 
-def _run_replication_body(
-    cell: Cell, config: ExperimentConfig, seed: int, out: ReplicationResult
+def _fit_and_score(
+    cell: Cell, config: ExperimentConfig, draw: SharedDraw, out: ReplicationResult
 ) -> None:
-    rng = np.random.default_rng(seed)
-    data = simulate_cell_data(cell, config, rng)
+    data, lap = draw.data, draw.laplacian
     graph, panel, params = data.graph, data.panel, data.params
     latent_true, z_next = data.latent_true, data.z_next
-
-    lap = network.normalized_laplacian(graph, allow_isolated=True)
-    y_last = panel.y[:, -1]
-    w_true = estimate.design_rows(
-        data.truth_spec, lap, latent_true, y_last[:, None], z_next[:, None, :], data.r_true
-    )
 
     # fit stage
     if config.oracle_latents and cell.fit == cell.truth and cell.fit != "nar":
@@ -322,14 +358,15 @@ def _run_replication_body(
         latent_fit = latent_true
     elif cell.fit == "amnar":
         fit, state_hat, _ = estimate.fit_amnar(
-            panel, graph, cell.k, config.s, config.lsm_config, rng
+            panel, graph, cell.k, config.s, config.lsm_config, copy.deepcopy(draw.rng),
+            laplacian=lap,
         )
         latent_fit = state_hat.x()
     elif cell.fit == "enar":
-        fit, emb, _ = estimate.fit_enar(panel, graph, cell.k)
+        fit, emb, _ = estimate.fit_enar(panel, graph, cell.k, laplacian=lap)
         latent_fit = emb.vectors
     else:
-        fit, _, _ = estimate.fit_enar(panel, graph, 0)
+        fit, _, _ = estimate.fit_enar(panel, graph, 0, laplacian=lap)
         latent_fit = None
 
     out.alpha_hat = fit.coef("alpha")
@@ -343,11 +380,12 @@ def _run_replication_body(
         out.rmse_theta = abs(out.theta_hat - params.theta) / abs(params.theta)
     out.rmse_beta = _beta_error(cell, params, fit, latent_fit, latent_true)
 
-    y_hat = estimate.predict_one_step(fit, graph, y_last, z_next, latent_fit)
-    target = w_true @ data.mu_true
-    denom = float(np.linalg.norm(target))
+    y_hat = estimate.predict_one_step(
+        fit, graph, panel.y[:, -1], z_next, latent_fit, laplacian=lap
+    )
+    denom = float(np.linalg.norm(draw.target))
     if denom > 0:
-        out.rmsp = float(np.linalg.norm(y_hat - target)) / denom
+        out.rmsp = float(np.linalg.norm(y_hat - draw.target)) / denom
 
 
 def _beta_error(cell: Cell, params, fit, latent_fit, latent_true) -> float:
@@ -371,19 +409,44 @@ def _beta_error(cell: Cell, params, fit, latent_fit, latent_true) -> float:
     return float(np.linalg.norm(beta_hat - target) / np.linalg.norm(beta_true))
 
 
-def _run_task(args: tuple[Cell, int, ExperimentConfig]) -> ReplicationResult:
-    return run_replication(*args)
+def _run_task(args: tuple[list[Cell], int, ExperimentConfig]) -> list[ReplicationResult]:
+    """Every fit of one replication, scored on one shared data draw.
+
+    Each row's ``wall_ms`` is its own fit time plus an equal share of the
+    draw; a failed draw fails every row with the draw's exception type.
+    """
+    cells, rep_index, config = args
+    seed = derive_seed(config.base_seed, cells[0], rep_index)
+    started = time.perf_counter()
+    try:
+        draw = draw_replication(cells[0], config, seed)
+    except Exception as exc:  # recorded on every row of this draw
+        draw = exc
+    share_ms = (time.perf_counter() - started) * 1000.0 / len(cells)
+    rows = [run_replication(cell, rep_index, config, draw) for cell in cells]
+    for row in rows:
+        row.wall_ms += share_ms
+    return rows
 
 
 def run_grid(config: ExperimentConfig, parallelism: int = 1) -> list[ReplicationResult]:
-    """All cells x reps, in canonical order regardless of execution order."""
-    tasks = [(cell, rep, config) for cell in config.cells() for rep in range(config.reps)]
-    if parallelism > 1 and len(tasks) > 1:
-        chunk = max(1, len(tasks) // (8 * parallelism))
-        with ProcessPoolExecutor(max_workers=parallelism) as pool:
-            results = list(pool.map(_run_task, tasks, chunksize=chunk))
+    """All cells x reps, in canonical order regardless of execution order.
+
+    One task per data draw (gen, truth, N, T, K, rep) fits every model in
+    ``config.fit_models``; at most one worker process per task is started.
+    """
+    draws: dict[tuple, list[Cell]] = {}
+    for cell in config.cells():
+        draws.setdefault((cell.gen, cell.truth, cell.n, cell.t, cell.k), []).append(cell)
+    tasks = [(cells, rep, config) for cells in draws.values() for rep in range(config.reps)]
+    workers = min(parallelism, len(tasks))
+    if workers > 1:
+        chunk = max(1, len(tasks) // (8 * workers))
+        with ProcessPoolExecutor(max_workers=workers) as pool:
+            batches = list(pool.map(_run_task, tasks, chunksize=chunk))
     else:
-        results = [_run_task(t) for t in tasks]
+        batches = [_run_task(t) for t in tasks]
+    results = [row for batch in batches for row in batch]
     results.sort(key=lambda r: (r.gen, r.truth, r.fit, r.n, r.t, r.k, r.rep))
     return results
 

@@ -303,6 +303,8 @@ def cmd_select_k(args) -> int:
 
 
 def cmd_mc(args) -> int:
+    if args.jobs < 1:
+        raise UsageError(f"--jobs must be at least 1, got {args.jobs}")
     doc = _load_json(args.config)
     _validate_keys(doc, _MC_SCHEMA, args.config)
     for req in ("n_values", "t_values", "k_values"):

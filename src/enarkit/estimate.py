@@ -310,8 +310,15 @@ def _adjacency_diagnostics(
     return Diagnostics(eigengap=eigengap, kappa=kappa, condition_number=cond)
 
 
+def _laplacian_of(graph: Graph, laplacian: np.ndarray | None) -> np.ndarray:
+    """The given normalized Laplacian of ``graph``, or a fresh build of it."""
+    if laplacian is None:
+        return normalized_laplacian(graph, allow_isolated=True)
+    return laplacian
+
+
 def _fit_embedded(
-    panel: Panel, graph: Graph, spec: DesignSpec
+    panel: Panel, graph: Graph, spec: DesignSpec, laplacian: np.ndarray | None = None
 ) -> tuple[FitResult, Embedding, Diagnostics]:
     """Fit an embedding model (enar or enr) from one eigendecomposition.
 
@@ -321,24 +328,25 @@ def _fit_embedded(
     k = spec.k
     full = spectral_embed(graph, k + 1 if k < graph.n else k)
     emb = Embedding(full.vectors[:, :k], full.eigenvalues[:k], k)
-    lap = None if spec.model == "enr" else normalized_laplacian(graph, allow_isolated=True)
+    lap = None if spec.model == "enr" else _laplacian_of(graph, laplacian)
     fit, w = fit_with_latents(panel, lap, emb.vectors, spec)
     return fit, emb, _adjacency_diagnostics(full.eigenvalues, k, graph.n, graph.density, w)
 
 
 def fit_enar(
-    panel: Panel, graph: Graph, k: int
+    panel: Panel, graph: Graph, k: int, laplacian: np.ndarray | None = None
 ) -> tuple[FitResult, Embedding, Diagnostics]:
     """Embed the observed graph, build the design, and fit by least squares.
 
     One eigendecomposition of the adjacency, with k+1 eigenpairs, gives both
     the k-dimensional embedding and the eigengap diagnostics. ``k = 0``
     drops the latent block entirely, which is exactly the plain network
-    autoregression fit.
+    autoregression fit. ``laplacian``, the graph's normalized Laplacian, is
+    built here when not given.
     """
     if k >= 1:
-        return _fit_embedded(panel, graph, DesignSpec("enar", k))
-    lap = normalized_laplacian(graph, allow_isolated=True)
+        return _fit_embedded(panel, graph, DesignSpec("enar", k), laplacian)
+    lap = _laplacian_of(graph, laplacian)
     fit, w = fit_with_latents(panel, lap, None, DesignSpec("nar"))
     emb = Embedding(np.zeros((graph.n, 0)), np.zeros(0), 0)
     return fit, emb, _adjacency_diagnostics(None, 0, graph.n, graph.density, w)
@@ -351,18 +359,20 @@ def fit_amnar(
     s: float,
     lsm_config=None,
     rng: np.random.Generator | None = None,
+    laplacian: np.ndarray | None = None,
 ):
     """Estimate the latent-space factors by constrained MLE, then fit.
 
     Returns (FitResult, LsmState, Diagnostics). The latent design columns
     are the MLE's [Q | v] scaled by r = N^{-s} T^{-1/2}. The eigengap
     diagnostics take one adjacency eigendecomposition of their own.
+    ``laplacian`` is built here when not given.
     """
     from . import lsm as lsm_mod
 
     lsm_fit = lsm_mod.fit_lsm(graph, k, lsm_config, rng)
     x_hat = np.column_stack([lsm_fit.state.q, lsm_fit.state.v])
-    lap = normalized_laplacian(graph, allow_isolated=True)
+    lap = _laplacian_of(graph, laplacian)
     fit, w = fit_with_latents(panel, lap, x_hat, DesignSpec("amnar", k, s=s))
     eigenvalues = spectral_embed(graph, k + 1 if k < graph.n else k).eigenvalues
     diag = _adjacency_diagnostics(eigenvalues, k, graph.n, graph.density, w)
@@ -379,8 +389,12 @@ def predict_one_step(
     y_t: np.ndarray,
     z_t: np.ndarray,
     latent=None,
+    laplacian: np.ndarray | None = None,
 ) -> np.ndarray:
-    """Noise-free point forecast W_T mu_hat for the next time step."""
+    """Noise-free point forecast W_T mu_hat for the next time step.
+
+    ``laplacian`` is built from ``graph`` when not given.
+    """
     if fit.spec is None:
         raise DataError("fit carries no design spec; cannot build forecast design")
     n = graph.n
@@ -392,7 +406,7 @@ def predict_one_step(
         z_t = z_t.reshape(n, -1) if z_t.size else np.zeros((n, 0))
     if z_t.shape[0] != n:
         raise DimensionMismatch(f"z_t has {z_t.shape[0]} rows, expected {n}")
-    lap = None if fit.spec.model == "enr" else normalized_laplacian(graph, allow_isolated=True)
+    lap = None if fit.spec.model == "enr" else _laplacian_of(graph, laplacian)
     w_t = design_rows(fit.spec, lap, latent, y_t[:, None], z_t[:, None, :], fit.r)
     if w_t.shape[1] != fit.mu_hat.shape[0]:
         raise DimensionMismatch(

@@ -1,9 +1,11 @@
 import itertools
+import json
 import math
 
 import numpy as np
 import pytest
 
+from enarkit import bench, cli, estimate
 from enarkit.bench import (
     RESULT_COLUMNS,
     Cell,
@@ -165,6 +167,114 @@ class TestRunGrid:
                            n_values=[25], t_values=[6], reps=1)
         rows = run_grid(cfg)
         assert all(r.status == "ok" for r in rows)
+
+
+def csv_bytes(rows, path) -> bytes:
+    results_to_csv(rows, str(path), timing=False)
+    return path.read_bytes()
+
+
+def lone_rows(cfg):
+    """One stand-alone ``run_replication`` per row, each drawing its own data."""
+    rows = [run_replication(cell, rep, cfg) for cell in cfg.cells() for rep in range(cfg.reps)]
+    return sorted(rows, key=lambda r: (r.gen, r.truth, r.fit, r.n, r.t, r.k, r.rep))
+
+
+class TestSharedDraw:
+    """``run_grid`` draws each replication's data once for all its fits."""
+
+    @pytest.mark.parametrize("oracle", [False, True])
+    def test_grid_rows_match_lone_replications(self, tmp_path, oracle):
+        cfg = smoke_config(truth_models=["enar", "amnar"], fit_models=["nar", "enar", "amnar"],
+                           n_values=[20, 24], oracle_latents=oracle,
+                           lsm_config=LsmConfig(max_iters=20))
+        grid = run_grid(cfg)
+        assert len(grid) == 24 and all(r.status == "ok" for r in grid)
+        lone = lone_rows(cfg)
+        assert csv_bytes(grid, tmp_path / "grid.csv") == csv_bytes(lone, tmp_path / "lone.csv")
+
+    def test_each_fit_gets_its_own_generator_copy(self, monkeypatch, tmp_path):
+        # the latent-MLE start draws from the generator only for a weak
+        # spectrum, so this fit draws first to make each fit's stream visible
+        first_draws = []
+        fit_amnar = estimate.fit_amnar
+
+        def drawing_fit_amnar(*args, **kwargs):
+            first_draws.append(args[5].standard_normal())
+            return fit_amnar(*args, **kwargs)
+
+        monkeypatch.setattr(estimate, "fit_amnar", drawing_fit_amnar)
+        cfg = smoke_config(truth_models=["amnar"], fit_models=["amnar", "amnar"], reps=1,
+                           lsm_config=LsmConfig(max_iters=20))
+        first, second = run_grid(cfg)
+        run_replication(cfg.cells()[0], 0, cfg)
+        assert len(first_draws) == 3 and len(set(first_draws)) == 1
+        assert csv_bytes([first], tmp_path / "a.csv") == csv_bytes([second], tmp_path / "b.csv")
+
+    def test_one_simulation_per_draw(self, monkeypatch):
+        calls = []
+        simulate = bench.simulate_cell_data
+
+        def counting(cell, config, rng):
+            calls.append((cell.gen, cell.truth, cell.n, cell.t, cell.k))
+            return simulate(cell, config, rng)
+
+        monkeypatch.setattr(bench, "simulate_cell_data", counting)
+        cfg = smoke_config(truth_models=["nar", "enar"], fit_models=["nar", "enar", "amnar"],
+                           lsm_config=LsmConfig(max_iters=5))
+        rows = run_grid(cfg)
+        assert len(rows) == 12
+        assert sorted(calls) == sorted(
+            [("dcmmsbm", truth, 20, 6, 2) for truth in ("nar", "enar")] * cfg.reps
+        )
+
+    def test_failed_draw_fails_every_row(self):
+        cfg = smoke_config(alpha=0.7, theta=0.5, fit_models=["nar", "enar", "amnar"])
+        rows = run_grid(cfg)
+        assert len(rows) == 6
+        assert {r.status for r in rows} == {"NotStationary"}
+        assert [r.status for r in rows] == [r.status for r in lone_rows(cfg)]
+        assert all(math.isnan(r.alpha_hat) and r.wall_ms > 0 for r in rows)
+
+    def test_jobs_one_and_two_give_the_same_csv(self, tmp_path, capsys):
+        cfg_path = tmp_path / "mc.json"
+        cfg_path.write_text(json.dumps({
+            "n_values": [20], "t_values": [6], "k_values": [2],
+            "truth_models": ["enar", "amnar"], "fit_models": ["nar", "enar", "amnar"],
+            "reps": 2, "base_seed": 3, "lsm_max_iters": 20,
+        }))
+        outputs = []
+        for jobs in ("1", "2"):
+            out, summary = tmp_path / f"r{jobs}.csv", tmp_path / f"s{jobs}.csv"
+            assert cli.main(["mc", "--config", str(cfg_path), "--out", str(out),
+                             "--summary-out", str(summary), "--jobs", jobs, "--no-timing"]) == 0
+            outputs.append((out.read_bytes(), summary.read_bytes()))
+        capsys.readouterr()
+        assert outputs[0] == outputs[1]
+
+    def test_pool_bounded_by_the_number_of_draws(self, monkeypatch):
+        started = []
+
+        class RecordingPool:
+            """Stands in for the process pool and runs its tasks in-process."""
+
+            def __init__(self, max_workers):
+                started.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, tasks, chunksize=1):
+                return map(fn, tasks)
+
+        monkeypatch.setattr(bench, "ProcessPoolExecutor", RecordingPool)
+        rows = run_grid(smoke_config(), parallelism=64)  # 2 draws, 4 rows
+        assert started == [2] and len(rows) == 4
+        run_grid(smoke_config(reps=1), parallelism=64)  # one draw runs in-process
+        assert started == [2]
 
 
 class TestConsistencyTrends:

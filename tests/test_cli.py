@@ -344,6 +344,20 @@ class TestMc:
         assert f"{key!r} may not be null" in json.loads(err)["message"]
         assert not (tmp_path / "r.csv").exists()
 
+    @pytest.mark.parametrize("jobs", ["0", "-3"])
+    def test_jobs_below_one_is_usage_error(self, tmp_path, capsys, jobs):
+        cfg_path = tmp_path / "mc.json"
+        cfg_path.write_text(json.dumps({
+            "n_values": [12], "t_values": [4], "k_values": [2], "fit_models": ["nar"], "reps": 1,
+        }))
+        code, _, err = run_cli(
+            capsys, "mc", "--config", str(cfg_path), "--jobs", jobs,
+            "--out", str(tmp_path / "r.csv"), "--summary-out", str(tmp_path / "s.csv"),
+        )
+        assert code == 2
+        assert json.loads(err)["error"] == "usage"
+        assert not (tmp_path / "r.csv").exists()
+
     def test_reps_override(self, tmp_path, capsys):
         cfg_path = tmp_path / "mc.json"
         cfg_path.write_text(json.dumps({

@@ -257,6 +257,21 @@ class TestModelCompositions:
         assert diag.kappa >= 0
         assert diag.condition_number >= 1
 
+    @pytest.mark.parametrize("k", [0, 2])
+    def test_given_laplacian_is_used(self, k):
+        g, _, _, _, panel = self.make_panel()
+        lap = normalized_laplacian(g, allow_isolated=True)
+        built, emb, _ = fit_enar(panel, g, k)
+        assert np.array_equal(fit_enar(panel, g, k, laplacian=lap)[0].mu_hat, built.mu_hat)
+        # halving the peer regressor doubles its coefficient, forecast unchanged
+        halved = fit_enar(panel, g, k, laplacian=0.5 * lap)[0]
+        assert halved.coef("theta") == pytest.approx(2.0 * built.coef("theta"))
+        y_t, z_t = panel.y[:, -1], panel.z[:, -1, :]
+        assert np.allclose(
+            predict_one_step(halved, g, y_t, z_t, emb.vectors, laplacian=0.5 * lap),
+            predict_one_step(built, g, y_t, z_t, emb.vectors),
+        )
+
     def test_fit_amnar_runs_and_scales(self):
         g, _, _, _, panel = self.make_panel(n=30, t=10)
         for s in (0.01, 0.49):

@@ -77,3 +77,26 @@ def test_traced_replication_records_counts(spans):
     # the wrappers are removed again
     assert bench.run_replication.__module__ == "enarkit.bench"
     assert not hasattr(bench.run_replication, "__wrapped__")
+
+
+def test_traced_grid_tags_one_row_span_per_row(spans):
+    # the benchmark attributes spans to rows through the row span's first
+    # argument; the shared data draw must stay outside the row spans
+    config = bench.ExperimentConfig(
+        n_values=[20], t_values=[5], k_values=[2], generators=["dcmmsbm"],
+        truth_models=["nar", "enar"], fit_models=["enar", "nar"], reps=2, base_seed=4,
+    )
+    trace = spans.Trace()
+    with spans.Tracer(trace):
+        rows = bench.run_grid(config)
+    assert len(rows) == 8 and all(r.status == "ok" for r in rows)
+    row_spans = [s for s in trace.spans if s.name == spans.ROW_SPAN]
+    assert sorted(s.tag for s in row_spans) == sorted(r.fit for r in rows)
+    sims = [s for s in trace.spans if s.name == "bench.simulate_cell_data"]
+    assert len(sims) == 4  # two truths x two reps
+    assert all(s.row is None for s in sims)
+    fits = [s for s in trace.spans if s.name == "estimate.fit_enar"]
+    assert len(fits) == 8 and all(s.row is not None for s in fits)
+    # one Laplacian in the simulation and one shared by the fits, per draw
+    laplacians = [s for s in trace.spans if s.name == "network.normalized_laplacian"]
+    assert len(laplacians) == 2 * len(sims)
