@@ -50,7 +50,6 @@ from .estimate import (
     rmsp,
 )
 from .lsm import (
-    LsmConfig,
     LsmFit,
     LsmState,
     fit_lsm,

@@ -15,28 +15,21 @@ which other fits share its draw.
 from __future__ import annotations
 
 import copy
-import csv
 import math
 import time
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from itertools import product
 
 import numpy as np
 
 from . import estimate, lsm, network, process
-from .csvio import write_table
+from .csvio import Table, load_columns, write_table
 from .errors import DataError, EmptyGroup
 
 GENERATORS = ("dcsbm", "dcmmsbm", "rdpg")
 TRUTH_MODELS = ("nar", "enar", "amnar")
 FIT_MODELS = ("nar", "enar", "amnar")
-
-RESULT_COLUMNS = [
-    "gen", "truth", "fit", "N", "T", "K", "rep", "seed",
-    "alpha_hat", "theta_hat", "rmse_alpha", "rmse_theta", "rmse_beta",
-    "rmsp", "sigma2_hat", "aic", "bic", "status", "wall_ms",
-]
 
 METRIC_COLUMNS = [
     "alpha_hat", "theta_hat", "rmse_alpha", "rmse_theta", "rmse_beta",
@@ -66,7 +59,8 @@ class ExperimentConfig:
     ``rho`` of None means the sparsity rule N^{-1/2}; ``beta`` of None means
     the alternating-sign rule sized to each cell's K. ``oracle_latents``
     plumbs the true latent matrices into the fits (a debugging mode that
-    makes noiseless runs exactly recoverable).
+    makes noiseless runs exactly recoverable). ``lsm_max_iters`` caps the
+    latent-space MLE of the amnar fits.
     """
 
     n_values: list[int]
@@ -88,11 +82,13 @@ class ExperimentConfig:
     q_block: float = 9.0 / 40.0
     rho: float | None = None
     oracle_latents: bool = False
-    lsm_config: lsm.LsmConfig | None = None
+    lsm_max_iters: int = lsm.MAX_ITERS
 
     def __post_init__(self):
         if self.reps < 1:
             raise DataError("reps must be >= 1")
+        if self.lsm_max_iters < 0:
+            raise DataError("lsm_max_iters must be >= 0")
         for name, vals in (("n", self.n_values), ("t", self.t_values), ("k", self.k_values)):
             if not vals or any(int(v) < 1 for v in vals):
                 raise DataError(f"{name}_values must be positive")
@@ -152,6 +148,17 @@ class ReplicationResult:
     bic: float = math.nan
     status: str = "ok"
     wall_ms: float = 0.0
+
+
+# The results CSV holds the ReplicationResult fields in order; this is how
+# its reader parses each (seeds are full 64-bit splitmix hashes).
+_RESULT_DTYPE = np.dtype([
+    (f.name, np.uint64 if f.name == "seed"
+     else {"str": object, "int": np.int64, "float": np.float64}[f.type])
+    for f in fields(ReplicationResult)
+])
+RESULT_COLUMNS = [name.upper() if name in ("n", "t", "k") else name
+                  for name in _RESULT_DTYPE.names]
 
 
 _MASK64 = (1 << 64) - 1
@@ -259,7 +266,7 @@ def simulate_cell_data(cell: Cell, config: ExperimentConfig, rng: np.random.Gene
     params = _truth_params(cell, config)
     if cell.truth == "amnar":
         state_true = _planted_lsm_state(cell, config, rng)
-        graph = lsm.sample_lsm_graph(state_true, rng, allow_isolated=True)
+        graph = lsm.sample_lsm_graph(state_true, rng)
         latent_true = state_true.x()
         panel = process.simulate_amnar(params, graph, latent_true, cov, cell.t, rng)
         truth_spec = estimate.DesignSpec("amnar", cell.k, s=config.s)
@@ -307,7 +314,7 @@ def draw_replication(cell: Cell, config: ExperimentConfig, seed: int) -> SharedD
     """Draw the data of ``cell`` from ``seed``; the fit model plays no part."""
     rng = np.random.default_rng(seed)
     data = simulate_cell_data(cell, config, rng)
-    lap = network.normalized_laplacian(data.graph, allow_isolated=True)
+    lap = network.normalized_laplacian(data.graph)
     y_last = data.panel.y[:, -1]
     w_true = estimate.design_rows(
         data.truth_spec, lap, data.latent_true, y_last[:, None], data.z_next[:, None, :],
@@ -358,8 +365,8 @@ def _fit_and_score(
         latent_fit = latent_true
     elif cell.fit == "amnar":
         fit, state_hat, _ = estimate.fit_amnar(
-            panel, graph, cell.k, config.s, config.lsm_config, copy.deepcopy(draw.rng),
-            laplacian=lap,
+            panel, graph, cell.k, config.s, copy.deepcopy(draw.rng),
+            laplacian=lap, max_iters=config.lsm_max_iters,
         )
         latent_fit = state_hat.x()
     elif cell.fit == "enar":
@@ -455,33 +462,30 @@ def results_to_csv(results: list[ReplicationResult], path: str, timing: bool = T
     """Write the stable results schema; ``timing=False`` zeroes the wall-clock
     column so outputs can be compared byte for byte."""
     write_table(path, RESULT_COLUMNS, (
-        [
-            r.gen, r.truth, r.fit, r.n, r.t, r.k, r.rep, r.seed,
-            r.alpha_hat, r.theta_hat, r.rmse_alpha, r.rmse_theta, r.rmse_beta, r.rmsp,
-            r.sigma2_hat, r.aic, r.bic, r.status, r.wall_ms if timing else 0.0,
-        ]
+        [getattr(r, name) if timing or name != "wall_ms" else 0.0
+         for name in _RESULT_DTYPE.names]
         for r in results
     ))
 
 
 def read_results_csv(path: str) -> list[ReplicationResult]:
-    out = []
-    with open(path, newline="") as fh:
-        reader = csv.DictReader(fh)
-        if reader.fieldnames != RESULT_COLUMNS:
-            raise DataError(f"{path}: unexpected results header {reader.fieldnames}")
-        for row in reader:
-            out.append(ReplicationResult(
-                gen=row["gen"], truth=row["truth"], fit=row["fit"],
-                n=int(row["N"]), t=int(row["T"]), k=int(row["K"]),
-                rep=int(row["rep"]), seed=int(row["seed"]),
-                alpha_hat=float(row["alpha_hat"]), theta_hat=float(row["theta_hat"]),
-                rmse_alpha=float(row["rmse_alpha"]), rmse_theta=float(row["rmse_theta"]),
-                rmse_beta=float(row["rmse_beta"]), rmsp=float(row["rmsp"]),
-                sigma2_hat=float(row["sigma2_hat"]), aic=float(row["aic"]),
-                bic=float(row["bic"]), status=row["status"], wall_ms=float(row["wall_ms"]),
-            ))
-    return out
+    """Exact inverse of :func:`results_to_csv`.
+
+    Blank lines are skipped. A header other than RESULT_COLUMNS raises
+    :class:`DataError`, and so does a row that lacks a column or holds a
+    field that does not parse, naming the row.
+    """
+    table = Table(path)
+    if table.header != RESULT_COLUMNS:
+        raise DataError(f"{path}: unexpected results header {table.header}")
+    lines = table.lines
+    if not lines:
+        return []
+    rows = load_columns(
+        lines, range(len(RESULT_COLUMNS)), _RESULT_DTYPE,
+        lambda j: f"{table.where(j)}: cannot parse {lines[j]!r}",
+    )
+    return [ReplicationResult(*row) for row in rows.tolist()]
 
 
 _GROUP_FIELDS = {"n", "t", "k", "gen", "truth", "fit", "rep", "seed"}

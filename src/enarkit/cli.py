@@ -27,7 +27,6 @@ from .errors import (
     EmptyGroup,
     EnarkitError,
     InvalidProbability,
-    IsolatedNode,
     IsolationRetriesExceeded,
     NotStationary,
     RankDeficient,
@@ -42,7 +41,7 @@ EXIT_NUMERICAL = 4
 
 _NUMERICAL_ERRORS = (
     NotStationary, RankDeficient, EigConvergenceFailure, IsolationRetriesExceeded,
-    InvalidProbability, IsolatedNode, ZeroDenominator,
+    InvalidProbability, ZeroDenominator,
 )
 _DATA_ERRORS = (DataError, DimensionMismatch, ShapeMismatch, EmptyGroup)
 
@@ -83,9 +82,8 @@ def _load_json(path: str) -> dict:
         raise DataError(f"{path}: invalid JSON at line {exc.lineno}: {exc.msg}") from exc
 
 
-# The only config keys that may be null, as their defaults are None: beta
-# and rho then follow the ExperimentConfig rules, and lsm_max_iters keeps
-# the LsmConfig default.
+# The only config keys that may be null: a null keeps the ExperimentConfig
+# default, which for beta and rho is None, their size-dependent rules.
 _NULLABLE = {"beta", "rho", "lsm_max_iters"}
 
 
@@ -130,9 +128,12 @@ _MC_SCHEMA = {
 
 
 def _experiment_config(doc: dict, keys, **fields) -> bench.ExperimentConfig:
-    """ExperimentConfig from ``fields`` plus each of ``keys`` present in
-    ``doc``, so every other default lives only in ExperimentConfig."""
-    return bench.ExperimentConfig(**{key: doc[key] for key in keys if key in doc}, **fields)
+    """ExperimentConfig from ``fields`` plus each of ``keys`` that ``doc``
+    sets to a value other than null, so every other default lives only in
+    ExperimentConfig."""
+    return bench.ExperimentConfig(
+        **{key: doc[key] for key in keys if doc.get(key) is not None}, **fields
+    )
 
 
 def cmd_simulate(args) -> int:
@@ -198,20 +199,29 @@ def cmd_simulate(args) -> int:
     return EXIT_OK
 
 
-def _window_panel(panel: process.Panel, start, length) -> process.Panel:
-    if start is None and length is None:
-        return panel
+def _window(panel: process.Panel, start, length, min_len: int) -> tuple[int, int]:
+    """Bounds [start, stop) of the time points that ``--window-start`` and
+    ``--window-len`` select: by default from 0 and up to the panel's end.
+    The window must lie inside the panel's T+1 time points and hold at
+    least ``min_len`` of them."""
     start = 0 if start is None else start
     if length is None:
         length = panel.t + 1 - start
-    if start < 0 or length < 2 or start + length > panel.t + 1:
+    if start < 0 or length < min_len or start + length > panel.t + 1:
         raise DataError(
             f"window [{start}, {start + length}) does not fit a panel with "
-            f"{panel.t + 1} time points (need length >= 2)"
+            f"{panel.t + 1} time points (need length >= {min_len})"
         )
+    return start, start + length
+
+
+def _window_panel(panel: process.Panel, start, length) -> process.Panel:
+    """The training window: at least two time points, one transition."""
+    if start is None and length is None:
+        return panel
+    start, stop = _window(panel, start, length, 2)
     return process.Panel(
-        y=panel.y[:, start : start + length].copy(),
-        z=panel.z[:, start : start + length - 1, :].copy(),
+        y=panel.y[:, start:stop].copy(), z=panel.z[:, start : stop - 1, :].copy()
     )
 
 
@@ -230,7 +240,7 @@ def cmd_fit(args) -> int:
         fit, _, diag = estimate.fit_enar(panel, graph, args.k or 0)
     elif model == "amnar":
         fit, state, diag = estimate.fit_amnar(
-            panel, graph, args.k, args.s, None, np.random.default_rng(seed)
+            panel, graph, args.k, args.s, np.random.default_rng(seed)
         )
         if args.latent_out:
             lsm.write_latent_csv(state, args.latent_out)
@@ -250,14 +260,8 @@ def cmd_predict(args) -> int:
     graph = network.read_edge_csv(args.edges, n_nodes=panel.n)
     seed = args.seed if args.seed is not None else _env_seed()
 
-    if args.window_start is None and args.window_len is None:
-        t_cond = panel.t
-    else:
-        start = args.window_start or 0
-        length = args.window_len if args.window_len is not None else panel.t + 1 - start
-        t_cond = start + length - 1
-        if t_cond > panel.t:
-            raise DataError(f"conditioning time {t_cond} exceeds panel horizon {panel.t}")
+    # the forecast conditions on the window's last point, so one point will do
+    t_cond = _window(panel, args.window_start, args.window_len, 1)[1] - 1
 
     y_t = panel.y[:, t_cond]
     if t_cond < panel.t:
@@ -271,7 +275,7 @@ def cmd_predict(args) -> int:
     if spec.model in ("enar", "enr"):
         latent = network.spectral_embed(graph, spec.k).vectors
     elif spec.model == "amnar":
-        latent = lsm.fit_lsm(graph, spec.k, None, np.random.default_rng(seed)).state.x()
+        latent = lsm.fit_lsm(graph, spec.k, np.random.default_rng(seed)).state.x()
     else:
         latent = None
 
@@ -312,17 +316,14 @@ def cmd_mc(args) -> int:
             raise DataError(f"{args.config}: missing required key {req!r}")
     if args.reps is not None:
         doc["reps"] = args.reps
-    lsm_cfg = None
-    if doc.get("lsm_max_iters") is not None:
-        lsm_cfg = lsm.LsmConfig(max_iters=doc["lsm_max_iters"])
     config = _experiment_config(
         doc,
-        [*_PARAM_SCHEMA, "generators", "truth_models", "fit_models", "reps", "oracle_latents"],
+        [*_PARAM_SCHEMA, "generators", "truth_models", "fit_models", "reps", "oracle_latents",
+         "lsm_max_iters"],
         n_values=[int(v) for v in doc["n_values"]],
         t_values=[int(v) for v in doc["t_values"]],
         k_values=[int(v) for v in doc["k_values"]],
         base_seed=doc.get("base_seed", _env_seed()),
-        lsm_config=lsm_cfg,
     )
     results = bench.run_grid(config, parallelism=args.jobs)
     bench.results_to_csv(results, args.out, timing=not args.no_timing)
@@ -351,7 +352,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--panel", required=True)
     p.add_argument("--model", required=True, choices=["nar", "enar", "amnar", "enr"])
     p.add_argument("--k", type=int, help="latent dimension (embedding models)")
-    p.add_argument("--s", type=float, default=0.25, help="amnar rate exponent")
+    p.add_argument("--s", type=float, default=bench.ExperimentConfig.s,
+                   help="amnar rate exponent")
     p.add_argument("--seed", type=int, help="seed for the latent-MLE start")
     p.add_argument("--omit-grand-mean", action="store_true",
                    help="drop the grand-mean column from the enr design")

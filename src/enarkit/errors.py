@@ -7,14 +7,6 @@ class EnarkitError(Exception):
     """Base class for all enarkit errors."""
 
 
-class IsolatedNode(EnarkitError):
-    """A node has degree zero where a positive degree is required."""
-
-    def __init__(self, node: int):
-        self.node = node
-        super().__init__(f"node {node} is isolated (degree 0)")
-
-
 class InvalidProbability(EnarkitError):
     """An edge probability fell outside [0, 1]."""
 

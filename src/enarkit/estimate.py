@@ -27,6 +27,7 @@ import numpy as np
 import scipy.linalg
 from scipy.special import ndtri
 
+from . import lsm
 from .atomic import atomic_write
 from .errors import (
     DataError,
@@ -313,7 +314,7 @@ def _adjacency_diagnostics(
 def _laplacian_of(graph: Graph, laplacian: np.ndarray | None) -> np.ndarray:
     """The given normalized Laplacian of ``graph``, or a fresh build of it."""
     if laplacian is None:
-        return normalized_laplacian(graph, allow_isolated=True)
+        return normalized_laplacian(graph)
     return laplacian
 
 
@@ -327,7 +328,7 @@ def _fit_embedded(
     """
     k = spec.k
     full = spectral_embed(graph, k + 1 if k < graph.n else k)
-    emb = Embedding(full.vectors[:, :k], full.eigenvalues[:k], k)
+    emb = Embedding(full.vectors[:, :k], full.eigenvalues[:k])
     lap = None if spec.model == "enr" else _laplacian_of(graph, laplacian)
     fit, w = fit_with_latents(panel, lap, emb.vectors, spec)
     return fit, emb, _adjacency_diagnostics(full.eigenvalues, k, graph.n, graph.density, w)
@@ -348,7 +349,7 @@ def fit_enar(
         return _fit_embedded(panel, graph, DesignSpec("enar", k), laplacian)
     lap = _laplacian_of(graph, laplacian)
     fit, w = fit_with_latents(panel, lap, None, DesignSpec("nar"))
-    emb = Embedding(np.zeros((graph.n, 0)), np.zeros(0), 0)
+    emb = Embedding(np.zeros((graph.n, 0)), np.zeros(0))
     return fit, emb, _adjacency_diagnostics(None, 0, graph.n, graph.density, w)
 
 
@@ -357,20 +358,19 @@ def fit_amnar(
     graph: Graph,
     k: int,
     s: float,
-    lsm_config=None,
     rng: np.random.Generator | None = None,
     laplacian: np.ndarray | None = None,
+    max_iters: int = lsm.MAX_ITERS,
 ):
     """Estimate the latent-space factors by constrained MLE, then fit.
 
     Returns (FitResult, LsmState, Diagnostics). The latent design columns
-    are the MLE's [Q | v] scaled by r = N^{-s} T^{-1/2}. The eigengap
-    diagnostics take one adjacency eigendecomposition of their own.
+    are the MLE's [Q | v] scaled by r = N^{-s} T^{-1/2}; ``rng`` and the
+    iteration cap ``max_iters`` go to :func:`enarkit.lsm.fit_lsm`. The
+    eigengap diagnostics take one adjacency eigendecomposition of their own.
     ``laplacian`` is built here when not given.
     """
-    from . import lsm as lsm_mod
-
-    lsm_fit = lsm_mod.fit_lsm(graph, k, lsm_config, rng)
+    lsm_fit = lsm.fit_lsm(graph, k, rng, max_iters)
     x_hat = np.column_stack([lsm_fit.state.q, lsm_fit.state.v])
     lap = _laplacian_of(graph, laplacian)
     fit, w = fit_with_latents(panel, lap, x_hat, DesignSpec("amnar", k, s=s))

@@ -24,6 +24,13 @@ from .csvio import Table, load_columns, repeated_rows, write_table
 from .errors import DataError, DimensionMismatch
 from .network import Graph, _fix_signs, _leading_eigenpairs, sample_graph
 
+# Ascent settings: at most MAX_ITERS accepted steps, each line search
+# starting from a step of 1/N and shrinking by BACKTRACK down to MIN_STEP;
+# the ascent stops once a step's log-likelihood gain, relative to
+# max(|loglik|, 1), falls below TOL.
+MAX_ITERS = 500
+TOL = 1e-8
+BACKTRACK = 0.5
 MIN_STEP = 1e-12
 
 
@@ -73,33 +80,6 @@ class LsmState:
 
 
 @dataclass
-class LsmConfig:
-    """Optimizer knobs. ``step_init`` and ``row_norm_cap`` default to 1/N
-    and 3*sqrt(K+1) once the problem size is known."""
-
-    max_iters: int = 500
-    tol: float = 1e-8
-    step_init: float | None = None
-    backtrack: float = 0.5
-    row_norm_cap: float | None = None
-    link: str = "logistic"
-
-    def __post_init__(self):
-        if self.max_iters < 0:
-            raise DataError("max_iters must be >= 0")
-        if self.tol <= 0:
-            raise DataError("tol must be positive")
-        if not 0.0 < self.backtrack < 1.0:
-            raise DataError("backtracking factor must lie in (0, 1)")
-        if self.step_init is not None and self.step_init <= 0:
-            raise DataError("step_init must be positive")
-        if self.row_norm_cap is not None and self.row_norm_cap <= 0:
-            raise DataError("row_norm_cap must be positive")
-        if self.link != "logistic":
-            raise DataError("only the logistic link is supported")
-
-
-@dataclass
 class LsmFit:
     """Fitted state plus the ascent trace and termination flags."""
 
@@ -127,19 +107,16 @@ def lsm_gradient(state: LsmState, graph: Graph) -> tuple[np.ndarray, np.ndarray]
     return resid @ state.q, resid @ np.ones(state.n)
 
 
-def _default_cap(k: int) -> float:
-    return 3.0 * np.sqrt(k + 1.0)
-
-
 def project_constraints(state: LsmState, row_norm_cap: float | None = None) -> LsmState:
     """Map a state onto the identifiability set.
 
     Columns of q are mean-centered, then rotated by the eigenvectors of q'q
     so the Gram matrix is diagonal with a descending diagonal; rows of
-    [q | v] longer than the cap are shrunk onto it (capping can re-break
-    centering, in which case one repeat pass runs).
+    [q | v] longer than the cap, 3 sqrt(K + 1) unless given, are shrunk
+    onto it (capping can re-break centering, in which case one repeat pass
+    runs).
     """
-    cap = _default_cap(state.k) if row_norm_cap is None else row_norm_cap
+    cap = 3.0 * np.sqrt(state.k + 1.0) if row_norm_cap is None else row_norm_cap
 
     def center_rotate(q: np.ndarray) -> np.ndarray:
         if q.shape[1] == 0:
@@ -186,37 +163,40 @@ def _spectral_init(graph: Graph, k: int, rng: np.random.Generator) -> LsmState:
 def fit_lsm(
     graph: Graph,
     k: int,
-    config: LsmConfig | None = None,
     rng: np.random.Generator | None = None,
+    max_iters: int = MAX_ITERS,
 ) -> LsmFit:
     """Projected gradient ascent with backtracking from a spectral start.
 
     Every accepted step strictly increases the pairwise log-likelihood and
-    every iterate lies in the constraint set. When no step down to 1e-12
+    every iterate lies in the constraint set. The ascent stops after
+    ``max_iters`` accepted steps, or earlier once the relative gain of a
+    step falls below TOL (``converged``). When no step down to MIN_STEP
     ascends, the last feasible state is returned with ``step_failed`` set.
+    ``rng`` feeds the start only when the residual spectrum is too weak to
+    give every column of q.
     """
     if k < 1:
         raise DataError("k must be >= 1")
-    config = config or LsmConfig()
+    if max_iters < 0:
+        raise DataError("max_iters must be >= 0")
     rng = rng if rng is not None else np.random.default_rng(0)
-    cap = config.row_norm_cap if config.row_norm_cap is not None else _default_cap(k)
-    step_init = config.step_init if config.step_init is not None else 1.0 / graph.n
 
-    state = project_constraints(_spectral_init(graph, k, rng), cap)
+    state = project_constraints(_spectral_init(graph, k, rng))
     ll = lsm_loglik(state, graph)
     fit = LsmFit(state=state, loglik_trace=[ll])
 
-    for it in range(config.max_iters):
+    for it in range(max_iters):
         dq, dv = lsm_gradient(state, graph)
-        step = step_init
+        step = 1.0 / graph.n
         accepted = False
         while step >= MIN_STEP:
-            cand = project_constraints(LsmState(state.q + step * dq, state.v + step * dv), cap)
+            cand = project_constraints(LsmState(state.q + step * dq, state.v + step * dv))
             ll_cand = lsm_loglik(cand, graph)
             if ll_cand > ll:
                 accepted = True
                 break
-            step *= config.backtrack
+            step *= BACKTRACK
         if not accepted:
             fit.step_failed = True
             fit.n_iters = it
@@ -230,7 +210,7 @@ def fit_lsm(
         state, ll = cand, ll_cand
         fit.loglik_trace.append(ll)
         fit.n_iters = it + 1
-        if rel_gain < config.tol:
+        if rel_gain < TOL:
             fit.converged = True
             break
 
@@ -238,14 +218,12 @@ def fit_lsm(
     return fit
 
 
-def sample_lsm_graph(
-    state: LsmState, rng: np.random.Generator, allow_isolated: bool = False
-) -> Graph:
-    """Draw a graph with edge probabilities sigmoid(chi), resampling away
-    isolated nodes like the other generators unless told otherwise."""
+def sample_lsm_graph(state: LsmState, rng: np.random.Generator) -> Graph:
+    """Draw one graph with edge probabilities sigmoid(chi); isolated nodes
+    are kept (no resampling), as in the benchmark's sparse regimes."""
     p = expit(state.chi())
     np.fill_diagonal(p, 0.0)
-    return sample_graph(p, rng, allow_isolated)
+    return sample_graph(p, rng, allow_isolated=True)
 
 
 def write_latent_csv(state: LsmState, path: str) -> None:

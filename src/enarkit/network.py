@@ -13,7 +13,7 @@ repeated runs agree exactly.
 from __future__ import annotations
 
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Union
 
 import numpy as np
@@ -24,7 +24,6 @@ from .errors import (
     DataError,
     EigConvergenceFailure,
     InvalidProbability,
-    IsolatedNode,
     IsolationRetriesExceeded,
     ShapeMismatch,
 )
@@ -144,24 +143,20 @@ class Embedding:
 
     vectors: np.ndarray
     eigenvalues: np.ndarray
-    k: int = field(default=0)
 
-    def __post_init__(self):
-        if self.k == 0:
-            self.k = self.vectors.shape[1]
+    @property
+    def k(self) -> int:
+        """Embedding dimension: the number of eigenvector columns."""
+        return self.vectors.shape[1]
 
 
-def normalized_laplacian(g: Graph, allow_isolated: bool = False) -> np.ndarray:
+def normalized_laplacian(g: Graph) -> np.ndarray:
     """Symmetric normalized Laplacian D^{-1/2} A D^{-1/2}.
 
-    Raises IsolatedNode unless ``allow_isolated`` is set, in which case the
-    rows and columns of degree-0 nodes are all zero.
+    The rows and columns of isolated (degree-0) nodes are all zero, so such
+    a node has no peer term.
     """
     d = g.degrees
-    if not allow_isolated:
-        zero = np.flatnonzero(d == 0)
-        if zero.size:
-            raise IsolatedNode(int(zero[0]))
     with np.errstate(divide="ignore"):
         inv_sqrt = np.where(d > 0, 1.0 / np.sqrt(np.maximum(d, 1e-300)), 0.0)
     return g.adjacency * np.outer(inv_sqrt, inv_sqrt)
@@ -285,7 +280,7 @@ def embed_symmetric(a: np.ndarray, k: int) -> Embedding:
     if not 1 <= k <= n:
         raise ShapeMismatch(f"k = {k} must satisfy 1 <= k <= {n}")
     vals, vecs = _leading_eigenpairs(a, k, "LM")
-    return Embedding(_fix_signs(vecs), vals, k)
+    return Embedding(_fix_signs(vecs), vals)
 
 
 def spectral_embed(g: Graph, k: int) -> Embedding:

@@ -308,8 +308,8 @@ def test_criterion_10_lsm_correctness():
             truth = lsm.project_constraints(lsm.LsmState(
                 0.8 * prng.standard_normal((n, 2)),
                 -1.2 + 0.3 * prng.standard_normal(n)))
-            g = lsm.sample_lsm_graph(truth, prng, allow_isolated=True)
-            fit = lsm.fit_lsm(g, 2, lsm.LsmConfig(max_iters=300), prng)
+            g = lsm.sample_lsm_graph(truth, prng)
+            fit = lsm.fit_lsm(g, 2, prng, max_iters=300)
             trace = np.array(fit.loglik_trace)
             monotone = monotone and bool(np.all(np.diff(trace) >= -1e-12))
             chi_t, chi_h = truth.chi(), fit.state.chi()
@@ -374,7 +374,7 @@ def test_criterion_12_property_suites():
     params = process.EnarParams(0.2, 0.2, np.array([1.0, -0.5]), np.array([0.3]), 0.4)
     cov = process.CovariateSpec(1, np.array([2.0]))
     panel = process.simulate_enar(params, g, u, cov, 30, rng)
-    lap = network.normalized_laplacian(g, allow_isolated=True)
+    lap = network.normalized_laplacian(g)
     spec = estimate.DesignSpec("enar", 2)
     w1, y1 = estimate.build_design(panel, lap, u, spec)
     rot = random_orthogonal(2, rng)

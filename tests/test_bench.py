@@ -21,7 +21,6 @@ from enarkit.bench import (
     summary_to_csv,
 )
 from enarkit.errors import DataError, EmptyGroup
-from enarkit.lsm import LsmConfig
 from oracles import write_results_csv_loop, write_summary_csv_loop
 
 
@@ -47,6 +46,10 @@ class TestConfig:
     def test_rejects_zero_reps(self):
         with pytest.raises(DataError):
             smoke_config(reps=0)
+
+    def test_rejects_negative_lsm_max_iters(self):
+        with pytest.raises(DataError):
+            smoke_config(lsm_max_iters=-1)
 
     def test_rho_rule(self):
         cfg = smoke_config()
@@ -141,7 +144,7 @@ class TestRunGrid:
         # workers are forked, so they inherit the patched eigensolver switch
         cfg = smoke_config(truth_models=["enar", "amnar"], fit_models=["enar", "amnar"],
                            n_values=[40], t_values=[6], reps=2,
-                           lsm_config=LsmConfig(max_iters=20))
+                           lsm_max_iters=20)
         serial = run_grid(cfg, parallelism=1)
         assert "LM" in lanczos_path and "LA" in lanczos_path
         parallel = run_grid(cfg, parallelism=2)
@@ -187,7 +190,7 @@ class TestSharedDraw:
     def test_grid_rows_match_lone_replications(self, tmp_path, oracle):
         cfg = smoke_config(truth_models=["enar", "amnar"], fit_models=["nar", "enar", "amnar"],
                            n_values=[20, 24], oracle_latents=oracle,
-                           lsm_config=LsmConfig(max_iters=20))
+                           lsm_max_iters=20)
         grid = run_grid(cfg)
         assert len(grid) == 24 and all(r.status == "ok" for r in grid)
         lone = lone_rows(cfg)
@@ -200,12 +203,12 @@ class TestSharedDraw:
         fit_amnar = estimate.fit_amnar
 
         def drawing_fit_amnar(*args, **kwargs):
-            first_draws.append(args[5].standard_normal())
+            first_draws.append(args[4].standard_normal())
             return fit_amnar(*args, **kwargs)
 
         monkeypatch.setattr(estimate, "fit_amnar", drawing_fit_amnar)
         cfg = smoke_config(truth_models=["amnar"], fit_models=["amnar", "amnar"], reps=1,
-                           lsm_config=LsmConfig(max_iters=20))
+                           lsm_max_iters=20)
         first, second = run_grid(cfg)
         run_replication(cfg.cells()[0], 0, cfg)
         assert len(first_draws) == 3 and len(set(first_draws)) == 1
@@ -221,7 +224,7 @@ class TestSharedDraw:
 
         monkeypatch.setattr(bench, "simulate_cell_data", counting)
         cfg = smoke_config(truth_models=["nar", "enar"], fit_models=["nar", "enar", "amnar"],
-                           lsm_config=LsmConfig(max_iters=5))
+                           lsm_max_iters=5)
         rows = run_grid(cfg)
         assert len(rows) == 12
         assert sorted(calls) == sorted(
@@ -404,3 +407,45 @@ class TestCsvWriters:
         summary_to_csv(summary, ["fit", "N", "rep"], str(fast))
         write_summary_csv_loop(summary, ["fit", "N", "rep"], str(ref))
         assert fast.read_bytes() == ref.read_bytes()
+
+
+class TestResultsReader:
+    """``read_results_csv`` parses whole columns; each bad row is a typed
+    error that names it."""
+
+    def write(self, tmp_path, rows):
+        path = tmp_path / "results.csv"
+        results_to_csv(rows, str(path))
+        return path
+
+    def test_round_trip_keeps_seeds_and_statuses_whole(self, tmp_path):
+        rows = mixed_results()
+        rows[0].seed = 2**64 - 1
+        rows[2].status = "S" * 300
+        back = read_results_csv(str(self.write(tmp_path, rows)))
+        assert back[0].seed == 2**64 - 1 and isinstance(back[0].seed, int)
+        assert back[2].status == "S" * 300
+        assert csv_bytes(back, tmp_path / "a.csv") == csv_bytes(rows, tmp_path / "b.csv")
+
+    def test_header_only_reads_no_rows(self, tmp_path):
+        assert read_results_csv(str(self.write(tmp_path, []))) == []
+
+    def test_bad_header_rejected(self, tmp_path):
+        path = tmp_path / "results.csv"
+        path.write_text("gen,truth\n")
+        with pytest.raises(DataError, match="unexpected results header"):
+            read_results_csv(str(path))
+
+    @pytest.mark.parametrize("mangle", [
+        lambda fields: fields[:-1],                          # short row
+        lambda fields: fields[:8] + ["0.x"] + fields[9:],    # float
+        lambda fields: fields[:3] + ["4o"] + fields[4:],     # int
+        lambda fields: fields[:7] + ["-1"] + fields[8:],     # seed
+    ])
+    def test_malformed_row_names_its_row(self, tmp_path, mangle):
+        path = self.write(tmp_path, mixed_results())
+        lines = path.read_text().splitlines()
+        lines[3] = ",".join(mangle(lines[3].split(",")))
+        path.write_text("\n".join(lines[:2] + [""] + lines[2:]) + "\n")
+        with pytest.raises(DataError, match=r"results\.csv: row 5: cannot parse"):
+            read_results_csv(str(path))

@@ -136,7 +136,7 @@ class TestFitPredict:
         panel = read_panel_csv(cfg["out_panel"])
         graph = read_edge_csv(cfg["out_edges"], n_nodes=panel.n)
         u_true = np.array(truth["latent"])
-        lap = normalized_laplacian(graph, allow_isolated=True)
+        lap = normalized_laplacian(graph)
         w, y = build_design(panel, lap, u_true, DesignSpec("enar", truth["k"]))
         fit = fit_ls(w, y)
         mu_true = np.array(truth["mu_true"])
@@ -254,6 +254,60 @@ class TestFitPredict:
         assert list(doc["mu_hat"])[:3] == ["beta_1", "beta_2", "beta_3"]
 
 
+BAD_WINDOWS = [
+    ["--window-len", "-3"], ["--window-len", "0"],
+    ["--window-start", "-4"], ["--window-start", "12"],
+]
+
+
+class TestWindows:
+    """fit and predict share one window rule on an N=40, T=10 panel."""
+
+    @pytest.fixture()
+    def fitted(self, tmp_path, capsys):
+        path, cfg = write_sim_config(tmp_path, n=40, t=10, seed=4)
+        assert run_cli(capsys, "simulate", "--config", str(path))[0] == 0
+        data = ["--edges", cfg["out_edges"], "--panel", cfg["out_panel"]]
+        fit_path = tmp_path / "fit.json"
+        code, _, _ = run_cli(capsys, "fit", *data, "--model", "enar", "--k", "2",
+                             "--out", str(fit_path))
+        assert code == 0
+        return tmp_path, data, fit_path
+
+    @pytest.mark.parametrize("window", BAD_WINDOWS)
+    def test_predict_rejects_windows_outside_the_panel(self, fitted, capsys, window):
+        tmp_path, data, fit_path = fitted
+        out = tmp_path / "forecast.csv"
+        code, stdout, err = run_cli(capsys, "predict", "--fit", str(fit_path), *data,
+                                    *window, "--out", str(out))
+        assert code == 3 and stdout == ""
+        assert json.loads(err)["error"] == "DataError"
+        assert not out.exists()
+
+    @pytest.mark.parametrize("window", BAD_WINDOWS + [["--window-len", "1"]])
+    def test_fit_rejects_the_same_windows(self, fitted, capsys, window):
+        tmp_path, data, _ = fitted
+        out = tmp_path / "windowed.json"
+        code, _, err = run_cli(capsys, "fit", *data, "--model", "nar", *window,
+                               "--out", str(out))
+        assert code == 3
+        assert json.loads(err)["error"] == "DataError"
+        assert not out.exists()
+
+    def test_predict_conditions_on_a_one_point_window(self, fitted, capsys):
+        tmp_path, data, fit_path = fitted
+        outputs = []
+        for name, window in (("one", ["--window-start", "3", "--window-len", "1"]),
+                             ("four", ["--window-len", "4"])):
+            out = tmp_path / f"{name}.csv"
+            code, stdout, _ = run_cli(capsys, "predict", "--fit", str(fit_path), *data,
+                                      *window, "--out", str(out))
+            assert code == 0
+            assert json.loads(stdout)["target_t"] == 4
+            outputs.append(out.read_bytes())
+        assert outputs[0] == outputs[1]
+
+
 class TestSelectK:
     def test_planted_rank_three(self, tmp_path, capsys):
         n = 150
@@ -278,6 +332,15 @@ class TestSelectK:
 
 
 class TestHelp:
+    def test_fit_rate_exponent_defaults_to_the_experiment_default(self):
+        from enarkit.bench import ExperimentConfig
+        from enarkit.cli import build_parser
+
+        args = build_parser().parse_args(
+            ["fit", "--edges", "e.csv", "--panel", "p.csv", "--model", "amnar", "--out", "f.json"]
+        )
+        assert args.s == ExperimentConfig.s == 0.25
+
     def test_help_exits_zero(self, capsys):
         code, out, _ = run_cli(capsys, "--help")
         assert code == 0
@@ -343,6 +406,38 @@ class TestMc:
         assert code == 3
         assert f"{key!r} may not be null" in json.loads(err)["message"]
         assert not (tmp_path / "r.csv").exists()
+
+    def test_negative_lsm_max_iters_is_data_error(self, tmp_path, capsys):
+        cfg_path = tmp_path / "mc.json"
+        cfg_path.write_text(json.dumps({
+            "n_values": [12], "t_values": [4], "k_values": [2],
+            "truth_models": ["amnar"], "fit_models": ["amnar"], "reps": 1,
+            "lsm_max_iters": -1,
+        }))
+        code, _, err = run_cli(
+            capsys, "mc", "--config", str(cfg_path),
+            "--out", str(tmp_path / "r.csv"), "--summary-out", str(tmp_path / "s.csv"),
+        )
+        assert code == 3
+        assert json.loads(err)["error"] == "DataError"
+        assert not (tmp_path / "r.csv").exists()
+
+    def test_null_lsm_max_iters_keeps_the_default(self, tmp_path, capsys):
+        outputs = []
+        for name, extra in (("omitted", {}), ("null", {"lsm_max_iters": None})):
+            cfg_path = tmp_path / f"{name}.json"
+            cfg_path.write_text(json.dumps({
+                "n_values": [12], "t_values": [4], "k_values": [2],
+                "truth_models": ["amnar"], "fit_models": ["amnar"], "reps": 1, **extra,
+            }))
+            out = tmp_path / f"{name}.csv"
+            code, _, _ = run_cli(
+                capsys, "mc", "--config", str(cfg_path), "--out", str(out),
+                "--summary-out", str(tmp_path / f"{name}_s.csv"), "--no-timing",
+            )
+            assert code == 0
+            outputs.append(out.read_bytes())
+        assert outputs[0] == outputs[1]
 
     @pytest.mark.parametrize("jobs", ["0", "-3"])
     def test_jobs_below_one_is_usage_error(self, tmp_path, capsys, jobs):

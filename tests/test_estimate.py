@@ -260,7 +260,7 @@ class TestModelCompositions:
     @pytest.mark.parametrize("k", [0, 2])
     def test_given_laplacian_is_used(self, k):
         g, _, _, _, panel = self.make_panel()
-        lap = normalized_laplacian(g, allow_isolated=True)
+        lap = normalized_laplacian(g)
         built, emb, _ = fit_enar(panel, g, k)
         assert np.array_equal(fit_enar(panel, g, k, laplacian=lap)[0].mu_hat, built.mu_hat)
         # halving the peer regressor doubles its coefficient, forecast unchanged

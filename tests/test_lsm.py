@@ -5,7 +5,6 @@ import numpy as np
 import pytest
 
 from enarkit.lsm import (
-    LsmConfig,
     LsmState,
     fit_lsm,
     lsm_gradient,
@@ -145,15 +144,20 @@ class TestFitLsm:
     def test_zero_iters_returns_projected_initializer(self):
         rng = np.random.default_rng(8)
         g = random_graph(30, 0.3, rng)
-        fit = fit_lsm(g, 2, LsmConfig(max_iters=0), np.random.default_rng(0))
+        fit = fit_lsm(g, 2, np.random.default_rng(0), max_iters=0)
         assert fit.n_iters == 0
         assert len(fit.loglik_trace) == 1
         assert fit.state.centering_residual() < 1e-8
 
+    def test_negative_iteration_cap_rejected(self):
+        g = random_graph(20, 0.3, np.random.default_rng(8))
+        with pytest.raises(DataError):
+            fit_lsm(g, 2, np.random.default_rng(0), max_iters=-1)
+
     def test_monotone_ascent_and_improvement(self):
         rng = np.random.default_rng(9)
         g = random_graph(40, 0.25, rng)
-        fit = fit_lsm(g, 2, LsmConfig(max_iters=100), np.random.default_rng(0))
+        fit = fit_lsm(g, 2, np.random.default_rng(0), max_iters=100)
         trace = np.array(fit.loglik_trace)
         assert np.all(np.diff(trace) >= -1e-12)
         assert trace[-1] >= trace[0]
@@ -161,7 +165,7 @@ class TestFitLsm:
     def test_feasibility_after_fit(self):
         rng = np.random.default_rng(10)
         g = random_graph(35, 0.3, rng)
-        fit = fit_lsm(g, 3, LsmConfig(max_iters=50), np.random.default_rng(0))
+        fit = fit_lsm(g, 3, np.random.default_rng(0), max_iters=50)
         assert fit.state.centering_residual() < 1e-8
         assert fit.state.diagonality_residual() < 1e-8
         cap = 3.0 * math.sqrt(4.0)
@@ -175,8 +179,8 @@ class TestFitLsm:
             for rep in range(4):
                 rng = np.random.default_rng(1000 * n + rep)
                 truth = planted_state(n, 2, rng)
-                g = sample_lsm_graph(truth, rng, allow_isolated=True)
-                fit = fit_lsm(g, 2, LsmConfig(max_iters=300), rng)
+                g = sample_lsm_graph(truth, rng)
+                fit = fit_lsm(g, 2, rng, max_iters=300)
                 chi_t, chi_h = truth.chi(), fit.state.chi()
                 errs.append(np.linalg.norm(chi_h - chi_t) / np.linalg.norm(chi_t))
             medians.append(np.median(errs))
@@ -185,8 +189,8 @@ class TestFitLsm:
     def test_lanczos_start_repeat_fits_bitwise_equal(self, lanczos_path):
         rng = np.random.default_rng(12)
         g = random_graph(60, 0.2, rng)
-        first = fit_lsm(g, 2, LsmConfig(max_iters=20), np.random.default_rng(0))
-        second = fit_lsm(g, 2, LsmConfig(max_iters=20), np.random.default_rng(0))
+        first = fit_lsm(g, 2, np.random.default_rng(0), max_iters=20)
+        second = fit_lsm(g, 2, np.random.default_rng(0), max_iters=20)
         assert lanczos_path == ["LA", "LA"]
         assert np.array_equal(first.state.q, second.state.q)
         assert np.array_equal(first.state.v, second.state.v)

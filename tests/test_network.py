@@ -3,7 +3,6 @@ import pytest
 
 from enarkit.errors import (
     DataError,
-    IsolatedNode,
     IsolationRetriesExceeded,
     ShapeMismatch,
 )
@@ -76,17 +75,10 @@ class TestLaplacian:
         assert lap[0, 1] == 1.0
         assert np.max(np.abs(np.linalg.eigvalsh(lap))) == pytest.approx(1.0, abs=1e-12)
 
-    def test_isolated_node_raises(self):
-        a = np.zeros((3, 3))
-        a[0, 1] = a[1, 0] = 1.0
-        with pytest.raises(IsolatedNode) as info:
-            normalized_laplacian(Graph(3, a))
-        assert info.value.node == 2
-
     def test_allow_isolated_zero_rows(self):
         a = np.zeros((3, 3))
         a[0, 1] = a[1, 0] = 1.0
-        lap = normalized_laplacian(Graph(3, a), allow_isolated=True)
+        lap = normalized_laplacian(Graph(3, a))
         assert np.all(lap[2, :] == 0) and np.all(lap[:, 2] == 0)
 
     def test_spectral_radius_at_most_one(self):

@@ -52,7 +52,7 @@ def test_attributes_read_off_results():
     graph, latent, params, cov, rng = small_case()
     moments = process.stationary_moments(graph, latent @ params.beta, params, cov)
     assert isinstance(moments.iterations, int)
-    fit = lsm.fit_lsm(graph, 1, lsm.LsmConfig(max_iters=3), rng)
+    fit = lsm.fit_lsm(graph, 1, rng, max_iters=3)
     assert isinstance(fit.n_iters, int) and isinstance(fit.converged, bool)
     panel = process.simulate_enar(params, graph, latent, cov, 5, rng)
     lap = network.normalized_laplacian(graph)
@@ -64,7 +64,7 @@ def test_traced_replication_records_counts(spans):
     config = bench.ExperimentConfig(
         n_values=[24], t_values=[5], k_values=[1], generators=["dcmmsbm"],
         truth_models=["amnar"], fit_models=["amnar"], reps=1, base_seed=2,
-        lsm_config=lsm.LsmConfig(max_iters=3),
+        lsm_max_iters=3,
     )
     trace = spans.Trace()
     with spans.Tracer(trace):
@@ -74,6 +74,8 @@ def test_traced_replication_records_counts(spans):
     assert {spans.ROW_SPAN, "estimate.build_design", "lsm.fit_lsm"} <= names
     for key in ("design_rows", "design_cols", "lyapunov_iters", "lsm_iters"):
         assert trace.values[key], key
+    # the config's cap reaches the MLE; uncapped, this fit runs 500 iterations
+    assert max(trace.values["lsm_iters"]) <= 3
     # the wrappers are removed again
     assert bench.run_replication.__module__ == "enarkit.bench"
     assert not hasattr(bench.run_replication, "__wrapped__")
