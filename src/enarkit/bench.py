@@ -23,7 +23,7 @@ from itertools import product
 
 import numpy as np
 
-from . import estimate, lsm, network, process
+from . import blas, estimate, lsm, network, process
 from .csvio import Table, load_columns, write_table
 from .errors import DataError, EmptyGroup
 
@@ -212,11 +212,17 @@ def _make_generator_spec(cell: Cell, config: ExperimentConfig, rng: np.random.Ge
         memberships = rng.dirichlet(np.ones(k), size=n)
         cls = network.DcmmsbmSpec
     m = cls(block, memberships, degrees, 1.0).membership_matrix()
-    raw = (degrees[:, None] * degrees[None, :]) * (m @ block @ m.T)
-    np.fill_diagonal(raw, 0.0)
-    row_sums = raw.sum(axis=1)
+    row_sums = _hollow_row_sums(degrees, m, block)
     max_deg = n * rho * row_sums.max() / row_sums.mean()
     return cls(block, memberships, degrees, max_deg)
+
+
+def _hollow_row_sums(theta: np.ndarray, m: np.ndarray, block: np.ndarray) -> np.ndarray:
+    """Row sums of Theta M B M' Theta with its diagonal zeroed, in O(N K^2)
+    without forming the N x N matrix:
+    theta * (M B (M' theta)) - theta^2 * diag(M B M')."""
+    mb = m @ block
+    return theta * (mb @ (m.T @ theta)) - theta**2 * np.einsum("ij,ij->i", mb, m)
 
 
 def _planted_lsm_state(cell: Cell, config: ExperimentConfig, rng: np.random.Generator) -> lsm.LsmState:
@@ -441,18 +447,23 @@ def run_grid(config: ExperimentConfig, parallelism: int = 1) -> list[Replication
 
     One task per data draw (gen, truth, N, T, K, rep) fits every model in
     ``config.fit_models``; at most one worker process per task is started.
+    Every task runs BLAS on one thread, in this process and in the workers
+    alike, so parallelism comes from ``parallelism`` alone and the rows do
+    not depend on the BLAS thread count.
     """
     draws: dict[tuple, list[Cell]] = {}
     for cell in config.cells():
         draws.setdefault((cell.gen, cell.truth, cell.n, cell.t, cell.k), []).append(cell)
     tasks = [(cells, rep, config) for cells in draws.values() for rep in range(config.reps)]
     workers = min(parallelism, len(tasks))
-    if workers > 1:
-        chunk = max(1, len(tasks) // (8 * workers))
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            batches = list(pool.map(_run_task, tasks, chunksize=chunk))
-    else:
-        batches = [_run_task(t) for t in tasks]
+    # held while the pool starts, so forked workers begin with one thread
+    with blas.one_thread():
+        if workers > 1:
+            chunk = max(1, len(tasks) // (8 * workers))
+            with ProcessPoolExecutor(max_workers=workers, initializer=blas.pin_worker) as pool:
+                batches = list(pool.map(_run_task, tasks, chunksize=chunk))
+        else:
+            batches = [_run_task(t) for t in tasks]
     results = [row for batch in batches for row in batch]
     results.sort(key=lambda r: (r.gen, r.truth, r.fit, r.n, r.t, r.k, r.rep))
     return results

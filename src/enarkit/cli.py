@@ -17,7 +17,7 @@ import sys
 
 import numpy as np
 
-from . import bench, estimate, lsm, network, process
+from . import bench, blas, estimate, lsm, network, process
 from .atomic import atomic_write
 from .csvio import write_table
 from .errors import (
@@ -96,7 +96,8 @@ def _validate_keys(doc: dict, allowed: dict, where: str) -> None:
             continue
         if doc[key] is None:
             raise DataError(f"{where}: key {key!r} may not be null")
-        if not isinstance(doc[key], types):
+        # JSON true and false load as bool, which Python counts as an int
+        if not isinstance(doc[key], types) or (isinstance(doc[key], bool) and bool not in types):
             raise DataError(
                 f"{where}: key {key!r} has type {type(doc[key]).__name__}, "
                 f"expected {'/'.join(t.__name__ for t in types)}"
@@ -333,7 +334,7 @@ def cmd_mc(args) -> int:
     n_fail = sum(1 for r in results if r.status != "ok")
     print(json.dumps({
         "results": args.out, "summary": args.summary_out,
-        "rows": len(results), "failures": n_fail,
+        "rows": len(results), "failures": n_fail, "blas_threads": blas.pinned_threads(),
     }))
     return EXIT_OK
 

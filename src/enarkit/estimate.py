@@ -489,9 +489,9 @@ def write_fit_json(fit: FitResult, path: str, diagnostics: Diagnostics | None = 
 
 def read_fit_json(path: str) -> FitResult:
     """Rebuild a fit (coefficients + spec) from its JSON form, for forecasting."""
-    with open(path) as fh:
-        doc = json.load(fh)
     try:
+        with open(path) as fh:
+            doc = json.load(fh)
         spec = DesignSpec(
             doc["model"],
             int(doc.get("k") or 0),

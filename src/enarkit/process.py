@@ -227,9 +227,10 @@ def stationary_moments(
         raise DimensionMismatch(
             f"latent effect has shape {latent_effect.shape}, expected ({graph.n},)"
         )
-    # numpy's eigh rather than scipy's: the simulation runs on numpy's BLAS,
-    # and waking scipy's separate BLAS thread pool here slows `mc --jobs 2`
-    # workers, which already oversubscribe the cores, by about a third
+    # numpy's eigh rather than scipy's keeps the simulation on numpy's BLAS.
+    # It was chosen when `mc --jobs 2` workers each ran two BLAS threads and
+    # waking scipy's separate pool slowed them by about a third; run_grid now
+    # holds both pools at one thread, and the choice was not measured again.
     g_eig, v = np.linalg.eigh(transition_matrix(graph, params.alpha, params.theta))
     phi = v @ ((v.T @ latent_effect) / (1.0 - g_eig))
     c = params.sigma**2 + cov_spec.quad_form(params.gamma)

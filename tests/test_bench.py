@@ -5,7 +5,7 @@ import math
 import numpy as np
 import pytest
 
-from enarkit import bench, cli, estimate
+from enarkit import bench, blas, cli, estimate
 from enarkit.bench import (
     RESULT_COLUMNS,
     Cell,
@@ -261,7 +261,7 @@ class TestSharedDraw:
         class RecordingPool:
             """Stands in for the process pool and runs its tasks in-process."""
 
-            def __init__(self, max_workers):
+            def __init__(self, max_workers, initializer=None):
                 started.append(max_workers)
 
             def __enter__(self):
@@ -278,6 +278,65 @@ class TestSharedDraw:
         assert started == [2] and len(rows) == 4
         run_grid(smoke_config(reps=1), parallelism=64)  # one draw runs in-process
         assert started == [2]
+
+
+@pytest.fixture
+def blas_at_two_threads():
+    """Both bundled OpenBLAS pools at two threads, so that a restore to the
+    count before a pin shows; the counts of the session are put back after."""
+    controls = blas._thread_controls()
+    if controls is None:
+        pytest.skip("no bundled OpenBLAS with thread setters")
+    before = [getter() for _, getter in controls]
+    for setter, _ in controls:
+        setter(2)
+
+    def counts():
+        return [getter() for _, getter in controls]
+
+    assert counts() == [2, 2]
+    yield counts
+    for (setter, _), count in zip(controls, before):
+        setter(count)
+
+
+class TestBlasPin:
+    """Every replication runs BLAS on one thread; the caller's counts return."""
+
+    @pytest.mark.parametrize("jobs", [1, 2])
+    def test_grid_tasks_run_on_one_thread(self, monkeypatch, blas_at_two_threads, jobs):
+        draw = bench.draw_replication
+
+        def checked_draw(*args):
+            # a worker's failure reaches the parent as the row status
+            if blas_at_two_threads() != [1, 1]:
+                raise RuntimeError("BLAS not pinned")
+            return draw(*args)
+
+        monkeypatch.setattr(bench, "draw_replication", checked_draw)
+        rows = run_grid(smoke_config(), parallelism=jobs)
+        assert [r.status for r in rows] == ["ok"] * 4
+        assert blas_at_two_threads() == [2, 2]
+
+    def test_counts_restored_when_the_block_raises(self, blas_at_two_threads):
+        with pytest.raises(ZeroDivisionError):
+            with blas.one_thread():
+                assert blas_at_two_threads() == [1, 1]
+                1 / 0
+        assert blas_at_two_threads() == [2, 2]
+
+
+class TestHollowRowSums:
+    @pytest.mark.parametrize("gen", ["dcsbm", "dcmmsbm"])
+    def test_match_the_dense_row_sums(self, gen):
+        cell = Cell(gen, "enar", "enar", 300, 10, 3)
+        spec = bench._make_generator_spec(cell, smoke_config(), np.random.default_rng(4))
+        m, theta = spec.membership_matrix(), spec.degrees
+        dense = np.outer(theta, theta) * (m @ spec.block_matrix @ m.T)
+        np.fill_diagonal(dense, 0.0)
+        expected = dense.sum(axis=1)
+        got = bench._hollow_row_sums(theta, m, spec.block_matrix)
+        assert np.max(np.abs(got - expected) / expected) < 1e-12
 
 
 class TestConsistencyTrends:

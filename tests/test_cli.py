@@ -1,9 +1,14 @@
 import json
 import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import enarkit
+from enarkit import blas
 from enarkit.cli import main
 from enarkit.network import Graph, write_edge_csv
 from enarkit.process import Panel, read_panel_csv, write_panel_csv
@@ -61,6 +66,13 @@ class TestSimulate:
         code, _, err = run_cli(capsys, "simulate", "--config", str(path))
         assert code == 3
         assert f"{key!r} may not be null" in json.loads(err)["message"]
+
+    def test_bool_for_a_number_rejected(self, tmp_path, capsys):
+        path, _ = write_sim_config(tmp_path, alpha=False)
+        code, _, err = run_cli(capsys, "simulate", "--config", str(path))
+        assert code == 3
+        assert "'alpha' has type bool" in json.loads(err)["message"]
+        assert not (tmp_path / "panel.csv").exists()
 
     def test_null_beta_and_rho_keep_their_rules(self, tmp_path, capsys):
         path, _ = write_sim_config(tmp_path, beta=None, rho=None)
@@ -167,6 +179,19 @@ class TestFitPredict:
             "--model", "nar", "--out", str(tmp_path / "f.json"),
         )
         assert code == 3
+
+    def test_truncated_fit_json_is_data_error(self, simulated, capsys):
+        tmp_path, cfg = simulated
+        fit_path = tmp_path / "fit.json"
+        fit_path.write_text('{"model": "enar", "k": 2')
+        code, _, err = run_cli(
+            capsys, "predict", "--fit", str(fit_path), "--edges", cfg["out_edges"],
+            "--panel", cfg["out_panel"], "--out", str(tmp_path / "forecast.csv"),
+        )
+        assert code == 3
+        error = json.loads(err)
+        assert error["error"] == "DataError" and str(fit_path) in error["message"]
+        assert not (tmp_path / "forecast.csv").exists()
 
     def test_rank_deficiency_is_numerical_error(self, tmp_path, capsys):
         g = Graph(4, np.array([[0, 1, 0, 0], [1, 0, 1, 0], [0, 1, 0, 1], [0, 0, 1, 0]], dtype=float))
@@ -438,6 +463,71 @@ class TestMc:
             assert code == 0
             outputs.append(out.read_bytes())
         assert outputs[0] == outputs[1]
+
+    def test_bool_for_an_integer_rejected(self, tmp_path, capsys):
+        cfg_path = tmp_path / "mc.json"
+        results = tmp_path / "r.csv"
+        for reps, expected in ((1, 0), (True, 3)):  # oracle_latents stays a legal bool
+            cfg_path.write_text(json.dumps({
+                "n_values": [12], "t_values": [4], "k_values": [2], "fit_models": ["nar"],
+                "reps": reps, "oracle_latents": True,
+            }))
+            code, _, err = run_cli(
+                capsys, "mc", "--config", str(cfg_path),
+                "--out", str(results), "--summary-out", str(tmp_path / "s.csv"),
+            )
+            assert code == expected
+        assert "'reps' has type bool" in json.loads(err)["message"]
+
+    def test_missing_blas_setters_pin_nothing_and_say_so(self, tmp_path, capsys, monkeypatch):
+        if blas._thread_controls() is None:
+            pytest.skip("no bundled OpenBLAS with thread setters")
+        cfg_path = tmp_path / "mc.json"
+        cfg_path.write_text(json.dumps({
+            "n_values": [30], "t_values": [6], "k_values": [2], "fit_models": ["nar", "enar"],
+            "reps": 2, "base_seed": 4,
+        }))
+        runs = []
+        for name in ("pinned", "unpinned"):
+            if name == "unpinned":
+                monkeypatch.setattr(blas, "_thread_controls", lambda: None)
+            out = tmp_path / f"{name}.csv"
+            code, stdout, _ = run_cli(
+                capsys, "mc", "--config", str(cfg_path), "--out", str(out),
+                "--summary-out", str(tmp_path / f"{name}_s.csv"), "--no-timing",
+            )
+            assert code == 0
+            runs.append((json.loads(stdout)["blas_threads"], out.read_bytes()))
+        assert [threads for threads, _ in runs] == [1, None]
+        assert runs[0][1] == runs[1][1]
+
+    def test_csv_independent_of_jobs_and_blas_threads(self, tmp_path):
+        # N=600 sits on the Lanczos path, and its draws have isolated nodes,
+        # whose repeated Laplacian eigenvalues make the stationary eigh's
+        # basis follow the rounding of however many threads split it
+        cfg_path = tmp_path / "mc.json"
+        cfg_path.write_text(json.dumps({
+            "n_values": [600], "t_values": [50], "k_values": [3],
+            "generators": ["dcmmsbm", "dcsbm"], "truth_models": ["enar", "nar"],
+            "fit_models": ["enar", "nar"], "reps": 1, "base_seed": 5,
+        }))
+        src = str(Path(enarkit.__file__).resolve().parents[1])
+        outputs = {}
+        for threads in ("1", "2"):
+            for jobs in ("1", "2"):
+                out = tmp_path / f"r{threads}{jobs}.csv"
+                env = dict(os.environ, OPENBLAS_NUM_THREADS=threads,
+                           PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+                proc = subprocess.run(
+                    [sys.executable, "-m", "enarkit.cli", "mc", "--config", str(cfg_path),
+                     "--out", str(out), "--summary-out", str(tmp_path / "s.csv"),
+                     "--jobs", jobs, "--no-timing"],
+                    env=env, capture_output=True, text=True, timeout=300,
+                )
+                assert proc.returncode == 0, proc.stderr
+                assert json.loads(proc.stdout)["failures"] == 0
+                outputs[threads, jobs] = out.read_bytes()
+        assert len(set(outputs.values())) == 1
 
     @pytest.mark.parametrize("jobs", ["0", "-3"])
     def test_jobs_below_one_is_usage_error(self, tmp_path, capsys, jobs):

@@ -1,6 +1,8 @@
 import numpy as np
 import pytest
+import scipy.sparse.linalg
 
+import enarkit.network as net
 from enarkit.errors import (
     DataError,
     IsolationRetriesExceeded,
@@ -256,6 +258,32 @@ class TestSpectralEmbed:
             net.DENSE_EIG_LIMIT = old
         assert np.allclose(dense.eigenvalues, lanczos.eigenvalues, atol=1e-6)
         assert np.allclose(np.abs(dense.vectors), np.abs(lanczos.vectors), atol=1e-5)
+
+    def test_lanczos_just_above_the_dense_limit_matches_eigh(self, monkeypatch):
+        # a planted three-block graph; k=4 takes one pair from the bulk, as
+        # an enar fit with K=3 does for its eigengap
+        calls = []
+        eigsh = scipy.sparse.linalg.eigsh
+
+        def counting_eigsh(*args, **kwargs):
+            calls.append(kwargs.get("which"))
+            return eigsh(*args, **kwargs)
+
+        monkeypatch.setattr(scipy.sparse.linalg, "eigsh", counting_eigsh)
+        n, k = net.DENSE_EIG_LIMIT + 1, 4
+        blocks = np.repeat(np.arange(3), [n - 69, 45, 24])
+        b = np.array([[0.5, 0.1, 0.05], [0.1, 0.4, 0.1], [0.05, 0.1, 0.6]])
+        rng = np.random.default_rng(0)
+        a = np.triu((rng.random((n, n)) < b[blocks][:, blocks]).astype(float), 1)
+        a = a + a.T
+        emb = embed_symmetric(a, k)
+        assert calls == ["LM"]
+        vals, vecs = np.linalg.eigh(a)
+        lead = np.argsort(-np.abs(vals), kind="stable")[:k]
+        ref = vecs[:, lead]
+        ref *= np.sign(ref[np.argmax(np.abs(ref), axis=0), np.arange(k)])
+        assert np.max(np.abs(emb.eigenvalues - vals[lead])) < 1e-10
+        assert np.max(np.abs(emb.vectors - ref)) < 1e-7
 
     def test_k_bounds(self):
         with pytest.raises(ShapeMismatch):
