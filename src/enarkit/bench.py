@@ -6,10 +6,10 @@ so the runs are reproducible under any execution order or worker count.
 The fit model is deliberately left out of the seed so that competing fits
 of the same cell see the same simulated data, which is what the estimation
 comparisons assume. ``run_grid`` therefore draws each replication's data
-once, with its normalized Laplacian and true forecast, and scores every
-fit model on that one draw; each fit starts from its own copy of the
-generator as it stood right after the draw, so a row does not depend on
-which other fits share its draw.
+once, with its true forecast, and scores every fit model on that one draw,
+whose ``Graph`` keeps its normalized Laplacian for all of them. Each fit
+starts from its own copy of the generator as it stood right after the draw,
+so a row does not depend on which other fits share its draw.
 """
 
 from __future__ import annotations
@@ -307,26 +307,25 @@ def simulate_cell_data(cell: Cell, config: ExperimentConfig, rng: np.random.Gene
 @dataclass
 class SharedDraw:
     """One replication's data plus what every fit of it reuses: the
-    generator as it stood right after the draw, the normalized Laplacian of
-    the graph and the true noise-free forecast."""
+    generator as it stood right after the draw and the true noise-free
+    forecast. The graph in ``data`` carries its normalized Laplacian."""
 
     data: CellData
     rng: np.random.Generator
-    laplacian: np.ndarray
     target: np.ndarray
 
 
 def draw_replication(cell: Cell, config: ExperimentConfig, seed: int) -> SharedDraw:
-    """Draw the data of ``cell`` from ``seed``; the fit model plays no part."""
+    """Draw the data of ``cell`` from ``seed``; the fit model plays no part.
+    The true forecast builds ``data.graph.laplacian``, which the fits reuse."""
     rng = np.random.default_rng(seed)
     data = simulate_cell_data(cell, config, rng)
-    lap = network.normalized_laplacian(data.graph)
     y_last = data.panel.y[:, -1]
     w_true = estimate.design_rows(
-        data.truth_spec, lap, data.latent_true, y_last[:, None], data.z_next[:, None, :],
-        data.r_true,
+        data.truth_spec, data.graph.laplacian, data.latent_true, y_last[:, None],
+        data.z_next[:, None, :], data.r_true,
     )
-    return SharedDraw(data, rng, lap, w_true @ data.mu_true)
+    return SharedDraw(data, rng, w_true @ data.mu_true)
 
 
 def run_replication(
@@ -361,25 +360,25 @@ def run_replication(
 def _fit_and_score(
     cell: Cell, config: ExperimentConfig, draw: SharedDraw, out: ReplicationResult
 ) -> None:
-    data, lap = draw.data, draw.laplacian
+    data = draw.data
     graph, panel, params = data.graph, data.panel, data.params
     latent_true, z_next = data.latent_true, data.z_next
 
     # fit stage
     if config.oracle_latents and cell.fit == cell.truth and cell.fit != "nar":
-        fit, _ = estimate.fit_with_latents(panel, lap, latent_true, data.truth_spec)
+        fit, _ = estimate.fit_with_latents(panel, graph, latent_true, data.truth_spec)
         latent_fit = latent_true
     elif cell.fit == "amnar":
         fit, state_hat, _ = estimate.fit_amnar(
             panel, graph, cell.k, config.s, copy.deepcopy(draw.rng),
-            laplacian=lap, max_iters=config.lsm_max_iters,
+            max_iters=config.lsm_max_iters,
         )
         latent_fit = state_hat.x()
     elif cell.fit == "enar":
-        fit, emb, _ = estimate.fit_enar(panel, graph, cell.k, laplacian=lap)
+        fit, emb, _ = estimate.fit_enar(panel, graph, cell.k)
         latent_fit = emb.vectors
     else:
-        fit, _, _ = estimate.fit_enar(panel, graph, 0, laplacian=lap)
+        fit, _, _ = estimate.fit_enar(panel, graph, 0)
         latent_fit = None
 
     out.alpha_hat = fit.coef("alpha")
@@ -393,9 +392,7 @@ def _fit_and_score(
         out.rmse_theta = abs(out.theta_hat - params.theta) / abs(params.theta)
     out.rmse_beta = _beta_error(cell, params, fit, latent_fit, latent_true)
 
-    y_hat = estimate.predict_one_step(
-        fit, graph, panel.y[:, -1], z_next, latent_fit, laplacian=lap
-    )
+    y_hat = estimate.predict_one_step(fit, graph, panel.y[:, -1], z_next, latent_fit)
     denom = float(np.linalg.norm(draw.target))
     if denom > 0:
         out.rmsp = float(np.linalg.norm(y_hat - draw.target)) / denom

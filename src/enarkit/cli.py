@@ -62,14 +62,23 @@ def _emit_error(kind: str, message: str) -> None:
     print(json.dumps({"error": kind, "message": message}), file=sys.stderr)
 
 
-def _env_seed(default: int = 0) -> int:
+def _env_seed() -> int:
     raw = os.environ.get("ENARKIT_SEED")
     if raw is None:
-        return default
+        return 0
     try:
         return int(raw)
     except ValueError as exc:
         raise DataError(f"ENARKIT_SEED={raw!r} is not an integer") from exc
+
+
+def _seed(*given) -> int:
+    """The first of ``given`` that is not None, else ENARKIT_SEED, else 0."""
+    seed = next((s for s in given if s is not None), None)
+    seed = _env_seed() if seed is None else seed
+    if seed < 0:  # numpy generators take none
+        raise DataError(f"seed {seed} is negative")
+    return seed
 
 
 def _load_json(path: str) -> dict:
@@ -87,7 +96,16 @@ def _load_json(path: str) -> dict:
 _NULLABLE = {"beta", "rho", "lsm_max_iters"}
 
 
+def _check_type(value, types: tuple, what: str) -> None:
+    # JSON true and false load as bool, which Python counts as an int
+    if not isinstance(value, types) or (isinstance(value, bool) and bool not in types):
+        expected = "/".join(t.__name__ for t in types)
+        raise DataError(f"{what} has type {type(value).__name__}, expected {expected}")
+
+
 def _validate_keys(doc: dict, allowed: dict, where: str) -> None:
+    """Reject unknown keys, nulls outside _NULLABLE and wrong types. A schema
+    entry is a tuple of types, or ``[types]`` for a list of such elements."""
     unknown = set(doc) - set(allowed)
     if unknown:
         raise DataError(f"{where}: unknown keys {sorted(unknown)}")
@@ -96,20 +114,20 @@ def _validate_keys(doc: dict, allowed: dict, where: str) -> None:
             continue
         if doc[key] is None:
             raise DataError(f"{where}: key {key!r} may not be null")
-        # JSON true and false load as bool, which Python counts as an int
-        if not isinstance(doc[key], types) or (isinstance(doc[key], bool) and bool not in types):
-            raise DataError(
-                f"{where}: key {key!r} has type {type(doc[key]).__name__}, "
-                f"expected {'/'.join(t.__name__ for t in types)}"
-            )
+        if isinstance(types, list):
+            _check_type(doc[key], (list,), f"{where}: key {key!r}")
+            for i, value in enumerate(doc[key]):
+                _check_type(value, types[0], f"{where}: key {key!r} element {i}")
+        else:
+            _check_type(doc[key], types, f"{where}: key {key!r}")
 
 
 # Model parameters shared by simulate and mc; absent keys keep the
 # ExperimentConfig defaults.
 _PARAM_SCHEMA = {
-    "alpha": (int, float), "theta": (int, float), "beta": (list,),
-    "beta2": (int, float), "s": (int, float), "gamma": (list,),
-    "sigma": (int, float), "cov_variances": (list,),
+    "alpha": (int, float), "theta": (int, float), "beta": [(int, float)],
+    "beta2": (int, float), "s": (int, float), "gamma": [(int, float)],
+    "sigma": (int, float), "cov_variances": [(int, float)],
     "q_block": (int, float), "rho": (int, float),
 }
 
@@ -121,8 +139,8 @@ _SIM_SCHEMA = {
 
 _MC_SCHEMA = {
     **_PARAM_SCHEMA,
-    "n_values": (list,), "t_values": (list,), "k_values": (list,),
-    "generators": (list,), "truth_models": (list,), "fit_models": (list,),
+    "n_values": [(int,)], "t_values": [(int,)], "k_values": [(int,)],
+    "generators": [(str,)], "truth_models": [(str,)], "fit_models": [(str,)],
     "reps": (int,), "base_seed": (int,),
     "oracle_latents": (bool,), "lsm_max_iters": (int,),
 }
@@ -150,10 +168,7 @@ def cmd_simulate(args) -> int:
     generator = doc.get("generator", "dcmmsbm")
     if generator not in bench.GENERATORS:
         raise DataError(f"{args.config}: generator must be one of {bench.GENERATORS}")
-    if args.seed is not None:
-        seed = args.seed
-    else:
-        seed = doc.get("seed", _env_seed())
+    seed = _seed(args.seed, doc.get("seed"))
     n, t, k = doc["n"], doc["t"], doc["k"]
 
     config = _experiment_config(
@@ -235,7 +250,7 @@ def cmd_fit(args) -> int:
     panel_full = process.read_panel_csv(args.panel)
     graph = network.read_edge_csv(args.edges, n_nodes=panel_full.n)
     panel = _window_panel(panel_full, args.window_start, args.window_len)
-    seed = args.seed if args.seed is not None else _env_seed()
+    seed = _seed(args.seed)
 
     if model in ("nar", "enar"):
         fit, _, diag = estimate.fit_enar(panel, graph, args.k or 0)
@@ -259,7 +274,7 @@ def cmd_predict(args) -> int:
     fit = estimate.read_fit_json(args.fit)
     panel = process.read_panel_csv(args.panel)
     graph = network.read_edge_csv(args.edges, n_nodes=panel.n)
-    seed = args.seed if args.seed is not None else _env_seed()
+    seed = _seed(args.seed)
 
     # the forecast conditions on the window's last point, so one point will do
     t_cond = _window(panel, args.window_start, args.window_len, 1)[1] - 1
@@ -298,10 +313,9 @@ def cmd_predict(args) -> int:
 
 def cmd_select_k(args) -> int:
     graph = network.read_edge_csv(args.edges, n_nodes=args.n)
-    seed = args.seed if args.seed is not None else _env_seed()
     k = network.select_k(
         graph, args.k_max, folds=args.folds, holdout_fraction=args.holdout,
-        rng=np.random.default_rng(seed),
+        rng=np.random.default_rng(_seed(args.seed)),
     )
     print(json.dumps({"k": k}))
     return EXIT_OK
@@ -318,12 +332,7 @@ def cmd_mc(args) -> int:
     if args.reps is not None:
         doc["reps"] = args.reps
     config = _experiment_config(
-        doc,
-        [*_PARAM_SCHEMA, "generators", "truth_models", "fit_models", "reps", "oracle_latents",
-         "lsm_max_iters"],
-        n_values=[int(v) for v in doc["n_values"]],
-        t_values=[int(v) for v in doc["t_values"]],
-        k_values=[int(v) for v in doc["k_values"]],
+        doc, [key for key in _MC_SCHEMA if key != "base_seed"],
         base_seed=doc.get("base_seed", _env_seed()),
     )
     results = bench.run_grid(config, parallelism=args.jobs)

@@ -35,7 +35,7 @@ from .errors import (
     RankDeficient,
     ZeroDenominator,
 )
-from .network import Embedding, Graph, normalized_laplacian, spectral_embed
+from .network import Embedding, Graph, spectral_embed
 from .process import Panel, rate_multiplier
 
 MODELS = ("nar", "enar", "amnar", "enr")
@@ -281,13 +281,15 @@ def fit_ls(w: np.ndarray, y_resp: np.ndarray) -> FitResult:
 
 
 def fit_with_latents(
-    panel: Panel, laplacian: np.ndarray | None, latent, spec: DesignSpec
+    panel: Panel, graph: Graph, latent, spec: DesignSpec
 ) -> tuple[FitResult, np.ndarray]:
-    """Least-squares fit of ``spec`` with the latent columns given.
+    """Least-squares fit of ``spec`` on ``graph`` with the latent columns
+    given; the peer term reads ``graph.laplacian`` (enr has none).
 
     Returns the named fit (with r set for amnar) and its design matrix.
     """
-    w, y_resp = build_design(panel, laplacian, latent, spec)
+    lap = None if spec.model == "enr" else graph.laplacian
+    w, y_resp = build_design(panel, lap, latent, spec)
     fit = fit_ls(w, y_resp)
     fit.spec, fit.names = spec, spec.coef_names(panel.p)
     if spec.model == "amnar":
@@ -311,15 +313,8 @@ def _adjacency_diagnostics(
     return Diagnostics(eigengap=eigengap, kappa=kappa, condition_number=cond)
 
 
-def _laplacian_of(graph: Graph, laplacian: np.ndarray | None) -> np.ndarray:
-    """The given normalized Laplacian of ``graph``, or a fresh build of it."""
-    if laplacian is None:
-        return normalized_laplacian(graph)
-    return laplacian
-
-
 def _fit_embedded(
-    panel: Panel, graph: Graph, spec: DesignSpec, laplacian: np.ndarray | None = None
+    panel: Panel, graph: Graph, spec: DesignSpec
 ) -> tuple[FitResult, Embedding, Diagnostics]:
     """Fit an embedding model (enar or enr) from one eigendecomposition.
 
@@ -329,38 +324,28 @@ def _fit_embedded(
     k = spec.k
     full = spectral_embed(graph, k + 1 if k < graph.n else k)
     emb = Embedding(full.vectors[:, :k], full.eigenvalues[:k])
-    lap = None if spec.model == "enr" else _laplacian_of(graph, laplacian)
-    fit, w = fit_with_latents(panel, lap, emb.vectors, spec)
+    fit, w = fit_with_latents(panel, graph, emb.vectors, spec)
     return fit, emb, _adjacency_diagnostics(full.eigenvalues, k, graph.n, graph.density, w)
 
 
-def fit_enar(
-    panel: Panel, graph: Graph, k: int, laplacian: np.ndarray | None = None
-) -> tuple[FitResult, Embedding, Diagnostics]:
+def fit_enar(panel: Panel, graph: Graph, k: int) -> tuple[FitResult, Embedding, Diagnostics]:
     """Embed the observed graph, build the design, and fit by least squares.
 
     One eigendecomposition of the adjacency, with k+1 eigenpairs, gives both
     the k-dimensional embedding and the eigengap diagnostics. ``k = 0``
     drops the latent block entirely, which is exactly the plain network
-    autoregression fit. ``laplacian``, the graph's normalized Laplacian, is
-    built here when not given.
+    autoregression fit. The peer term reads ``graph.laplacian``.
     """
     if k >= 1:
-        return _fit_embedded(panel, graph, DesignSpec("enar", k), laplacian)
-    lap = _laplacian_of(graph, laplacian)
-    fit, w = fit_with_latents(panel, lap, None, DesignSpec("nar"))
+        return _fit_embedded(panel, graph, DesignSpec("enar", k))
+    fit, w = fit_with_latents(panel, graph, None, DesignSpec("nar"))
     emb = Embedding(np.zeros((graph.n, 0)), np.zeros(0))
     return fit, emb, _adjacency_diagnostics(None, 0, graph.n, graph.density, w)
 
 
 def fit_amnar(
-    panel: Panel,
-    graph: Graph,
-    k: int,
-    s: float,
-    rng: np.random.Generator | None = None,
-    laplacian: np.ndarray | None = None,
-    max_iters: int = lsm.MAX_ITERS,
+    panel: Panel, graph: Graph, k: int, s: float,
+    rng: np.random.Generator | None = None, max_iters: int = lsm.MAX_ITERS,
 ):
     """Estimate the latent-space factors by constrained MLE, then fit.
 
@@ -368,12 +353,11 @@ def fit_amnar(
     are the MLE's [Q | v] scaled by r = N^{-s} T^{-1/2}; ``rng`` and the
     iteration cap ``max_iters`` go to :func:`enarkit.lsm.fit_lsm`. The
     eigengap diagnostics take one adjacency eigendecomposition of their own.
-    ``laplacian`` is built here when not given.
+    The peer term reads ``graph.laplacian``.
     """
     lsm_fit = lsm.fit_lsm(graph, k, rng, max_iters)
     x_hat = np.column_stack([lsm_fit.state.q, lsm_fit.state.v])
-    lap = _laplacian_of(graph, laplacian)
-    fit, w = fit_with_latents(panel, lap, x_hat, DesignSpec("amnar", k, s=s))
+    fit, w = fit_with_latents(panel, graph, x_hat, DesignSpec("amnar", k, s=s))
     eigenvalues = spectral_embed(graph, k + 1 if k < graph.n else k).eigenvalues
     diag = _adjacency_diagnostics(eigenvalues, k, graph.n, graph.density, w)
     diag.lsm_loglik = lsm_fit.loglik_trace[-1]
@@ -384,17 +368,10 @@ def fit_amnar(
 
 
 def predict_one_step(
-    fit: FitResult,
-    graph: Graph,
-    y_t: np.ndarray,
-    z_t: np.ndarray,
-    latent=None,
-    laplacian: np.ndarray | None = None,
+    fit: FitResult, graph: Graph, y_t: np.ndarray, z_t: np.ndarray, latent=None
 ) -> np.ndarray:
-    """Noise-free point forecast W_T mu_hat for the next time step.
-
-    ``laplacian`` is built from ``graph`` when not given.
-    """
+    """Noise-free point forecast W_T mu_hat for the next time step; the
+    peer term reads ``graph.laplacian`` (enr has none)."""
     if fit.spec is None:
         raise DataError("fit carries no design spec; cannot build forecast design")
     n = graph.n
@@ -406,7 +383,7 @@ def predict_one_step(
         z_t = z_t.reshape(n, -1) if z_t.size else np.zeros((n, 0))
     if z_t.shape[0] != n:
         raise DimensionMismatch(f"z_t has {z_t.shape[0]} rows, expected {n}")
-    lap = None if fit.spec.model == "enr" else _laplacian_of(graph, laplacian)
+    lap = None if fit.spec.model == "enr" else graph.laplacian
     w_t = design_rows(fit.spec, lap, latent, y_t[:, None], z_t[:, None, :], fit.r)
     if w_t.shape[1] != fit.mu_hat.shape[0]:
         raise DimensionMismatch(
@@ -487,6 +464,16 @@ def write_fit_json(fit: FitResult, path: str, diagnostics: Diagnostics | None = 
         fh.write("\n")
 
 
+def _json_number(doc: dict, key: str, default, types=(int, float)):
+    """``doc[key]``, a non-bool number of ``types``, or ``default`` if absent or null."""
+    value = doc.get(key)
+    if value is None:
+        return default
+    if isinstance(value, bool) or not isinstance(value, types):
+        raise TypeError(f"{key!r} is {value!r}, not a number")
+    return value
+
+
 def read_fit_json(path: str) -> FitResult:
     """Rebuild a fit (coefficients + spec) from its JSON form, for forecasting."""
     try:
@@ -501,20 +488,18 @@ def read_fit_json(path: str) -> FitResult:
         names = list(doc["mu_hat"].keys())
         mu = np.array([float(doc["mu_hat"][n]) for n in names])
         se = np.array([float(doc["se"][n]) for n in names])
+        return FitResult(
+            mu_hat=mu,
+            sigma2_hat=float(_json_number(doc, "sigma2_hat", 0.0)),
+            cov_hat=np.diag(se**2),
+            n_obs=_json_number(doc, "n_obs", 0, (int,)),
+            n_params=mu.size,
+            loglik=_json_number(doc, "loglik", math.nan),
+            aic=_json_number(doc, "aic", math.nan),
+            bic=_json_number(doc, "bic", math.nan),
+            spec=spec,
+            names=names,
+            r=_json_number(doc, "r", None),
+        )
     except (KeyError, TypeError, ValueError) as exc:
         raise DataError(f"{path}: malformed fit JSON ({exc})") from exc
-    d = mu.size
-    fit = FitResult(
-        mu_hat=mu,
-        sigma2_hat=float(doc.get("sigma2_hat", 0.0)),
-        cov_hat=np.diag(se**2),
-        n_obs=int(doc.get("n_obs", 0)),
-        n_params=d,
-        loglik=doc.get("loglik") if doc.get("loglik") is not None else math.nan,
-        aic=doc.get("aic") if doc.get("aic") is not None else math.nan,
-        bic=doc.get("bic") if doc.get("bic") is not None else math.nan,
-        spec=spec,
-        names=names,
-        r=doc.get("r"),
-    )
-    return fit

@@ -12,6 +12,7 @@ repeated runs agree exactly.
 
 from __future__ import annotations
 
+import functools
 import warnings
 from dataclasses import dataclass
 from typing import Union
@@ -45,7 +46,7 @@ class Graph:
     """Simple undirected graph held as a dense 0/1 adjacency matrix.
 
     Invariants (checked on construction): the matrix is square of size
-    ``n``, symmetric, hollow (zero diagonal), and contains only 0/1.
+    ``n``, symmetric, hollow (zero diagonal), 0/1 and read-only.
     """
 
     n: int
@@ -61,7 +62,13 @@ class Graph:
             raise DataError("adjacency matrix has a nonzero diagonal")
         if not np.all((a == 0) | (a == 1)):
             raise DataError("adjacency entries must be 0 or 1")
+        a.flags.writeable = False
         self.adjacency = a
+
+    @functools.cached_property
+    def laplacian(self) -> np.ndarray:
+        """The normalized Laplacian, built by the module's function on first use and kept."""
+        return normalized_laplacian(self)
 
     @property
     def degrees(self) -> np.ndarray:

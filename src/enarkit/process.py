@@ -198,10 +198,10 @@ def check_stationarity(alpha: float, theta: float) -> bool:
 
 def transition_matrix(graph: Graph, alpha: float, theta: float) -> np.ndarray:
     # isolated nodes get a zero Laplacian row: no peer term, plain AR(1).
-    # The Laplacian is built here and dropped at once, even where the caller
-    # builds it again for the fits (bench.draw_replication): a Laplacian
-    # held through the stationary eigh of `enarkit simulate` at N=1200 raised
-    # peak RSS from about 143 to 155 MB (+7.7%) to save about 5 ms per draw.
+    # The Laplacian is built here and dropped at once, not read from
+    # `graph.laplacian`, which would keep it on the graph through the
+    # stationary eigh: at N=1200 that raised the peak RSS of `enarkit
+    # simulate` from about 143 to 155 MB (+7.7%) to save about 5 ms per draw.
     g = theta * normalized_laplacian(graph)
     g[np.diag_indices(graph.n)] += alpha
     return g

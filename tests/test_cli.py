@@ -74,6 +74,13 @@ class TestSimulate:
         assert "'alpha' has type bool" in json.loads(err)["message"]
         assert not (tmp_path / "panel.csv").exists()
 
+    def test_non_number_list_element_rejected(self, tmp_path, capsys):
+        path, _ = write_sim_config(tmp_path, gamma=["x", 1, 2])
+        code, _, err = run_cli(capsys, "simulate", "--config", str(path))
+        assert code == 3
+        assert "'gamma' element 0 has type str" in json.loads(err)["message"]
+        assert not (tmp_path / "panel.csv").exists()
+
     def test_null_beta_and_rho_keep_their_rules(self, tmp_path, capsys):
         path, _ = write_sim_config(tmp_path, beta=None, rho=None)
         assert run_cli(capsys, "simulate", "--config", str(path))[0] == 0
@@ -279,6 +286,108 @@ class TestFitPredict:
         assert list(doc["mu_hat"])[:3] == ["beta_1", "beta_2", "beta_3"]
 
 
+class TestFitJsonNumbers:
+    """Every number predict reads from a fit JSON is checked, and a bad one
+    is a data error naming the file."""
+
+    @pytest.fixture()
+    def fitted(self, tmp_path, capsys):
+        path, cfg = write_sim_config(tmp_path, n=30, t=8, seed=6)
+        assert run_cli(capsys, "simulate", "--config", str(path))[0] == 0
+        data = ["--edges", cfg["out_edges"], "--panel", cfg["out_panel"]]
+        fits = {}
+        for model in ("enar", "amnar"):
+            fits[model] = tmp_path / f"{model}.json"
+            code, _, _ = run_cli(capsys, "fit", *data, "--model", model, "--k", "2",
+                                 "--out", str(fits[model]))
+            assert code == 0
+        return tmp_path, data, fits
+
+    def predict_with(self, capsys, fitted, model, key, value):
+        tmp_path, data, fits = fitted
+        doc = json.loads(fits[model].read_text())
+        doc[key] = value
+        fits[model].write_text(json.dumps(doc))
+        out = tmp_path / "forecast.csv"
+        code, _, err = run_cli(capsys, "predict", "--fit", str(fits[model]), *data,
+                               "--out", str(out))
+        assert not out.exists()
+        return code, json.loads(err)
+
+    @pytest.mark.parametrize("model, key", [
+        ("enar", "sigma2_hat"), ("enar", "n_obs"), ("enar", "loglik"),
+        ("enar", "aic"), ("enar", "bic"), ("amnar", "r"),
+    ])
+    def test_non_number_is_data_error(self, fitted, capsys, model, key):
+        code, error = self.predict_with(capsys, fitted, model, key, "x")
+        assert code == 3
+        assert error["error"] == "DataError"
+        assert str(fitted[2][model]) in error["message"] and repr(key) in error["message"]
+
+    def test_null_r_keeps_the_latent_scale_error(self, fitted, capsys):
+        code, error = self.predict_with(capsys, fitted, "amnar", "r", None)
+        assert code == 3
+        assert "latent scale r" in error["message"]
+
+
+class TestNegativeSeed:
+    """numpy generators take no negative seed, so each way of giving one is
+    a data error that writes nothing; mc hashes any integer base seed."""
+
+    @pytest.fixture()
+    def simulated(self, tmp_path, capsys):
+        path, cfg = write_sim_config(tmp_path, n=30, t=8, seed=2)
+        assert run_cli(capsys, "simulate", "--config", str(path))[0] == 0
+        return tmp_path, ["--edges", cfg["out_edges"], "--panel", cfg["out_panel"]]
+
+    def assert_rejected(self, capsys, *argv):
+        code, _, err = run_cli(capsys, *argv)
+        assert code == 3
+        error = json.loads(err)
+        assert error["error"] == "DataError" and "negative" in error["message"]
+
+    def test_simulate_config_seed(self, tmp_path, capsys):
+        path, _ = write_sim_config(tmp_path, seed=-5)
+        self.assert_rejected(capsys, "simulate", "--config", str(path))
+        assert not (tmp_path / "panel.csv").exists()
+
+    def test_simulate_flag(self, tmp_path, capsys):
+        path, _ = write_sim_config(tmp_path)
+        self.assert_rejected(capsys, "simulate", "--config", str(path), "--seed", "-1")
+        assert not (tmp_path / "panel.csv").exists()
+
+    def test_fit_flag(self, simulated, capsys):
+        tmp_path, data = simulated
+        out = tmp_path / "fit.json"
+        self.assert_rejected(capsys, "fit", *data, "--model", "amnar", "--k", "2",
+                             "--seed", "-1", "--out", str(out))
+        assert not out.exists()
+
+    def test_fit_env_seed(self, simulated, capsys, monkeypatch):
+        tmp_path, data = simulated
+        monkeypatch.setenv("ENARKIT_SEED", "-1")
+        out = tmp_path / "fit.json"
+        self.assert_rejected(capsys, "fit", *data, "--model", "amnar", "--k", "2",
+                             "--out", str(out))
+        assert not out.exists()
+
+    def test_select_k_flag(self, simulated, capsys):
+        _, data = simulated
+        self.assert_rejected(capsys, "select-k", *data[:2], "--k-max", "3", "--seed", "-1")
+
+    def test_mc_base_seed_may_be_negative(self, tmp_path, capsys):
+        cfg_path = tmp_path / "mc.json"
+        cfg_path.write_text(json.dumps({
+            "n_values": [12], "t_values": [4], "k_values": [2], "fit_models": ["nar"],
+            "reps": 1, "base_seed": -3,
+        }))
+        code, _, _ = run_cli(
+            capsys, "mc", "--config", str(cfg_path),
+            "--out", str(tmp_path / "r.csv"), "--summary-out", str(tmp_path / "s.csv"),
+        )
+        assert code == 0
+
+
 BAD_WINDOWS = [
     ["--window-len", "-3"], ["--window-len", "0"],
     ["--window-start", "-4"], ["--window-start", "12"],
@@ -478,6 +587,29 @@ class TestMc:
             )
             assert code == expected
         assert "'reps' has type bool" in json.loads(err)["message"]
+
+    @pytest.mark.parametrize("override, message", [
+        ({"n_values": [12.9], "t_values": ["4"], "k_values": [True]},
+         "'n_values' element 0 has type float"),
+        ({"t_values": ["4"]}, "'t_values' element 0 has type str"),
+        ({"k_values": [True]}, "'k_values' element 0 has type bool"),
+        ({"cov_variances": [1, "2", 3]}, "'cov_variances' element 1 has type str"),
+        ({"gamma": [True, False, 0]}, "'gamma' element 0 has type bool"),
+        ({"fit_models": ["nar", 1]}, "'fit_models' element 1 has type int"),
+    ])
+    def test_list_elements_are_type_checked(self, tmp_path, capsys, override, message):
+        cfg_path = tmp_path / "mc.json"
+        cfg_path.write_text(json.dumps({
+            "n_values": [12], "t_values": [4], "k_values": [2], "fit_models": ["nar"],
+            "reps": 1, **override,
+        }))
+        code, _, err = run_cli(
+            capsys, "mc", "--config", str(cfg_path),
+            "--out", str(tmp_path / "r.csv"), "--summary-out", str(tmp_path / "s.csv"),
+        )
+        assert code == 3
+        assert message in json.loads(err)["message"]
+        assert not (tmp_path / "r.csv").exists() and not (tmp_path / "s.csv").exists()
 
     def test_missing_blas_setters_pin_nothing_and_say_so(self, tmp_path, capsys, monkeypatch):
         if blas._thread_controls() is None:

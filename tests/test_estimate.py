@@ -5,10 +5,12 @@ import numpy as np
 import pytest
 import scipy.special
 
+from enarkit import network
 from enarkit.errors import DataError, DimensionMismatch, RankDeficient, ZeroDenominator
 from enarkit.estimate import (
     DesignSpec,
     Diagnostics,
+    _fit_embedded,
     build_design,
     confint,
     design_rows,
@@ -257,20 +259,37 @@ class TestModelCompositions:
         assert diag.kappa >= 0
         assert diag.condition_number >= 1
 
-    @pytest.mark.parametrize("k", [0, 2])
-    def test_given_laplacian_is_used(self, k):
+    def count_laplacian_builds(self, monkeypatch) -> list:
+        built = []
+        build = network.normalized_laplacian
+
+        def counting(g):
+            built.append(g)
+            return build(g)
+
+        monkeypatch.setattr(network, "normalized_laplacian", counting)
+        return built
+
+    def test_enar_fit_and_forecast_build_one_laplacian(self, monkeypatch):
         g, _, _, _, panel = self.make_panel()
-        lap = normalized_laplacian(g)
-        built, emb, _ = fit_enar(panel, g, k)
-        assert np.array_equal(fit_enar(panel, g, k, laplacian=lap)[0].mu_hat, built.mu_hat)
-        # halving the peer regressor doubles its coefficient, forecast unchanged
-        halved = fit_enar(panel, g, k, laplacian=0.5 * lap)[0]
-        assert halved.coef("theta") == pytest.approx(2.0 * built.coef("theta"))
-        y_t, z_t = panel.y[:, -1], panel.z[:, -1, :]
-        assert np.allclose(
-            predict_one_step(halved, g, y_t, z_t, emb.vectors, laplacian=0.5 * lap),
-            predict_one_step(built, g, y_t, z_t, emb.vectors),
-        )
+        built = self.count_laplacian_builds(monkeypatch)
+        fit, emb, _ = fit_enar(panel, g, 2)
+        predict_one_step(fit, g, panel.y[:, -1], panel.z[:, -1, :], emb.vectors)
+        assert len(built) == 1 and built[0] is g
+
+    def test_amnar_fit_and_forecast_build_one_laplacian(self, monkeypatch):
+        g, _, _, _, panel = self.make_panel(n=30, t=10)
+        built = self.count_laplacian_builds(monkeypatch)
+        fit, state, _ = fit_amnar(panel, g, 2, 0.25, np.random.default_rng(0), max_iters=5)
+        predict_one_step(fit, g, panel.y[:, -1], panel.z[:, -1, :], state.x())
+        assert len(built) == 1 and built[0] is g
+
+    def test_enr_fit_and_forecast_build_no_laplacian(self, monkeypatch):
+        g, _, _, _, panel = self.make_panel(t=1)
+        built = self.count_laplacian_builds(monkeypatch)
+        fit, emb, _ = _fit_embedded(panel, g, DesignSpec("enr", 2))
+        predict_one_step(fit, g, panel.y[:, -1], panel.z[:, -1, :], emb.vectors)
+        assert built == [] and "laplacian" not in vars(g)
 
     def test_fit_amnar_runs_and_scales(self):
         g, _, _, _, panel = self.make_panel(n=30, t=10)

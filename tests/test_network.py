@@ -57,8 +57,18 @@ class TestGraph:
         with pytest.raises(DataError):
             Graph(2, a)
 
+    def test_adjacency_is_read_only(self):
+        g = path_graph(3)
+        with pytest.raises(ValueError):
+            g.adjacency[0, 1] = 0
+
 
 class TestLaplacian:
+    def test_graph_keeps_its_laplacian(self):
+        g = path_graph(4)
+        assert g.laplacian is g.laplacian
+        assert g.laplacian.tobytes() == normalized_laplacian(g).tobytes()
+
     def test_path_graph_values(self):
         # degrees (1, 2, 1) on the 3-path
         lap = normalized_laplacian(path_graph(3))
