@@ -25,7 +25,7 @@ import numpy as np
 
 from . import blas, estimate, lsm, network, process
 from .csvio import Table, load_columns, write_table
-from .errors import DataError, EmptyGroup
+from .errors import DataError, EmptyGroup, check_type
 
 GENERATORS = ("dcsbm", "dcmmsbm", "rdpg")
 TRUTH_MODELS = ("nar", "enar", "amnar")
@@ -90,7 +90,9 @@ class ExperimentConfig:
         if self.lsm_max_iters < 0:
             raise DataError("lsm_max_iters must be >= 0")
         for name, vals in (("n", self.n_values), ("t", self.t_values), ("k", self.k_values)):
-            if not vals or any(int(v) < 1 for v in vals):
+            if not vals or any(
+                check_type(v, (int,), f"{name}_values element {i}") < 1 for i, v in enumerate(vals)
+            ):
                 raise DataError(f"{name}_values must be positive")
         for g in self.generators:
             if g not in GENERATORS:
@@ -110,7 +112,7 @@ class ExperimentConfig:
 
     def cells(self) -> list[Cell]:
         return [
-            Cell(g, tr, f, int(n), int(t), int(k))
+            Cell(g, tr, f, n, t, k)
             for g, tr, f, n, t, k in product(
                 self.generators, self.truth_models, self.fit_models,
                 self.n_values, self.t_values, self.k_values,

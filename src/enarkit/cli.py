@@ -32,6 +32,7 @@ from .errors import (
     RankDeficient,
     ShapeMismatch,
     ZeroDenominator,
+    check_type,
 )
 
 EXIT_OK = 0
@@ -96,13 +97,6 @@ def _load_json(path: str) -> dict:
 _NULLABLE = {"beta", "rho", "lsm_max_iters"}
 
 
-def _check_type(value, types: tuple, what: str) -> None:
-    # JSON true and false load as bool, which Python counts as an int
-    if not isinstance(value, types) or (isinstance(value, bool) and bool not in types):
-        expected = "/".join(t.__name__ for t in types)
-        raise DataError(f"{what} has type {type(value).__name__}, expected {expected}")
-
-
 def _validate_keys(doc: dict, allowed: dict, where: str) -> None:
     """Reject unknown keys, nulls outside _NULLABLE and wrong types. A schema
     entry is a tuple of types, or ``[types]`` for a list of such elements."""
@@ -115,11 +109,11 @@ def _validate_keys(doc: dict, allowed: dict, where: str) -> None:
         if doc[key] is None:
             raise DataError(f"{where}: key {key!r} may not be null")
         if isinstance(types, list):
-            _check_type(doc[key], (list,), f"{where}: key {key!r}")
+            check_type(doc[key], (list,), f"{where}: key {key!r}")
             for i, value in enumerate(doc[key]):
-                _check_type(value, types[0], f"{where}: key {key!r} element {i}")
+                check_type(value, types[0], f"{where}: key {key!r} element {i}")
         else:
-            _check_type(doc[key], types, f"{where}: key {key!r}")
+            check_type(doc[key], types, f"{where}: key {key!r}")
 
 
 # Model parameters shared by simulate and mc; absent keys keep the

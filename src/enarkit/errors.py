@@ -53,3 +53,15 @@ class EmptyGroup(EnarkitError):
 
 class DataError(EnarkitError):
     """A data file failed to parse or validate."""
+
+
+def check_type(value, types: tuple, what: str):
+    """``value`` if it is an instance of one of ``types``, else a
+    :class:`DataError` naming ``what``. A bool passes only where ``bool`` is
+    listed: JSON true and false load as bool, which Python counts as an int,
+    so ``(int, float)`` takes a number and ``(int,)`` an integer, neither a
+    bool."""
+    if not isinstance(value, types) or (isinstance(value, bool) and bool not in types):
+        expected = "/".join(t.__name__ for t in types)
+        raise DataError(f"{what} has type {type(value).__name__}, expected {expected}")
+    return value

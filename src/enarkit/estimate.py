@@ -34,6 +34,7 @@ from .errors import (
     DimensionMismatch,
     RankDeficient,
     ZeroDenominator,
+    check_type,
 )
 from .network import Embedding, Graph, spectral_embed
 from .process import Panel, rate_multiplier
@@ -127,12 +128,14 @@ class Diagnostics:
     lsm_centering: float | None = None
     lsm_diagonality: float | None = None
     lsm_step_failed: bool | None = None
+    lsm_converged: bool | None = None
+    lsm_iters: int | None = None
 
     def to_dict(self) -> dict:
         def clean(v):
             if v is None:
                 return None
-            if isinstance(v, bool):
+            if isinstance(v, (bool, int)):
                 return v
             v = float(v)
             return None if math.isnan(v) else v
@@ -142,7 +145,10 @@ class Diagnostics:
             "kappa": clean(self.kappa),
             "condition_number": clean(self.condition_number),
         }
-        for key in ("lsm_loglik", "lsm_centering", "lsm_diagonality", "lsm_step_failed"):
+        for key in (
+            "lsm_loglik", "lsm_centering", "lsm_diagonality", "lsm_step_failed",
+            "lsm_converged", "lsm_iters",
+        ):
             val = getattr(self, key)
             if val is not None:
                 out[key] = clean(val)
@@ -364,6 +370,8 @@ def fit_amnar(
     diag.lsm_centering = lsm_fit.state.centering_residual()
     diag.lsm_diagonality = lsm_fit.state.diagonality_residual()
     diag.lsm_step_failed = lsm_fit.step_failed
+    diag.lsm_converged = lsm_fit.converged
+    diag.lsm_iters = lsm_fit.n_iters
     return fit, lsm_fit.state, diag
 
 
@@ -464,42 +472,50 @@ def write_fit_json(fit: FitResult, path: str, diagnostics: Diagnostics | None = 
         fh.write("\n")
 
 
-def _json_number(doc: dict, key: str, default, types=(int, float)):
-    """``doc[key]``, a non-bool number of ``types``, or ``default`` if absent or null."""
-    value = doc.get(key)
-    if value is None:
-        return default
-    if isinstance(value, bool) or not isinstance(value, types):
-        raise TypeError(f"{key!r} is {value!r}, not a number")
-    return value
-
-
 def read_fit_json(path: str) -> FitResult:
-    """Rebuild a fit (coefficients + spec) from its JSON form, for forecasting."""
+    """Rebuild a fit (coefficients + spec) from its JSON form, for forecasting.
+
+    Each field must have its JSON type: a number that is not a bool for the
+    coefficients and the float fields, an integer that is not a bool for
+    ``k`` and ``n_obs``, a bool for ``grand_mean``. A scalar field that is
+    absent or null takes its default. A wrong type, a missing key or invalid
+    JSON raises :class:`DataError` naming the file.
+    """
+    number = (int, float)
     try:
         with open(path) as fh:
-            doc = json.load(fh)
+            doc = check_type(json.load(fh), (dict,), f"{path}: the fit")
+
+        def scalar(key: str, types: tuple, default):
+            value = doc.get(key)
+            return default if value is None else check_type(value, types, f"{path}: key {key!r}")
+
+        def coefficients(key: str, names) -> np.ndarray:
+            table = check_type(doc[key], (dict,), f"{path}: key {key!r}")
+            return np.array([
+                check_type(table[n], number, f"{path}: key {key!r} entry {n!r}") for n in names
+            ], dtype=float)
+
         spec = DesignSpec(
             doc["model"],
-            int(doc.get("k") or 0),
-            s=doc.get("s"),
-            grand_mean=bool(doc.get("grand_mean")) if doc.get("grand_mean") is not None else True,
+            scalar("k", (int,), 0),
+            s=scalar("s", number, None),
+            grand_mean=scalar("grand_mean", (bool,), True),
         )
-        names = list(doc["mu_hat"].keys())
-        mu = np.array([float(doc["mu_hat"][n]) for n in names])
-        se = np.array([float(doc["se"][n]) for n in names])
+        names = list(doc["mu_hat"])
+        mu = coefficients("mu_hat", names)
         return FitResult(
             mu_hat=mu,
-            sigma2_hat=float(_json_number(doc, "sigma2_hat", 0.0)),
-            cov_hat=np.diag(se**2),
-            n_obs=_json_number(doc, "n_obs", 0, (int,)),
+            sigma2_hat=float(scalar("sigma2_hat", number, 0.0)),
+            cov_hat=np.diag(coefficients("se", names) ** 2),
+            n_obs=scalar("n_obs", (int,), 0),
             n_params=mu.size,
-            loglik=_json_number(doc, "loglik", math.nan),
-            aic=_json_number(doc, "aic", math.nan),
-            bic=_json_number(doc, "bic", math.nan),
+            loglik=scalar("loglik", number, math.nan),
+            aic=scalar("aic", number, math.nan),
+            bic=scalar("bic", number, math.nan),
             spec=spec,
             names=names,
-            r=_json_number(doc, "r", None),
+            r=scalar("r", number, None),
         )
     except (KeyError, TypeError, ValueError) as exc:
         raise DataError(f"{path}: malformed fit JSON ({exc})") from exc

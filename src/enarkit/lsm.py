@@ -10,6 +10,13 @@ maximized by projected gradient ascent over the identifiability set
 likelihood counts each unordered pair once, the ascent directions are
 R Q and R 1 for the hollow symmetric residual R = A - sigmoid(chi); the
 finite-difference suite pins this convention.
+
+One ascent iteration builds chi once per line-search candidate and reads
+the gradient off the chi of the accepted iterate, so an iteration whose
+first step is accepted builds chi once. A fit holds two N x N buffers,
+chi and the residual, and selects the upper triangle through one boolean
+mask built per fit; ``LsmState.chi``, ``lsm_loglik`` and ``lsm_gradient``
+run the same kernels on fresh buffers.
 """
 
 from __future__ import annotations
@@ -63,7 +70,7 @@ class LsmState:
 
     def chi(self) -> np.ndarray:
         """Latent factor matrix Q Q' + v 1' + 1 v'."""
-        return self.q @ self.q.T + self.v[:, None] + self.v[None, :]
+        return _build_chi(self.q, self.v, np.empty((self.n, self.n)))
 
     def centering_residual(self) -> float:
         """max |column sum of q| (zero on the constraint set)."""
@@ -90,21 +97,62 @@ class LsmFit:
     n_iters: int = 0
 
 
+def _build_chi(q: np.ndarray, v: np.ndarray, out: np.ndarray) -> np.ndarray:
+    """Q Q' + v 1' + 1 v' written into ``out``, summed in that order."""
+    np.matmul(q, q.T, out=out)
+    out += v[:, None]
+    out += v[None, :]
+    return out
+
+
+class _Kernels:
+    """Log-likelihood and ascent direction of one graph, read off a built chi.
+
+    Holds the boolean mask of the strict upper triangle (it selects in
+    row-major order, as ``np.triu_indices`` does), the adjacency entries it
+    selects, and the residual buffer, so repeated calls allocate no N x N
+    temporary.
+    """
+
+    def __init__(self, graph: Graph):
+        n = graph.n
+        self.adjacency = graph.adjacency
+        self.upper = np.triu(np.ones((n, n), dtype=bool), 1)
+        self.a_upper = self.adjacency[self.upper]
+        self.softplus = np.empty(self.a_upper.size)
+        self.relu = np.empty(self.a_upper.size)
+        self.resid = np.empty((n, n))
+        self.ones = np.ones(n)
+
+    def loglik(self, chi: np.ndarray) -> float:
+        c = chi[self.upper]
+        # log(1 + e^c) = max(c, 0) + log1p(e^{-|c|}), stable for both signs;
+        # the ufuncs run in the order of that formula and of a*c - softplus,
+        # since another order rounds differently and moves the fit
+        sp = np.abs(c, out=self.softplus)
+        np.negative(sp, out=sp)
+        np.exp(sp, out=sp)
+        np.log1p(sp, out=sp)
+        np.add(np.maximum(c, 0.0, out=self.relu), sp, out=sp)
+        np.multiply(self.a_upper, c, out=c)
+        c -= sp
+        return float(np.sum(c))
+
+    def gradient(self, chi: np.ndarray, q: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        resid = expit(chi, out=self.resid)
+        np.subtract(self.adjacency, resid, out=resid)
+        np.fill_diagonal(resid, 0.0)
+        return resid @ q, resid @ self.ones
+
+
 def lsm_loglik(state: LsmState, graph: Graph) -> float:
     """Bernoulli-logistic log-likelihood over unordered node pairs."""
-    chi = state.chi()
-    iu = np.triu_indices(graph.n, k=1)
-    c = chi[iu]
-    # log(1 + e^c) evaluated stably for both signs of c
-    softplus = np.maximum(c, 0.0) + np.log1p(np.exp(-np.abs(c)))
-    return float(np.sum(graph.adjacency[iu] * c - softplus))
+    return _Kernels(graph).loglik(state.chi())
 
 
 def lsm_gradient(state: LsmState, graph: Graph) -> tuple[np.ndarray, np.ndarray]:
     """Ascent direction (dq, dv) of the pairwise log-likelihood."""
-    resid = graph.adjacency - expit(state.chi())
-    np.fill_diagonal(resid, 0.0)
-    return resid @ state.q, resid @ np.ones(state.n)
+    return _Kernels(graph).gradient(state.chi(), state.q)
 
 
 def project_constraints(state: LsmState, row_norm_cap: float | None = None) -> LsmState:
@@ -175,6 +223,12 @@ def fit_lsm(
     ascends, the last feasible state is returned with ``step_failed`` set.
     ``rng`` feeds the start only when the residual spectrum is too weak to
     give every column of q.
+
+    One iteration builds chi once per line-search candidate, always into
+    the same N x N buffer, and the gradient reads that buffer: it is read
+    only after a candidate is accepted, and the accepted candidate is the
+    last one built. With the residual buffer, these are all the N x N
+    arrays the ascent holds.
     """
     if k < 1:
         raise DataError("k must be >= 1")
@@ -182,17 +236,19 @@ def fit_lsm(
         raise DataError("max_iters must be >= 0")
     rng = rng if rng is not None else np.random.default_rng(0)
 
+    kernels = _Kernels(graph)
+    chi = np.empty((graph.n, graph.n))
     state = project_constraints(_spectral_init(graph, k, rng))
-    ll = lsm_loglik(state, graph)
+    ll = kernels.loglik(_build_chi(state.q, state.v, chi))
     fit = LsmFit(state=state, loglik_trace=[ll])
 
     for it in range(max_iters):
-        dq, dv = lsm_gradient(state, graph)
+        dq, dv = kernels.gradient(chi, state.q)
         step = 1.0 / graph.n
         accepted = False
         while step >= MIN_STEP:
             cand = project_constraints(LsmState(state.q + step * dq, state.v + step * dv))
-            ll_cand = lsm_loglik(cand, graph)
+            ll_cand = kernels.loglik(_build_chi(cand.q, cand.v, chi))
             if ll_cand > ll:
                 accepted = True
                 break

@@ -2,14 +2,18 @@
 
 Everything here favours directness over speed: explicit Kronecker inverses,
 dense normal equations, pairwise Python loops, and central finite
-differences. None of it shares code with the library paths it validates.
+differences. None of it shares code with the library paths it validates,
+except ``fit_lsm_reference``: it checks the ascent's buffer handling
+against the public log-likelihood and gradient, whose values the loop and
+finite-difference oracles check.
 """
 
 import csv
 
 import numpy as np
 
-from enarkit.lsm import LsmState, lsm_loglik
+from enarkit import lsm
+from enarkit.lsm import LsmFit, LsmState, lsm_gradient, lsm_loglik, project_constraints
 
 
 def dense_transition(graph, alpha: float, theta: float) -> np.ndarray:
@@ -68,6 +72,41 @@ def lsm_fd_gradient(state: LsmState, graph, h: float = 1e-6):
         minus.v[i] -= h
         dv[i] = (lsm_loglik(plus, graph) - lsm_loglik(minus, graph)) / (2 * h)
     return dq, dv
+
+
+def fit_lsm_reference(graph, k: int, rng, max_iters: int) -> tuple[LsmFit, int]:
+    """The ascent of ``fit_lsm``, with each log-likelihood and gradient taken
+    through the public ``lsm_loglik`` and ``lsm_gradient`` on a state, so
+    chi is rebuilt for every call and no buffer outlives one. Starts from
+    the projected initializer (``fit_lsm`` with no iterations). Returns the
+    fit and the number of rejected line-search candidates."""
+    state = lsm.fit_lsm(graph, k, rng, max_iters=0).state
+    ll = lsm_loglik(state, graph)
+    fit = LsmFit(state=state, loglik_trace=[ll])
+    rejected = 0
+    for it in range(max_iters):
+        dq, dv = lsm_gradient(state, graph)
+        step = 1.0 / graph.n
+        while step >= lsm.MIN_STEP:
+            cand = project_constraints(LsmState(state.q + step * dq, state.v + step * dv))
+            ll_cand = lsm_loglik(cand, graph)
+            if ll_cand > ll:
+                break
+            step *= lsm.BACKTRACK
+            rejected += 1
+        else:
+            fit.step_failed = True
+            fit.n_iters = it
+            break
+        rel_gain = (ll_cand - ll) / max(abs(ll_cand), 1.0)
+        state, ll = cand, ll_cand
+        fit.loglik_trace.append(ll)
+        fit.n_iters = it + 1
+        if rel_gain < lsm.TOL:
+            fit.converged = True
+            break
+    fit.state = state
+    return fit, rejected
 
 
 def write_panel_csv_loop(panel, path) -> None:

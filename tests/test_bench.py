@@ -51,6 +51,15 @@ class TestConfig:
         with pytest.raises(DataError):
             smoke_config(lsm_max_iters=-1)
 
+    @pytest.mark.parametrize("sizes, message", [
+        ({"n_values": [12.9]}, "n_values element 0 has type float"),
+        ({"t_values": [6, 4.5]}, "t_values element 1 has type float"),
+        ({"k_values": [True]}, "k_values element 0 has type bool"),
+    ])
+    def test_rejects_non_integer_sizes(self, sizes, message):
+        with pytest.raises(DataError, match=message):
+            smoke_config(**sizes)
+
     def test_rho_rule(self):
         cfg = smoke_config()
         assert cfg.rho_for(100) == pytest.approx(0.1)

@@ -324,6 +324,20 @@ class TestFitJsonNumbers:
         assert error["error"] == "DataError"
         assert str(fitted[2][model]) in error["message"] and repr(key) in error["message"]
 
+    @pytest.mark.parametrize("key, value, where", [
+        ("k", 3.7, "key 'k' has type float"),
+        ("grand_mean", "no", "key 'grand_mean' has type str"),
+        ("mu_hat", {"beta_1": "1.13"}, "key 'mu_hat' entry 'beta_1' has type str"),
+    ])
+    def test_wrong_type_is_data_error(self, fitted, capsys, key, value, where):
+        doc = json.loads(fitted[2]["enar"].read_text())
+        if isinstance(value, dict):
+            value = {**doc[key], **value}
+        code, error = self.predict_with(capsys, fitted, "enar", key, value)
+        assert code == 3
+        assert error["error"] == "DataError"
+        assert str(fitted[2]["enar"]) in error["message"] and where in error["message"]
+
     def test_null_r_keeps_the_latent_scale_error(self, fitted, capsys):
         code, error = self.predict_with(capsys, fitted, "amnar", "r", None)
         assert code == 3

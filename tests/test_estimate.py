@@ -301,6 +301,16 @@ class TestModelCompositions:
             assert diag.lsm_loglik is not None
             assert np.all(np.isfinite(fit.mu_hat))
 
+    def test_fit_amnar_reports_mle_convergence(self):
+        g, _, _, _, panel = self.make_panel(n=30, t=10)
+        # the cap stops this ascent before its relative-gain tolerance
+        _, _, diag = fit_amnar(panel, g, 2, 0.25, rng=np.random.default_rng(0), max_iters=7)
+        assert diag.lsm_iters == 7 and diag.lsm_converged is False
+        doc = diag.to_dict()
+        assert doc["lsm_converged"] is False and doc["lsm_iters"] == 7
+        _, _, enar_diag = fit_enar(panel, g, 2)
+        assert not {"lsm_converged", "lsm_iters"} & set(enar_diag.to_dict())
+
 
 class TestPredict:
     def test_noise_free_one_step_exact(self):

@@ -17,6 +17,7 @@ from enarkit.lsm import (
 from enarkit.errors import DataError
 from enarkit.network import Graph
 from oracles import (
+    fit_lsm_reference,
     lsm_fd_gradient,
     lsm_loglik_loop,
     random_orthogonal,
@@ -195,6 +196,33 @@ class TestFitLsm:
         assert np.array_equal(first.state.q, second.state.q)
         assert np.array_equal(first.state.v, second.state.v)
         assert first.loglik_trace == second.loglik_trace
+
+
+class TestFitMatchesReference:
+    """The buffered ascent reproduces, bit for bit, the loop that rebuilds
+    chi through the public log-likelihood and gradient on every call."""
+
+    @pytest.mark.parametrize("n, density, k, seed, max_iters, stop", [
+        (15, 0.5, 1, 0, 500, "converged"),
+        (20, 0.3, 2, 0, 40, "cap"),
+        (10, 0.5, 1, 2, 500, "backtracked"),
+    ])
+    def test_bitwise_equal(self, n, density, k, seed, max_iters, stop):
+        g = random_graph(n, density, np.random.default_rng(seed))
+        fit = fit_lsm(g, k, np.random.default_rng(0), max_iters=max_iters)
+        ref, rejected = fit_lsm_reference(g, k, np.random.default_rng(0), max_iters)
+        assert fit.loglik_trace == ref.loglik_trace
+        assert fit.state.q.tobytes() == ref.state.q.tobytes()
+        assert fit.state.v.tobytes() == ref.state.v.tobytes()
+        assert (fit.n_iters, fit.converged, fit.step_failed) == (
+            ref.n_iters, ref.converged, ref.step_failed
+        )
+        assert fit.loglik_trace[-1] == lsm_loglik(fit.state, g)
+        assert fit.converged == (stop != "cap")
+        assert (fit.n_iters == max_iters) == (stop == "cap")
+        # the rejected candidates are built into the buffer the next
+        # gradient reads, before the accepted one overwrites it
+        assert (rejected > 0) == (stop == "backtracked")
 
 
 def planted_state(n, k, rng):
