@@ -7,14 +7,16 @@ The fit model is deliberately left out of the seed so that competing fits
 of the same cell see the same simulated data, which is what the estimation
 comparisons assume. ``run_grid`` therefore draws each replication's data
 once, with its true forecast, and scores every fit model on that one draw,
-whose ``Graph`` keeps its normalized Laplacian for all of them. Each fit
-starts from its own copy of the generator as it stood right after the draw,
-so a row does not depend on which other fits share its draw.
+whose ``Graph`` keeps its normalized Laplacian for the simulation and all
+the fits. Each stage of a replication draws from its own child of
+``np.random.SeedSequence(seed)`` (see ``STAGES``), so the numbers one stage
+uses never move another's, and every fit starts its own generator from the
+fit stage's child, so a row does not depend on which other fits share its
+draw.
 """
 
 from __future__ import annotations
 
-import copy
 import math
 import time
 from concurrent.futures import ProcessPoolExecutor
@@ -85,9 +87,9 @@ class ExperimentConfig:
     lsm_max_iters: int = lsm.MAX_ITERS
 
     def __post_init__(self):
-        if self.reps < 1:
+        if check_type(self.reps, (int,), "reps") < 1:
             raise DataError("reps must be >= 1")
-        if self.lsm_max_iters < 0:
+        if check_type(self.lsm_max_iters, (int,), "lsm_max_iters") < 0:
             raise DataError("lsm_max_iters must be >= 0")
         for name, vals in (("n", self.n_values), ("t", self.t_values), ("k", self.k_values)):
             if not vals or any(
@@ -189,6 +191,22 @@ def derive_seed(base_seed: int, cell: Cell, rep_index: int) -> int:
     return state
 
 
+# The stages of a replication, in the order of their SeedSequence children:
+# generator spec or planted latent-space state, graph, panel (whose start
+# draw and recursion the simulation splits in two again), forecast-time
+# covariates, and the fit.
+STAGES = ("latents", "graph", "panel", "z_next", "fit")
+
+
+def stage_rng(seed: int, stage: str) -> np.random.Generator:
+    """Generator of one of ``STAGES`` for the replication seeded ``seed``:
+    the child that ``np.random.SeedSequence(seed).spawn`` makes at that
+    stage's position."""
+    return np.random.default_rng(
+        np.random.SeedSequence(seed, spawn_key=(STAGES.index(stage),))
+    )
+
+
 def _make_generator_spec(cell: Cell, config: ExperimentConfig, rng: np.random.Generator):
     """Generator spec for one cell, with the average expected degree pinned
     to N * rho.
@@ -264,26 +282,29 @@ class CellData:
     z_next: np.ndarray
 
 
-def simulate_cell_data(cell: Cell, config: ExperimentConfig, rng: np.random.Generator) -> CellData:
+def simulate_cell_data(cell: Cell, config: ExperimentConfig, seed: int) -> CellData:
     """Draw the graph, truth latents, panel, and forecast-time covariates.
 
-    Consumes the generator in a fixed order so the draw depends only on the
-    data coordinates (gen, truth, N, T, K) and the seed, never on the fit.
+    Each stage draws from its own stream (:func:`stage_rng`), so the draw
+    depends only on the data coordinates (gen, truth, N, T, K) and the
+    seed, never on the fit.
     """
     cov = config.cov_spec()
     params = _truth_params(cell, config)
     if cell.truth == "amnar":
-        state_true = _planted_lsm_state(cell, config, rng)
-        graph = lsm.sample_lsm_graph(state_true, rng)
+        state_true = _planted_lsm_state(cell, config, stage_rng(seed, "latents"))
+        graph = lsm.sample_lsm_graph(state_true, stage_rng(seed, "graph"))
         latent_true = state_true.x()
-        panel = process.simulate_amnar(params, graph, latent_true, cov, cell.t, rng)
+        panel = process.simulate_amnar(
+            params, graph, latent_true, cov, cell.t, stage_rng(seed, "panel")
+        )
         truth_spec = estimate.DesignSpec("amnar", cell.k, s=config.s)
         r_true = process.rate_multiplier(cell.n, cell.t, config.s)
         mu_true = np.concatenate([params.beta, [params.alpha, params.theta], params.gamma])
     else:
-        gen_spec = _make_generator_spec(cell, config, rng)
+        gen_spec = _make_generator_spec(cell, config, stage_rng(seed, "latents"))
         p_matrix = network.connection_matrix(gen_spec)
-        graph = network.sample_graph(p_matrix, rng, allow_isolated=True)
+        graph = network.sample_graph(p_matrix, stage_rng(seed, "graph"), allow_isolated=True)
         if cell.truth == "enar":
             latent_true = network.embed_symmetric(p_matrix, cell.k).vectors
             truth_spec = estimate.DesignSpec("enar", cell.k)
@@ -292,14 +313,14 @@ def simulate_cell_data(cell: Cell, config: ExperimentConfig, rng: np.random.Gene
             latent_true = None
             truth_spec = estimate.DesignSpec("nar")
             mu_true = np.concatenate([[params.alpha, params.theta], params.gamma])
-        del p_matrix  # free this N x N array before the simulation's eigendecomposition
+        del p_matrix  # free this N x N array before the simulation builds the Laplacian
         panel = process.simulate_enar(
             params, graph,
             latent_true if latent_true is not None else np.zeros((cell.n, 0)),
-            cov, cell.t, rng,
+            cov, cell.t, stage_rng(seed, "panel"),
         )
         r_true = None
-    z_next = rng.standard_normal((cell.n, cov.p)) * np.sqrt(cov.variances)
+    z_next = stage_rng(seed, "z_next").standard_normal((cell.n, cov.p)) * np.sqrt(cov.variances)
     return CellData(
         graph=graph, panel=panel, params=params, latent_true=latent_true,
         truth_spec=truth_spec, mu_true=mu_true, r_true=r_true, z_next=z_next,
@@ -308,26 +329,25 @@ def simulate_cell_data(cell: Cell, config: ExperimentConfig, rng: np.random.Gene
 
 @dataclass
 class SharedDraw:
-    """One replication's data plus what every fit of it reuses: the
-    generator as it stood right after the draw and the true noise-free
-    forecast. The graph in ``data`` carries its normalized Laplacian."""
+    """One replication's data plus the true noise-free forecast that every
+    fit of it is scored against. The graph in ``data`` carries its
+    normalized Laplacian."""
 
     data: CellData
-    rng: np.random.Generator
     target: np.ndarray
 
 
 def draw_replication(cell: Cell, config: ExperimentConfig, seed: int) -> SharedDraw:
     """Draw the data of ``cell`` from ``seed``; the fit model plays no part.
-    The true forecast builds ``data.graph.laplacian``, which the fits reuse."""
-    rng = np.random.default_rng(seed)
-    data = simulate_cell_data(cell, config, rng)
+    The simulation builds ``data.graph.laplacian``, which the true forecast
+    and the fits reuse."""
+    data = simulate_cell_data(cell, config, seed)
     y_last = data.panel.y[:, -1]
     w_true = estimate.design_rows(
         data.truth_spec, data.graph.laplacian, data.latent_true, y_last[:, None],
         data.z_next[:, None, :], data.r_true,
     )
-    return SharedDraw(data, rng, w_true @ data.mu_true)
+    return SharedDraw(data, w_true @ data.mu_true)
 
 
 def run_replication(
@@ -372,7 +392,7 @@ def _fit_and_score(
         latent_fit = latent_true
     elif cell.fit == "amnar":
         fit, state_hat, _ = estimate.fit_amnar(
-            panel, graph, cell.k, config.s, copy.deepcopy(draw.rng),
+            panel, graph, cell.k, config.s, stage_rng(out.seed, "fit"),
             max_iters=config.lsm_max_iters,
         )
         latent_fit = state_hat.x()

@@ -172,8 +172,7 @@ def cmd_simulate(args) -> int:
         reps=1, base_seed=seed,
     )
     cell = bench.Cell(generator, model, "nar", n, t, k)
-    rng = np.random.default_rng(seed)
-    data = bench.simulate_cell_data(cell, config, rng)
+    data = bench.simulate_cell_data(cell, config, seed)
 
     network.write_edge_csv(data.graph, doc["out_edges"])
     process.write_panel_csv(data.panel, doc["out_panel"])

@@ -5,13 +5,17 @@ The response recursion is
     y_{t+1} = alpha * y_t + theta * L y_t + (latent effect) + Z_t gamma + eps_{t+1}
 
 with L the symmetric normalized Laplacian of the observed graph. When
-|alpha| + |theta| < 1 the process has a unique strictly stationary solution
-whose mean solves (I - G) phi = latent effect for G = alpha*I + theta*L and
-whose lag-0 covariance solves the discrete Lyapunov equation
-Gamma = G Gamma G' + c I with c = sigma^2 + gamma' Sigma_z gamma. G is
-symmetric with the eigenvectors of L, so one eigendecomposition
-G = V diag(g) V' gives both in closed form: phi = V ((V' b) / (1 - g)) and
-Gamma(0) = V diag(c / (1 - g^2)) V'.
+|alpha| + |theta| = rho < 1 the transition matrix G = alpha*I + theta*L is
+symmetric with norm at most rho, and the process has a unique strictly
+stationary solution with the moving-average form
+y = sum_j G^j (b + eps_j) for b = latent effect and eps_j ~ N(0, cI),
+c = sigma^2 + gamma' Sigma_z gamma. The simulation draws its start from
+the first J terms of that series, J = ceil(log(1e-17) / log rho), and so
+applies G only as a product with the graph's Laplacian: no N x N G, no
+eigenbasis. In closed form the mean solves (I - G) phi = b and the lag-0
+covariance solves Gamma = G Gamma G' + c I; ``stationary_moments`` gives
+both from one eigendecomposition G = V diag(g) V':
+phi = V ((V' b) / (1 - g)) and Gamma(0) = V diag(c / (1 - g^2)) V'.
 
 The latent effect is U beta for the embedding model and r X beta for the
 additive+multiplicative model, where r = N^{-s} T^{-1/2}.
@@ -28,7 +32,7 @@ import numpy as np
 from .atomic import atomic_write
 from .csvio import Table, load_columns, repeated_rows
 from .errors import DataError, DimensionMismatch, NotStationary
-from .network import Graph, normalized_laplacian
+from .network import Graph
 
 
 @dataclass
@@ -159,8 +163,8 @@ class StationaryMoments:
     of the transition matrix.
 
     ``eigvecs`` holds the orthonormal eigenvectors V and ``g_eig`` the
-    eigenvalues; G and Gamma(0) are built from them only when asked for, so
-    a simulation keeps a single N x N array. ``iterations`` is always 0,
+    eigenvalues; G and Gamma(0) are built from them only when asked for.
+    The simulation does not use this record. ``iterations`` is always 0,
     since no iteration runs; the field stays so that records which report it
     keep their schema.
     """
@@ -175,10 +179,6 @@ class StationaryMoments:
     def g(self) -> np.ndarray:
         """Transition matrix V diag(g_eig) V'."""
         return (self.eigvecs * self.g_eig) @ self.eigvecs.T
-
-    def apply_g(self, y: np.ndarray) -> np.ndarray:
-        """G y computed as V (g_eig * (V' y))."""
-        return self.eigvecs @ (self.g_eig * (self.eigvecs.T @ y))
 
     @property
     def stationary_var(self) -> np.ndarray:
@@ -198,13 +198,29 @@ def check_stationarity(alpha: float, theta: float) -> bool:
 
 def transition_matrix(graph: Graph, alpha: float, theta: float) -> np.ndarray:
     # isolated nodes get a zero Laplacian row: no peer term, plain AR(1).
-    # The Laplacian is built here and dropped at once, not read from
-    # `graph.laplacian`, which would keep it on the graph through the
-    # stationary eigh: at N=1200 that raised the peak RSS of `enarkit
-    # simulate` from about 143 to 155 MB (+7.7%) to save about 5 ms per draw.
-    g = theta * normalized_laplacian(graph)
+    # theta * L is a new array, so the Laplacian kept on the graph is not
+    # touched.
+    g = theta * graph.laplacian
     g[np.diag_indices(graph.n)] += alpha
     return g
+
+
+def _checked_law(
+    graph: Graph,
+    latent_effect: np.ndarray,
+    params: EnarParams | AmnarParams,
+    cov_spec: CovariateSpec,
+) -> tuple[np.ndarray, float]:
+    """The latent effect b as a checked (N,) vector and the innovation
+    variance c = sigma^2 + gamma' Sigma_z gamma of a stationary process."""
+    if not check_stationarity(params.alpha, params.theta):
+        raise NotStationary(f"|{params.alpha}| + |{params.theta}| >= 1")
+    latent_effect = np.asarray(latent_effect, dtype=float).reshape(-1)
+    if latent_effect.shape != (graph.n,):
+        raise DimensionMismatch(
+            f"latent effect has shape {latent_effect.shape}, expected ({graph.n},)"
+        )
+    return latent_effect, params.sigma**2 + cov_spec.quad_form(params.gamma)
 
 
 def stationary_moments(
@@ -220,20 +236,9 @@ def stationary_moments(
     phi = V ((V' b) / (1 - g)) for b = ``latent_effect`` and the covariance
     Gamma(0) = V diag(c / (1 - g^2)) V', which is built on demand.
     """
-    if not check_stationarity(params.alpha, params.theta):
-        raise NotStationary(f"|{params.alpha}| + |{params.theta}| >= 1")
-    latent_effect = np.asarray(latent_effect, dtype=float).reshape(-1)
-    if latent_effect.shape != (graph.n,):
-        raise DimensionMismatch(
-            f"latent effect has shape {latent_effect.shape}, expected ({graph.n},)"
-        )
-    # numpy's eigh rather than scipy's keeps the simulation on numpy's BLAS.
-    # It was chosen when `mc --jobs 2` workers each ran two BLAS threads and
-    # waking scipy's separate pool slowed them by about a third; run_grid now
-    # holds both pools at one thread, and the choice was not measured again.
+    latent_effect, c = _checked_law(graph, latent_effect, params, cov_spec)
     g_eig, v = np.linalg.eigh(transition_matrix(graph, params.alpha, params.theta))
     phi = v @ ((v.T @ latent_effect) / (1.0 - g_eig))
-    c = params.sigma**2 + cov_spec.quad_form(params.gamma)
     return StationaryMoments(phi=phi, c=c, eigvecs=v, g_eig=g_eig)
 
 
@@ -246,15 +251,12 @@ def autocov(m: StationaryMoments, h: int) -> np.ndarray:
     return (m.eigvecs * (m.g_eig ** abs(h) * m.stationary_var)) @ m.eigvecs.T
 
 
-def _stationary_start(
-    moments: StationaryMoments, rng: np.random.Generator
-) -> np.ndarray:
-    """Exact draw from N(phi, Gamma(0)) as phi + V (sqrt(c / (1 - g^2)) * xi)
-    with xi standard normal; Gamma(0) itself is never formed."""
-    if moments.c == 0.0:
-        return moments.phi.copy()
-    xi = rng.standard_normal(moments.phi.size)
-    return moments.phi + moments.eigvecs @ (np.sqrt(moments.stationary_var) * xi)
+def series_terms(alpha: float, theta: float) -> int:
+    """Terms J = ceil(log(1e-17) / log rho) of the moving-average series,
+    rho = |alpha| + |theta|: the first neglected term is below 1e-17 of the
+    first, and the start draw's covariance is off by at most c rho^{2J}."""
+    rho = abs(alpha) + abs(theta)
+    return 1 if rho == 0.0 else max(1, math.ceil(math.log(1e-17) / math.log(rho)))
 
 
 def _simulate(
@@ -266,28 +268,46 @@ def _simulate(
     rng: np.random.Generator,
     y0: np.ndarray | None,
 ) -> Panel:
+    """The start draw and the recursion each take a child of ``rng``
+    (``rng.spawn``), so the length of the start series or a given ``y0``
+    never moves the recursion's noise and covariates."""
     if t_len < 1:
         raise DimensionMismatch("t_len must be >= 1")
-    moments = stationary_moments(graph, latent_effect, params, cov_spec)
+    b, c = _checked_law(graph, latent_effect, params, cov_spec)
     n, p = graph.n, cov_spec.p
-    sd = np.sqrt(cov_spec.variances)
+    alpha, theta, lap = params.alpha, params.theta, graph.laplacian
+    start_rng, step_rng = rng.spawn(2)
+
+    # Horner steps x <- G x + [b | eps_j] on the N x 2 block give the mean
+    # phi = sum_j G^j b beside the noise sum_j G^j eps_j of the start draw.
+    # The block is held as its 2 x N transpose, stepped as x' L (L is
+    # symmetric): at N=1000 that product takes about 0.7 ms against 1.0 ms
+    # for L x on one BLAS thread.
+    sd_start = math.sqrt(c)
+    x = np.stack([b, sd_start * start_rng.standard_normal(n)])
+    for _ in range(series_terms(alpha, theta) - 1):
+        x = alpha * x + theta * (x @ lap)
+        x[0] += b
+        x[1] += sd_start * start_rng.standard_normal(n)
+    phi, noise = x
 
     if y0 is not None:
         y_cur = np.asarray(y0, dtype=float).reshape(-1)
         if y_cur.shape != (n,):
             raise DimensionMismatch(f"y0 has shape {y_cur.shape}, expected ({n},)")
-        y_cur = y_cur.copy()
     else:
-        y_cur = _stationary_start(moments, rng)
+        y_cur = phi + noise
 
+    sd = np.sqrt(cov_spec.variances)
     y = np.empty((n, t_len + 1))
     z = np.empty((n, t_len, p))
     y[:, 0] = y_cur
     for t in range(t_len):
-        z[:, t, :] = rng.standard_normal((n, p)) * sd
-        eps = params.sigma * rng.standard_normal(n)
-        y[:, t + 1] = moments.apply_g(y[:, t]) + latent_effect + z[:, t, :] @ params.gamma + eps
-    return Panel(y=y, z=z, phi=moments.phi)
+        z[:, t, :] = step_rng.standard_normal((n, p)) * sd
+        eps = params.sigma * step_rng.standard_normal(n)
+        y_cur = alpha * y_cur + theta * (lap @ y_cur) + b + z[:, t, :] @ params.gamma + eps
+        y[:, t + 1] = y_cur
+    return Panel(y=y, z=z, phi=phi)
 
 
 def simulate_enar(
@@ -302,8 +322,9 @@ def simulate_enar(
     """Simulate from the embedding model with latent effect U beta.
 
     ``embedding_truth`` holds the population eigenvectors (N x K). Starts
-    from an exact stationary draw at every N; pass ``y0`` to pin the
-    initial state instead.
+    from a stationary draw, the moving-average series cut after
+    :func:`series_terms` terms; pass ``y0`` to pin the initial state
+    instead.
     """
     u = np.atleast_2d(np.asarray(embedding_truth, dtype=float))
     if u.shape[0] != graph.n or u.shape[1] != params.k:

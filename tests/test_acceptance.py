@@ -216,8 +216,7 @@ def test_criterion_07_coverage():
     cover = 0
     for rep in range(200):
         cell = Cell("dcmmsbm", "enar", "enar", 320, 160, 3)
-        rng = np.random.default_rng(derive_seed(cfg.base_seed, cell, rep))
-        data = bench.simulate_cell_data(cell, cfg, rng)
+        data = bench.simulate_cell_data(cell, cfg, derive_seed(cfg.base_seed, cell, rep))
         fit, _, _ = estimate.fit_enar(data.panel, data.graph, 3)
         lo, hi = estimate.confint(fit, fit.names.index("theta"), 0.95)
         cover += (lo <= 0.2 <= hi)

@@ -95,6 +95,33 @@ class TestSimulate:
         run_cli(capsys, "simulate", "--config", str(path))
         assert (tmp_path / "panel.csv").read_bytes() == first
 
+    def test_files_independent_of_blas_threads(self, tmp_path):
+        # this draw has isolated nodes, whose repeated eigenvalues of G would
+        # let an eigenbasis follow the rounding of however many threads split
+        # it; the simulation applies G through the Laplacian instead
+        src = str(Path(enarkit.__file__).resolve().parents[1])
+        outputs = {}
+        for threads in ("1", "2"):
+            out = tmp_path / threads
+            out.mkdir()
+            path, _ = write_sim_config(
+                out, n=300, t=50, k=3, seed=4,
+                out_edges=str(out / "edges.csv"), out_panel=str(out / "panel.csv"),
+                out_truth=str(out / "truth.json"),
+            )
+            env = dict(os.environ, OPENBLAS_NUM_THREADS=threads,
+                       PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+            proc = subprocess.run(
+                [sys.executable, "-m", "enarkit.cli", "simulate", "--config", str(path)],
+                env=env, capture_output=True, text=True, timeout=300,
+            )
+            assert proc.returncode == 0, proc.stderr
+            outputs[threads] = [(out / f).read_bytes()
+                                for f in ("edges.csv", "panel.csv", "truth.json")]
+        edges = np.loadtxt(tmp_path / "1" / "edges.csv", delimiter=",", skiprows=1, dtype=int)
+        assert np.bincount(edges.ravel(), minlength=300).min() == 0  # isolated nodes
+        assert outputs["1"] == outputs["2"]
+
     def test_no_temp_files_linger(self, tmp_path, capsys):
         path, _ = write_sim_config(tmp_path)
         run_cli(capsys, "simulate", "--config", str(path))
@@ -649,8 +676,9 @@ class TestMc:
 
     def test_csv_independent_of_jobs_and_blas_threads(self, tmp_path):
         # N=600 sits on the Lanczos path, and its draws have isolated nodes,
-        # whose repeated Laplacian eigenvalues make the stationary eigh's
-        # basis follow the rounding of however many threads split it
+        # whose repeated Laplacian eigenvalues would let any eigenbasis of
+        # the transition matrix follow the rounding of however many threads
+        # split it
         cfg_path = tmp_path / "mc.json"
         cfg_path.write_text(json.dumps({
             "n_values": [600], "t_values": [50], "k_values": [3],

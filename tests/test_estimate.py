@@ -259,7 +259,9 @@ class TestModelCompositions:
         assert diag.kappa >= 0
         assert diag.condition_number >= 1
 
-    def count_laplacian_builds(self, monkeypatch) -> list:
+    def count_laplacian_builds(self, monkeypatch, g: Graph) -> tuple[Graph, list]:
+        """A new graph on the adjacency of ``g``, which the simulation has
+        already given its Laplacian, and the list of Laplacian builds."""
         built = []
         build = network.normalized_laplacian
 
@@ -268,25 +270,25 @@ class TestModelCompositions:
             return build(g)
 
         monkeypatch.setattr(network, "normalized_laplacian", counting)
-        return built
+        return Graph(g.n, g.adjacency), built
 
     def test_enar_fit_and_forecast_build_one_laplacian(self, monkeypatch):
         g, _, _, _, panel = self.make_panel()
-        built = self.count_laplacian_builds(monkeypatch)
+        g, built = self.count_laplacian_builds(monkeypatch, g)
         fit, emb, _ = fit_enar(panel, g, 2)
         predict_one_step(fit, g, panel.y[:, -1], panel.z[:, -1, :], emb.vectors)
         assert len(built) == 1 and built[0] is g
 
     def test_amnar_fit_and_forecast_build_one_laplacian(self, monkeypatch):
         g, _, _, _, panel = self.make_panel(n=30, t=10)
-        built = self.count_laplacian_builds(monkeypatch)
+        g, built = self.count_laplacian_builds(monkeypatch, g)
         fit, state, _ = fit_amnar(panel, g, 2, 0.25, np.random.default_rng(0), max_iters=5)
         predict_one_step(fit, g, panel.y[:, -1], panel.z[:, -1, :], state.x())
         assert len(built) == 1 and built[0] is g
 
     def test_enr_fit_and_forecast_build_no_laplacian(self, monkeypatch):
         g, _, _, _, panel = self.make_panel(t=1)
-        built = self.count_laplacian_builds(monkeypatch)
+        g, built = self.count_laplacian_builds(monkeypatch, g)
         fit, emb, _ = _fit_embedded(panel, g, DesignSpec("enr", 2))
         predict_one_step(fit, g, panel.y[:, -1], panel.z[:, -1, :], emb.vectors)
         assert built == [] and "laplacian" not in vars(g)

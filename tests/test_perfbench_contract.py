@@ -72,8 +72,10 @@ def test_traced_replication_records_counts(spans):
     assert result.status == "ok"
     names = {s.name for s in trace.spans}
     assert {spans.ROW_SPAN, "estimate.build_design", "lsm.fit_lsm"} <= names
-    for key in ("design_rows", "design_cols", "lyapunov_iters", "lsm_iters"):
+    for key in ("design_rows", "design_cols", "lsm_iters"):
         assert trace.values[key], key
+    # the simulation no longer takes the closed-form stationary moments
+    assert "lyapunov_iters" not in trace.values
     # the config's cap reaches the MLE; uncapped, this fit runs 500 iterations
     assert max(trace.values["lsm_iters"]) <= 3
     # the wrappers are removed again
@@ -99,6 +101,7 @@ def test_traced_grid_tags_one_row_span_per_row(spans):
     assert all(s.row is None for s in sims)
     fits = [s for s in trace.spans if s.name == "estimate.fit_enar"]
     assert len(fits) == 8 and all(s.row is not None for s in fits)
-    # one Laplacian in the simulation and one shared by the fits, per draw
+    # one Laplacian per draw: the simulation builds it on the graph, and the
+    # true forecast and the fits reuse it
     laplacians = [s for s in trace.spans if s.name == "network.normalized_laplacian"]
-    assert len(laplacians) == 2 * len(sims)
+    assert len(laplacians) == len(sims)

@@ -12,6 +12,7 @@ from enarkit.process import (
     check_stationarity,
     rate_multiplier,
     read_panel_csv,
+    series_terms,
     simulate_amnar,
     simulate_enar,
     stationary_moments,
@@ -254,6 +255,75 @@ class TestSimulate:
         assert np.all(np.abs(y0.mean(axis=0) - phi) < 5 * np.sqrt(var / reps))
         se_cov = np.sqrt((np.outer(var, var) + gamma0**2) / reps)
         assert np.all(np.abs(np.cov(y0, rowvar=False) - gamma0) < 5 * se_cov)
+
+
+def graph_with_isolated_nodes(n, n_isolated, seed):
+    """A random graph on the first n - n_isolated nodes, then isolated ones,
+    whose zero Laplacian rows make repeated eigenvalues of G."""
+    rng = np.random.default_rng(seed)
+    m = n - n_isolated
+    a = np.zeros((n, n))
+    a[:m, :m] = np.triu((rng.random((m, m)) < 0.3).astype(float), 1)
+    a += a.T
+    return Graph(n, a)
+
+
+class TestSeriesSimulation:
+    """The start draw and Panel.phi come from the moving-average series."""
+
+    def test_series_terms(self):
+        assert [series_terms(a, t) for a, t in ((0.2, 0.2), (0.5, -0.4), (0.4, 0.59))] == [
+            43, 372, 3895
+        ]
+        assert series_terms(0.0, 0.0) == 1
+
+    @pytest.mark.parametrize("alpha, theta", [(0.2, 0.2), (-0.3, 0.6), (0.5, -0.45), (0.0, 0.0)])
+    def test_phi_matches_closed_form(self, alpha, theta):
+        for n, n_isolated, seed in ((12, 0, 1), (40, 5, 2), (150, 9, 3)):
+            g = graph_with_isolated_nodes(n, n_isolated, seed)
+            b = np.random.default_rng(seed).standard_normal(n)
+            params = EnarParams(alpha, theta, np.array([1.0]), np.zeros(0), 0.5)
+            panel = simulate_enar(params, g, b[:, None], no_cov(), 1, np.random.default_rng(0))
+            m = stationary_moments(g, b, params, no_cov())
+            assert np.max(np.abs(panel.phi - m.phi)) < 1e-12
+
+    def test_start_covariance_matches_gamma0(self):
+        # y_0 over 3000 seeds on N=30 with 3 isolated nodes: every entry of
+        # the sample mean and covariance lies within 5 sampling standard
+        # errors of phi and Gamma(0), se_ij = sqrt((G_ii G_jj + G_ij^2) / reps)
+        n, reps = 30, 3000
+        g = graph_with_isolated_nodes(n, 3, 4)
+        b = np.random.default_rng(5).standard_normal(n)
+        params = EnarParams(0.3, 0.45, np.array([1.0]), np.array([0.4]), 0.5)
+        cov = CovariateSpec(1, np.array([2.0]))
+        m = stationary_moments(g, b, params, cov)
+        y0 = np.array([
+            simulate_enar(params, g, b[:, None], cov, 1, np.random.default_rng(seed)).y[:, 0]
+            for seed in range(reps)
+        ])
+        gamma0 = m.gamma0
+        var = np.diag(gamma0)
+        assert np.all(np.abs(y0.mean(axis=0) - m.phi) < 5 * np.sqrt(var / reps))
+        se_cov = np.sqrt((np.outer(var, var) + gamma0**2) / reps)
+        assert np.all(np.abs(np.cov(y0, rowvar=False) - gamma0) < 5 * se_cov)
+
+    def test_given_start_leaves_the_recursion_noise(self):
+        g = graph_with_isolated_nodes(25, 2, 6)
+        u = np.linalg.qr(np.random.default_rng(0).standard_normal((25, 2)))[0]
+        params = EnarParams(0.3, 0.4, np.array([1.0, -0.5]), np.array([0.3, 0.2]), 0.5)
+        cov = CovariateSpec(2, np.array([1.0, 2.0]))
+        drawn = simulate_enar(params, g, u, cov, 10, np.random.default_rng(9))
+        pinned = simulate_enar(params, g, u, cov, 10, np.random.default_rng(9),
+                               y0=np.full(25, 3.0))
+        assert np.array_equal(drawn.z, pinned.z)
+        assert not np.array_equal(drawn.y[:, 0], pinned.y[:, 0])
+        big_g = dense_transition(g, params.alpha, params.theta)
+
+        def noise(panel):
+            y = panel.y
+            return y[:, 1:] - big_g @ y[:, :-1] - (u @ params.beta)[:, None] - panel.z @ params.gamma
+
+        assert np.max(np.abs(noise(drawn) - noise(pinned))) < 1e-12
 
 
 class TestAmnar:
