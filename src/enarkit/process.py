@@ -9,13 +9,15 @@ with L the symmetric normalized Laplacian of the observed graph. When
 symmetric with norm at most rho, and the process has a unique strictly
 stationary solution with the moving-average form
 y = sum_j G^j (b + eps_j) for b = latent effect and eps_j ~ N(0, cI),
-c = sigma^2 + gamma' Sigma_z gamma. The simulation draws its start from
-the first J terms of that series, J = ceil(log(1e-17) / log rho), and so
-applies G only as a product with the graph's Laplacian: no N x N G, no
-eigenbasis. In closed form the mean solves (I - G) phi = b and the lag-0
-covariance solves Gamma = G Gamma G' + c I; ``stationary_moments`` gives
-both from one eigendecomposition G = V diag(g) V':
-phi = V ((V' b) / (1 - g)) and Gamma(0) = V diag(c / (1 - g^2)) V'.
+c = sigma^2 + gamma' Sigma_z gamma. In closed form the mean solves
+(I - G) phi = b and the lag-0 covariance solves Gamma = G Gamma G' + c I;
+``stationary_moments`` gives both from one eigendecomposition
+G = V diag(g) V': phi = V ((V' b) / (1 - g)) and
+Gamma(0) = V diag(c / (1 - g^2)) V'. The simulation applies G only as a
+product with the graph's Laplacian. It draws its start from the first
+J = ceil(log(1e-17) / log rho) terms of the series while J <= N, where J
+products with L cost no more than about one O(N^3) eigendecomposition; for
+a longer series (rho near 1) it takes the closed form, on one BLAS thread.
 
 The latent effect is U beta for the embedding model and r X beta for the
 additive+multiplicative model, where r = N^{-s} T^{-1/2}.
@@ -29,6 +31,7 @@ from itertools import compress
 
 import numpy as np
 
+from . import blas
 from .atomic import atomic_write
 from .csvio import Table, load_columns, repeated_rows
 from .errors import DataError, DimensionMismatch, NotStationary
@@ -164,7 +167,8 @@ class StationaryMoments:
 
     ``eigvecs`` holds the orthonormal eigenvectors V and ``g_eig`` the
     eigenvalues; G and Gamma(0) are built from them only when asked for.
-    The simulation does not use this record. ``iterations`` is always 0,
+    The simulation uses this record only when its start series would be
+    longer than N terms. ``iterations`` is always 0,
     since no iteration runs; the field stays so that records which report it
     keep their schema.
     """
@@ -269,7 +273,7 @@ def _simulate(
     y0: np.ndarray | None,
 ) -> Panel:
     """The start draw and the recursion each take a child of ``rng``
-    (``rng.spawn``), so the length of the start series or a given ``y0``
+    (``rng.spawn``), so the path of the start draw or a given ``y0``
     never moves the recursion's noise and covariates."""
     if t_len < 1:
         raise DimensionMismatch("t_len must be >= 1")
@@ -278,18 +282,30 @@ def _simulate(
     alpha, theta, lap = params.alpha, params.theta, graph.laplacian
     start_rng, step_rng = rng.spawn(2)
 
-    # Horner steps x <- G x + [b | eps_j] on the N x 2 block give the mean
-    # phi = sum_j G^j b beside the noise sum_j G^j eps_j of the start draw.
-    # The block is held as its 2 x N transpose, stepped as x' L (L is
-    # symmetric): at N=1000 that product takes about 0.7 ms against 1.0 ms
-    # for L x on one BLAS thread.
-    sd_start = math.sqrt(c)
-    x = np.stack([b, sd_start * start_rng.standard_normal(n)])
-    for _ in range(series_terms(alpha, theta) - 1):
-        x = alpha * x + theta * (x @ lap)
-        x[0] += b
-        x[1] += sd_start * start_rng.standard_normal(n)
-    phi, noise = x
+    n_terms = series_terms(alpha, theta)
+    if n_terms <= n:
+        # Horner steps x <- G x + [b | eps_j] on the N x 2 block give the
+        # mean phi = sum_j G^j b beside the noise sum_j G^j eps_j of the
+        # start draw. The block is held as its 2 x N transpose, stepped as
+        # x' L (L is symmetric): at N=1000 that product takes about 0.7 ms
+        # against 1.0 ms for L x on one BLAS thread.
+        sd_start = math.sqrt(c)
+        x = np.stack([b, sd_start * start_rng.standard_normal(n)])
+        for _ in range(n_terms - 1):
+            x = alpha * x + theta * (x @ lap)
+            x[0] += b
+            x[1] += sd_start * start_rng.standard_normal(n)
+        phi, noise = x
+    else:
+        # J grows without bound as rho -> 1; past about N terms its products
+        # cost more than one O(N^3) eigendecomposition, whose cost does not
+        # depend on rho: y_0 = phi + V diag(sqrt(c / (1 - g^2))) xi. One
+        # BLAS thread keeps the basis, and so the draw, the same under any
+        # thread count.
+        with blas.one_thread():
+            m = stationary_moments(graph, b, params, cov_spec)
+            noise = m.eigvecs @ (np.sqrt(m.stationary_var) * start_rng.standard_normal(n))
+        phi = m.phi
 
     if y0 is not None:
         y_cur = np.asarray(y0, dtype=float).reshape(-1)
@@ -322,9 +338,10 @@ def simulate_enar(
     """Simulate from the embedding model with latent effect U beta.
 
     ``embedding_truth`` holds the population eigenvectors (N x K). Starts
-    from a stationary draw, the moving-average series cut after
-    :func:`series_terms` terms; pass ``y0`` to pin the initial state
-    instead.
+    from a stationary draw: the moving-average series cut after
+    :func:`series_terms` terms, or the closed-form law of
+    :func:`stationary_moments` where that series is longer than N; pass
+    ``y0`` to pin the initial state instead.
     """
     u = np.atleast_2d(np.asarray(embedding_truth, dtype=float))
     if u.shape[0] != graph.n or u.shape[1] != params.k:

@@ -95,17 +95,20 @@ class TestSimulate:
         run_cli(capsys, "simulate", "--config", str(path))
         assert (tmp_path / "panel.csv").read_bytes() == first
 
-    def test_files_independent_of_blas_threads(self, tmp_path):
-        # this draw has isolated nodes, whose repeated eigenvalues of G would
-        # let an eigenbasis follow the rounding of however many threads split
-        # it; the simulation applies G through the Laplacian instead
+    @pytest.mark.parametrize("alpha, theta", [(0.2, 0.2), (0.5, 0.45)])
+    def test_files_independent_of_blas_threads(self, tmp_path, alpha, theta):
+        # this draw has isolated nodes, whose repeated eigenvalues of G let
+        # an eigenbasis follow the rounding of however many threads split
+        # it. At rho = 0.4 the start series needs J = 43 terms and no basis
+        # is formed; at rho = 0.95 it needs J = 764 > N, and the closed-form
+        # start takes its eigendecomposition on one BLAS thread
         src = str(Path(enarkit.__file__).resolve().parents[1])
         outputs = {}
         for threads in ("1", "2"):
             out = tmp_path / threads
             out.mkdir()
             path, _ = write_sim_config(
-                out, n=300, t=50, k=3, seed=4,
+                out, n=300, t=50, k=3, seed=4, alpha=alpha, theta=theta,
                 out_edges=str(out / "edges.csv"), out_panel=str(out / "panel.csv"),
                 out_truth=str(out / "truth.json"),
             )

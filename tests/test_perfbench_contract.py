@@ -72,10 +72,8 @@ def test_traced_replication_records_counts(spans):
     assert result.status == "ok"
     names = {s.name for s in trace.spans}
     assert {spans.ROW_SPAN, "estimate.build_design", "lsm.fit_lsm"} <= names
-    for key in ("design_rows", "design_cols", "lsm_iters"):
+    for key in ("design_rows", "design_cols", "lyapunov_iters", "lsm_iters"):
         assert trace.values[key], key
-    # the simulation no longer takes the closed-form stationary moments
-    assert "lyapunov_iters" not in trace.values
     # the config's cap reaches the MLE; uncapped, this fit runs 500 iterations
     assert max(trace.values["lsm_iters"]) <= 3
     # the wrappers are removed again

@@ -235,26 +235,30 @@ class TestSimulate:
     def test_start_draw_follows_stationary_law(self):
         # y_0 over many seeds: every entry of the sample mean and covariance
         # lies within 5 sampling standard errors of phi and Gamma(0), both
-        # taken from the dense oracles rather than the eigenpairs
-        n, reps = 6, 4000
-        a = np.zeros((n, n))
+        # taken from the dense oracles rather than the eigenpairs. The
+        # six-node graph needs J = 176 > N terms and takes the closed form;
+        # N = 30 with 3 isolated nodes needs J = 29 and takes the series
+        reps = 4000
+        a = np.zeros((6, 6))
         for i, j in [(0, 1), (1, 2), (2, 3), (3, 0), (0, 2), (3, 4), (4, 5)]:
             a[i, j] = a[j, i] = 1.0
-        g = Graph(n, a)
-        u = np.linalg.qr(np.random.default_rng(0).standard_normal((n, 2)))[0]
-        params = EnarParams(0.3, 0.5, np.array([1.0, -0.5]), np.array([0.4]), 0.5)
-        cov = CovariateSpec(1, np.array([2.0]))
-        big_g = dense_transition(g, params.alpha, params.theta)
-        phi = np.linalg.solve(np.eye(n) - big_g, u @ params.beta)
-        gamma0 = kron_gamma0(big_g, params.sigma**2 + 2.0 * 0.4**2)
-        y0 = np.array([
-            simulate_enar(params, g, u, cov, 1, np.random.default_rng(seed)).y[:, 0]
-            for seed in range(reps)
-        ])
-        var = np.diag(gamma0)
-        assert np.all(np.abs(y0.mean(axis=0) - phi) < 5 * np.sqrt(var / reps))
-        se_cov = np.sqrt((np.outer(var, var) + gamma0**2) / reps)
-        assert np.all(np.abs(np.cov(y0, rowvar=False) - gamma0) < 5 * se_cov)
+        cases = [(Graph(6, a), 0.3, 0.5), (graph_with_isolated_nodes(30, 3, 4), 0.1, 0.15)]
+        for g, alpha, theta in cases:
+            n = g.n
+            u = np.linalg.qr(np.random.default_rng(0).standard_normal((n, 2)))[0]
+            params = EnarParams(alpha, theta, np.array([1.0, -0.5]), np.array([0.4]), 0.5)
+            cov = CovariateSpec(1, np.array([2.0]))
+            big_g = dense_transition(g, params.alpha, params.theta)
+            phi = np.linalg.solve(np.eye(n) - big_g, u @ params.beta)
+            gamma0 = kron_gamma0(big_g, params.sigma**2 + 2.0 * 0.4**2)
+            y0 = np.array([
+                simulate_enar(params, g, u, cov, 1, np.random.default_rng(seed)).y[:, 0]
+                for seed in range(reps)
+            ])
+            var = np.diag(gamma0)
+            assert np.all(np.abs(y0.mean(axis=0) - phi) < 5 * np.sqrt(var / reps))
+            se_cov = np.sqrt((np.outer(var, var) + gamma0**2) / reps)
+            assert np.all(np.abs(np.cov(y0, rowvar=False) - gamma0) < 5 * se_cov)
 
 
 def graph_with_isolated_nodes(n, n_isolated, seed):
@@ -269,7 +273,8 @@ def graph_with_isolated_nodes(n, n_isolated, seed):
 
 
 class TestSeriesSimulation:
-    """The start draw and Panel.phi come from the moving-average series."""
+    """The start draw and Panel.phi come from the moving-average series,
+    or from the closed form where the series needs more than N terms."""
 
     def test_series_terms(self):
         assert [series_terms(a, t) for a, t in ((0.2, 0.2), (0.5, -0.4), (0.4, 0.59))] == [
@@ -279,7 +284,9 @@ class TestSeriesSimulation:
 
     @pytest.mark.parametrize("alpha, theta", [(0.2, 0.2), (-0.3, 0.6), (0.5, -0.45), (0.0, 0.0)])
     def test_phi_matches_closed_form(self, alpha, theta):
-        for n, n_isolated, seed in ((12, 0, 1), (40, 5, 2), (150, 9, 3)):
+        # N = 400 takes the series for rho <= 0.9 (J <= 372); the other
+        # draws need more than N terms and take the closed form
+        for n, n_isolated, seed in ((12, 0, 1), (40, 5, 2), (400, 9, 3)):
             g = graph_with_isolated_nodes(n, n_isolated, seed)
             b = np.random.default_rng(seed).standard_normal(n)
             params = EnarParams(alpha, theta, np.array([1.0]), np.zeros(0), 0.5)
@@ -287,25 +294,16 @@ class TestSeriesSimulation:
             m = stationary_moments(g, b, params, no_cov())
             assert np.max(np.abs(panel.phi - m.phi)) < 1e-12
 
-    def test_start_covariance_matches_gamma0(self):
-        # y_0 over 3000 seeds on N=30 with 3 isolated nodes: every entry of
-        # the sample mean and covariance lies within 5 sampling standard
-        # errors of phi and Gamma(0), se_ij = sqrt((G_ii G_jj + G_ij^2) / reps)
-        n, reps = 30, 3000
-        g = graph_with_isolated_nodes(n, 3, 4)
-        b = np.random.default_rng(5).standard_normal(n)
-        params = EnarParams(0.3, 0.45, np.array([1.0]), np.array([0.4]), 0.5)
-        cov = CovariateSpec(1, np.array([2.0]))
-        m = stationary_moments(g, b, params, cov)
-        y0 = np.array([
-            simulate_enar(params, g, b[:, None], cov, 1, np.random.default_rng(seed)).y[:, 0]
-            for seed in range(reps)
-        ])
-        gamma0 = m.gamma0
-        var = np.diag(gamma0)
-        assert np.all(np.abs(y0.mean(axis=0) - m.phi) < 5 * np.sqrt(var / reps))
-        se_cov = np.sqrt((np.outer(var, var) + gamma0**2) / reps)
-        assert np.all(np.abs(np.cov(y0, rowvar=False) - gamma0) < 5 * se_cov)
+    def test_start_near_unit_root_takes_the_closed_form(self):
+        # rho = 1 - 1e-7 would need J of about 4e8 series terms
+        g = graph_with_isolated_nodes(30, 3, 7)
+        b = np.random.default_rng(8).standard_normal(30)
+        params = EnarParams(0.5, 0.4999999, np.array([1.0]), np.zeros(0), 0.5)
+        assert series_terms(params.alpha, params.theta) > 10**8
+        panel = simulate_enar(params, g, b[:, None], no_cov(), 3, np.random.default_rng(0))
+        m = stationary_moments(g, b, params, no_cov())
+        assert np.max(np.abs(panel.phi - m.phi)) <= 1e-12 * np.max(np.abs(m.phi))
+        assert np.all(np.isfinite(panel.y))
 
     def test_given_start_leaves_the_recursion_noise(self):
         g = graph_with_isolated_nodes(25, 2, 6)
