@@ -304,7 +304,7 @@ def simulate_cell_data(cell: Cell, config: ExperimentConfig, seed: int) -> CellD
     else:
         gen_spec = _make_generator_spec(cell, config, stage_rng(seed, "latents"))
         p_matrix = network.connection_matrix(gen_spec)
-        graph = network.sample_graph(p_matrix, stage_rng(seed, "graph"), allow_isolated=True)
+        graph = network.sample_graph(p_matrix, stage_rng(seed, "graph"))
         if cell.truth == "enar":
             latent_true = network.embed_symmetric(p_matrix, cell.k).vectors
             truth_spec = estimate.DesignSpec("enar", cell.k)
@@ -313,7 +313,7 @@ def simulate_cell_data(cell: Cell, config: ExperimentConfig, seed: int) -> CellD
             latent_true = None
             truth_spec = estimate.DesignSpec("nar")
             mu_true = np.concatenate([[params.alpha, params.theta], params.gamma])
-        del p_matrix  # free this N x N array before the simulation builds the Laplacian
+        del p_matrix  # the draw's last N x N array; the simulation holds none
         panel = process.simulate_enar(
             params, graph,
             latent_true if latent_true is not None else np.zeros((cell.n, 0)),

@@ -27,7 +27,6 @@ from .errors import (
     EmptyGroup,
     EnarkitError,
     InvalidProbability,
-    IsolationRetriesExceeded,
     NotStationary,
     RankDeficient,
     ShapeMismatch,
@@ -41,8 +40,8 @@ EXIT_DATA = 3
 EXIT_NUMERICAL = 4
 
 _NUMERICAL_ERRORS = (
-    NotStationary, RankDeficient, EigConvergenceFailure, IsolationRetriesExceeded,
-    InvalidProbability, ZeroDenominator,
+    NotStationary, RankDeficient, EigConvergenceFailure, InvalidProbability,
+    ZeroDenominator,
 )
 _DATA_ERRORS = (DataError, DimensionMismatch, ShapeMismatch, EmptyGroup)
 

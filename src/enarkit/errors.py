@@ -15,10 +15,6 @@ class InvalidProbability(EnarkitError):
         super().__init__(f"edge probability p[{i},{j}] = {p!r} is outside [0, 1]")
 
 
-class IsolationRetriesExceeded(EnarkitError):
-    """Graph regeneration kept producing isolated nodes."""
-
-
 class EigConvergenceFailure(EnarkitError):
     """The iterative eigensolver failed to converge."""
 

@@ -183,8 +183,9 @@ def design_rows(
 
     Row t*N + i holds node i at lag column t: [r latent | y | L y | z], or
     [latent | 1 | z] for the regression variant, whose grand-mean column is
-    optional and whose ``laplacian`` may be None. ``r`` scales the AMNAR
-    latent block.
+    optional and whose ``laplacian`` may be None. ``laplacian`` may be a
+    sparse (as ``Graph.laplacian`` is) or a dense array. ``r`` scales the
+    AMNAR latent block.
     """
     n, t_len = y_lag.shape
     latent = _check_latent(latent, n, spec.latent_cols)

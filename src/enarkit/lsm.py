@@ -13,10 +13,11 @@ finite-difference suite pins this convention.
 
 One ascent iteration builds chi once per line-search candidate and reads
 the gradient off the chi of the accepted iterate, so an iteration whose
-first step is accepted builds chi once. A fit holds two N x N buffers,
-chi and the residual, and selects the upper triangle through one boolean
-mask built per fit; ``LsmState.chi``, ``lsm_loglik`` and ``lsm_gradient``
-run the same kernels on fresh buffers.
+first step is accepted builds chi once. A fit holds one dense copy of the
+graph's sparse adjacency, shared by the spectral start and the kernels, and
+two N x N buffers, chi and the residual; it selects the upper triangle
+through one boolean mask built per fit. ``LsmState.chi``, ``lsm_loglik``
+and ``lsm_gradient`` run the same kernels on fresh buffers.
 """
 
 from __future__ import annotations
@@ -108,15 +109,15 @@ def _build_chi(q: np.ndarray, v: np.ndarray, out: np.ndarray) -> np.ndarray:
 class _Kernels:
     """Log-likelihood and ascent direction of one graph, read off a built chi.
 
-    Holds the boolean mask of the strict upper triangle (it selects in
-    row-major order, as ``np.triu_indices`` does), the adjacency entries it
-    selects, and the residual buffer, so repeated calls allocate no N x N
-    temporary.
+    Holds the dense adjacency, the boolean mask of the strict upper triangle
+    (it selects in row-major order, as ``np.triu_indices`` does), the
+    adjacency entries it selects, and the residual buffer, so repeated calls
+    allocate no N x N temporary.
     """
 
     def __init__(self, graph: Graph):
         n = graph.n
-        self.adjacency = graph.adjacency
+        self.adjacency = graph.adjacency.toarray()
         self.upper = np.triu(np.ones((n, n), dtype=bool), 1)
         self.a_upper = self.adjacency[self.upper]
         self.softplus = np.empty(self.a_upper.size)
@@ -193,13 +194,14 @@ def project_constraints(state: LsmState, row_norm_cap: float | None = None) -> L
     return LsmState(q, v)
 
 
-def _spectral_init(graph: Graph, k: int, rng: np.random.Generator) -> LsmState:
-    """Warm start: degree-matched additive effects, residual spectrum for q."""
-    n = graph.n
+def _spectral_init(adjacency: np.ndarray, k: int, rng: np.random.Generator) -> LsmState:
+    """Warm start from a dense adjacency: degree-matched additive effects,
+    residual spectrum for q."""
+    n = adjacency.shape[0]
     eps = 0.5 / max(n - 1, 1)
-    p0 = np.clip(graph.degrees / max(n - 1, 1), eps, 1.0 - eps)
+    p0 = np.clip(adjacency.sum(axis=1) / max(n - 1, 1), eps, 1.0 - eps)
     v0 = np.log(p0 / (1.0 - p0))
-    resid = graph.adjacency - expit(v0[:, None] + v0[None, :])
+    resid = adjacency - expit(v0[:, None] + v0[None, :])
     vals, vecs = _leading_eigenpairs(resid, k, "LA")
     q0 = vecs * np.sqrt(np.clip(vals, 0.0, None))
     weak = np.sqrt(np.clip(vals, 0.0, None)) < 1e-8
@@ -238,7 +240,7 @@ def fit_lsm(
 
     kernels = _Kernels(graph)
     chi = np.empty((graph.n, graph.n))
-    state = project_constraints(_spectral_init(graph, k, rng))
+    state = project_constraints(_spectral_init(kernels.adjacency, k, rng))
     ll = kernels.loglik(_build_chi(state.q, state.v, chi))
     fit = LsmFit(state=state, loglik_trace=[ll])
 
@@ -279,7 +281,7 @@ def sample_lsm_graph(state: LsmState, rng: np.random.Generator) -> Graph:
     are kept (no resampling), as in the benchmark's sparse regimes."""
     p = expit(state.chi())
     np.fill_diagonal(p, 0.0)
-    return sample_graph(p, rng, allow_isolated=True)
+    return sample_graph(p, rng)
 
 
 def write_latent_csv(state: LsmState, path: str) -> None:

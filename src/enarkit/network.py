@@ -1,13 +1,15 @@
 """Undirected network construction, generation, and spectral embedding.
 
-Graphs are simple, hollow, undirected 0/1 adjacency matrices. Generators
-draw Bernoulli edges from a low-rank connection-probability matrix built
-either from explicit latent positions (with a sparsity factor) or from a
-(degree-corrected, possibly mixed-membership) block structure, and resample
-until every node has at least one neighbour. Spectral embeddings keep the
-eigenvectors of the k eigenvalues of largest magnitude with a deterministic
-sign convention and, above the dense limit, a fixed Lanczos start, so that
-repeated runs agree exactly.
+Graphs are simple, hollow, undirected 0/1 adjacency matrices held in
+compressed sparse row (CSR) form, so a graph with E edges costs O(N + E)
+memory, and so do its normalized Laplacian and every product with it.
+Generators draw Bernoulli edges from a low-rank connection-probability
+matrix built either from explicit latent positions (with a sparsity factor)
+or from a (degree-corrected, possibly mixed-membership) block structure;
+isolated nodes are kept. Spectral embeddings keep the eigenvectors of the k
+eigenvalues of largest magnitude with a deterministic sign convention and,
+above the dense limit, a fixed Lanczos start, so that repeated runs agree
+exactly.
 """
 
 from __future__ import annotations
@@ -18,6 +20,7 @@ from dataclasses import dataclass
 from typing import Union
 
 import numpy as np
+import scipy.sparse
 import scipy.sparse.linalg
 
 from .csvio import Table, load_columns, repeated_rows, write_table
@@ -25,7 +28,6 @@ from .errors import (
     DataError,
     EigConvergenceFailure,
     InvalidProbability,
-    IsolationRetriesExceeded,
     ShapeMismatch,
 )
 
@@ -38,48 +40,69 @@ from .errors import (
 # N=1000. Eigenvalues agreed to 9e-14, sign-fixed eigenvectors to 6e-9.
 DENSE_EIG_LIMIT = 128
 _LANCZOS_START_SEED = 20240601
-ISOLATION_MAX_RETRIES = 100
+
+
+class _FrozenCsr(scipy.sparse.csr_array):
+    """CSR array that refuses item assignment. Read-only buffers alone stop
+    a write to a stored entry but not the structural insert of a new one."""
+
+    def __setitem__(self, key, value):
+        raise ValueError("a Graph's adjacency is read-only")
 
 
 @dataclass
 class Graph:
-    """Simple undirected graph held as a dense 0/1 adjacency matrix.
+    """Simple undirected graph held as a read-only CSR 0/1 adjacency.
 
+    ``adjacency`` may be given dense or sparse; it is stored as a
+    ``scipy.sparse.csr_array`` with sorted indices and no explicit zeros.
     Invariants (checked on construction): the matrix is square of size
     ``n``, symmetric, hollow (zero diagonal), 0/1 and read-only.
     """
 
     n: int
-    adjacency: np.ndarray
+    adjacency: scipy.sparse.csr_array
 
     def __post_init__(self):
-        a = np.asarray(self.adjacency, dtype=float)
-        if a.shape != (self.n, self.n):
-            raise ShapeMismatch(f"adjacency shape {a.shape} != ({self.n}, {self.n})")
-        if not np.array_equal(a, a.T):
+        if np.shape(self.adjacency) != (self.n, self.n):
+            raise ShapeMismatch(
+                f"adjacency shape {np.shape(self.adjacency)} != ({self.n}, {self.n})"
+            )
+        a = _FrozenCsr(self.adjacency, dtype=float, copy=True)
+        a.sum_duplicates()
+        a.eliminate_zeros()
+        if (a != a.T).nnz:
             raise DataError("adjacency matrix is not symmetric")
-        if np.any(np.diag(a) != 0):
+        if np.any(a.diagonal() != 0):
             raise DataError("adjacency matrix has a nonzero diagonal")
-        if not np.all((a == 0) | (a == 1)):
+        if np.any(a.data != 1):
             raise DataError("adjacency entries must be 0 or 1")
-        a.flags.writeable = False
+        for buf in (a.data, a.indices, a.indptr):
+            buf.flags.writeable = False
         self.adjacency = a
 
     @functools.cached_property
-    def laplacian(self) -> np.ndarray:
+    def laplacian(self) -> scipy.sparse.csr_array:
         """The normalized Laplacian, built by the module's function on first use and kept."""
         return normalized_laplacian(self)
 
     @property
     def degrees(self) -> np.ndarray:
-        return self.adjacency.sum(axis=1)
+        return np.diff(self.adjacency.indptr).astype(float)
 
     @property
     def density(self) -> float:
         """Fraction of the n(n-1)/2 possible edges present."""
         if self.n < 2:
             return 0.0
-        return float(self.adjacency.sum() / (self.n * (self.n - 1)))
+        return self.adjacency.nnz / (self.n * (self.n - 1))
+
+
+def _from_upper(n: int, lo: np.ndarray, hi: np.ndarray) -> Graph:
+    """Graph on ``n`` nodes with one edge per pair (lo[e], hi[e]), lo < hi."""
+    rows, cols = np.concatenate([lo, hi]), np.concatenate([hi, lo])
+    a = scipy.sparse.coo_array((np.ones(rows.size), (rows, cols)), shape=(n, n))
+    return Graph(n, a.tocsr())
 
 
 @dataclass
@@ -162,16 +185,19 @@ class Embedding:
         return self.vectors.shape[1]
 
 
-def normalized_laplacian(g: Graph) -> np.ndarray:
-    """Symmetric normalized Laplacian D^{-1/2} A D^{-1/2}.
+def normalized_laplacian(g: Graph) -> scipy.sparse.csr_array:
+    """Symmetric normalized Laplacian D^{-1/2} A D^{-1/2}, as CSR on the
+    adjacency's sparsity pattern (built in O(N + E)).
 
     The rows and columns of isolated (degree-0) nodes are all zero, so such
     a node has no peer term.
     """
-    d = g.degrees
-    with np.errstate(divide="ignore"):
-        inv_sqrt = np.where(d > 0, 1.0 / np.sqrt(np.maximum(d, 1e-300)), 0.0)
-    return g.adjacency * np.outer(inv_sqrt, inv_sqrt)
+    a = g.adjacency
+    # isolated nodes store no entries, so their placeholder 1 is never read
+    inv_sqrt = 1.0 / np.sqrt(np.maximum(g.degrees, 1.0))
+    # entry (i, j) is inv_sqrt[i] * inv_sqrt[j]; row i holds d_i entries
+    data = np.repeat(inv_sqrt, np.diff(a.indptr)) * inv_sqrt[a.indices]
+    return scipy.sparse.csr_array((data, a.indices, a.indptr), shape=a.shape)
 
 
 def connection_matrix(spec: LatentGraphSpec) -> np.ndarray:
@@ -210,28 +236,26 @@ def connection_matrix(spec: LatentGraphSpec) -> np.ndarray:
     return p
 
 
-def sample_graph(
-    p: np.ndarray, rng: np.random.Generator, allow_isolated: bool = False
-) -> Graph:
+def sample_graph(p: np.ndarray, rng: np.random.Generator) -> Graph:
     """Hollow symmetric Bernoulli graph with edge probabilities ``p``.
 
     Build ``p`` with ``connection_matrix`` (or any symmetric matrix of
-    probabilities). Resamples (up to ISOLATION_MAX_RETRIES draws) whenever
-    the draw leaves some node isolated; ``allow_isolated`` accepts the first
-    draw as-is, which is the only workable choice in sparse degree-corrected
-    regimes where isolation-free draws essentially never occur.
+    probabilities); only its strict upper triangle is read. One uniform is
+    drawn per pair i < j in row-major order, and isolated nodes are kept.
+    A non-square ``p`` raises :class:`ShapeMismatch`; the first pair whose
+    probability is NaN or outside [0, 1] raises :class:`InvalidProbability`.
     """
-    n = p.shape[0]
-    iu = np.triu_indices(n, k=1)
-    for _ in range(1 if allow_isolated else ISOLATION_MAX_RETRIES):
-        a = np.zeros((n, n))
-        a[iu] = rng.random(iu[0].size) < p[iu]
-        g = Graph(n, a + a.T)
-        if allow_isolated or np.all(g.degrees > 0):
-            return g
-    raise IsolationRetriesExceeded(
-        f"no isolation-free draw in {ISOLATION_MAX_RETRIES} attempts"
-    )
+    p = np.asarray(p, dtype=float)
+    if p.ndim != 2 or p.shape[0] != p.shape[1]:
+        raise ShapeMismatch(f"edge probabilities must be a square matrix, got {p.shape}")
+    iu = np.triu_indices(p.shape[0], k=1)
+    probs = p[iu]
+    bad = np.flatnonzero(~((probs >= 0.0) & (probs <= 1.0)))
+    if bad.size:
+        e = bad[0]
+        raise InvalidProbability(int(iu[0][e]), int(iu[1][e]), float(probs[e]))
+    hit = rng.random(probs.size) < probs
+    return _from_upper(p.shape[0], iu[0][hit], iu[1][hit])
 
 
 def _order_by_magnitude(eigenvalues: np.ndarray) -> np.ndarray:
@@ -259,10 +283,11 @@ def _leading_eigenpairs(
     "LA" (largest eigenvalue). Dense ``eigh`` up to DENSE_EIG_LIMIT rows,
     Lanczos above that from a fixed start vector drawn from its own stream,
     so repeated calls agree bit for bit and no caller's rng is consumed.
+    ``a`` may be dense or sparse; only the dense solver densifies it.
     """
     n = a.shape[0]
     if n <= DENSE_EIG_LIMIT or k >= n - 1:
-        vals, vecs = np.linalg.eigh(a)
+        vals, vecs = np.linalg.eigh(a.toarray() if scipy.sparse.issparse(a) else a)
     else:
         v0 = np.random.default_rng(_LANCZOS_START_SEED).uniform(-1.0, 1.0, n)
         try:
@@ -278,8 +303,8 @@ def _leading_eigenpairs(
     return vals[order], vecs[:, order]
 
 
-def embed_symmetric(a: np.ndarray, k: int) -> Embedding:
-    """Leading-|eigenvalue| eigenpairs of a symmetric matrix.
+def embed_symmetric(a, k: int) -> Embedding:
+    """Leading-|eigenvalue| eigenpairs of a symmetric matrix, dense or sparse.
 
     Each eigenvector's largest-magnitude entry is positive. Dense solver up
     to DENSE_EIG_LIMIT rows, Lanczos from a fixed start above that, so the
@@ -287,7 +312,8 @@ def embed_symmetric(a: np.ndarray, k: int) -> Embedding:
     embedding are those of the j-pair embedding on the dense path; on the
     Lanczos path they agree to the solver tolerance.
     """
-    a = np.asarray(a, dtype=float)
+    if not scipy.sparse.issparse(a):
+        a = np.asarray(a, dtype=float)
     n = a.shape[0]
     if not 1 <= k <= n:
         raise ShapeMismatch(f"k = {k} must satisfy 1 <= k <= {n}")
@@ -296,7 +322,8 @@ def embed_symmetric(a: np.ndarray, k: int) -> Embedding:
 
 
 def spectral_embed(g: Graph, k: int) -> Embedding:
-    """Adjacency spectral embedding of a graph in dimension ``k``."""
+    """Adjacency spectral embedding of a graph in dimension ``k``; Lanczos
+    runs on the sparse adjacency."""
     return embed_symmetric(g.adjacency, k)
 
 
@@ -341,6 +368,7 @@ def select_k(
     if not 0.0 < holdout_fraction < 1.0:
         raise DataError("holdout_fraction must lie in (0, 1)")
 
+    a = g.adjacency.toarray()
     iu = np.triu_indices(g.n, k=1)
     n_pairs = iu[0].size
     n_hidden = max(1, int(round(holdout_fraction * n_pairs)))
@@ -349,11 +377,11 @@ def select_k(
         hidden = rng.choice(n_pairs, size=n_hidden, replace=False)
         mask = np.ones(n_pairs, dtype=bool)
         mask[hidden] = False
-        a_obs = np.zeros_like(g.adjacency)
-        a_obs[iu[0][mask], iu[1][mask]] = g.adjacency[iu[0][mask], iu[1][mask]]
+        a_obs = np.zeros_like(a)
+        a_obs[iu[0][mask], iu[1][mask]] = a[iu[0][mask], iu[1][mask]]
         a_obs = (a_obs + a_obs.T) / (1.0 - holdout_fraction)
         emb = embed_symmetric(a_obs, k_max)
-        truth = g.adjacency[iu[0][hidden], iu[1][hidden]]
+        truth = a[iu[0][hidden], iu[1][hidden]]
         # Rank-k reconstructions share the leading eigenpairs, so build the
         # holdout predictions incrementally.
         pred = np.zeros(n_hidden)
@@ -402,14 +430,13 @@ def read_edge_csv(path: str, n_nodes: int | None = None) -> Graph:
     if over.size:
         j = over[0]
         raise DataError(f"{table.where(j)}: edge ({lo[j]},{hi[j]}) exceeds node count {n}")
-    a = np.zeros((n, n))
-    a[lo, hi] = a[hi, lo] = 1.0
-    return Graph(n, a)
+    return _from_upper(n, lo, hi)
 
 
 def write_edge_csv(g: Graph, path: str) -> None:
-    """Write each undirected edge once as ``src,dst`` with CRLF line ends
-    (atomic replace)."""
-    iu = np.triu_indices(g.n, k=1)
-    present = g.adjacency[iu] > 0
-    write_table(path, ["src", "dst"], zip(iu[0][present].tolist(), iu[1][present].tolist()))
+    """Write each undirected edge once as ``src,dst``, in row-major order of
+    the upper triangle, with CRLF line ends (atomic replace)."""
+    a = g.adjacency
+    rows = np.repeat(np.arange(g.n), np.diff(a.indptr))
+    upper = a.indices > rows  # indices are sorted within each row
+    write_table(path, ["src", "dst"], zip(rows[upper].tolist(), a.indices[upper].tolist()))

@@ -14,10 +14,11 @@ c = sigma^2 + gamma' Sigma_z gamma. In closed form the mean solves
 ``stationary_moments`` gives both from one eigendecomposition
 G = V diag(g) V': phi = V ((V' b) / (1 - g)) and
 Gamma(0) = V diag(c / (1 - g^2)) V'. The simulation applies G only as a
-product with the graph's Laplacian. It draws its start from the first
-J = ceil(log(1e-17) / log rho) terms of the series while J <= N, where J
-products with L cost no more than about one O(N^3) eigendecomposition; for
-a longer series (rho near 1) it takes the closed form, on one BLAS thread.
+product with the graph's sparse Laplacian, O(N + E) each. It draws its
+start from the first J = ceil(log(1e-17) / log rho) terms of the series
+while J <= N, where J such products cost no more than one O(N^3)
+eigendecomposition; for a longer series (rho near 1) it takes the closed
+form, on one BLAS thread.
 
 The latent effect is U beta for the embedding model and r X beta for the
 additive+multiplicative model, where r = N^{-s} T^{-1/2}.
@@ -201,10 +202,10 @@ def check_stationarity(alpha: float, theta: float) -> bool:
 
 
 def transition_matrix(graph: Graph, alpha: float, theta: float) -> np.ndarray:
-    # isolated nodes get a zero Laplacian row: no peer term, plain AR(1).
-    # theta * L is a new array, so the Laplacian kept on the graph is not
-    # touched.
-    g = theta * graph.laplacian
+    """Dense G = alpha I + theta L; isolated nodes get a zero Laplacian row:
+    no peer term, plain AR(1)."""
+    g = graph.laplacian.toarray()
+    g *= theta
     g[np.diag_indices(graph.n)] += alpha
     return g
 
@@ -282,24 +283,27 @@ def _simulate(
     alpha, theta, lap = params.alpha, params.theta, graph.laplacian
     start_rng, step_rng = rng.spawn(2)
 
+    def apply_g(v: np.ndarray) -> np.ndarray:
+        return alpha * v + theta * (lap @ v)
+
     n_terms = series_terms(alpha, theta)
     if n_terms <= n:
-        # Horner steps x <- G x + [b | eps_j] on the N x 2 block give the
-        # mean phi = sum_j G^j b beside the noise sum_j G^j eps_j of the
-        # start draw. The block is held as its 2 x N transpose, stepped as
-        # x' L (L is symmetric): at N=1000 that product takes about 0.7 ms
-        # against 1.0 ms for L x on one BLAS thread.
+        # Horner steps x <- G x + b and x <- G x + eps_j give the mean
+        # phi = sum_j G^j b beside the noise sum_j G^j eps_j of the start
+        # draw. Two sparse products with L cost less than one with the
+        # N x 2 block they form.
         sd_start = math.sqrt(c)
-        x = np.stack([b, sd_start * start_rng.standard_normal(n)])
+        phi, noise = b, sd_start * start_rng.standard_normal(n)
         for _ in range(n_terms - 1):
-            x = alpha * x + theta * (x @ lap)
-            x[0] += b
-            x[1] += sd_start * start_rng.standard_normal(n)
-        phi, noise = x
+            phi = apply_g(phi) + b
+            noise = apply_g(noise) + sd_start * start_rng.standard_normal(n)
     else:
-        # J grows without bound as rho -> 1; past about N terms its products
-        # cost more than one O(N^3) eigendecomposition, whose cost does not
-        # depend on rho: y_0 = phi + V diag(sqrt(c / (1 - g^2))) xi. One
+        # J grows without bound as rho -> 1; past N terms the start takes
+        # one O(N^3) eigendecomposition, whose cost does not depend on rho:
+        # y_0 = phi + V diag(sqrt(c / (1 - g^2))) xi. With a sparse L the
+        # rule is conservative: measured on one thread, both paths cost the
+        # same near J = N at N=300, and at J = 2-4 N for N from 1000 to
+        # 3000; moving it would change the start draws at high rho. One
         # BLAS thread keeps the basis, and so the draw, the same under any
         # thread count.
         with blas.one_thread():
@@ -321,7 +325,7 @@ def _simulate(
     for t in range(t_len):
         z[:, t, :] = step_rng.standard_normal((n, p)) * sd
         eps = params.sigma * step_rng.standard_normal(n)
-        y_cur = alpha * y_cur + theta * (lap @ y_cur) + b + z[:, t, :] @ params.gamma + eps
+        y_cur = apply_g(y_cur) + b + z[:, t, :] @ params.gamma + eps
         y[:, t + 1] = y_cur
     return Panel(y=y, z=z, phi=phi)
 

@@ -18,7 +18,7 @@ from enarkit.lsm import LsmFit, LsmState, lsm_gradient, lsm_loglik, project_cons
 
 def dense_transition(graph, alpha: float, theta: float) -> np.ndarray:
     """G = alpha I + theta D^{-1/2} A D^{-1/2}, entry by entry from the adjacency."""
-    a = np.asarray(graph.adjacency, dtype=float)
+    a = graph.adjacency.toarray()
     n = a.shape[0]
     deg = a.sum(axis=1)
     g = np.zeros((n, n))

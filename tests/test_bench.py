@@ -90,7 +90,7 @@ class TestStageStreams:
         cell = Cell("dcmmsbm", truth, "nar", 100, 8, 2)
         low, high = (bench.simulate_cell_data(cell, smoke_config(alpha=a), 11)
                      for a in (0.2, 0.6))
-        assert np.array_equal(low.graph.adjacency, high.graph.adjacency)
+        assert np.array_equal(low.graph.adjacency.toarray(), high.graph.adjacency.toarray())
         assert np.array_equal(low.panel.z, high.panel.z)
         assert np.array_equal(low.z_next, high.z_next)
         assert not np.array_equal(low.panel.y, high.panel.y)

@@ -1,5 +1,6 @@
 import json
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -253,7 +254,7 @@ class TestModelCompositions:
         assert fit.names == ["beta_1", "beta_2", "alpha", "theta", "gamma_1"]
         # one three-pair decomposition gives the two-pair embedding and the gap
         assert np.array_equal(emb.vectors, spectral_embed(g, 2).vectors)
-        mags = np.sort(np.abs(np.linalg.eigvalsh(g.adjacency)))[::-1]
+        mags = np.sort(np.abs(np.linalg.eigvalsh(g.adjacency.toarray())))[::-1]
         assert diag.eigengap == pytest.approx(mags[1] - mags[2], abs=1e-10)
         assert diag.eigengap >= 0
         assert diag.kappa >= 0
@@ -588,3 +589,29 @@ class TestDesignRows:
         fit.spec = None
         with pytest.raises(DataError, match="no design spec"):
             predict_one_step(fit, graph, y_t, z_t, latent)
+
+
+class TestSparsePath:
+    def test_enar_path_allocates_no_n_by_n_array(self, tmp_path):
+        # one N x N float64 array takes 200 MB at N=5000; reading the edge
+        # list, simulating and fitting must all stay far below that
+        n = 5000
+        rng = np.random.default_rng(31)
+        pairs = np.unique(np.sort(rng.integers(0, n, (6000, 2)), axis=1), axis=0)
+        pairs = pairs[pairs[:, 0] != pairs[:, 1]]
+        path = tmp_path / "edges.csv"
+        path.write_text("src,dst\n" + "".join(f"{i},{j}\n" for i, j in pairs))
+        params = EnarParams(0.2, 0.2, np.array([1.0, -0.5]), np.array([0.3]), 1.0)
+        cov = CovariateSpec(1, np.array([1.0]))
+        u = np.linalg.qr(rng.standard_normal((n, 2)))[0]
+        tracemalloc.start()
+        try:
+            graph = network.read_edge_csv(str(path), n_nodes=n)
+            panel = simulate_enar(params, graph, u, cov, 5, rng)
+            fit, emb, _ = fit_enar(panel, graph, 2)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 40e6
+        assert graph.adjacency.nnz == 2 * len(pairs)
+        assert emb.vectors.shape == (n, 2) and np.all(np.isfinite(fit.mu_hat))

@@ -5,7 +5,7 @@ import scipy.sparse.linalg
 import enarkit.network as net
 from enarkit.errors import (
     DataError,
-    IsolationRetriesExceeded,
+    InvalidProbability,
     ShapeMismatch,
 )
 from enarkit.network import (
@@ -24,7 +24,12 @@ from enarkit.network import (
     spectral_embed,
     write_edge_csv,
 )
-from oracles import magnitude_order_sorted, random_orthogonal, write_edge_csv_loop
+from oracles import (
+    dense_transition,
+    magnitude_order_sorted,
+    random_orthogonal,
+    write_edge_csv_loop,
+)
 
 
 def path_graph(n):
@@ -61,37 +66,50 @@ class TestGraph:
         g = path_graph(3)
         with pytest.raises(ValueError):
             g.adjacency[0, 1] = 0
+        with pytest.raises(ValueError):
+            g.adjacency[0, 2] = 1
+        assert np.array_equal(g.adjacency.toarray(), path_graph(3).adjacency.toarray())
 
 
 class TestLaplacian:
     def test_graph_keeps_its_laplacian(self):
         g = path_graph(4)
         assert g.laplacian is g.laplacian
-        assert g.laplacian.tobytes() == normalized_laplacian(g).tobytes()
+        assert g.laplacian.toarray().tobytes() == normalized_laplacian(g).toarray().tobytes()
 
     def test_path_graph_values(self):
         # degrees (1, 2, 1) on the 3-path
-        lap = normalized_laplacian(path_graph(3))
+        lap = normalized_laplacian(path_graph(3)).toarray()
         assert lap[0, 1] == pytest.approx(1 / np.sqrt(2), abs=1e-12)
         assert lap[1, 2] == pytest.approx(1 / np.sqrt(2), abs=1e-12)
         assert lap[0, 2] == 0.0
         assert np.allclose(lap, lap.T)
 
     def test_triangle_all_half(self):
-        lap = normalized_laplacian(complete_graph(3))
+        lap = normalized_laplacian(complete_graph(3)).toarray()
         off = lap[~np.eye(3, dtype=bool)]
         assert np.allclose(off, 0.5)
 
     def test_single_edge_radius_one(self):
-        lap = normalized_laplacian(complete_graph(2))
+        lap = normalized_laplacian(complete_graph(2)).toarray()
         assert lap[0, 1] == 1.0
         assert np.max(np.abs(np.linalg.eigvalsh(lap))) == pytest.approx(1.0, abs=1e-12)
 
     def test_allow_isolated_zero_rows(self):
         a = np.zeros((3, 3))
         a[0, 1] = a[1, 0] = 1.0
-        lap = normalized_laplacian(Graph(3, a))
+        lap = normalized_laplacian(Graph(3, a)).toarray()
         assert np.all(lap[2, :] == 0) and np.all(lap[:, 2] == 0)
+
+    def test_matches_entrywise_oracle_with_isolated_nodes(self):
+        rng = np.random.default_rng(12)
+        for n in (1, 2, 7, 30, 60):
+            a = np.triu((rng.random((n, n)) < 2.0 / n).astype(float), 1)
+            g = Graph(n, a + a.T)
+            lap = normalized_laplacian(g)
+            assert isinstance(lap, scipy.sparse.csr_array)
+            assert np.allclose(lap.toarray(), dense_transition(g, 0.0, 1.0), rtol=1e-15, atol=0)
+        assert np.any(g.degrees == 0)
 
     def test_spectral_radius_at_most_one(self):
         rng = np.random.default_rng(7)
@@ -102,7 +120,7 @@ class TestLaplacian:
                 a = a + a.T
                 if np.all(a.sum(axis=1) > 0):
                     break
-            lap = normalized_laplacian(Graph(n, a))
+            lap = normalized_laplacian(Graph(n, a)).toarray()
             assert np.max(np.abs(np.linalg.eigvalsh(lap))) <= 1.0 + 1e-10
 
 
@@ -110,12 +128,24 @@ class TestGenerators:
     def test_rdpg_all_ones_complete(self):
         spec = RdpgSpec(np.ones((6, 1)), rho=1.0)
         g = sample_graph(connection_matrix(spec), np.random.default_rng(0))
-        assert np.array_equal(g.adjacency, complete_graph(6).adjacency)
+        assert np.array_equal(g.adjacency.toarray(), complete_graph(6).adjacency.toarray())
 
-    def test_rdpg_zero_positions_exhausts_retries(self):
-        spec = RdpgSpec(np.zeros((5, 1)), rho=1.0)
-        with pytest.raises(IsolationRetriesExceeded):
-            sample_graph(connection_matrix(spec), np.random.default_rng(0))
+    def test_probability_above_one_rejected(self):
+        with pytest.raises(InvalidProbability) as err:
+            sample_graph(np.full((4, 4), 1.5), np.random.default_rng(0))
+        assert (err.value.i, err.value.j, err.value.p) == (0, 1, 1.5)
+
+    def test_nan_probability_rejected_at_first_pair(self):
+        p = np.full((5, 5), 0.5)
+        p[3, 4] = p[4, 3] = -0.25
+        p[1, 3] = p[3, 1] = np.nan
+        with pytest.raises(InvalidProbability) as err:
+            sample_graph(p, np.random.default_rng(0))
+        assert (err.value.i, err.value.j) == (1, 3) and np.isnan(err.value.p)
+
+    def test_non_square_probabilities_rejected(self):
+        with pytest.raises(ShapeMismatch):
+            sample_graph(np.full((4, 3), 0.5), np.random.default_rng(0))
 
     def test_rdpg_density_matches_probability(self):
         n = 1000
@@ -133,24 +163,16 @@ class TestGenerators:
         block = 2 * 0.225 * np.eye(k) + 0.225 * np.ones((k, k))
         for draw in range(5):
             spec = DcsbmSpec(block, rng.integers(0, k, 40), rng.lognormal(0, 1, 40), 8.0)
-            g = sample_graph(connection_matrix(spec), rng, allow_isolated=True)
-            a = g.adjacency
+            g = sample_graph(connection_matrix(spec), rng)
+            a = g.adjacency.toarray()
             assert np.array_equal(a, a.T)
             assert np.all(np.diag(a) == 0)
             assert np.all((a == 0) | (a == 1))
 
-    def test_isolation_free_draws_with_flat_degrees(self):
-        rng = np.random.default_rng(13)
-        k = 2
-        block = 2 * 0.225 * np.eye(k) + 0.225 * np.ones((k, k))
-        spec = DcsbmSpec(block, rng.integers(0, k, 40), np.ones(40), 12.0)
-        g = sample_graph(connection_matrix(spec), rng)
-        assert np.all(g.degrees > 0)
-
     def test_dcsbm_complete_when_saturated(self):
         spec = DcsbmSpec(np.ones((1, 1)), np.zeros(5, dtype=int), np.ones(5), 4.0)
         g = sample_graph(connection_matrix(spec), np.random.default_rng(0))
-        assert np.array_equal(g.adjacency, complete_graph(5).adjacency)
+        assert np.array_equal(g.adjacency.toarray(), complete_graph(5).adjacency.toarray())
 
     def test_block_ratio_three(self):
         q = 9 / 40
@@ -165,12 +187,13 @@ class TestGenerators:
         memberships = np.repeat([0, 1], n // 2)
         degrees = rng.lognormal(0, 1, n)
         spec = DcsbmSpec(block, memberships, degrees, n ** 0.5)
-        g = sample_graph(connection_matrix(spec), rng, allow_isolated=True)
+        g = sample_graph(connection_matrix(spec), rng)
         same = memberships[:, None] == memberships[None, :]
         iu = np.triu_indices(n, 1)
         within_mask = same[iu]
-        within = g.adjacency[iu][within_mask].mean()
-        between = g.adjacency[iu][~within_mask].mean()
+        a = g.adjacency.toarray()
+        within = a[iu][within_mask].mean()
+        between = a[iu][~within_mask].mean()
         assert within / between == pytest.approx(3.0, rel=0.10)
 
     def test_max_expected_degree_respected(self):
@@ -387,7 +410,7 @@ class TestEdgeCsv:
         path = tmp_path / "edges.csv"
         write_edge_csv(g, str(path))
         back = read_edge_csv(str(path), n_nodes=12)
-        assert np.array_equal(back.adjacency, g.adjacency)
+        assert np.array_equal(back.adjacency.toarray(), g.adjacency.toarray())
 
     def test_rejects_duplicate_with_row_number(self, tmp_path):
         path = tmp_path / "dup.csv"
@@ -425,7 +448,7 @@ class TestEdgeCsv:
         expected = np.zeros((5, 5))
         for i, j in ((1, 3), (0, 2), (1, 2)):
             expected[i, j] = expected[j, i] = 1.0
-        assert np.array_equal(read_edge_csv(str(path), n_nodes=5).adjacency, expected)
+        assert np.array_equal(read_edge_csv(str(path), n_nodes=5).adjacency.toarray(), expected)
         assert read_edge_csv(str(path)).n == 4
 
     @pytest.mark.parametrize("body, message", [
