@@ -275,7 +275,7 @@ def _fix_signs(vectors: np.ndarray) -> np.ndarray:
 
 
 def _leading_eigenpairs(
-    a: np.ndarray, k: int, which: str
+    a: np.ndarray | scipy.sparse.sparray, k: int, which: str
 ) -> tuple[np.ndarray, np.ndarray]:
     """k leading eigenpairs of a symmetric matrix, leading first.
 
@@ -303,7 +303,7 @@ def _leading_eigenpairs(
     return vals[order], vecs[:, order]
 
 
-def embed_symmetric(a, k: int) -> Embedding:
+def embed_symmetric(a: np.ndarray | scipy.sparse.sparray, k: int) -> Embedding:
     """Leading-|eigenvalue| eigenpairs of a symmetric matrix, dense or sparse.
 
     Each eigenvector's largest-magnitude entry is positive. Dense solver up
