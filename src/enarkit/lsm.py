@@ -11,13 +11,17 @@ likelihood counts each unordered pair once, the ascent directions are
 R Q and R 1 for the hollow symmetric residual R = A - sigmoid(chi); the
 finite-difference suite pins this convention.
 
-One ascent iteration builds chi once per line-search candidate and reads
-the gradient off the chi of the accepted iterate, so an iteration whose
-first step is accepted builds chi once. A fit holds one dense copy of the
-graph's sparse adjacency, shared by the spectral start and the kernels, and
-two N x N buffers, chi and the residual; it selects the upper triangle
-through one boolean mask built per fit. ``LsmState.chi``, ``lsm_loglik``
-and ``lsm_gradient`` run the same kernels on fresh buffers.
+One ascent iteration evaluates the log-likelihood once per line-search
+candidate and takes the gradient off the accepted one, so an iteration
+whose first step is accepted builds chi once. The log-likelihood keeps the
+strict upper triangle c of chi and e = exp(-|c|), and the gradient reads
+sigmoid(c) off them, so no N x N sigmoid is evaluated. A fit holds two
+N x N buffers, chi and the strict upper triangle of sigmoid(chi), and one
+boolean mask that selects the N(N-1)/2 pairs. The adjacency stays sparse;
+dense copies of it live only while the pairs' entries are selected and
+while the spectral start runs. ``lsm_loglik`` and ``lsm_gradient`` run the
+same kernels on fresh buffers; ``LsmState.chi`` (and so
+``sample_lsm_graph``) sums Q Q' + v 1' + 1 v' term by term instead.
 """
 
 from __future__ import annotations
@@ -29,8 +33,8 @@ import numpy as np
 from scipy.special import expit
 
 from .csvio import Table, load_columns, repeated_rows, write_table
-from .errors import DataError, DimensionMismatch
-from .network import Graph, _fix_signs, _leading_eigenpairs, sample_graph
+from .errors import DataError, DimensionMismatch, ShapeMismatch
+from .network import Graph, _fix_signs, _leading_eigenpairs, sample_graph, upper_mask
 
 # Ascent settings: at most MAX_ITERS accepted steps, each line search
 # starting from a step of 1/N and shrinking by BACKTRACK down to MIN_STEP;
@@ -107,53 +111,68 @@ def _build_chi(q: np.ndarray, v: np.ndarray, out: np.ndarray) -> np.ndarray:
 
 
 class _Kernels:
-    """Log-likelihood and ascent direction of one graph, read off a built chi.
+    """Log-likelihood and ascent direction of one graph over its N(N-1)/2 pairs.
 
-    Holds the dense adjacency, the boolean mask of the strict upper triangle
-    (it selects in row-major order, as ``np.triu_indices`` does), the
-    adjacency entries it selects, and the residual buffer, so repeated calls
-    allocate no N x N temporary.
+    ``loglik`` builds chi into an N x N buffer with one product of [q | v | 1]
+    and [q | 1 | v]', selects its strict upper triangle c through a boolean
+    mask (row-major order, as ``np.triu_indices``) and keeps c and
+    e = exp(-|c|) in their own buffers. ``gradient`` takes sigmoid(c) =
+    where(c >= 0, 1, e) / (1 + e) off those buffers, so it reads the state
+    of the last ``loglik`` call, and writes it into the strict upper
+    triangle of a second N x N buffer S whose other entries stay zero. The
+    hollow sigmoid matrix is S + S', so the residual products are
+    A [q | 1] - (S + S') [q | 1], with A [q | 1] from the sparse adjacency
+    and the degrees.
     """
 
     def __init__(self, graph: Graph):
         n = graph.n
-        self.adjacency = graph.adjacency.toarray()
-        self.upper = np.triu(np.ones((n, n), dtype=bool), 1)
-        self.a_upper = self.adjacency[self.upper]
-        self.softplus = np.empty(self.a_upper.size)
-        self.relu = np.empty(self.a_upper.size)
-        self.resid = np.empty((n, n))
+        self.adjacency = graph.adjacency
+        self.degrees = graph.degrees
+        self.upper = upper_mask(n)
+        self.a_upper = graph.adjacency.toarray()[self.upper]
+        self.chi = np.empty((n, n))
+        self.sigmoid = np.zeros((n, n))
         self.ones = np.ones(n)
+        self.e = np.empty(self.a_upper.size)
+        self.softplus = np.empty_like(self.e)
+        self.terms = np.empty_like(self.e)
 
-    def loglik(self, chi: np.ndarray) -> float:
-        c = chi[self.upper]
+    def loglik(self, q: np.ndarray, v: np.ndarray) -> float:
+        ones = self.ones
+        np.matmul(np.column_stack([q, v, ones]), np.column_stack([q, ones, v]).T, out=self.chi)
+        self.c = c = self.chi[self.upper]
         # log(1 + e^c) = max(c, 0) + log1p(e^{-|c|}), stable for both signs;
         # the ufuncs run in the order of that formula and of a*c - softplus,
         # since another order rounds differently and moves the fit
-        sp = np.abs(c, out=self.softplus)
-        np.negative(sp, out=sp)
-        np.exp(sp, out=sp)
-        np.log1p(sp, out=sp)
-        np.add(np.maximum(c, 0.0, out=self.relu), sp, out=sp)
-        np.multiply(self.a_upper, c, out=c)
-        c -= sp
-        return float(np.sum(c))
+        e = np.abs(c, out=self.e)
+        np.negative(e, out=e)
+        np.exp(e, out=e)
+        sp = np.log1p(e, out=self.softplus)
+        np.add(np.maximum(c, 0.0, out=self.terms), sp, out=sp)
+        terms = np.multiply(self.a_upper, c, out=self.terms)
+        terms -= sp
+        return float(np.sum(terms))
 
-    def gradient(self, chi: np.ndarray, q: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        resid = expit(chi, out=self.resid)
-        np.subtract(self.adjacency, resid, out=resid)
-        np.fill_diagonal(resid, 0.0)
-        return resid @ q, resid @ self.ones
+    def gradient(self, q: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        c, e = self.c, self.e
+        self.sigmoid[self.upper] = np.where(c >= 0.0, 1.0, e) / (1.0 + e)
+        q1 = np.column_stack([q, self.ones])
+        s_q1 = self.sigmoid @ q1
+        s_q1 += self.sigmoid.T @ q1
+        return self.adjacency @ q - s_q1[:, :-1], self.degrees - s_q1[:, -1]
 
 
 def lsm_loglik(state: LsmState, graph: Graph) -> float:
     """Bernoulli-logistic log-likelihood over unordered node pairs."""
-    return _Kernels(graph).loglik(state.chi())
+    return _Kernels(graph).loglik(state.q, state.v)
 
 
 def lsm_gradient(state: LsmState, graph: Graph) -> tuple[np.ndarray, np.ndarray]:
     """Ascent direction (dq, dv) of the pairwise log-likelihood."""
-    return _Kernels(graph).gradient(state.chi(), state.q)
+    kernels = _Kernels(graph)
+    kernels.loglik(state.q, state.v)
+    return kernels.gradient(state.q)
 
 
 def project_constraints(state: LsmState, row_norm_cap: float | None = None) -> LsmState:
@@ -226,31 +245,34 @@ def fit_lsm(
     ``rng`` feeds the start only when the residual spectrum is too weak to
     give every column of q.
 
-    One iteration builds chi once per line-search candidate, always into
-    the same N x N buffer, and the gradient reads that buffer: it is read
-    only after a candidate is accepted, and the accepted candidate is the
-    last one built. With the residual buffer, these are all the N x N
-    arrays the ascent holds.
+    One iteration evaluates the log-likelihood once per line-search
+    candidate, each time into the same buffers, and the gradient reads the
+    sigmoid of chi off the last one: the gradient runs only after a
+    candidate is accepted, and the accepted candidate is the last one built.
+    The N x N arrays the ascent holds are chi and the upper-triangle
+    sigmoid buffer. ``k`` above the node count raises
+    :class:`ShapeMismatch`, as the spectral embedding does.
     """
     if k < 1:
         raise DataError("k must be >= 1")
+    if k > graph.n:
+        raise ShapeMismatch(f"k = {k} must satisfy 1 <= k <= {graph.n}")
     if max_iters < 0:
         raise DataError("max_iters must be >= 0")
     rng = rng if rng is not None else np.random.default_rng(0)
 
     kernels = _Kernels(graph)
-    chi = np.empty((graph.n, graph.n))
-    state = project_constraints(_spectral_init(kernels.adjacency, k, rng))
-    ll = kernels.loglik(_build_chi(state.q, state.v, chi))
+    state = project_constraints(_spectral_init(graph.adjacency.toarray(), k, rng))
+    ll = kernels.loglik(state.q, state.v)
     fit = LsmFit(state=state, loglik_trace=[ll])
 
     for it in range(max_iters):
-        dq, dv = kernels.gradient(chi, state.q)
+        dq, dv = kernels.gradient(state.q)
         step = 1.0 / graph.n
         accepted = False
         while step >= MIN_STEP:
             cand = project_constraints(LsmState(state.q + step * dq, state.v + step * dv))
-            ll_cand = kernels.loglik(_build_chi(cand.q, cand.v, chi))
+            ll_cand = kernels.loglik(cand.q, cand.v)
             if ll_cand > ll:
                 accepted = True
                 break

@@ -236,6 +236,23 @@ def connection_matrix(spec: LatentGraphSpec) -> np.ndarray:
     return p
 
 
+def upper_mask(n: int) -> np.ndarray:
+    """Boolean n x n mask of the strict upper triangle. Indexing with it
+    selects the pairs i < j in row-major order, as ``np.triu_indices`` does,
+    at one byte per entry instead of two int64 index arrays."""
+    rows = np.arange(n)
+    return rows[:, None] < rows
+
+
+def _upper_pairs(n: int, pos: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Pairs (i, j), i < j, at positions ``pos`` of the row-major strict upper
+    triangle: row i starts at i (2n - i - 1) / 2 and holds n - 1 - i pairs."""
+    rows = np.arange(n)
+    starts = rows * (2 * n - rows - 1) // 2
+    i = np.searchsorted(starts, pos, side="right") - 1
+    return i, pos - starts[i] + i + 1
+
+
 def sample_graph(p: np.ndarray, rng: np.random.Generator) -> Graph:
     """Hollow symmetric Bernoulli graph with edge probabilities ``p``.
 
@@ -248,14 +265,14 @@ def sample_graph(p: np.ndarray, rng: np.random.Generator) -> Graph:
     p = np.asarray(p, dtype=float)
     if p.ndim != 2 or p.shape[0] != p.shape[1]:
         raise ShapeMismatch(f"edge probabilities must be a square matrix, got {p.shape}")
-    iu = np.triu_indices(p.shape[0], k=1)
-    probs = p[iu]
+    n = p.shape[0]
+    probs = p[upper_mask(n)]
     bad = np.flatnonzero(~((probs >= 0.0) & (probs <= 1.0)))
     if bad.size:
-        e = bad[0]
-        raise InvalidProbability(int(iu[0][e]), int(iu[1][e]), float(probs[e]))
-    hit = rng.random(probs.size) < probs
-    return _from_upper(p.shape[0], iu[0][hit], iu[1][hit])
+        i, j = _upper_pairs(n, bad[:1])
+        raise InvalidProbability(int(i[0]), int(j[0]), float(probs[bad[0]]))
+    hit = np.flatnonzero(rng.random(probs.size) < probs)
+    return _from_upper(n, *_upper_pairs(n, hit))
 
 
 def _order_by_magnitude(eigenvalues: np.ndarray) -> np.ndarray:

@@ -1,16 +1,18 @@
 """Independent brute-force oracles the fast implementations are checked against.
 
 Everything here favours directness over speed: explicit Kronecker inverses,
-dense normal equations, pairwise Python loops, and central finite
-differences. None of it shares code with the library paths it validates,
-except ``fit_lsm_reference``: it checks the ascent's buffer handling
-against the public log-likelihood and gradient, whose values the loop and
-finite-difference oracles check.
+dense normal equations, pairwise Python loops, kernels over all N^2 entries
+and central finite differences. None of it shares code with the library
+paths it validates, except ``fit_lsm_reference``: it runs the ascent's
+steps on whichever log-likelihood and gradient it is given, by default the
+public ones, whose values the loop, dense and finite-difference oracles
+check.
 """
 
 import csv
 
 import numpy as np
+from scipy.special import expit
 
 from enarkit import lsm
 from enarkit.lsm import LsmFit, LsmState, lsm_gradient, lsm_loglik, project_constraints
@@ -54,6 +56,23 @@ def lsm_loglik_loop(state: LsmState, adjacency: np.ndarray) -> float:
     return total
 
 
+def lsm_loglik_dense(state: LsmState, adjacency: np.ndarray) -> float:
+    """Softplus form over the ``np.triu_indices`` pairs of the full chi:
+    sum a_ij chi_ij - log(1 + e^chi_ij)."""
+    iu = np.triu_indices(adjacency.shape[0], 1)
+    c = state.chi()[iu]
+    return float(np.sum(adjacency[iu] * c - np.logaddexp(0.0, c)))
+
+
+def lsm_gradient_dense(state: LsmState, adjacency: np.ndarray):
+    """(A - expit(chi)) made hollow, times [q | 1]: the residual over all
+    N^2 entries."""
+    resid = adjacency - expit(state.chi())
+    np.fill_diagonal(resid, 0.0)
+    out = resid @ np.column_stack([state.q, np.ones(state.n)])
+    return out[:, :-1], out[:, -1]
+
+
 def lsm_fd_gradient(state: LsmState, graph, h: float = 1e-6):
     """Central finite differences of the pairwise log-likelihood."""
     dq = np.zeros_like(state.q)
@@ -74,22 +93,25 @@ def lsm_fd_gradient(state: LsmState, graph, h: float = 1e-6):
     return dq, dv
 
 
-def fit_lsm_reference(graph, k: int, rng, max_iters: int) -> tuple[LsmFit, int]:
+def fit_lsm_reference(
+    graph, k: int, rng, max_iters: int, loglik=lsm_loglik, gradient=lsm_gradient
+) -> tuple[LsmFit, int]:
     """The ascent of ``fit_lsm``, with each log-likelihood and gradient taken
-    through the public ``lsm_loglik`` and ``lsm_gradient`` on a state, so
-    chi is rebuilt for every call and no buffer outlives one. Starts from
-    the projected initializer (``fit_lsm`` with no iterations). Returns the
-    fit and the number of rejected line-search candidates."""
+    through ``loglik(state, graph)`` and ``gradient(state, graph)``, by
+    default the public ``lsm_loglik`` and ``lsm_gradient``, so chi is
+    rebuilt for every call and no buffer outlives one. Starts from the
+    projected initializer (``fit_lsm`` with no iterations). Returns the fit
+    and the number of rejected line-search candidates."""
     state = lsm.fit_lsm(graph, k, rng, max_iters=0).state
-    ll = lsm_loglik(state, graph)
+    ll = loglik(state, graph)
     fit = LsmFit(state=state, loglik_trace=[ll])
     rejected = 0
     for it in range(max_iters):
-        dq, dv = lsm_gradient(state, graph)
+        dq, dv = gradient(state, graph)
         step = 1.0 / graph.n
         while step >= lsm.MIN_STEP:
             cand = project_constraints(LsmState(state.q + step * dq, state.v + step * dv))
-            ll_cand = lsm_loglik(cand, graph)
+            ll_cand = loglik(cand, graph)
             if ll_cand > ll:
                 break
             step *= lsm.BACKTRACK
@@ -107,6 +129,15 @@ def fit_lsm_reference(graph, k: int, rng, max_iters: int) -> tuple[LsmFit, int]:
             break
     fit.state = state
     return fit, rejected
+
+
+def sample_graph_triu(p: np.ndarray, rng) -> np.ndarray:
+    """Dense adjacency of the Bernoulli draw over the ``np.triu_indices``
+    pairs, one uniform per pair in row-major order."""
+    iu = np.triu_indices(p.shape[0], 1)
+    a = np.zeros(p.shape)
+    a[iu] = rng.random(iu[0].size) < p[iu]
+    return a + a.T
 
 
 def write_panel_csv_loop(panel, path) -> None:

@@ -3,6 +3,7 @@ import re
 
 import numpy as np
 import pytest
+from scipy.special import expit
 
 from enarkit.lsm import (
     LsmState,
@@ -14,11 +15,13 @@ from enarkit.lsm import (
     sample_lsm_graph,
     write_latent_csv,
 )
-from enarkit.errors import DataError
+from enarkit.errors import DataError, ShapeMismatch
 from enarkit.network import Graph
 from oracles import (
     fit_lsm_reference,
     lsm_fd_gradient,
+    lsm_gradient_dense,
+    lsm_loglik_dense,
     lsm_loglik_loop,
     random_orthogonal,
     write_latent_csv_loop,
@@ -103,6 +106,73 @@ class TestGradient:
         assert max(np.max(np.abs(dq)), np.max(np.abs(dv))) < 1e-6
 
 
+def graph_with_isolated(n, rng):
+    """Random graph whose first three nodes have no edges."""
+    a = random_graph(n, 0.4, rng).adjacency.toarray()
+    a[:3] = a[:, :3] = 0.0
+    return Graph(n, a)
+
+
+def wide_state(n, k, rng):
+    """chi spread over [-40, 40]: v from -20 to 20, small q."""
+    return LsmState(0.1 * rng.standard_normal((n, k)), np.linspace(-20.0, 20.0, n))
+
+
+class TestKernelsMatchDenseOracle:
+    """The upper-triangle kernels against the softplus and expit residual
+    taken over all N^2 entries of chi."""
+
+    GRAPHS = {
+        "random": lambda n, rng: random_graph(n, 0.3, rng),
+        "empty": lambda n, rng: empty_graph(n),
+        "complete": lambda n, rng: complete_graph(n),
+        "isolated": graph_with_isolated,
+    }
+    STATES = {
+        "unit": lambda n, rng: random_state(n, 2, rng),
+        "wide": lambda n, rng: wide_state(n, 2, rng),
+    }
+
+    @pytest.mark.parametrize("graph_kind", list(GRAPHS))
+    @pytest.mark.parametrize("state_kind", list(STATES))
+    def test_loglik_and_gradient(self, graph_kind, state_kind):
+        rng = np.random.default_rng(20)
+        n = 40
+        g = self.GRAPHS[graph_kind](n, rng)
+        state = self.STATES[state_kind](n, rng)
+        a = g.adjacency.toarray()
+        ref = lsm_loglik_dense(state, a)
+        assert lsm_loglik(state, g) == pytest.approx(ref, rel=1e-12)
+        dq, dv = lsm_gradient(state, g)
+        ref_dq, ref_dv = lsm_gradient_dense(state, a)
+        # each entry is a sum of N terms of both signs; bound its error by
+        # the sum of their magnitudes
+        sigmoid = expit(state.chi())
+        np.fill_diagonal(sigmoid, 0.0)
+        scale = (a + sigmoid) @ np.abs(np.column_stack([state.q, np.ones(n)]))
+        assert np.all(np.abs(dq - ref_dq) <= 1e-12 * scale[:, :-1])
+        assert np.all(np.abs(dv - ref_dv) <= 1e-12 * scale[:, -1])
+
+    def test_fit_follows_dense_ascent(self, lanczos_path):
+        rng = np.random.default_rng(21)
+        n = 150
+        g = sample_lsm_graph(planted_state(n, 2, rng), rng)
+        fit = fit_lsm(g, 2, np.random.default_rng(0), max_iters=200)
+        ref, _ = fit_lsm_reference(
+            g, 2, np.random.default_rng(0), 200,
+            loglik=lambda s, graph: lsm_loglik_dense(s, graph.adjacency.toarray()),
+            gradient=lambda s, graph: lsm_gradient_dense(s, graph.adjacency.toarray()),
+        )
+        assert lanczos_path == ["LA", "LA"]
+        assert (fit.n_iters, fit.converged, fit.step_failed) == (
+            ref.n_iters, ref.converged, ref.step_failed
+        )
+        assert fit.n_iters == 200
+        assert np.allclose(fit.loglik_trace, ref.loglik_trace, rtol=1e-9, atol=0.0)
+        assert np.max(np.abs(fit.state.q - ref.state.q)) < 1e-9
+        assert np.max(np.abs(fit.state.v - ref.state.v)) < 1e-9
+
+
 class TestProjection:
     def feasible_state(self, rng, n=20, k=2):
         q = rng.standard_normal((n, k))
@@ -149,6 +219,17 @@ class TestFitLsm:
         assert fit.n_iters == 0
         assert len(fit.loglik_trace) == 1
         assert fit.state.centering_residual() < 1e-8
+
+    def test_k_above_node_count_rejected(self):
+        g = random_graph(4, 0.5, np.random.default_rng(8))
+        with pytest.raises(ShapeMismatch, match=re.escape("k = 5 must satisfy 1 <= k <= 4")):
+            fit_lsm(g, 5, np.random.default_rng(0))
+        assert fit_lsm(g, 4, np.random.default_rng(0), max_iters=5).state.k == 4
+
+    def test_k_below_one_rejected(self):
+        g = random_graph(4, 0.5, np.random.default_rng(8))
+        with pytest.raises(DataError):
+            fit_lsm(g, 0, np.random.default_rng(0))
 
     def test_negative_iteration_cap_rejected(self):
         g = random_graph(20, 0.3, np.random.default_rng(8))

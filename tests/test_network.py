@@ -28,6 +28,7 @@ from oracles import (
     dense_transition,
     magnitude_order_sorted,
     random_orthogonal,
+    sample_graph_triu,
     write_edge_csv_loop,
 )
 
@@ -144,6 +145,31 @@ class TestGenerators:
         with pytest.raises(InvalidProbability) as err:
             sample_graph(p, np.random.default_rng(0))
         assert (err.value.i, err.value.j) == (1, 3) and np.isnan(err.value.p)
+
+    @pytest.mark.parametrize("n", [0, 1, 2, 3, 17, 301])
+    def test_draw_matches_triu_indices_reference(self, n):
+        rng = np.random.default_rng(n)
+        p = rng.random((n, n))
+        p = 0.5 * (p + p.T)
+        mine, ref = np.random.default_rng(7), np.random.default_rng(7)
+        g = sample_graph(p, mine)
+        assert np.array_equal(g.adjacency.toarray(), sample_graph_triu(p, ref))
+        # both drew the same number of uniforms
+        assert mine.random() == ref.random()
+
+    def test_first_bad_pair_in_row_major_order(self):
+        rng = np.random.default_rng(8)
+        n = 60
+        iu = np.triu_indices(n, 1)
+        for _ in range(20):
+            p = np.full((n, n), 0.5)
+            picks = rng.choice(iu[0].size, size=3, replace=False)
+            p[iu[0][picks], iu[1][picks]] = rng.choice([-0.5, 1.5, np.nan], size=3)
+            first = picks.min()
+            with pytest.raises(InvalidProbability) as err:
+                sample_graph(p, np.random.default_rng(0))
+            assert (err.value.i, err.value.j) == (iu[0][first], iu[1][first])
+            assert np.array_equal([err.value.p], [p[iu[0][first], iu[1][first]]], equal_nan=True)
 
     def test_non_square_probabilities_rejected(self):
         with pytest.raises(ShapeMismatch):
