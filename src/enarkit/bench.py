@@ -270,7 +270,10 @@ def _truth_params(cell: Cell, config: ExperimentConfig):
 
 @dataclass
 class CellData:
-    """One replication's data draw plus the truth needed for scoring."""
+    """One replication's data draw plus the truth needed for scoring:
+    ``target`` is the true noise-free forecast that every fit of the draw is
+    scored against. The graph carries its normalized Laplacian, which the
+    simulation, the target and the fits share."""
 
     graph: network.Graph
     panel: process.Panel
@@ -280,10 +283,12 @@ class CellData:
     mu_true: np.ndarray
     r_true: float | None
     z_next: np.ndarray
+    target: np.ndarray
 
 
 def simulate_cell_data(cell: Cell, config: ExperimentConfig, seed: int) -> CellData:
-    """Draw the graph, truth latents, panel, and forecast-time covariates.
+    """Draw the graph, truth latents, panel, and forecast-time covariates,
+    and build the true one-step forecast from them.
 
     Each stage draws from its own stream (:func:`stage_rng`), so the draw
     depends only on the data coordinates (gen, truth, N, T, K) and the
@@ -321,40 +326,21 @@ def simulate_cell_data(cell: Cell, config: ExperimentConfig, seed: int) -> CellD
         )
         r_true = None
     z_next = stage_rng(seed, "z_next").standard_normal((cell.n, cov.p)) * np.sqrt(cov.variances)
+    w_true = estimate.design_rows(
+        truth_spec, graph.laplacian, latent_true, panel.y[:, -1:], z_next[:, None, :], r_true
+    )
     return CellData(
         graph=graph, panel=panel, params=params, latent_true=latent_true,
         truth_spec=truth_spec, mu_true=mu_true, r_true=r_true, z_next=z_next,
+        target=w_true @ mu_true,
     )
-
-
-@dataclass
-class SharedDraw:
-    """One replication's data plus the true noise-free forecast that every
-    fit of it is scored against. The graph in ``data`` carries its
-    normalized Laplacian."""
-
-    data: CellData
-    target: np.ndarray
-
-
-def draw_replication(cell: Cell, config: ExperimentConfig, seed: int) -> SharedDraw:
-    """Draw the data of ``cell`` from ``seed``; the fit model plays no part.
-    The simulation builds ``data.graph.laplacian``, which the true forecast
-    and the fits reuse."""
-    data = simulate_cell_data(cell, config, seed)
-    y_last = data.panel.y[:, -1]
-    w_true = estimate.design_rows(
-        data.truth_spec, data.graph.laplacian, data.latent_true, y_last[:, None],
-        data.z_next[:, None, :], data.r_true,
-    )
-    return SharedDraw(data, w_true @ data.mu_true)
 
 
 def run_replication(
     cell: Cell,
     rep_index: int,
     config: ExperimentConfig,
-    draw: SharedDraw | Exception | None = None,
+    draw: CellData | Exception | None = None,
 ) -> ReplicationResult:
     """One fit-score pass; failures are recorded, not raised.
 
@@ -369,7 +355,7 @@ def run_replication(
     started = time.perf_counter()
     try:
         if draw is None:
-            draw = draw_replication(cell, config, seed)
+            draw = simulate_cell_data(cell, config, seed)
         if isinstance(draw, Exception):
             raise draw
         _fit_and_score(cell, config, draw, out)
@@ -380,15 +366,14 @@ def run_replication(
 
 
 def _fit_and_score(
-    cell: Cell, config: ExperimentConfig, draw: SharedDraw, out: ReplicationResult
+    cell: Cell, config: ExperimentConfig, data: CellData, out: ReplicationResult
 ) -> None:
-    data = draw.data
     graph, panel, params = data.graph, data.panel, data.params
     latent_true, z_next = data.latent_true, data.z_next
 
     # fit stage
     if config.oracle_latents and cell.fit == cell.truth and cell.fit != "nar":
-        fit, _ = estimate.fit_with_latents(panel, graph, latent_true, data.truth_spec)
+        fit = estimate.fit_with_latents(panel, graph, latent_true, data.truth_spec)
         latent_fit = latent_true
     elif cell.fit == "amnar":
         fit, state_hat, _ = estimate.fit_amnar(
@@ -415,9 +400,9 @@ def _fit_and_score(
     out.rmse_beta = _beta_error(cell, params, fit, latent_fit, latent_true)
 
     y_hat = estimate.predict_one_step(fit, graph, panel.y[:, -1], z_next, latent_fit)
-    denom = float(np.linalg.norm(draw.target))
+    denom = float(np.linalg.norm(data.target))
     if denom > 0:
-        out.rmsp = float(np.linalg.norm(y_hat - draw.target)) / denom
+        out.rmsp = float(np.linalg.norm(y_hat - data.target)) / denom
 
 
 def _beta_error(cell: Cell, params, fit, latent_fit, latent_true) -> float:
@@ -451,7 +436,7 @@ def _run_task(args: tuple[list[Cell], int, ExperimentConfig]) -> list[Replicatio
     seed = derive_seed(config.base_seed, cells[0], rep_index)
     started = time.perf_counter()
     try:
-        draw = draw_replication(cells[0], config, seed)
+        draw = simulate_cell_data(cells[0], config, seed)
     except Exception as exc:  # recorded on every row of this draw
         draw = exc
     share_ms = (time.perf_counter() - started) * 1000.0 / len(cells)

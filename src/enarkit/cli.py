@@ -239,6 +239,10 @@ def cmd_fit(args) -> int:
         raise UsageError("--k is not meaningful for the nar model")
     if model != "nar" and args.k is None:
         raise UsageError(f"--k is required for the {model} model")
+    if model != "amnar" and args.latent_out is not None:
+        raise UsageError(f"--latent-out is not meaningful for the {model} model")
+    if model != "enr" and args.omit_grand_mean:
+        raise UsageError(f"--omit-grand-mean is not meaningful for the {model} model")
     panel_full = process.read_panel_csv(args.panel)
     graph = network.read_edge_csv(args.edges, n_nodes=panel_full.n)
     panel = _window_panel(panel_full, args.window_start, args.window_len)
@@ -281,7 +285,7 @@ def cmd_predict(args) -> int:
 
     spec = fit.spec
     if spec.model in ("enar", "enr"):
-        latent = network.spectral_embed(graph, spec.k).vectors
+        latent = estimate.embed_with_spare(graph, spec.k).vectors[:, : spec.k]
     elif spec.model == "amnar":
         latent = lsm.fit_lsm(graph, spec.k, np.random.default_rng(seed)).state.x()
     else:

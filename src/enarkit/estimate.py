@@ -11,7 +11,9 @@ additive+multiplicative factors scaled by r = N^{-s} T^{-1/2} (AMNAR), or
 absent (plain network autoregression). The regression variant drops the lag
 terms and may carry a grand-mean column.
 
-Standard errors come from the plug-in covariance sigma2_hat * (W'W)^{-1}.
+Standard errors come from the plug-in covariance sigma2_hat * (W'W)^{-1},
+and the design's condition number cond(W'W) = cond(R)^2, both from the R of
+the pivoted QR W P = Q R.
 The latent-effect coordinates are identified only up to an orthogonal
 rotation of the embedding, so their standard errors carry a caveat flag and
 cross-run comparisons must align embeddings first.
@@ -89,7 +91,8 @@ class DesignSpec:
 
 @dataclass
 class FitResult:
-    """Least-squares estimate with plug-in covariance and fit scores."""
+    """Least-squares estimate with plug-in covariance and fit scores;
+    ``condition_number`` is cond(W'W) of the design (NaN without columns)."""
 
     mu_hat: np.ndarray
     sigma2_hat: float
@@ -102,6 +105,7 @@ class FitResult:
     spec: DesignSpec | None = None
     names: list[str] = field(default_factory=list)
     r: float | None = None
+    condition_number: float = math.nan
 
     @property
     def se(self) -> np.ndarray:
@@ -117,7 +121,8 @@ class Diagnostics:
 
     ``eigengap`` is the smallest retained |eigenvalue| minus the largest
     discarded one in the adjacency spectrum; ``kappa`` is
-    sqrt(K N rho_hat) / eigengap with rho_hat the edge density. Latent-MLE
+    sqrt(K N rho_hat) / eigengap with rho_hat the edge density. Both are
+    NaN where the fit has no adjacency eigenvalues (nar, amnar). Latent-MLE
     fields are populated only for the additive+multiplicative fit.
     """
 
@@ -132,18 +137,10 @@ class Diagnostics:
     lsm_iters: int | None = None
 
     def to_dict(self) -> dict:
-        def clean(v):
-            if v is None:
-                return None
-            if isinstance(v, (bool, int)):
-                return v
-            v = float(v)
-            return None if math.isnan(v) else v
-
         out = {
-            "eigengap": clean(self.eigengap),
-            "kappa": clean(self.kappa),
-            "condition_number": clean(self.condition_number),
+            "eigengap": _json_value(self.eigengap),
+            "kappa": _json_value(self.kappa),
+            "condition_number": _json_value(self.condition_number),
         }
         for key in (
             "lsm_loglik", "lsm_centering", "lsm_diagonality", "lsm_step_failed",
@@ -151,8 +148,17 @@ class Diagnostics:
         ):
             val = getattr(self, key)
             if val is not None:
-                out[key] = clean(val)
+                out[key] = _json_value(val)
         return out
+
+
+def _json_value(v):
+    """``v`` as strict JSON holds it: None, bools and ints as they are, any
+    other number as a float, and a float that is not finite as None."""
+    if v is None or isinstance(v, (bool, int)):
+        return v
+    v = float(v)
+    return v if math.isfinite(v) else None
 
 
 def _check_latent(latent, n: int, cols: int) -> np.ndarray | None:
@@ -236,7 +242,8 @@ def fit_ls(w: np.ndarray, y_resp: np.ndarray) -> FitResult:
     """Least squares by pivoted QR with plug-in covariance.
 
     Raises RankDeficient (with the offending column indices) when a pivot
-    falls below 1e-10 of the leading one; no silent pseudo-inverse.
+    falls below 1e-10 of the leading one; no silent pseudo-inverse. The
+    condition number cond(W'W) is taken as cond(R)^2, since W P = Q R.
     """
     w = np.asarray(w, dtype=float)
     y_resp = np.asarray(y_resp, dtype=float).reshape(-1)
@@ -284,55 +291,59 @@ def fit_ls(w: np.ndarray, y_resp: np.ndarray) -> FitResult:
         loglik=loglik,
         aic=aic,
         bic=bic,
+        condition_number=float(np.linalg.cond(r)) ** 2 if d else math.nan,
     )
 
 
-def fit_with_latents(
-    panel: Panel, graph: Graph, latent, spec: DesignSpec
-) -> tuple[FitResult, np.ndarray]:
+def fit_with_latents(panel: Panel, graph: Graph, latent, spec: DesignSpec) -> FitResult:
     """Least-squares fit of ``spec`` on ``graph`` with the latent columns
     given; the peer term reads ``graph.laplacian`` (enr has none).
 
-    Returns the named fit (with r set for amnar) and its design matrix.
+    Returns the named fit, with r set for amnar and the design's condition
+    number from its QR.
     """
     lap = None if spec.model == "enr" else graph.laplacian
-    w, y_resp = build_design(panel, lap, latent, spec)
-    fit = fit_ls(w, y_resp)
+    fit = fit_ls(*build_design(panel, lap, latent, spec))
     fit.spec, fit.names = spec, spec.coef_names(panel.p)
     if spec.model == "amnar":
         fit.r = rate_multiplier(panel.n, panel.t, spec.s)
-    return fit, w
+    return fit
 
 
 def _adjacency_diagnostics(
-    eigenvalues: np.ndarray | None, k: int, n: int, density: float, w: np.ndarray
+    fit: FitResult, graph: Graph, eigenvalues: np.ndarray | None = None, k: int = 0
 ) -> Diagnostics:
     """Eigengap and kappa from the leading min(k+1, n) adjacency eigenvalues
-    (ordered by magnitude), plus the design condition number."""
-    if k < 1:
+    (ordered by magnitude), NaN when none are given, plus the fit's design
+    condition number."""
+    if eigenvalues is None:
         eigengap = kappa = math.nan
     else:
         vals = np.abs(eigenvalues)
         discarded = vals[k] if k < vals.size else 0.0
         eigengap = float(vals[k - 1] - discarded)
-        kappa = math.sqrt(k * n * density) / eigengap if eigengap > 0 else math.inf
-    cond = float(np.linalg.cond(w.T @ w)) if w.shape[1] else math.nan
-    return Diagnostics(eigengap=eigengap, kappa=kappa, condition_number=cond)
+        kappa = math.sqrt(k * graph.n * graph.density) / eigengap if eigengap > 0 else math.inf
+    return Diagnostics(eigengap=eigengap, kappa=kappa, condition_number=fit.condition_number)
+
+
+def embed_with_spare(graph: Graph, k: int) -> Embedding:
+    """The adjacency embedding an enar or enr fit of dimension ``k`` uses:
+    k+1 eigenpairs (k when k = N), whose first k columns are the latent
+    block and whose eigenvalues give the eigengap. Forecasts take their
+    latent block from here too, so they use the fitted basis bit for bit."""
+    return spectral_embed(graph, k + 1 if k < graph.n else k)
 
 
 def _fit_embedded(
     panel: Panel, graph: Graph, spec: DesignSpec
 ) -> tuple[FitResult, Embedding, Diagnostics]:
-    """Fit an embedding model (enar or enr) from one eigendecomposition.
-
-    The adjacency is embedded with one spare eigenpair: the first k columns
-    are the latent block and the k+1 eigenvalues give the eigengap.
-    """
+    """Fit an embedding model (enar or enr) from one eigendecomposition,
+    :func:`embed_with_spare`."""
     k = spec.k
-    full = spectral_embed(graph, k + 1 if k < graph.n else k)
+    full = embed_with_spare(graph, k)
     emb = Embedding(full.vectors[:, :k], full.eigenvalues[:k])
-    fit, w = fit_with_latents(panel, graph, emb.vectors, spec)
-    return fit, emb, _adjacency_diagnostics(full.eigenvalues, k, graph.n, graph.density, w)
+    fit = fit_with_latents(panel, graph, emb.vectors, spec)
+    return fit, emb, _adjacency_diagnostics(fit, graph, full.eigenvalues, k)
 
 
 def fit_enar(panel: Panel, graph: Graph, k: int) -> tuple[FitResult, Embedding, Diagnostics]:
@@ -345,9 +356,9 @@ def fit_enar(panel: Panel, graph: Graph, k: int) -> tuple[FitResult, Embedding, 
     """
     if k >= 1:
         return _fit_embedded(panel, graph, DesignSpec("enar", k))
-    fit, w = fit_with_latents(panel, graph, None, DesignSpec("nar"))
+    fit = fit_with_latents(panel, graph, None, DesignSpec("nar"))
     emb = Embedding(np.zeros((graph.n, 0)), np.zeros(0))
-    return fit, emb, _adjacency_diagnostics(None, 0, graph.n, graph.density, w)
+    return fit, emb, _adjacency_diagnostics(fit, graph)
 
 
 def fit_amnar(
@@ -358,15 +369,13 @@ def fit_amnar(
 
     Returns (FitResult, LsmState, Diagnostics). The latent design columns
     are the MLE's [Q | v] scaled by r = N^{-s} T^{-1/2}; ``rng`` and the
-    iteration cap ``max_iters`` go to :func:`enarkit.lsm.fit_lsm`. The
-    eigengap diagnostics take one adjacency eigendecomposition of their own.
-    The peer term reads ``graph.laplacian``.
+    iteration cap ``max_iters`` go to :func:`enarkit.lsm.fit_lsm`. No
+    adjacency eigendecomposition is made, so the eigengap and kappa
+    diagnostics are NaN. The peer term reads ``graph.laplacian``.
     """
     lsm_fit = lsm.fit_lsm(graph, k, rng, max_iters)
-    x_hat = np.column_stack([lsm_fit.state.q, lsm_fit.state.v])
-    fit, w = fit_with_latents(panel, graph, x_hat, DesignSpec("amnar", k, s=s))
-    eigenvalues = spectral_embed(graph, k + 1 if k < graph.n else k).eigenvalues
-    diag = _adjacency_diagnostics(eigenvalues, k, graph.n, graph.density, w)
+    fit = fit_with_latents(panel, graph, lsm_fit.state.x(), DesignSpec("amnar", k, s=s))
+    diag = _adjacency_diagnostics(fit, graph)
     diag.lsm_loglik = lsm_fit.loglik_trace[-1]
     diag.lsm_centering = lsm_fit.state.centering_residual()
     diag.lsm_diagonality = lsm_fit.state.diagonality_residual()
@@ -442,10 +451,6 @@ def fit_to_json_dict(fit: FitResult, diagnostics: Diagnostics | None = None) -> 
     if fit.spec is None or not fit.names:
         raise DataError("fit lacks spec/names; refit through the model entry points")
 
-    def num(v: float):
-        v = float(v)
-        return v if math.isfinite(v) else None
-
     out = {
         "model": fit.spec.model,
         "k": fit.spec.k,
@@ -457,9 +462,9 @@ def fit_to_json_dict(fit: FitResult, diagnostics: Diagnostics | None = None) -> 
         "sigma2_hat": float(fit.sigma2_hat),
         "n_obs": fit.n_obs,
         "n_params": fit.n_params,
-        "loglik": num(fit.loglik),
-        "aic": num(fit.aic),
-        "bic": num(fit.bic),
+        "loglik": _json_value(fit.loglik),
+        "aic": _json_value(fit.aic),
+        "bic": _json_value(fit.bic),
         "diagnostics": diagnostics.to_dict() if diagnostics is not None else {},
     }
     if fit.spec.latent_cols:
@@ -469,7 +474,7 @@ def fit_to_json_dict(fit: FitResult, diagnostics: Diagnostics | None = None) -> 
 
 def write_fit_json(fit: FitResult, path: str, diagnostics: Diagnostics | None = None) -> None:
     with atomic_write(path) as fh:
-        json.dump(fit_to_json_dict(fit, diagnostics), fh, indent=2)
+        json.dump(fit_to_json_dict(fit, diagnostics), fh, indent=2, allow_nan=False)
         fh.write("\n")
 
 

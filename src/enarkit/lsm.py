@@ -20,8 +20,8 @@ N x N buffers, chi and the strict upper triangle of sigmoid(chi), and one
 boolean mask that selects the N(N-1)/2 pairs. The adjacency stays sparse;
 dense copies of it live only while the pairs' entries are selected and
 while the spectral start runs. ``lsm_loglik`` and ``lsm_gradient`` run the
-same kernels on fresh buffers; ``LsmState.chi`` (and so
-``sample_lsm_graph``) sums Q Q' + v 1' + 1 v' term by term instead.
+same kernels on fresh buffers, and ``LsmState.chi`` (and so
+``sample_lsm_graph``) builds chi with the same product.
 """
 
 from __future__ import annotations
@@ -75,7 +75,7 @@ class LsmState:
 
     def chi(self) -> np.ndarray:
         """Latent factor matrix Q Q' + v 1' + 1 v'."""
-        return _build_chi(self.q, self.v, np.empty((self.n, self.n)))
+        return _chi(self.q, self.v)
 
     def centering_residual(self) -> float:
         """max |column sum of q| (zero on the constraint set)."""
@@ -102,12 +102,11 @@ class LsmFit:
     n_iters: int = 0
 
 
-def _build_chi(q: np.ndarray, v: np.ndarray, out: np.ndarray) -> np.ndarray:
-    """Q Q' + v 1' + 1 v' written into ``out``, summed in that order."""
-    np.matmul(q, q.T, out=out)
-    out += v[:, None]
-    out += v[None, :]
-    return out
+def _chi(q: np.ndarray, v: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+    """Q Q' + v 1' + 1 v' (into ``out`` when given) by one product of
+    [q | v | 1] and [q | 1 | v]'."""
+    ones = np.ones(v.shape[0])
+    return np.matmul(np.column_stack([q, v, ones]), np.column_stack([q, ones, v]).T, out=out)
 
 
 class _Kernels:
@@ -139,9 +138,7 @@ class _Kernels:
         self.terms = np.empty_like(self.e)
 
     def loglik(self, q: np.ndarray, v: np.ndarray) -> float:
-        ones = self.ones
-        np.matmul(np.column_stack([q, v, ones]), np.column_stack([q, ones, v]).T, out=self.chi)
-        self.c = c = self.chi[self.upper]
+        self.c = c = _chi(q, v, self.chi)[self.upper]
         # log(1 + e^c) = max(c, 0) + log1p(e^{-|c|}), stable for both signs;
         # the ufuncs run in the order of that formula and of a*c - softplus,
         # since another order rounds differently and moves the fit

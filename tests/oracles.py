@@ -56,18 +56,26 @@ def lsm_loglik_loop(state: LsmState, adjacency: np.ndarray) -> float:
     return total
 
 
+def lsm_chi_terms(state: LsmState) -> np.ndarray:
+    """Q Q' + v 1' + 1 v' summed term by term, in that order."""
+    chi = state.q @ state.q.T
+    chi += state.v[:, None]
+    chi += state.v[None, :]
+    return chi
+
+
 def lsm_loglik_dense(state: LsmState, adjacency: np.ndarray) -> float:
     """Softplus form over the ``np.triu_indices`` pairs of the full chi:
     sum a_ij chi_ij - log(1 + e^chi_ij)."""
     iu = np.triu_indices(adjacency.shape[0], 1)
-    c = state.chi()[iu]
+    c = lsm_chi_terms(state)[iu]
     return float(np.sum(adjacency[iu] * c - np.logaddexp(0.0, c)))
 
 
 def lsm_gradient_dense(state: LsmState, adjacency: np.ndarray):
     """(A - expit(chi)) made hollow, times [q | 1]: the residual over all
     N^2 entries."""
-    resid = adjacency - expit(state.chi())
+    resid = adjacency - expit(lsm_chi_terms(state))
     np.fill_diagonal(resid, 0.0)
     out = resid @ np.column_stack([state.q, np.ones(state.n)])
     return out[:, :-1], out[:, -1]

@@ -344,7 +344,7 @@ class TestBlasPin:
 
     @pytest.mark.parametrize("jobs", [1, 2])
     def test_grid_tasks_run_on_one_thread(self, monkeypatch, blas_at_two_threads, jobs):
-        draw = bench.draw_replication
+        draw = bench.simulate_cell_data
 
         def checked_draw(*args):
             # a worker's failure reaches the parent as the row status
@@ -352,7 +352,7 @@ class TestBlasPin:
                 raise RuntimeError("BLAS not pinned")
             return draw(*args)
 
-        monkeypatch.setattr(bench, "draw_replication", checked_draw)
+        monkeypatch.setattr(bench, "simulate_cell_data", checked_draw)
         rows = run_grid(smoke_config(), parallelism=jobs)
         assert [r.status for r in rows] == ["ok"] * 4
         assert blas_at_two_threads() == [2, 2]

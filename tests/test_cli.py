@@ -201,6 +201,29 @@ class TestFitPredict:
         assert code == 2
         assert json.loads(err)["error"] == "usage"
 
+    @pytest.mark.parametrize("model", ["nar", "enar", "enr"])
+    def test_latent_out_outside_amnar_rejected(self, simulated, capsys, model):
+        tmp_path, cfg = simulated
+        latent = tmp_path / "latent.csv"
+        k = [] if model == "nar" else ["--k", "2"]
+        code, _, err = run_cli(
+            capsys, "fit", "--edges", cfg["out_edges"], "--panel", cfg["out_panel"],
+            "--model", model, *k, "--latent-out", str(latent), "--out", str(tmp_path / "f.json"),
+        )
+        assert code == 2 and json.loads(err)["error"] == "usage"
+        assert not latent.exists() and not (tmp_path / "f.json").exists()
+
+    @pytest.mark.parametrize("model", ["nar", "enar", "amnar"])
+    def test_omit_grand_mean_outside_enr_rejected(self, simulated, capsys, model):
+        tmp_path, cfg = simulated
+        k = [] if model == "nar" else ["--k", "2"]
+        code, _, err = run_cli(
+            capsys, "fit", "--edges", cfg["out_edges"], "--panel", cfg["out_panel"],
+            "--model", model, *k, "--omit-grand-mean", "--out", str(tmp_path / "f.json"),
+        )
+        assert code == 2 and json.loads(err)["error"] == "usage"
+        assert not (tmp_path / "f.json").exists()
+
     def test_missing_k_rejected(self, simulated, capsys):
         tmp_path, cfg = simulated
         code, _, _ = run_cli(
@@ -285,6 +308,29 @@ class TestFitPredict:
             read_fit_json(str(fit_path)), graph, y_t, z_t, spectral_embed(graph, 2).vectors
         )
         write_forecast_csv_loop(y_hat, actual, str(tmp_path / "ref.csv"))
+        assert out.read_bytes() == (tmp_path / "ref.csv").read_bytes()
+
+    def test_forecast_uses_the_fitted_embedding_on_the_lanczos_path(
+        self, simulated, capsys, lanczos_path
+    ):
+        from enarkit.estimate import fit_enar, predict_one_step, read_fit_json
+        from enarkit.network import read_edge_csv
+
+        tmp_path, cfg = simulated
+        fit_path, out = tmp_path / "fit.json", tmp_path / "forecast.csv"
+        data = ["--edges", cfg["out_edges"], "--panel", cfg["out_panel"]]
+        run_cli(capsys, "fit", *data, "--model", "enar", "--k", "2", "--out", str(fit_path))
+        code, _, _ = run_cli(capsys, "predict", "--fit", str(fit_path), *data,
+                             "--window-len", "100", "--out", str(out))
+        assert code == 0
+        panel = read_panel_csv(cfg["out_panel"])
+        graph = read_edge_csv(cfg["out_edges"], n_nodes=panel.n)
+        _, emb, _ = fit_enar(panel, graph, 2)
+        y_hat = predict_one_step(
+            read_fit_json(str(fit_path)), graph, panel.y[:, 99], panel.z[:, 99, :], emb.vectors
+        )
+        write_forecast_csv_loop(y_hat, panel.y[:, 100], str(tmp_path / "ref.csv"))
+        assert lanczos_path == ["LM"] * 3
         assert out.read_bytes() == (tmp_path / "ref.csv").read_bytes()
 
     def test_enr_fit_on_single_transition(self, tmp_path, capsys):

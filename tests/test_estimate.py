@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 import scipy.special
 
-from enarkit import network
+from enarkit import estimate, network
 from enarkit.errors import DataError, DimensionMismatch, RankDeficient, ZeroDenominator
 from enarkit.estimate import (
     DesignSpec,
@@ -304,6 +304,38 @@ class TestModelCompositions:
             assert diag.lsm_loglik is not None
             assert np.all(np.isfinite(fit.mu_hat))
 
+    @pytest.mark.parametrize("model", ["nar", "enar", "enr", "amnar"])
+    def test_condition_number_is_that_of_the_gram_matrix(self, model):
+        g, _, _, _, panel = self.make_panel(n=30, t=1 if model == "enr" else 10)
+        if model == "amnar":
+            fit, state, diag = fit_amnar(panel, g, 2, 0.25, np.random.default_rng(0), max_iters=5)
+            latent = state.x()
+        elif model == "enr":
+            fit, emb, diag = _fit_embedded(panel, g, DesignSpec("enr", 2))
+            latent = emb.vectors
+        else:
+            fit, emb, diag = fit_enar(panel, g, 2 if model == "enar" else 0)
+            latent = emb.vectors
+        w, _ = build_design(panel, g.laplacian, latent, fit.spec)
+        assert diag.condition_number == fit.condition_number
+        assert fit.condition_number == pytest.approx(np.linalg.cond(w.T @ w), rel=1e-10)
+
+    def test_fit_amnar_makes_no_adjacency_eigendecomposition(self, monkeypatch):
+        g, _, _, _, panel = self.make_panel(n=30, t=10)
+        calls = []
+        embed = network.embed_symmetric
+
+        def counting(*args):
+            calls.append(args[1])
+            return embed(*args)
+
+        monkeypatch.setattr(network, "embed_symmetric", counting)
+        _, _, diag = fit_amnar(panel, g, 2, 0.25, np.random.default_rng(0), max_iters=5)
+        assert calls == []
+        assert math.isnan(diag.eigengap) and math.isnan(diag.kappa)
+        doc = diag.to_dict()
+        assert doc["eigengap"] is None and doc["kappa"] is None
+
     def test_fit_amnar_reports_mle_convergence(self):
         g, _, _, _, panel = self.make_panel(n=30, t=10)
         # the cap stops this ascent before its relative-gain tolerance
@@ -446,6 +478,28 @@ class TestFitJson:
         back = read_fit_json(str(path))
         assert np.allclose(back.mu_hat, fit.mu_hat)
         assert back.spec.model == "enar" and back.spec.k == 2
+
+    def test_infinite_kappa_is_written_as_strict_json_null(self, tmp_path):
+        # the star's two leading eigenvalues are +-sqrt(n - 1): a zero gap
+        n = 30
+        a = np.zeros((n, n))
+        a[0, 1:] = a[1:, 0] = 1.0
+        g = Graph(n, a)
+        rng = np.random.default_rng(0)
+        params = EnarParams(0.2, 0.2, np.array([1.0]), np.array([0.3]), 0.3)
+        cov = CovariateSpec(1, np.array([2.0]))
+        panel = simulate_enar(params, g, spectral_embed(g, 1).vectors, cov, 10, rng)
+        fit, _, diag = fit_enar(panel, g, 1)
+        assert diag.eigengap == 0.0 and diag.kappa == math.inf
+        path = tmp_path / "fit.json"
+        write_fit_json(fit, str(path), diag)
+
+        def reject(constant):
+            raise ValueError(f"{constant} is not JSON")
+
+        doc = json.loads(path.read_text(), parse_constant=reject)
+        assert doc["diagnostics"]["eigengap"] == 0.0
+        assert doc["diagnostics"]["kappa"] is None
 
     def test_diagnostics_serialization_drops_nan(self):
         d = Diagnostics(eigengap=math.nan, kappa=math.nan, condition_number=5.0)

@@ -16,9 +16,10 @@ from enarkit.lsm import (
     write_latent_csv,
 )
 from enarkit.errors import DataError, ShapeMismatch
-from enarkit.network import Graph
+from enarkit.network import Graph, sample_graph
 from oracles import (
     fit_lsm_reference,
+    lsm_chi_terms,
     lsm_fd_gradient,
     lsm_gradient_dense,
     lsm_loglik_dense,
@@ -311,6 +312,19 @@ def planted_state(n, k, rng):
     q = 0.8 * rng.standard_normal((n, k))
     v = -1.2 + 0.3 * rng.standard_normal(n)
     return project_constraints(LsmState(q, v))
+
+
+class TestSampleLsmGraph:
+    @pytest.mark.parametrize("seed", range(9))
+    def test_edges_match_sigmoid_of_term_by_term_chi(self, seed):
+        rng = np.random.default_rng(seed)
+        state = planted_state((40, 150, 320)[seed % 3], 2, rng)
+        p = expit(lsm_chi_terms(state))
+        np.fill_diagonal(p, 0.0)
+        g = sample_lsm_graph(state, np.random.default_rng(100 + seed))
+        ref = sample_graph(p, np.random.default_rng(100 + seed))
+        assert g.adjacency.nnz > 0
+        assert (g.adjacency != ref.adjacency).nnz == 0
 
 
 class TestLatentCsv:
