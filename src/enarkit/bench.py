@@ -296,35 +296,32 @@ def simulate_cell_data(cell: Cell, config: ExperimentConfig, seed: int) -> CellD
     """
     cov = config.cov_spec()
     params = _truth_params(cell, config)
-    if cell.truth == "amnar":
+    amnar = cell.truth == "amnar"
+    if amnar:
         state_true = _planted_lsm_state(cell, config, stage_rng(seed, "latents"))
         graph = lsm.sample_lsm_graph(state_true, stage_rng(seed, "graph"))
         latent_true = state_true.x()
         panel = process.simulate_amnar(
             params, graph, latent_true, cov, cell.t, stage_rng(seed, "panel")
         )
-        truth_spec = estimate.DesignSpec("amnar", cell.k, s=config.s)
-        r_true = process.rate_multiplier(cell.n, cell.t, config.s)
-        mu_true = np.concatenate([params.beta, [params.alpha, params.theta], params.gamma])
     else:
         gen_spec = _make_generator_spec(cell, config, stage_rng(seed, "latents"))
         p_matrix = network.connection_matrix(gen_spec)
         graph = network.sample_graph(p_matrix, stage_rng(seed, "graph"))
-        if cell.truth == "enar":
-            latent_true = network.embed_symmetric(p_matrix, cell.k).vectors
-            truth_spec = estimate.DesignSpec("enar", cell.k)
-            mu_true = np.concatenate([params.beta, [params.alpha, params.theta], params.gamma])
-        else:
-            latent_true = None
-            truth_spec = estimate.DesignSpec("nar")
-            mu_true = np.concatenate([[params.alpha, params.theta], params.gamma])
+        latent_true = (network.embed_symmetric(p_matrix, cell.k).vectors
+                       if cell.truth == "enar" else None)
         del p_matrix  # the draw's last N x N array; the simulation holds none
         panel = process.simulate_enar(
             params, graph,
             latent_true if latent_true is not None else np.zeros((cell.n, 0)),
             cov, cell.t, stage_rng(seed, "panel"),
         )
-        r_true = None
+    # a nar truth's beta is empty and an amnar truth's is [beta1 | beta2]
+    truth_spec = estimate.DesignSpec(
+        cell.truth, 0 if cell.truth == "nar" else cell.k, s=config.s if amnar else None
+    )
+    mu_true = np.concatenate([params.beta, [params.alpha, params.theta], params.gamma])
+    r_true = process.rate_multiplier(cell.n, cell.t, config.s) if amnar else None
     z_next = stage_rng(seed, "z_next").standard_normal((cell.n, cov.p)) * np.sqrt(cov.variances)
     w_true = estimate.design_rows(
         truth_spec, graph.laplacian, latent_true, panel.y[:, -1:], z_next[:, None, :], r_true
@@ -369,24 +366,17 @@ def _fit_and_score(
     cell: Cell, config: ExperimentConfig, data: CellData, out: ReplicationResult
 ) -> None:
     graph, panel, params = data.graph, data.panel, data.params
-    latent_true, z_next = data.latent_true, data.z_next
 
     # fit stage
     if config.oracle_latents and cell.fit == cell.truth and cell.fit != "nar":
-        fit = estimate.fit_with_latents(panel, graph, latent_true, data.truth_spec)
-        latent_fit = latent_true
+        fit = estimate.fit_with_latents(panel, graph, data.latent_true, data.truth_spec)
     elif cell.fit == "amnar":
-        fit, state_hat, _ = estimate.fit_amnar(
+        fit, _, _ = estimate.fit_amnar(
             panel, graph, cell.k, config.s, stage_rng(out.seed, "fit"),
             max_iters=config.lsm_max_iters,
         )
-        latent_fit = state_hat.x()
-    elif cell.fit == "enar":
-        fit, emb, _ = estimate.fit_enar(panel, graph, cell.k)
-        latent_fit = emb.vectors
     else:
-        fit, _, _ = estimate.fit_enar(panel, graph, 0)
-        latent_fit = None
+        fit, _, _ = estimate.fit_enar(panel, graph, cell.k if cell.fit == "enar" else 0)
 
     out.alpha_hat = fit.coef("alpha")
     out.theta_hat = fit.coef("theta")
@@ -397,32 +387,26 @@ def _fit_and_score(
         out.rmse_alpha = abs(out.alpha_hat - params.alpha) / abs(params.alpha)
     if params.theta != 0:
         out.rmse_theta = abs(out.theta_hat - params.theta) / abs(params.theta)
-    out.rmse_beta = _beta_error(cell, params, fit, latent_fit, latent_true)
+    out.rmse_beta = _beta_error(cell, params, fit, data.latent_true)
 
-    y_hat = estimate.predict_one_step(fit, graph, panel.y[:, -1], z_next, latent_fit)
+    y_hat = estimate.predict_one_step(fit, graph, panel.y[:, -1], data.z_next)
     denom = float(np.linalg.norm(data.target))
     if denom > 0:
         out.rmsp = float(np.linalg.norm(y_hat - data.target)) / denom
 
 
-def _beta_error(cell: Cell, params, fit, latent_fit, latent_true) -> float:
-    """Relative latent-effect error after aligning the estimated latent basis
-    to the truth; undefined combinations give NaN."""
+def _beta_error(cell: Cell, params, fit, latent_true) -> float:
+    """Relative latent-effect error after aligning the first K columns of
+    the fit's latent block to the truth's; amnar's additive effect beta2
+    needs no alignment. Undefined combinations give NaN."""
     if cell.fit == "nar" or cell.fit != cell.truth or latent_true is None:
         return math.nan
-    n_latent = fit.spec.latent_cols
-    beta_hat = fit.mu_hat[:n_latent]
-    if cell.truth == "enar":
-        beta_true = params.beta
-        if np.linalg.norm(beta_true) == 0:
-            return math.nan
-        h, _ = network.procrustes_align(latent_fit, latent_true)
-        return float(np.linalg.norm(beta_hat - h.T @ beta_true) / np.linalg.norm(beta_true))
-    beta_true = params.beta
+    k, beta_true = cell.k, params.beta
     if np.linalg.norm(beta_true) == 0:
         return math.nan
-    h, _ = network.procrustes_align(latent_fit[:, : cell.k], latent_true[:, : cell.k])
-    target = np.concatenate([h.T @ params.beta1, [params.beta2]])
+    h, _ = network.procrustes_align(fit.latent[:, :k], latent_true[:, :k])
+    target = np.concatenate([h.T @ beta_true[:k], beta_true[k:]])
+    beta_hat = fit.mu_hat[: fit.spec.latent_cols]
     return float(np.linalg.norm(beta_hat - target) / np.linalg.norm(beta_true))
 
 

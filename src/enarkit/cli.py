@@ -270,7 +270,6 @@ def cmd_predict(args) -> int:
     fit = estimate.read_fit_json(args.fit)
     panel = process.read_panel_csv(args.panel)
     graph = network.read_edge_csv(args.edges, n_nodes=panel.n)
-    seed = _seed(args.seed)
 
     # the forecast conditions on the window's last point, so one point will do
     t_cond = _window(panel, args.window_start, args.window_len, 1)[1] - 1
@@ -283,15 +282,7 @@ def cmd_predict(args) -> int:
         # forecast origin are unobserved, so their contribution is zero
         z_t = np.zeros((panel.n, panel.p))
 
-    spec = fit.spec
-    if spec.model in ("enar", "enr"):
-        latent = estimate.embed_with_spare(graph, spec.k).vectors[:, : spec.k]
-    elif spec.model == "amnar":
-        latent = lsm.fit_lsm(graph, spec.k, np.random.default_rng(seed)).state.x()
-    else:
-        latent = None
-
-    y_hat = estimate.predict_one_step(fit, graph, y_t, z_t, latent)
+    y_hat = estimate.predict_one_step(fit, graph, y_t, z_t)
     actual = panel.y[:, t_cond + 1] if t_cond + 1 <= panel.t else None
 
     header, columns = ["node", "y_hat"], [y_hat]
@@ -376,7 +367,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--window-start", type=int)
     p.add_argument("--window-len", type=int,
                    help="condition on the last time point of this window")
-    p.add_argument("--seed", type=int)
     p.add_argument("--out", required=True, help="forecast CSV path")
     p.set_defaults(func=cmd_predict)
 

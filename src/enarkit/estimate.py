@@ -92,7 +92,12 @@ class DesignSpec:
 @dataclass
 class FitResult:
     """Least-squares estimate with plug-in covariance and fit scores;
-    ``condition_number`` is cond(W'W) of the design (NaN without columns)."""
+    ``condition_number`` is cond(W'W) of the design (NaN without columns).
+
+    ``latent`` is the unscaled N x latent_cols block the design used (None
+    for nar): the latent-effect coefficients mean something only in this
+    basis, so forecasts read it from here rather than re-estimating it.
+    """
 
     mu_hat: np.ndarray
     sigma2_hat: float
@@ -106,6 +111,7 @@ class FitResult:
     names: list[str] = field(default_factory=list)
     r: float | None = None
     condition_number: float = math.nan
+    latent: np.ndarray | None = None
 
     @property
     def se(self) -> np.ndarray:
@@ -137,19 +143,8 @@ class Diagnostics:
     lsm_iters: int | None = None
 
     def to_dict(self) -> dict:
-        out = {
-            "eigengap": _json_value(self.eigengap),
-            "kappa": _json_value(self.kappa),
-            "condition_number": _json_value(self.condition_number),
-        }
-        for key in (
-            "lsm_loglik", "lsm_centering", "lsm_diagonality", "lsm_step_failed",
-            "lsm_converged", "lsm_iters",
-        ):
-            val = getattr(self, key)
-            if val is not None:
-                out[key] = _json_value(val)
-        return out
+        """Every field in order as strict JSON, less the unset latent-MLE ones."""
+        return {key: _json_value(val) for key, val in vars(self).items() if val is not None}
 
 
 def _json_value(v):
@@ -166,8 +161,6 @@ def _check_latent(latent, n: int, cols: int) -> np.ndarray | None:
         return None
     if latent is None:
         raise DimensionMismatch("model requires a latent matrix but none was given")
-    if isinstance(latent, Embedding):
-        latent = latent.vectors
     latent = np.atleast_2d(np.asarray(latent, dtype=float))
     if latent.shape != (n, cols):
         raise DimensionMismatch(
@@ -241,9 +234,11 @@ def build_design(
 def fit_ls(w: np.ndarray, y_resp: np.ndarray) -> FitResult:
     """Least squares by pivoted QR with plug-in covariance.
 
-    Raises RankDeficient (with the offending column indices) when a pivot
-    falls below 1e-10 of the leading one; no silent pseudo-inverse. The
-    condition number cond(W'W) is taken as cond(R)^2, since W P = Q R.
+    Raises DataError when the design or the response holds a NaN or an
+    infinite value, and RankDeficient (with the offending column indices)
+    when a pivot falls below 1e-10 of the leading one; no silent
+    pseudo-inverse. The condition number cond(W'W) is taken as cond(R)^2,
+    since W P = Q R.
     """
     w = np.asarray(w, dtype=float)
     y_resp = np.asarray(y_resp, dtype=float).reshape(-1)
@@ -252,8 +247,11 @@ def fit_ls(w: np.ndarray, y_resp: np.ndarray) -> FitResult:
         raise DimensionMismatch(f"{n_obs} rows in w but {y_resp.shape[0]} responses")
     if n_obs < d:
         raise DimensionMismatch(f"underdetermined system: {n_obs} obs, {d} columns")
+    for name, arr in (("design", w), ("response", y_resp)):
+        if not np.isfinite(arr).all():
+            raise DataError(f"the {name} holds a NaN or an infinite value")
 
-    q, r, piv = scipy.linalg.qr(w, mode="economic", pivoting=True)
+    q, r, piv = scipy.linalg.qr(w, mode="economic", pivoting=True, check_finite=False)
     diag = np.abs(np.diag(r))
     if d and (diag[0] == 0.0 or np.any(diag < 1e-10 * diag[0])):
         bad = np.flatnonzero(diag < max(1e-10 * diag[0], np.finfo(float).tiny))
@@ -299,12 +297,14 @@ def fit_with_latents(panel: Panel, graph: Graph, latent, spec: DesignSpec) -> Fi
     """Least-squares fit of ``spec`` on ``graph`` with the latent columns
     given; the peer term reads ``graph.laplacian`` (enr has none).
 
-    Returns the named fit, with r set for amnar and the design's condition
-    number from its QR.
+    Every fit goes through here. Returns the named fit, carrying the
+    unscaled latent block as ``latent`` (None for nar), with r set for
+    amnar and the design's condition number from its QR.
     """
     lap = None if spec.model == "enr" else graph.laplacian
+    latent = _check_latent(latent, panel.n, spec.latent_cols)
     fit = fit_ls(*build_design(panel, lap, latent, spec))
-    fit.spec, fit.names = spec, spec.coef_names(panel.p)
+    fit.spec, fit.names, fit.latent = spec, spec.coef_names(panel.p), latent
     if spec.model == "amnar":
         fit.r = rate_multiplier(panel.n, panel.t, spec.s)
     return fit
@@ -326,21 +326,14 @@ def _adjacency_diagnostics(
     return Diagnostics(eigengap=eigengap, kappa=kappa, condition_number=fit.condition_number)
 
 
-def embed_with_spare(graph: Graph, k: int) -> Embedding:
-    """The adjacency embedding an enar or enr fit of dimension ``k`` uses:
-    k+1 eigenpairs (k when k = N), whose first k columns are the latent
-    block and whose eigenvalues give the eigengap. Forecasts take their
-    latent block from here too, so they use the fitted basis bit for bit."""
-    return spectral_embed(graph, k + 1 if k < graph.n else k)
-
-
 def _fit_embedded(
     panel: Panel, graph: Graph, spec: DesignSpec
 ) -> tuple[FitResult, Embedding, Diagnostics]:
-    """Fit an embedding model (enar or enr) from one eigendecomposition,
-    :func:`embed_with_spare`."""
+    """Fit an embedding model (enar or enr) from one eigendecomposition:
+    k+1 eigenpairs (k when k = N), whose first k columns are the latent
+    block and whose eigenvalues give the eigengap."""
     k = spec.k
-    full = embed_with_spare(graph, k)
+    full = spectral_embed(graph, k + 1 if k < graph.n else k)
     emb = Embedding(full.vectors[:, :k], full.eigenvalues[:k])
     fit = fit_with_latents(panel, graph, emb.vectors, spec)
     return fit, emb, _adjacency_diagnostics(fit, graph, full.eigenvalues, k)
@@ -386,10 +379,14 @@ def fit_amnar(
 
 
 def predict_one_step(
-    fit: FitResult, graph: Graph, y_t: np.ndarray, z_t: np.ndarray, latent=None
+    fit: FitResult, graph: Graph, y_t: np.ndarray, z_t: np.ndarray
 ) -> np.ndarray:
-    """Noise-free point forecast W_T mu_hat for the next time step; the
-    peer term reads ``graph.laplacian`` (enr has none)."""
+    """Noise-free point forecast W_T mu_hat for the next time step.
+
+    The latent columns are the fit's own block ``fit.latent``, so the
+    forecast uses the fitted basis and makes no eigendecomposition and no
+    latent-space MLE; the peer term reads ``graph.laplacian`` (enr has
+    none)."""
     if fit.spec is None:
         raise DataError("fit carries no design spec; cannot build forecast design")
     n = graph.n
@@ -402,7 +399,7 @@ def predict_one_step(
     if z_t.shape[0] != n:
         raise DimensionMismatch(f"z_t has {z_t.shape[0]} rows, expected {n}")
     lap = None if fit.spec.model == "enr" else graph.laplacian
-    w_t = design_rows(fit.spec, lap, latent, y_t[:, None], z_t[:, None, :], fit.r)
+    w_t = design_rows(fit.spec, lap, fit.latent, y_t[:, None], z_t[:, None, :], fit.r)
     if w_t.shape[1] != fit.mu_hat.shape[0]:
         raise DimensionMismatch(
             f"design has {w_t.shape[1]} columns but fit has {fit.mu_hat.shape[0]} coefficients"
@@ -447,9 +444,10 @@ def confint(fit: FitResult, index: int, level: float) -> tuple[float, float]:
 
 
 def fit_to_json_dict(fit: FitResult, diagnostics: Diagnostics | None = None) -> dict:
-    """Serializable fit summary with stable key names."""
-    if fit.spec is None or not fit.names:
-        raise DataError("fit lacks spec/names; refit through the model entry points")
+    """Serializable fit summary with stable key names; a latent model's
+    ``latent`` block is written one row per node, in design order."""
+    if fit.spec is None or not fit.names or (fit.spec.latent_cols and fit.latent is None):
+        raise DataError("fit lacks spec/names/latent; refit through the model entry points")
 
     out = {
         "model": fit.spec.model,
@@ -469,6 +467,7 @@ def fit_to_json_dict(fit: FitResult, diagnostics: Diagnostics | None = None) -> 
     }
     if fit.spec.latent_cols:
         out["beta_rotation_caveat"] = True
+        out["latent"] = fit.latent.tolist()
     return out
 
 
@@ -479,13 +478,16 @@ def write_fit_json(fit: FitResult, path: str, diagnostics: Diagnostics | None = 
 
 
 def read_fit_json(path: str) -> FitResult:
-    """Rebuild a fit (coefficients + spec) from its JSON form, for forecasting.
+    """Rebuild a fit (coefficients, spec and latent block) from its JSON
+    form, for forecasting.
 
     Each field must have its JSON type: a number that is not a bool for the
-    coefficients and the float fields, an integer that is not a bool for
-    ``k`` and ``n_obs``, a bool for ``grand_mean``. A scalar field that is
-    absent or null takes its default. A wrong type, a missing key or invalid
-    JSON raises :class:`DataError` naming the file.
+    coefficients, the latent entries and the float fields, an integer that
+    is not a bool for ``k`` and ``n_obs``, a bool for ``grand_mean``. A
+    latent model needs ``latent``, a list of rows of ``latent_cols``
+    numbers. A scalar field that is absent or null takes its default. A
+    wrong type, a missing key, a coefficient or latent entry that is not
+    finite, or invalid JSON raises :class:`DataError` naming the file.
     """
     number = (int, float)
     try:
@@ -496,11 +498,30 @@ def read_fit_json(path: str) -> FitResult:
             value = doc.get(key)
             return default if value is None else check_type(value, types, f"{path}: key {key!r}")
 
+        def finite(key: str, values: np.ndarray) -> np.ndarray:
+            if not np.isfinite(values).all():
+                raise DataError(f"{path}: key {key!r} holds a value that is not finite")
+            return values
+
         def coefficients(key: str, names) -> np.ndarray:
             table = check_type(doc[key], (dict,), f"{path}: key {key!r}")
-            return np.array([
+            return finite(key, np.array([
                 check_type(table[n], number, f"{path}: key {key!r} entry {n!r}") for n in names
-            ], dtype=float)
+            ], dtype=float))
+
+        def latent_block(cols: int) -> np.ndarray | None:
+            if not cols:
+                return None
+            if "latent" not in doc:
+                raise DataError(f"{path}: the {spec.model} fit has no key 'latent'; refit")
+            rows = check_type(doc["latent"], (list,), f"{path}: key 'latent'")
+            block = np.empty((len(rows), cols))
+            for i, row in enumerate(rows):
+                where = f"{path}: key 'latent' row {i}"
+                if len(check_type(row, (list,), where)) != cols:
+                    raise DataError(f"{where} has {len(row)} entries, expected {cols}")
+                block[i] = [check_type(v, number, where) for v in row]
+            return finite("latent", block)
 
         spec = DesignSpec(
             doc["model"],
@@ -522,6 +543,7 @@ def read_fit_json(path: str) -> FitResult:
             spec=spec,
             names=names,
             r=scalar("r", number, None),
+            latent=latent_block(spec.latent_cols),
         )
-    except (KeyError, TypeError, ValueError) as exc:
+    except (KeyError, TypeError, ValueError, OverflowError) as exc:
         raise DataError(f"{path}: malformed fit JSON ({exc})") from exc

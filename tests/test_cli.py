@@ -288,7 +288,7 @@ class TestFitPredict:
     @pytest.mark.parametrize("window", [[], ["--window-len", "100"]])
     def test_forecast_bytes_match_csv_writer(self, simulated, capsys, window):
         from enarkit.estimate import predict_one_step, read_fit_json
-        from enarkit.network import read_edge_csv, spectral_embed
+        from enarkit.network import read_edge_csv
 
         tmp_path, cfg = simulated
         fit_path, out = tmp_path / "fit.json", tmp_path / "forecast.csv"
@@ -304,9 +304,7 @@ class TestFitPredict:
             y_t, z_t, actual = panel.y[:, 99], panel.z[:, 99, :], panel.y[:, 100]
         else:  # forecast past the panel: no covariates, no actual
             y_t, z_t, actual = panel.y[:, -1], np.zeros((panel.n, panel.p)), None
-        y_hat = predict_one_step(
-            read_fit_json(str(fit_path)), graph, y_t, z_t, spectral_embed(graph, 2).vectors
-        )
+        y_hat = predict_one_step(read_fit_json(str(fit_path)), graph, y_t, z_t)
         write_forecast_csv_loop(y_hat, actual, str(tmp_path / "ref.csv"))
         assert out.read_bytes() == (tmp_path / "ref.csv").read_bytes()
 
@@ -325,13 +323,82 @@ class TestFitPredict:
         assert code == 0
         panel = read_panel_csv(cfg["out_panel"])
         graph = read_edge_csv(cfg["out_edges"], n_nodes=panel.n)
-        _, emb, _ = fit_enar(panel, graph, 2)
-        y_hat = predict_one_step(
-            read_fit_json(str(fit_path)), graph, panel.y[:, 99], panel.z[:, 99, :], emb.vectors
-        )
+        fit, _, _ = fit_enar(panel, graph, 2)
+        assert np.array_equal(read_fit_json(str(fit_path)).latent, fit.latent)
+        y_hat = predict_one_step(fit, graph, panel.y[:, 99], panel.z[:, 99, :])
         write_forecast_csv_loop(y_hat, panel.y[:, 100], str(tmp_path / "ref.csv"))
-        assert lanczos_path == ["LM"] * 3
+        # one Lanczos run for the CLI fit and one for the refit here; the
+        # CLI forecast makes none
+        assert lanczos_path == ["LM"] * 2
         assert out.read_bytes() == (tmp_path / "ref.csv").read_bytes()
+
+    def fit_model(self, simulated, capsys, model):
+        """CLI fit of ``model`` (enr on the first transition) and the fit
+        made in memory from the same files and seed."""
+        from enarkit import estimate
+        from enarkit.network import read_edge_csv
+
+        tmp_path, cfg = simulated
+        fit_path = tmp_path / f"{model}.json"
+        window = ["--window-len", "2"] if model == "enr" else []
+        k = [] if model == "nar" else ["--k", "2"]
+        code, _, _ = run_cli(capsys, "fit", "--edges", cfg["out_edges"],
+                             "--panel", cfg["out_panel"], "--model", model, *k, *window,
+                             "--seed", "0", "--out", str(fit_path))
+        assert code == 0
+        panel = read_panel_csv(cfg["out_panel"])
+        graph = read_edge_csv(cfg["out_edges"], n_nodes=panel.n)
+        if model == "amnar":
+            fit, _, _ = estimate.fit_amnar(panel, graph, 2, 0.25, np.random.default_rng(0))
+        elif model == "enr":
+            window_panel = Panel(y=panel.y[:, :2].copy(), z=panel.z[:, :1].copy())
+            fit, _, _ = estimate._fit_embedded(window_panel, graph, estimate.DesignSpec("enr", 2))
+        else:
+            fit, _, _ = estimate.fit_enar(panel, graph, 0 if model == "nar" else 2)
+        return fit_path, fit
+
+    @pytest.mark.parametrize("model", ["nar", "enar", "enr", "amnar"])
+    def test_fit_json_carries_the_latent_block_bit_for_bit(self, simulated, capsys, model):
+        fit_path, fit = self.fit_model(simulated, capsys, model)
+        doc = json.loads(fit_path.read_text())
+        if model == "nar":
+            assert "latent" not in doc and fit.latent is None
+        else:
+            assert np.array(doc["latent"]).tobytes() == fit.latent.tobytes()
+            assert fit.latent.shape == (60, 3 if model == "amnar" else 2)
+
+    @pytest.mark.parametrize("model", ["enar", "enr", "amnar"])
+    def test_predict_makes_no_embedding_and_no_mle(self, simulated, capsys, monkeypatch, model):
+        from enarkit import lsm, network
+
+        tmp_path, cfg = simulated
+        fit_path, _ = self.fit_model(simulated, capsys, model)
+
+        def forbidden(*args, **kwargs):
+            raise AssertionError("predict re-estimated the latent block")
+
+        monkeypatch.setattr(network, "embed_symmetric", forbidden)
+        monkeypatch.setattr(lsm, "fit_lsm", forbidden)
+        out = tmp_path / "forecast.csv"
+        code, _, _ = run_cli(capsys, "predict", "--fit", str(fit_path),
+                             "--edges", cfg["out_edges"], "--panel", cfg["out_panel"],
+                             "--out", str(out))
+        assert code == 0 and out.exists()
+
+    @pytest.mark.parametrize("cell", [(4, 10), (4, 120)], ids=["lagged", "response-only"])
+    def test_non_finite_panel_value_is_data_error(self, simulated, capsys, cell):
+        tmp_path, cfg = simulated
+        panel = read_panel_csv(cfg["out_panel"])
+        panel.y[cell] = np.nan
+        bad = tmp_path / "nan_panel.csv"
+        write_panel_csv(panel, str(bad))
+        out = tmp_path / "f.json"
+        code, _, err = run_cli(capsys, "fit", "--edges", cfg["out_edges"], "--panel", str(bad),
+                               "--model", "enar", "--k", "2", "--out", str(out))
+        assert code == 3
+        error = json.loads(err)
+        assert error["error"] == "DataError" and "NaN or an infinite value" in error["message"]
+        assert not out.exists()
 
     def test_enr_fit_on_single_transition(self, tmp_path, capsys):
         path, cfg = write_sim_config(tmp_path, n=40, t=1, seed=9)
@@ -380,9 +447,12 @@ class TestFitJsonNumbers:
         return tmp_path, data, fits
 
     def predict_with(self, capsys, fitted, model, key, value):
+        return self.predict_edited(capsys, fitted, model, lambda doc: doc.__setitem__(key, value))
+
+    def predict_edited(self, capsys, fitted, model, edit):
         tmp_path, data, fits = fitted
         doc = json.loads(fits[model].read_text())
-        doc[key] = value
+        edit(doc)
         fits[model].write_text(json.dumps(doc))
         out = tmp_path / "forecast.csv"
         code, _, err = run_cli(capsys, "predict", "--fit", str(fits[model]), *data,
@@ -413,6 +483,36 @@ class TestFitJsonNumbers:
         assert code == 3
         assert error["error"] == "DataError"
         assert str(fitted[2]["enar"]) in error["message"] and where in error["message"]
+
+    @pytest.mark.parametrize("model, edit, kind, where", [
+        ("enar", lambda doc: doc.pop("latent"), "DataError", "no key 'latent'; refit"),
+        ("amnar", lambda doc: doc.pop("latent"), "DataError", "no key 'latent'; refit"),
+        ("enar", lambda doc: doc.update(latent="x"), "DataError", "key 'latent' has type str"),
+        ("enar", lambda doc: doc["latent"][0].__setitem__(0, True), "DataError",
+         "key 'latent' row 0 has type bool"),
+        ("amnar", lambda doc: doc["latent"][3].pop(), "DataError",
+         "key 'latent' row 3 has 2 entries, expected 3"),
+        ("enar", lambda doc: doc["latent"][1].__setitem__(1, float("nan")), "DataError",
+         "key 'latent' holds a value that is not finite"),
+        ("amnar", lambda doc: doc["latent"][2].__setitem__(0, float("-inf")), "DataError",
+         "key 'latent' holds a value that is not finite"),
+        ("enar", lambda doc: doc["mu_hat"].update(alpha=float("nan")), "DataError",
+         "key 'mu_hat' holds a value that is not finite"),
+        ("enar", lambda doc: doc["se"].update(theta=float("inf")), "DataError",
+         "key 'se' holds a value that is not finite"),
+        ("enar", lambda doc: doc["latent"][0].__setitem__(1, 10**400), "DataError",
+         "int too large to convert to float"),
+        ("enar", lambda doc: doc["latent"].pop(), "DimensionMismatch",
+         "latent matrix has shape (29, 2), expected (30, 2)"),
+    ])
+    def test_malformed_latent_or_coefficient_is_data_error(
+        self, fitted, capsys, model, edit, kind, where
+    ):
+        code, error = self.predict_edited(capsys, fitted, model, edit)
+        assert code == 3
+        assert error["error"] == kind and where in error["message"]
+        if kind == "DataError":
+            assert str(fitted[2][model]) in error["message"]
 
     def test_null_r_keeps_the_latent_scale_error(self, fitted, capsys):
         code, error = self.predict_with(capsys, fitted, "amnar", "r", None)
@@ -569,6 +669,32 @@ class TestHelp:
         code, out, _ = run_cli(capsys, "--help")
         assert code == 0
         assert "simulate" in out and "select-k" in out
+
+    def test_readme_command_lines_use_parser_options(self):
+        # every --flag on an `enarkit <cmd>` line of the README's bash blocks
+        # must be an option of that subcommand, so no removed flag lingers
+        import argparse
+        import re
+
+        from enarkit.cli import build_parser
+
+        parser = build_parser()
+        sub = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
+        readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+        blocks = re.findall(r"^```bash\n(.*?)^```", readme, flags=re.S | re.M)
+        lines = "\n".join(blocks).replace("\\\n", " ").splitlines()
+        seen = set()
+        for line in lines:
+            words = line.split("#")[0].split()
+            if words[:1] != ["enarkit"]:
+                continue
+            command = words[1]
+            assert command in sub.choices, line
+            options = sub.choices[command]._option_string_actions
+            for flag in re.findall(r"(?<![\w-])--[a-z][a-z0-9-]*", " ".join(words)):
+                assert flag in options, f"README: {flag} is not an option of {command}: {line}"
+            seen.add(command)
+        assert seen == set(sub.choices)
 
     def test_console_script_installed(self, tmp_path):
         import subprocess, sys

@@ -276,22 +276,22 @@ class TestModelCompositions:
     def test_enar_fit_and_forecast_build_one_laplacian(self, monkeypatch):
         g, _, _, _, panel = self.make_panel()
         g, built = self.count_laplacian_builds(monkeypatch, g)
-        fit, emb, _ = fit_enar(panel, g, 2)
-        predict_one_step(fit, g, panel.y[:, -1], panel.z[:, -1, :], emb.vectors)
+        fit, _, _ = fit_enar(panel, g, 2)
+        predict_one_step(fit, g, panel.y[:, -1], panel.z[:, -1, :])
         assert len(built) == 1 and built[0] is g
 
     def test_amnar_fit_and_forecast_build_one_laplacian(self, monkeypatch):
         g, _, _, _, panel = self.make_panel(n=30, t=10)
         g, built = self.count_laplacian_builds(monkeypatch, g)
-        fit, state, _ = fit_amnar(panel, g, 2, 0.25, np.random.default_rng(0), max_iters=5)
-        predict_one_step(fit, g, panel.y[:, -1], panel.z[:, -1, :], state.x())
+        fit, _, _ = fit_amnar(panel, g, 2, 0.25, np.random.default_rng(0), max_iters=5)
+        predict_one_step(fit, g, panel.y[:, -1], panel.z[:, -1, :])
         assert len(built) == 1 and built[0] is g
 
     def test_enr_fit_and_forecast_build_no_laplacian(self, monkeypatch):
         g, _, _, _, panel = self.make_panel(t=1)
         g, built = self.count_laplacian_builds(monkeypatch, g)
-        fit, emb, _ = _fit_embedded(panel, g, DesignSpec("enr", 2))
-        predict_one_step(fit, g, panel.y[:, -1], panel.z[:, -1, :], emb.vectors)
+        fit, _, _ = _fit_embedded(panel, g, DesignSpec("enr", 2))
+        predict_one_step(fit, g, panel.y[:, -1], panel.z[:, -1, :])
         assert built == [] and "laplacian" not in vars(g)
 
     def test_fit_amnar_runs_and_scales(self):
@@ -359,9 +359,9 @@ class TestPredict:
         spec = DesignSpec("enar", 2)
         w, y = build_design(panel, lap, u, spec)
         fit = fit_ls(w, y)
-        fit.spec, fit.names = spec, spec.coef_names(1)
+        fit.spec, fit.names, fit.latent = spec, spec.coef_names(1), u
         # forecast of y_T from y_{T-1} must reproduce the recorded value
-        y_hat = predict_one_step(fit, g, panel.y[:, -2], panel.z[:, -1, :], u)
+        y_hat = predict_one_step(fit, g, panel.y[:, -2], panel.z[:, -1, :])
         assert np.max(np.abs(y_hat - panel.y[:, -1])) < 1e-8
 
     def test_beta_zero_forecast_gap_bound(self):
@@ -374,7 +374,7 @@ class TestPredict:
         fit_n, _, _ = fit_enar(panel, g, 0)
         z_t = rng.standard_normal((30, 1)) * np.sqrt(2.0)
         y_t = panel.y[:, -1]
-        pred_e = predict_one_step(fit_e, g, y_t, z_t, emb.vectors)
+        pred_e = predict_one_step(fit_e, g, y_t, z_t)
         pred_n = predict_one_step(fit_n, g, y_t, z_t)
         gap = np.abs(pred_e - pred_n)
         beta_contrib = np.max(np.abs(emb.vectors @ fit_e.mu_hat[:2]))
@@ -598,12 +598,13 @@ class TestDesignRows:
         with pytest.raises(DimensionMismatch, match="requires a latent"):
             design_rows(spec, lap, None, panel.y[:, :1], panel.z[:, :1])
 
-    def forecast_fit(self, spec, rng):
-        """A fit of ``spec`` with random coefficients; amnar gets the scale
-        r = N^{-s} of a one-transition panel."""
+    def forecast_fit(self, spec, rng, latent):
+        """A fit of ``spec`` on the block ``latent`` with random
+        coefficients; amnar gets the scale r = N^{-s} of a one-transition
+        panel."""
         mu = rng.standard_normal(len(spec.coef_names(self.P)))
         fit = fit_ls(rng.standard_normal((40, mu.size)), rng.standard_normal(40))
-        fit.mu_hat, fit.spec = mu, spec
+        fit.mu_hat, fit.spec, fit.latent = mu, spec, latent
         fit.r = rate_multiplier(self.N, 1, spec.s) if spec.model == "amnar" else None
         return fit
 
@@ -612,9 +613,9 @@ class TestDesignRows:
         panel, _, latent, spec = self.case(model, seed=14)
         rng = np.random.default_rng(15)
         graph = random_graph(self.N, 0.4, rng)
-        fit = self.forecast_fit(spec, rng)
+        fit = self.forecast_fit(spec, rng, latent)
         z_next = rng.standard_normal((self.N, self.P))
-        y_hat = predict_one_step(fit, graph, panel.y[:, -1], z_next, latent)
+        y_hat = predict_one_step(fit, graph, panel.y[:, -1], z_next)
         w_ref, _ = design_rows_loop(
             Panel(y=panel.y[:, [-1, -1]], z=z_next[:, None, :]),
             normalized_laplacian(graph), latent, spec,
@@ -625,24 +626,24 @@ class TestDesignRows:
         panel, _, latent, spec = self.case("enar")
         rng = np.random.default_rng(16)
         graph = random_graph(self.N, 0.4, rng)
-        fit = self.forecast_fit(spec, rng)
+        fit = self.forecast_fit(spec, rng, latent)
         y_t, z_t = panel.y[:, -1], rng.standard_normal((self.N, self.P))
         with pytest.raises(DimensionMismatch, match="y_t must have"):
-            predict_one_step(fit, graph, y_t[1:], z_t, latent)
+            predict_one_step(fit, graph, y_t[1:], z_t)
         with pytest.raises(DimensionMismatch, match="z_t has"):
-            predict_one_step(fit, graph, y_t, z_t[1:], latent)
+            predict_one_step(fit, graph, y_t, z_t[1:])
         with pytest.raises(DimensionMismatch, match="coefficients"):
-            predict_one_step(fit, graph, y_t, z_t[:, :1], latent)
+            predict_one_step(fit, graph, y_t, z_t[:, :1])
         # covariates given flat, one per node
-        fit_1 = self.forecast_fit(DesignSpec("enar", 2), rng)
+        fit_1 = self.forecast_fit(DesignSpec("enar", 2), rng, latent)
         fit_1.mu_hat = fit_1.mu_hat[:-1]
         assert np.array_equal(
-            predict_one_step(fit_1, graph, y_t, z_t[:, 0], latent),
-            predict_one_step(fit_1, graph, y_t, z_t[:, :1], latent),
+            predict_one_step(fit_1, graph, y_t, z_t[:, 0]),
+            predict_one_step(fit_1, graph, y_t, z_t[:, :1]),
         )
         fit.spec = None
         with pytest.raises(DataError, match="no design spec"):
-            predict_one_step(fit, graph, y_t, z_t, latent)
+            predict_one_step(fit, graph, y_t, z_t)
 
 
 class TestSparsePath:
