@@ -42,6 +42,7 @@ from .estimate import (
     build_design,
     confint,
     fit_amnar,
+    fit_embedded,
     fit_enar,
     fit_ls,
     fit_with_latents,

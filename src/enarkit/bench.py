@@ -371,12 +371,12 @@ def _fit_and_score(
     if config.oracle_latents and cell.fit == cell.truth and cell.fit != "nar":
         fit = estimate.fit_with_latents(panel, graph, data.latent_true, data.truth_spec)
     elif cell.fit == "amnar":
-        fit, _, _ = estimate.fit_amnar(
+        fit = estimate.fit_amnar(
             panel, graph, cell.k, config.s, stage_rng(out.seed, "fit"),
             max_iters=config.lsm_max_iters,
         )
     else:
-        fit, _, _ = estimate.fit_enar(panel, graph, cell.k if cell.fit == "enar" else 0)
+        fit = estimate.fit_enar(panel, graph, cell.k if cell.fit == "enar" else 0)
 
     out.alpha_hat = fit.coef("alpha")
     out.theta_hat = fit.coef("theta")

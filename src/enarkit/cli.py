@@ -239,28 +239,28 @@ def cmd_fit(args) -> int:
         raise UsageError("--k is not meaningful for the nar model")
     if model != "nar" and args.k is None:
         raise UsageError(f"--k is required for the {model} model")
-    if model != "amnar" and args.latent_out is not None:
-        raise UsageError(f"--latent-out is not meaningful for the {model} model")
-    if model != "enr" and args.omit_grand_mean:
-        raise UsageError(f"--omit-grand-mean is not meaningful for the {model} model")
+    for flag, value, owner in (("--seed", args.seed, "amnar"), ("--s", args.s, "amnar"),
+                               ("--latent-out", args.latent_out, "amnar"),
+                               ("--omit-grand-mean", args.omit_grand_mean or None, "enr")):
+        if value is not None and model != owner:
+            raise UsageError(f"{flag} is not meaningful for the {model} model")
     panel_full = process.read_panel_csv(args.panel)
     graph = network.read_edge_csv(args.edges, n_nodes=panel_full.n)
     panel = _window_panel(panel_full, args.window_start, args.window_len)
-    seed = _seed(args.seed)
 
     if model in ("nar", "enar"):
-        fit, _, diag = estimate.fit_enar(panel, graph, args.k or 0)
+        fit = estimate.fit_enar(panel, graph, args.k or 0)
     elif model == "amnar":
-        fit, state, diag = estimate.fit_amnar(
-            panel, graph, args.k, args.s, np.random.default_rng(seed)
-        )
+        s = bench.ExperimentConfig.s if args.s is None else args.s
+        fit = estimate.fit_amnar(panel, graph, args.k, s, np.random.default_rng(_seed(args.seed)))
         if args.latent_out:
+            state = lsm.LsmState(fit.latent[:, :-1], fit.latent[:, -1])
             lsm.write_latent_csv(state, args.latent_out)
     else:  # enr
         spec = estimate.DesignSpec("enr", args.k, grand_mean=not args.omit_grand_mean)
-        fit, _, diag = estimate._fit_embedded(panel, graph, spec)
+        fit = estimate.fit_embedded(panel, graph, spec)
 
-    estimate.write_fit_json(fit, args.out, diag)
+    estimate.write_fit_json(fit, args.out)
     print(json.dumps({"fit": args.out, "model": model, "n_obs": fit.n_obs,
                       "sigma2_hat": fit.sigma2_hat, "aic": fit.aic, "bic": fit.bic}))
     return EXIT_OK
@@ -349,9 +349,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--panel", required=True)
     p.add_argument("--model", required=True, choices=["nar", "enar", "amnar", "enr"])
     p.add_argument("--k", type=int, help="latent dimension (embedding models)")
-    p.add_argument("--s", type=float, default=bench.ExperimentConfig.s,
-                   help="amnar rate exponent")
-    p.add_argument("--seed", type=int, help="seed for the latent-MLE start")
+    p.add_argument("--s", type=float,
+                   help=f"amnar rate exponent (default {bench.ExperimentConfig.s})")
+    p.add_argument("--seed", type=int, help="seed for the amnar latent-MLE start")
     p.add_argument("--omit-grand-mean", action="store_true",
                    help="drop the grand-mean column from the enr design")
     p.add_argument("--window-start", type=int, help="first time index of the training window")

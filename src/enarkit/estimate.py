@@ -38,7 +38,7 @@ from .errors import (
     ZeroDenominator,
     check_type,
 )
-from .network import Embedding, Graph, spectral_embed
+from .network import Graph, spectral_embed
 from .process import Panel, rate_multiplier
 
 MODELS = ("nar", "enar", "amnar", "enr")
@@ -90,13 +90,42 @@ class DesignSpec:
 
 
 @dataclass
-class FitResult:
-    """Least-squares estimate with plug-in covariance and fit scores;
+class Diagnostics:
+    """Sample analogues of the quantities governing embedding accuracy.
+
     ``condition_number`` is cond(W'W) of the design (NaN without columns).
+    ``eigengap`` is the smallest retained |eigenvalue| minus the largest
+    discarded one in the adjacency spectrum; ``kappa`` is
+    sqrt(K N rho_hat) / eigengap with rho_hat the edge density. Both stay
+    NaN unless the fit embeds the adjacency (enar, enr). Latent-MLE fields
+    are populated only for the additive+multiplicative fit.
+    """
+
+    eigengap: float = math.nan
+    kappa: float = math.nan
+    condition_number: float = math.nan
+    lsm_loglik: float | None = None
+    lsm_centering: float | None = None
+    lsm_diagonality: float | None = None
+    lsm_step_failed: bool | None = None
+    lsm_converged: bool | None = None
+    lsm_iters: int | None = None
+
+    def to_dict(self) -> dict:
+        """Every field in order as strict JSON, less the unset latent-MLE ones."""
+        return {key: _json_value(val) for key, val in vars(self).items() if val is not None}
+
+
+@dataclass
+class FitResult:
+    """Least-squares estimate with plug-in covariance and fit scores: the
+    one record every fit entry point returns.
 
     ``latent`` is the unscaled N x latent_cols block the design used (None
     for nar): the latent-effect coefficients mean something only in this
     basis, so forecasts read it from here rather than re-estimating it.
+    ``diagnostics`` holds the design's condition number and whatever the
+    latent stage measured.
     """
 
     mu_hat: np.ndarray
@@ -110,8 +139,8 @@ class FitResult:
     spec: DesignSpec | None = None
     names: list[str] = field(default_factory=list)
     r: float | None = None
-    condition_number: float = math.nan
     latent: np.ndarray | None = None
+    diagnostics: Diagnostics = field(default_factory=Diagnostics)
 
     @property
     def se(self) -> np.ndarray:
@@ -119,32 +148,6 @@ class FitResult:
 
     def coef(self, name: str) -> float:
         return float(self.mu_hat[self.names.index(name)])
-
-
-@dataclass
-class Diagnostics:
-    """Sample analogues of the quantities governing embedding accuracy.
-
-    ``eigengap`` is the smallest retained |eigenvalue| minus the largest
-    discarded one in the adjacency spectrum; ``kappa`` is
-    sqrt(K N rho_hat) / eigengap with rho_hat the edge density. Both are
-    NaN where the fit has no adjacency eigenvalues (nar, amnar). Latent-MLE
-    fields are populated only for the additive+multiplicative fit.
-    """
-
-    eigengap: float
-    kappa: float
-    condition_number: float
-    lsm_loglik: float | None = None
-    lsm_centering: float | None = None
-    lsm_diagonality: float | None = None
-    lsm_step_failed: bool | None = None
-    lsm_converged: bool | None = None
-    lsm_iters: int | None = None
-
-    def to_dict(self) -> dict:
-        """Every field in order as strict JSON, less the unset latent-MLE ones."""
-        return {key: _json_value(val) for key, val in vars(self).items() if val is not None}
 
 
 def _json_value(v):
@@ -289,7 +292,7 @@ def fit_ls(w: np.ndarray, y_resp: np.ndarray) -> FitResult:
         loglik=loglik,
         aic=aic,
         bic=bic,
-        condition_number=float(np.linalg.cond(r)) ** 2 if d else math.nan,
+        diagnostics=Diagnostics(condition_number=float(np.linalg.cond(r)) ** 2 if d else math.nan),
     )
 
 
@@ -299,7 +302,7 @@ def fit_with_latents(panel: Panel, graph: Graph, latent, spec: DesignSpec) -> Fi
 
     Every fit goes through here. Returns the named fit, carrying the
     unscaled latent block as ``latent`` (None for nar), with r set for
-    amnar and the design's condition number from its QR.
+    amnar and ``diagnostics`` holding the condition number from its QR.
     """
     lap = None if spec.model == "enr" else graph.laplacian
     latent = _check_latent(latent, panel.n, spec.latent_cols)
@@ -310,72 +313,56 @@ def fit_with_latents(panel: Panel, graph: Graph, latent, spec: DesignSpec) -> Fi
     return fit
 
 
-def _adjacency_diagnostics(
-    fit: FitResult, graph: Graph, eigenvalues: np.ndarray | None = None, k: int = 0
-) -> Diagnostics:
-    """Eigengap and kappa from the leading min(k+1, n) adjacency eigenvalues
-    (ordered by magnitude), NaN when none are given, plus the fit's design
-    condition number."""
-    if eigenvalues is None:
-        eigengap = kappa = math.nan
-    else:
-        vals = np.abs(eigenvalues)
-        discarded = vals[k] if k < vals.size else 0.0
-        eigengap = float(vals[k - 1] - discarded)
-        kappa = math.sqrt(k * graph.n * graph.density) / eigengap if eigengap > 0 else math.inf
-    return Diagnostics(eigengap=eigengap, kappa=kappa, condition_number=fit.condition_number)
-
-
-def _fit_embedded(
-    panel: Panel, graph: Graph, spec: DesignSpec
-) -> tuple[FitResult, Embedding, Diagnostics]:
+def fit_embedded(panel: Panel, graph: Graph, spec: DesignSpec) -> FitResult:
     """Fit an embedding model (enar or enr) from one eigendecomposition:
     k+1 eigenpairs (k when k = N), whose first k columns are the latent
-    block and whose eigenvalues give the eigengap."""
+    block and whose eigenvalues give the eigengap and kappa diagnostics."""
     k = spec.k
     full = spectral_embed(graph, k + 1 if k < graph.n else k)
-    emb = Embedding(full.vectors[:, :k], full.eigenvalues[:k])
-    fit = fit_with_latents(panel, graph, emb.vectors, spec)
-    return fit, emb, _adjacency_diagnostics(fit, graph, full.eigenvalues, k)
+    fit = fit_with_latents(panel, graph, full.vectors[:, :k], spec)
+    vals = np.abs(full.eigenvalues)
+    diag = fit.diagnostics
+    diag.eigengap = gap = float(vals[k - 1] - (vals[k] if k < vals.size else 0.0))
+    diag.kappa = math.sqrt(k * graph.n * graph.density) / gap if gap > 0 else math.inf
+    return fit
 
 
-def fit_enar(panel: Panel, graph: Graph, k: int) -> tuple[FitResult, Embedding, Diagnostics]:
+def fit_enar(panel: Panel, graph: Graph, k: int) -> FitResult:
     """Embed the observed graph, build the design, and fit by least squares.
 
     One eigendecomposition of the adjacency, with k+1 eigenpairs, gives both
-    the k-dimensional embedding and the eigengap diagnostics. ``k = 0``
-    drops the latent block entirely, which is exactly the plain network
-    autoregression fit. The peer term reads ``graph.laplacian``.
+    the k-dimensional embedding (``fit.latent``) and the eigengap
+    diagnostics. ``k = 0`` drops the latent block entirely, which is exactly
+    the plain network autoregression fit. The peer term reads
+    ``graph.laplacian``.
     """
     if k >= 1:
-        return _fit_embedded(panel, graph, DesignSpec("enar", k))
-    fit = fit_with_latents(panel, graph, None, DesignSpec("nar"))
-    emb = Embedding(np.zeros((graph.n, 0)), np.zeros(0))
-    return fit, emb, _adjacency_diagnostics(fit, graph)
+        return fit_embedded(panel, graph, DesignSpec("enar", k))
+    return fit_with_latents(panel, graph, None, DesignSpec("nar"))
 
 
 def fit_amnar(
     panel: Panel, graph: Graph, k: int, s: float,
     rng: np.random.Generator | None = None, max_iters: int = lsm.MAX_ITERS,
-):
+) -> FitResult:
     """Estimate the latent-space factors by constrained MLE, then fit.
 
-    Returns (FitResult, LsmState, Diagnostics). The latent design columns
-    are the MLE's [Q | v] scaled by r = N^{-s} T^{-1/2}; ``rng`` and the
-    iteration cap ``max_iters`` go to :func:`enarkit.lsm.fit_lsm`. No
-    adjacency eigendecomposition is made, so the eigengap and kappa
-    diagnostics are NaN. The peer term reads ``graph.laplacian``.
+    ``fit.latent`` is the MLE's [Q | v], which the design scales by
+    r = N^{-s} T^{-1/2}; ``rng`` and the iteration cap ``max_iters`` go to
+    :func:`enarkit.lsm.fit_lsm`, and ``fit.diagnostics`` reports the MLE's
+    state. No adjacency eigendecomposition is made, so the eigengap and
+    kappa diagnostics are NaN. The peer term reads ``graph.laplacian``.
     """
     lsm_fit = lsm.fit_lsm(graph, k, rng, max_iters)
     fit = fit_with_latents(panel, graph, lsm_fit.state.x(), DesignSpec("amnar", k, s=s))
-    diag = _adjacency_diagnostics(fit, graph)
+    diag = fit.diagnostics
     diag.lsm_loglik = lsm_fit.loglik_trace[-1]
     diag.lsm_centering = lsm_fit.state.centering_residual()
     diag.lsm_diagonality = lsm_fit.state.diagonality_residual()
     diag.lsm_step_failed = lsm_fit.step_failed
     diag.lsm_converged = lsm_fit.converged
     diag.lsm_iters = lsm_fit.n_iters
-    return fit, lsm_fit.state, diag
+    return fit
 
 
 def predict_one_step(
@@ -443,7 +430,7 @@ def confint(fit: FitResult, index: int, level: float) -> tuple[float, float]:
     return center - half, center + half
 
 
-def fit_to_json_dict(fit: FitResult, diagnostics: Diagnostics | None = None) -> dict:
+def fit_to_json_dict(fit: FitResult) -> dict:
     """Serializable fit summary with stable key names; a latent model's
     ``latent`` block is written one row per node, in design order."""
     if fit.spec is None or not fit.names or (fit.spec.latent_cols and fit.latent is None):
@@ -463,7 +450,7 @@ def fit_to_json_dict(fit: FitResult, diagnostics: Diagnostics | None = None) -> 
         "loglik": _json_value(fit.loglik),
         "aic": _json_value(fit.aic),
         "bic": _json_value(fit.bic),
-        "diagnostics": diagnostics.to_dict() if diagnostics is not None else {},
+        "diagnostics": fit.diagnostics.to_dict(),
     }
     if fit.spec.latent_cols:
         out["beta_rotation_caveat"] = True
@@ -471,9 +458,9 @@ def fit_to_json_dict(fit: FitResult, diagnostics: Diagnostics | None = None) -> 
     return out
 
 
-def write_fit_json(fit: FitResult, path: str, diagnostics: Diagnostics | None = None) -> None:
+def write_fit_json(fit: FitResult, path: str) -> None:
     with atomic_write(path) as fh:
-        json.dump(fit_to_json_dict(fit, diagnostics), fh, indent=2, allow_nan=False)
+        json.dump(fit_to_json_dict(fit), fh, indent=2, allow_nan=False)
         fh.write("\n")
 
 
@@ -485,9 +472,12 @@ def read_fit_json(path: str) -> FitResult:
     coefficients, the latent entries and the float fields, an integer that
     is not a bool for ``k`` and ``n_obs``, a bool for ``grand_mean``. A
     latent model needs ``latent``, a list of rows of ``latent_cols``
-    numbers. A scalar field that is absent or null takes its default. A
-    wrong type, a missing key, a coefficient or latent entry that is not
-    finite, or invalid JSON raises :class:`DataError` naming the file.
+    numbers. Coefficients and standard errors are looked up by the names
+    ``spec.coef_names(p)`` gives, so their keys may come in any order. A
+    scalar field that is absent or null takes its default. A wrong type, a
+    missing key, a missing or extra coefficient name, a coefficient or
+    latent entry that is not finite, or invalid JSON raises
+    :class:`DataError` naming the file.
     """
     number = (int, float)
     try:
@@ -505,6 +495,9 @@ def read_fit_json(path: str) -> FitResult:
 
         def coefficients(key: str, names) -> np.ndarray:
             table = check_type(doc[key], (dict,), f"{path}: key {key!r}")
+            if set(table) != set(names):
+                raise DataError(f"{path}: key {key!r} holds {sorted(table)}, not the "
+                                f"{spec.model} coefficients {names}")
             return finite(key, np.array([
                 check_type(table[n], number, f"{path}: key {key!r} entry {n!r}") for n in names
             ], dtype=float))
@@ -529,7 +522,9 @@ def read_fit_json(path: str) -> FitResult:
             s=scalar("s", number, None),
             grand_mean=scalar("grand_mean", (bool,), True),
         )
-        names = list(doc["mu_hat"])
+        # the names come from the spec, not from the file's key order
+        n_coef = len(check_type(doc["mu_hat"], (dict,), f"{path}: key 'mu_hat'"))
+        names = spec.coef_names(n_coef - len(spec.coef_names(0)))
         mu = coefficients("mu_hat", names)
         return FitResult(
             mu_hat=mu,

@@ -179,11 +179,6 @@ class Embedding:
     vectors: np.ndarray
     eigenvalues: np.ndarray
 
-    @property
-    def k(self) -> int:
-        """Embedding dimension: the number of eigenvector columns."""
-        return self.vectors.shape[1]
-
 
 def normalized_laplacian(g: Graph) -> scipy.sparse.csr_array:
     """Symmetric normalized Laplacian D^{-1/2} A D^{-1/2}, as CSR on the

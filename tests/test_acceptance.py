@@ -217,7 +217,7 @@ def test_criterion_07_coverage():
     for rep in range(200):
         cell = Cell("dcmmsbm", "enar", "enar", 320, 160, 3)
         data = bench.simulate_cell_data(cell, cfg, derive_seed(cfg.base_seed, cell, rep))
-        fit, _, _ = estimate.fit_enar(data.panel, data.graph, 3)
+        fit = estimate.fit_enar(data.panel, data.graph, 3)
         lo, hi = estimate.confint(fit, fit.names.index("theta"), 0.95)
         cover += (lo <= 0.2 <= hi)
     rate = cover / 200

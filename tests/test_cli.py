@@ -213,6 +213,33 @@ class TestFitPredict:
         assert code == 2 and json.loads(err)["error"] == "usage"
         assert not latent.exists() and not (tmp_path / "f.json").exists()
 
+    @pytest.mark.parametrize("flag", [["--seed", "0"], ["--s", "0.3"]])
+    @pytest.mark.parametrize("model", ["nar", "enar", "enr"])
+    def test_seed_and_s_outside_amnar_rejected(self, simulated, capsys, model, flag):
+        tmp_path, cfg = simulated
+        k = [] if model == "nar" else ["--k", "2"]
+        code, _, err = run_cli(
+            capsys, "fit", "--edges", cfg["out_edges"], "--panel", cfg["out_panel"],
+            "--model", model, *k, *flag, "--out", str(tmp_path / "f.json"),
+        )
+        assert code == 2 and json.loads(err)["error"] == "usage"
+        assert flag[0] in json.loads(err)["message"]
+        assert not (tmp_path / "f.json").exists()
+
+    @pytest.mark.parametrize("env_seed", ["abc", "-1"])
+    @pytest.mark.parametrize("model", ["nar", "enar"])
+    def test_fit_that_draws_nothing_reads_no_seed(
+        self, simulated, capsys, monkeypatch, model, env_seed
+    ):
+        tmp_path, cfg = simulated
+        monkeypatch.setenv("ENARKIT_SEED", env_seed)
+        k = [] if model == "nar" else ["--k", "2"]
+        code, _, _ = run_cli(
+            capsys, "fit", "--edges", cfg["out_edges"], "--panel", cfg["out_panel"],
+            "--model", model, *k, "--out", str(tmp_path / "f.json"),
+        )
+        assert code == 0
+
     @pytest.mark.parametrize("model", ["nar", "enar", "amnar"])
     def test_omit_grand_mean_outside_enr_rejected(self, simulated, capsys, model):
         tmp_path, cfg = simulated
@@ -323,7 +350,7 @@ class TestFitPredict:
         assert code == 0
         panel = read_panel_csv(cfg["out_panel"])
         graph = read_edge_csv(cfg["out_edges"], n_nodes=panel.n)
-        fit, _, _ = fit_enar(panel, graph, 2)
+        fit = fit_enar(panel, graph, 2)
         assert np.array_equal(read_fit_json(str(fit_path)).latent, fit.latent)
         y_hat = predict_one_step(fit, graph, panel.y[:, 99], panel.z[:, 99, :])
         write_forecast_csv_loop(y_hat, panel.y[:, 100], str(tmp_path / "ref.csv"))
@@ -333,8 +360,8 @@ class TestFitPredict:
         assert out.read_bytes() == (tmp_path / "ref.csv").read_bytes()
 
     def fit_model(self, simulated, capsys, model):
-        """CLI fit of ``model`` (enr on the first transition) and the fit
-        made in memory from the same files and seed."""
+        """CLI fit of ``model`` (enr on the first transition; amnar seeded
+        with 0) and the fit made in memory from the same files and seed."""
         from enarkit import estimate
         from enarkit.network import read_edge_csv
 
@@ -342,19 +369,20 @@ class TestFitPredict:
         fit_path = tmp_path / f"{model}.json"
         window = ["--window-len", "2"] if model == "enr" else []
         k = [] if model == "nar" else ["--k", "2"]
+        seed = ["--seed", "0"] if model == "amnar" else []
         code, _, _ = run_cli(capsys, "fit", "--edges", cfg["out_edges"],
                              "--panel", cfg["out_panel"], "--model", model, *k, *window,
-                             "--seed", "0", "--out", str(fit_path))
+                             *seed, "--out", str(fit_path))
         assert code == 0
         panel = read_panel_csv(cfg["out_panel"])
         graph = read_edge_csv(cfg["out_edges"], n_nodes=panel.n)
         if model == "amnar":
-            fit, _, _ = estimate.fit_amnar(panel, graph, 2, 0.25, np.random.default_rng(0))
+            fit = estimate.fit_amnar(panel, graph, 2, 0.25, np.random.default_rng(0))
         elif model == "enr":
             window_panel = Panel(y=panel.y[:, :2].copy(), z=panel.z[:, :1].copy())
-            fit, _, _ = estimate._fit_embedded(window_panel, graph, estimate.DesignSpec("enr", 2))
+            fit = estimate.fit_embedded(window_panel, graph, estimate.DesignSpec("enr", 2))
         else:
-            fit, _, _ = estimate.fit_enar(panel, graph, 0 if model == "nar" else 2)
+            fit = estimate.fit_enar(panel, graph, 0 if model == "nar" else 2)
         return fit_path, fit
 
     @pytest.mark.parametrize("model", ["nar", "enar", "enr", "amnar"])
@@ -424,9 +452,13 @@ class TestFitPredict:
             "--latent-out", str(latent), "--out", str(out),
         )
         assert code == 0
+        from enarkit.lsm import read_latent_csv
+
         assert latent.read_text().splitlines()[0] == "node,v,q1,q2"
         doc = json.loads(out.read_text())
         assert list(doc["mu_hat"])[:3] == ["beta_1", "beta_2", "beta_3"]
+        # the CSV holds the fit's own block [Q | v], reordered as v, Q
+        assert np.array_equal(read_latent_csv(str(latent)).x(), np.array(doc["latent"]))
 
 
 class TestFitJsonNumbers:
@@ -459,6 +491,35 @@ class TestFitJsonNumbers:
                                "--out", str(out))
         assert not out.exists()
         return code, json.loads(err)
+
+    @pytest.mark.parametrize("model", ["enar", "amnar"])
+    def test_key_sorted_fit_json_forecasts_byte_identically(self, fitted, capsys, model):
+        # as `json.dump(..., sort_keys=True)` or `jq -S` rewrites it
+        tmp_path, data, fits = fitted
+        forecasts = []
+        for name in ("as-written", "sorted"):
+            out = tmp_path / f"{name}.csv"
+            code, _, _ = run_cli(capsys, "predict", "--fit", str(fits[model]), *data,
+                                 "--out", str(out))
+            assert code == 0
+            forecasts.append(out.read_bytes())
+            doc = json.loads(fits[model].read_text())
+            fits[model].write_text(json.dumps(doc, sort_keys=True))
+        assert list(doc["mu_hat"])[0] == "alpha"
+        assert forecasts[0] == forecasts[1]
+
+    @pytest.mark.parametrize("key, edit", [
+        ("mu_hat", lambda table: table.pop("theta")),
+        ("mu_hat", lambda table: table.__setitem__("delta", 1.0)),
+        ("se", lambda table: table.pop("gamma_3")),
+        ("se", lambda table: table.__setitem__("beta_9", 1.0)),
+    ], ids=["mu_hat-missing", "mu_hat-extra", "se-missing", "se-extra"])
+    def test_missing_or_extra_coefficient_name_is_data_error(self, fitted, capsys, key, edit):
+        _, _, fits = fitted
+        code, error = self.predict_edited(capsys, fitted, "enar", lambda doc: edit(doc[key]))
+        assert code == 3
+        assert error["error"] == "DataError"
+        assert str(fits["enar"]) in error["message"] and repr(key) in error["message"]
 
     @pytest.mark.parametrize("model, key", [
         ("enar", "sigma2_hat"), ("enar", "n_obs"), ("enar", "loglik"),
@@ -656,14 +717,17 @@ class TestSelectK:
 
 
 class TestHelp:
-    def test_fit_rate_exponent_defaults_to_the_experiment_default(self):
+    def test_fit_rate_exponent_defaults_to_the_experiment_default(self, tmp_path, capsys):
         from enarkit.bench import ExperimentConfig
-        from enarkit.cli import build_parser
 
-        args = build_parser().parse_args(
-            ["fit", "--edges", "e.csv", "--panel", "p.csv", "--model", "amnar", "--out", "f.json"]
-        )
-        assert args.s == ExperimentConfig.s == 0.25
+        path, cfg = write_sim_config(tmp_path, model="amnar", n=20, t=4, seed=1)
+        assert run_cli(capsys, "simulate", "--config", str(path))[0] == 0
+        out = tmp_path / "am.json"
+        code, _, _ = run_cli(capsys, "fit", "--edges", cfg["out_edges"],
+                             "--panel", cfg["out_panel"], "--model", "amnar", "--k", "2",
+                             "--out", str(out))
+        assert code == 0
+        assert json.loads(out.read_text())["s"] == ExperimentConfig.s == 0.25
 
     def test_help_exits_zero(self, capsys):
         code, out, _ = run_cli(capsys, "--help")
@@ -695,6 +759,17 @@ class TestHelp:
                 assert flag in options, f"README: {flag} is not an option of {command}: {line}"
             seen.add(command)
         assert seen == set(sub.choices)
+
+    def test_readme_python_example_runs(self, capsys):
+        import re
+
+        readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+        blocks = re.findall(r"^```python\n(.*?)^```", readme, flags=re.S | re.M)
+        assert len(blocks) == 1
+        scope = {}
+        exec(compile(blocks[0], "README.md", "exec"), scope)
+        assert isinstance(scope["fit"], enarkit.FitResult)
+        assert capsys.readouterr().out
 
     def test_console_script_installed(self, tmp_path):
         import subprocess, sys

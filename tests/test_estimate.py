@@ -6,18 +6,19 @@ import numpy as np
 import pytest
 import scipy.special
 
-from enarkit import estimate, network
+from enarkit import estimate, lsm, network
 from enarkit.errors import DataError, DimensionMismatch, RankDeficient, ZeroDenominator
 from enarkit.estimate import (
     DesignSpec,
     Diagnostics,
-    _fit_embedded,
     build_design,
     confint,
     design_rows,
     fit_amnar,
+    fit_embedded,
     fit_enar,
     fit_ls,
+    fit_with_latents,
     predict_one_step,
     read_fit_json,
     rmse_rel,
@@ -221,9 +222,9 @@ class TestModelCompositions:
 
     def test_nar_equals_enar_with_k_zero(self):
         g, _, _, _, panel = self.make_panel()
-        fit, emb, diag = fit_enar(panel, g, 0)
-        assert emb.k == 0
-        assert math.isnan(diag.eigengap)
+        fit = fit_enar(panel, g, 0)
+        assert fit.latent is None
+        assert math.isnan(fit.diagnostics.eigengap)
         lap = normalized_laplacian(g)
         w, y = build_design(panel, lap, None, DesignSpec("nar"))
         direct = fit_ls(w, y)
@@ -250,10 +251,11 @@ class TestModelCompositions:
 
     def test_fit_enar_names_and_diagnostics(self):
         g, _, _, _, panel = self.make_panel()
-        fit, emb, diag = fit_enar(panel, g, 2)
+        fit = fit_enar(panel, g, 2)
+        diag = fit.diagnostics
         assert fit.names == ["beta_1", "beta_2", "alpha", "theta", "gamma_1"]
         # one three-pair decomposition gives the two-pair embedding and the gap
-        assert np.array_equal(emb.vectors, spectral_embed(g, 2).vectors)
+        assert np.array_equal(fit.latent, spectral_embed(g, 2).vectors)
         mags = np.sort(np.abs(np.linalg.eigvalsh(g.adjacency.toarray())))[::-1]
         assert diag.eigengap == pytest.approx(mags[1] - mags[2], abs=1e-10)
         assert diag.eigengap >= 0
@@ -276,49 +278,71 @@ class TestModelCompositions:
     def test_enar_fit_and_forecast_build_one_laplacian(self, monkeypatch):
         g, _, _, _, panel = self.make_panel()
         g, built = self.count_laplacian_builds(monkeypatch, g)
-        fit, _, _ = fit_enar(panel, g, 2)
+        fit = fit_enar(panel, g, 2)
         predict_one_step(fit, g, panel.y[:, -1], panel.z[:, -1, :])
         assert len(built) == 1 and built[0] is g
 
     def test_amnar_fit_and_forecast_build_one_laplacian(self, monkeypatch):
         g, _, _, _, panel = self.make_panel(n=30, t=10)
         g, built = self.count_laplacian_builds(monkeypatch, g)
-        fit, _, _ = fit_amnar(panel, g, 2, 0.25, np.random.default_rng(0), max_iters=5)
+        fit = fit_amnar(panel, g, 2, 0.25, np.random.default_rng(0), max_iters=5)
         predict_one_step(fit, g, panel.y[:, -1], panel.z[:, -1, :])
         assert len(built) == 1 and built[0] is g
 
     def test_enr_fit_and_forecast_build_no_laplacian(self, monkeypatch):
         g, _, _, _, panel = self.make_panel(t=1)
         g, built = self.count_laplacian_builds(monkeypatch, g)
-        fit, _, _ = _fit_embedded(panel, g, DesignSpec("enr", 2))
+        fit = fit_embedded(panel, g, DesignSpec("enr", 2))
         predict_one_step(fit, g, panel.y[:, -1], panel.z[:, -1, :])
         assert built == [] and "laplacian" not in vars(g)
 
     def test_fit_amnar_runs_and_scales(self):
         g, _, _, _, panel = self.make_panel(n=30, t=10)
         for s in (0.01, 0.49):
-            fit, state, diag = fit_amnar(panel, g, 2, s,
-                                         rng=np.random.default_rng(0))
+            fit = fit_amnar(panel, g, 2, s, rng=np.random.default_rng(0))
             assert fit.names[:3] == ["beta_1", "beta_2", "beta_3"]
             assert fit.r == pytest.approx(30 ** -s * 10 ** -0.5)
-            assert diag.lsm_loglik is not None
+            assert fit.diagnostics.lsm_loglik is not None
             assert np.all(np.isfinite(fit.mu_hat))
+
+    def fit_model(self, panel, g, model, u=None):
+        """The fit of ``model`` through its entry point; "oracle" is the
+        known-latent enar fit on ``u``, as the benchmark's oracle runs it."""
+        if model == "amnar":
+            return fit_amnar(panel, g, 2, 0.25, np.random.default_rng(0), max_iters=5)
+        if model == "enr":
+            return fit_embedded(panel, g, DesignSpec("enr", 2))
+        if model == "oracle":
+            return fit_with_latents(panel, g, u, DesignSpec("enar", 2))
+        return fit_enar(panel, g, 2 if model == "enar" else 0)
+
+    @pytest.mark.parametrize("model", ["nar", "enar", "enr", "amnar", "oracle"])
+    def test_every_fit_carries_its_latent_block_and_diagnostics(self, model):
+        g, u, _, _, panel = self.make_panel(n=30, t=1 if model == "enr" else 10)
+        fit = self.fit_model(panel, g, model, u)
+        diag = fit.diagnostics
+        assert isinstance(diag, Diagnostics) and diag.condition_number >= 1
+        if model == "nar":
+            assert fit.latent is None
+        elif model == "amnar":
+            state = lsm.fit_lsm(g, 2, np.random.default_rng(0), 5).state
+            assert np.array_equal(fit.latent, state.x())
+        elif model == "oracle":
+            assert np.array_equal(fit.latent, u)
+        else:
+            assert np.array_equal(fit.latent, spectral_embed(g, 2).vectors)
+        embedded = model in ("enar", "enr")
+        assert math.isfinite(diag.eigengap) == embedded == math.isfinite(diag.kappa)
+        assert (diag.lsm_iters is not None) == (model == "amnar")
 
     @pytest.mark.parametrize("model", ["nar", "enar", "enr", "amnar"])
     def test_condition_number_is_that_of_the_gram_matrix(self, model):
         g, _, _, _, panel = self.make_panel(n=30, t=1 if model == "enr" else 10)
-        if model == "amnar":
-            fit, state, diag = fit_amnar(panel, g, 2, 0.25, np.random.default_rng(0), max_iters=5)
-            latent = state.x()
-        elif model == "enr":
-            fit, emb, diag = _fit_embedded(panel, g, DesignSpec("enr", 2))
-            latent = emb.vectors
-        else:
-            fit, emb, diag = fit_enar(panel, g, 2 if model == "enar" else 0)
-            latent = emb.vectors
-        w, _ = build_design(panel, g.laplacian, latent, fit.spec)
-        assert diag.condition_number == fit.condition_number
-        assert fit.condition_number == pytest.approx(np.linalg.cond(w.T @ w), rel=1e-10)
+        fit = self.fit_model(panel, g, model)
+        w, _ = build_design(panel, g.laplacian, fit.latent, fit.spec)
+        assert fit.diagnostics.condition_number == pytest.approx(
+            np.linalg.cond(w.T @ w), rel=1e-10
+        )
 
     def test_fit_amnar_makes_no_adjacency_eigendecomposition(self, monkeypatch):
         g, _, _, _, panel = self.make_panel(n=30, t=10)
@@ -330,7 +354,7 @@ class TestModelCompositions:
             return embed(*args)
 
         monkeypatch.setattr(network, "embed_symmetric", counting)
-        _, _, diag = fit_amnar(panel, g, 2, 0.25, np.random.default_rng(0), max_iters=5)
+        diag = fit_amnar(panel, g, 2, 0.25, np.random.default_rng(0), max_iters=5).diagnostics
         assert calls == []
         assert math.isnan(diag.eigengap) and math.isnan(diag.kappa)
         doc = diag.to_dict()
@@ -339,11 +363,11 @@ class TestModelCompositions:
     def test_fit_amnar_reports_mle_convergence(self):
         g, _, _, _, panel = self.make_panel(n=30, t=10)
         # the cap stops this ascent before its relative-gain tolerance
-        _, _, diag = fit_amnar(panel, g, 2, 0.25, rng=np.random.default_rng(0), max_iters=7)
+        diag = fit_amnar(panel, g, 2, 0.25, rng=np.random.default_rng(0), max_iters=7).diagnostics
         assert diag.lsm_iters == 7 and diag.lsm_converged is False
         doc = diag.to_dict()
         assert doc["lsm_converged"] is False and doc["lsm_iters"] == 7
-        _, _, enar_diag = fit_enar(panel, g, 2)
+        enar_diag = fit_enar(panel, g, 2).diagnostics
         assert not {"lsm_converged", "lsm_iters"} & set(enar_diag.to_dict())
 
 
@@ -370,14 +394,14 @@ class TestPredict:
         params = EnarParams(0.2, 0.2, np.zeros(0), np.array([0.3]), 0.5)
         cov = CovariateSpec(1, np.array([2.0]))
         panel = simulate_enar(params, g, np.zeros((30, 0)), cov, 40, rng)
-        fit_e, emb, _ = fit_enar(panel, g, 2)
-        fit_n, _, _ = fit_enar(panel, g, 0)
+        fit_e = fit_enar(panel, g, 2)
+        fit_n = fit_enar(panel, g, 0)
         z_t = rng.standard_normal((30, 1)) * np.sqrt(2.0)
         y_t = panel.y[:, -1]
         pred_e = predict_one_step(fit_e, g, y_t, z_t)
         pred_n = predict_one_step(fit_n, g, y_t, z_t)
         gap = np.abs(pred_e - pred_n)
-        beta_contrib = np.max(np.abs(emb.vectors @ fit_e.mu_hat[:2]))
+        beta_contrib = np.max(np.abs(fit_e.latent @ fit_e.mu_hat[:2]))
         slope_gap = np.abs(fit_e.mu_hat[2:] - fit_n.mu_hat)
         slack = beta_contrib + np.max(np.abs(np.column_stack(
             [y_t, normalized_laplacian(g) @ y_t, z_t])) @ slope_gap)
@@ -439,7 +463,7 @@ class TestConfint:
             params = EnarParams(0.2, 0.0, 0.5 * np.array([1.0, -0.5]), np.array([0.3]), 0.5)
             cov = CovariateSpec(1, np.array([2.0]))
             panel = simulate_enar(params, g, u, cov, 60, rng)
-            fit, _, _ = fit_enar(panel, g, 2)
+            fit = fit_enar(panel, g, 2)
             lo, hi = confint(fit, fit.names.index("theta"), 0.95)
             cover += (lo <= 0.0 <= hi)
         assert 0.85 <= cover / reps <= 1.0
@@ -452,7 +476,7 @@ class TestConfint:
         params = EnarParams(0.5, 0.3, np.array([1.0, -0.5]), np.array([0.3]), 0.5)
         cov = CovariateSpec(1, np.array([2.0]))
         panel = simulate_enar(params, g, u, cov, 400, rng)
-        fit, _, _ = fit_enar(panel, g, 2)
+        fit = fit_enar(panel, g, 2)
         for name in ("alpha", "theta"):
             j = fit.names.index(name)
             lo, hi = confint(fit, j, 0.95)
@@ -467,9 +491,9 @@ class TestFitJson:
         params = EnarParams(0.2, 0.2, np.array([1.0, -0.5]), np.array([0.3]), 0.3)
         cov = CovariateSpec(1, np.array([2.0]))
         panel = simulate_enar(params, g, u, cov, 10, rng)
-        fit, _, diag = fit_enar(panel, g, 2)
+        fit = fit_enar(panel, g, 2)
         path = tmp_path / "fit.json"
-        write_fit_json(fit, str(path), diag)
+        write_fit_json(fit, str(path))
         doc = json.loads(path.read_text())
         for key in ("mu_hat", "se", "sigma2_hat", "aic", "bic", "diagnostics"):
             assert key in doc
@@ -489,10 +513,10 @@ class TestFitJson:
         params = EnarParams(0.2, 0.2, np.array([1.0]), np.array([0.3]), 0.3)
         cov = CovariateSpec(1, np.array([2.0]))
         panel = simulate_enar(params, g, spectral_embed(g, 1).vectors, cov, 10, rng)
-        fit, _, diag = fit_enar(panel, g, 1)
-        assert diag.eigengap == 0.0 and diag.kappa == math.inf
+        fit = fit_enar(panel, g, 1)
+        assert fit.diagnostics.eigengap == 0.0 and fit.diagnostics.kappa == math.inf
         path = tmp_path / "fit.json"
-        write_fit_json(fit, str(path), diag)
+        write_fit_json(fit, str(path))
 
         def reject(constant):
             raise ValueError(f"{constant} is not JSON")
@@ -663,10 +687,10 @@ class TestSparsePath:
         try:
             graph = network.read_edge_csv(str(path), n_nodes=n)
             panel = simulate_enar(params, graph, u, cov, 5, rng)
-            fit, emb, _ = fit_enar(panel, graph, 2)
+            fit = fit_enar(panel, graph, 2)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
         assert peak < 40e6
         assert graph.adjacency.nnz == 2 * len(pairs)
-        assert emb.vectors.shape == (n, 2) and np.all(np.isfinite(fit.mu_hat))
+        assert fit.latent.shape == (n, 2) and np.all(np.isfinite(fit.mu_hat))
