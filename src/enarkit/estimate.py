@@ -1,8 +1,9 @@
 """Design construction, least-squares fitting, inference, and prediction.
 
 Each observation (node i, time t) contributes one design row; stacking all
-T transitions gives an NT x d regression solved by pivoted QR. The model
-variants share the layout
+T transitions gives an NT x d regression, solved from the Cholesky factor
+of the Gram matrix W'W when it is well conditioned and by pivoted QR
+otherwise. The model variants share the layout
 
     [ latent columns | lagged own response | Laplacian-weighted lag | covariates ]
 
@@ -12,8 +13,9 @@ absent (plain network autoregression). The regression variant drops the lag
 terms and may carry a grand-mean column.
 
 Standard errors come from the plug-in covariance sigma2_hat * (W'W)^{-1},
-and the design's condition number cond(W'W) = cond(R)^2, both from the R of
-the pivoted QR W P = Q R.
+and the design's condition number cond(W'W) = cond(R)^2, both from the
+triangular factor R of W P = Q R: the Cholesky factor of W'W (P = I), or
+the R of the pivoted QR, which makes every rank decision.
 The latent-effect coordinates are identified only up to an orthogonal
 rotation of the embedding, so their standard errors carry a caveat flag and
 cross-run comparisons must align embeddings first.
@@ -21,6 +23,7 @@ cross-run comparisons must align embeddings first.
 
 from __future__ import annotations
 
+import itertools
 import json
 import math
 from dataclasses import dataclass, field
@@ -93,7 +96,8 @@ class DesignSpec:
 class Diagnostics:
     """Sample analogues of the quantities governing embedding accuracy.
 
-    ``condition_number`` is cond(W'W) of the design (NaN without columns).
+    ``condition_number`` is cond(W'W) of the design (NaN without columns)
+    and ``ls_solver`` the least-squares route that ran, "cholesky" or "qr".
     ``eigengap`` is the smallest retained |eigenvalue| minus the largest
     discarded one in the adjacency spectrum; ``kappa`` is
     sqrt(K N rho_hat) / eigengap with rho_hat the edge density. Both stay
@@ -104,15 +108,17 @@ class Diagnostics:
     eigengap: float = math.nan
     kappa: float = math.nan
     condition_number: float = math.nan
+    ls_solver: str | None = None
     lsm_loglik: float | None = None
     lsm_centering: float | None = None
     lsm_diagonality: float | None = None
     lsm_step_failed: bool | None = None
     lsm_converged: bool | None = None
     lsm_iters: int | None = None
+    lsm_evals: int | None = None
 
     def to_dict(self) -> dict:
-        """Every field in order as strict JSON, less the unset latent-MLE ones."""
+        """Every field in order as strict JSON, less the unset (None) ones."""
         return {key: _json_value(val) for key, val in vars(self).items() if val is not None}
 
 
@@ -151,9 +157,10 @@ class FitResult:
 
 
 def _json_value(v):
-    """``v`` as strict JSON holds it: None, bools and ints as they are, any
-    other number as a float, and a float that is not finite as None."""
-    if v is None or isinstance(v, (bool, int)):
+    """``v`` as strict JSON holds it: None, strings, bools and ints as they
+    are, any other number as a float, and a float that is not finite as
+    None."""
+    if v is None or isinstance(v, (str, bool, int)):
         return v
     v = float(v)
     return v if math.isfinite(v) else None
@@ -234,14 +241,40 @@ def build_design(
     return w, panel.y[:, 1:].T.reshape(-1)
 
 
-def fit_ls(w: np.ndarray, y_resp: np.ndarray) -> FitResult:
-    """Least squares by pivoted QR with plug-in covariance.
+# The Gram route squares the condition number: its coefficients carry a
+# relative error of order u cond(W'W) (u = 1.1e-16, the unit roundoff), at
+# most about 1e-8 times a modest dimension factor while cond(R) = cond(W) <=
+# GRAM_COND_MAX, against u cond(W) for the QR. Every pivot of a QR of W is at
+# least 1/cond(W) >= 1e-4 of the leading one, six orders above the 1e-10 rank
+# rule, so the route never accepts a design the QR would call rank deficient.
+GRAM_COND_MAX = 1e4
 
-    Raises DataError when the design or the response holds a NaN or an
-    infinite value, and RankDeficient (with the offending column indices)
-    when a pivot falls below 1e-10 of the leading one; no silent
-    pseudo-inverse. The condition number cond(W'W) is taken as cond(R)^2,
-    since W P = Q R.
+
+def _gram_factor(w: np.ndarray) -> tuple[np.ndarray, float] | None:
+    """Upper Cholesky factor R of W'W and cond(R), or None when the
+    factorization fails or cond(R) exceeds GRAM_COND_MAX."""
+    try:
+        r = scipy.linalg.cholesky(w.T @ w, check_finite=False)
+    except np.linalg.LinAlgError:
+        return None
+    cond_r = float(np.linalg.cond(r))
+    return (r, cond_r) if cond_r <= GRAM_COND_MAX else None
+
+
+def fit_ls(w: np.ndarray, y_resp: np.ndarray) -> FitResult:
+    """Least squares from a triangular factor W P = Q R, with plug-in
+    covariance sigma2_hat (W'W)^{-1} = sigma2_hat P R^{-1} R^{-T} P'.
+
+    R is the Cholesky factor of the Gram matrix W'W (P = I, Q'y = R^{-T} W'y)
+    when that factorization succeeds with cond(R) <= GRAM_COND_MAX;
+    otherwise it comes from LAPACK's pivoted QR, which makes every rank
+    decision: RankDeficient (with the offending column indices) when a
+    pivot falls below 1e-10 of the leading one, and no silent
+    pseudo-inverse. ``diagnostics.ls_solver`` names the route ("cholesky"
+    or "qr"), and ``diagnostics.condition_number`` is cond(W'W) = cond(R)^2.
+    The residual is y - W mu on either route. Raises DataError, before any
+    factorization, when the design or the response holds a NaN or an
+    infinite value.
     """
     w = np.asarray(w, dtype=float)
     y_resp = np.asarray(y_resp, dtype=float).reshape(-1)
@@ -254,13 +287,22 @@ def fit_ls(w: np.ndarray, y_resp: np.ndarray) -> FitResult:
         if not np.isfinite(arr).all():
             raise DataError(f"the {name} holds a NaN or an infinite value")
 
-    q, r, piv = scipy.linalg.qr(w, mode="economic", pivoting=True, check_finite=False)
-    diag = np.abs(np.diag(r))
-    if d and (diag[0] == 0.0 or np.any(diag < 1e-10 * diag[0])):
-        bad = np.flatnonzero(diag < max(1e-10 * diag[0], np.finfo(float).tiny))
-        raise RankDeficient(sorted(int(piv[i]) for i in bad))
+    gram = _gram_factor(w) if d else None
+    if gram is not None:
+        r, cond_r = gram
+        piv, solver = np.arange(d), "cholesky"
+        qty = scipy.linalg.solve_triangular(r, w.T @ y_resp, trans="T", check_finite=False)
+    else:
+        solver = "qr"
+        q, r, piv = scipy.linalg.qr(w, mode="economic", pivoting=True, check_finite=False)
+        diag = np.abs(np.diag(r))
+        if d and (diag[0] == 0.0 or np.any(diag < 1e-10 * diag[0])):
+            bad = np.flatnonzero(diag < max(1e-10 * diag[0], np.finfo(float).tiny))
+            raise RankDeficient(sorted(int(piv[i]) for i in bad))
+        cond_r = float(np.linalg.cond(r)) if d else math.nan
+        qty = q.T @ y_resp
 
-    coef_piv = scipy.linalg.solve_triangular(r, q.T @ y_resp)
+    coef_piv = scipy.linalg.solve_triangular(r, qty)
     mu = np.empty(d)
     mu[piv] = coef_piv
 
@@ -292,7 +334,7 @@ def fit_ls(w: np.ndarray, y_resp: np.ndarray) -> FitResult:
         loglik=loglik,
         aic=aic,
         bic=bic,
-        diagnostics=Diagnostics(condition_number=float(np.linalg.cond(r)) ** 2 if d else math.nan),
+        diagnostics=Diagnostics(condition_number=cond_r**2, ls_solver=solver),
     )
 
 
@@ -302,7 +344,8 @@ def fit_with_latents(panel: Panel, graph: Graph, latent, spec: DesignSpec) -> Fi
 
     Every fit goes through here. Returns the named fit, carrying the
     unscaled latent block as ``latent`` (None for nar), with r set for
-    amnar and ``diagnostics`` holding the condition number from its QR.
+    amnar and ``diagnostics`` holding the condition number and the
+    least-squares route of :func:`fit_ls`.
     """
     lap = None if spec.model == "enr" else graph.laplacian
     latent = _check_latent(latent, panel.n, spec.latent_cols)
@@ -362,6 +405,7 @@ def fit_amnar(
     diag.lsm_step_failed = lsm_fit.step_failed
     diag.lsm_converged = lsm_fit.converged
     diag.lsm_iters = lsm_fit.n_iters
+    diag.lsm_evals = lsm_fit.n_evals
     return fit
 
 
@@ -508,12 +552,17 @@ def read_fit_json(path: str) -> FitResult:
             if "latent" not in doc:
                 raise DataError(f"{path}: the {spec.model} fit has no key 'latent'; refit")
             rows = check_type(doc["latent"], (list,), f"{path}: key 'latent'")
-            block = np.empty((len(rows), cols))
-            for i, row in enumerate(rows):
-                where = f"{path}: key 'latent' row {i}"
-                if len(check_type(row, (list,), where)) != cols:
-                    raise DataError(f"{where} has {len(row)} entries, expected {cols}")
-                block[i] = [check_type(v, number, where) for v in row]
+            # one pass over the types; the rows are walked only to name a bad one
+            if (set(map(type, rows)) <= {list} and set(map(len, rows)) <= {cols}
+                    and set(map(type, itertools.chain.from_iterable(rows))) <= {int, float}):
+                block = np.array(rows, dtype=float).reshape(len(rows), cols)
+            else:
+                block = np.empty((len(rows), cols))
+                for i, row in enumerate(rows):
+                    where = f"{path}: key 'latent' row {i}"
+                    if len(check_type(row, (list,), where)) != cols:
+                        raise DataError(f"{where} has {len(row)} entries, expected {cols}")
+                    block[i] = [check_type(v, number, where) for v in row]
             return finite("latent", block)
 
         spec = DesignSpec(

@@ -93,13 +93,17 @@ class LsmState:
 
 @dataclass
 class LsmFit:
-    """Fitted state plus the ascent trace and termination flags."""
+    """Fitted state plus the ascent trace and termination flags.
+
+    ``n_evals`` counts log-likelihood evaluations: the start's and one per
+    line-search candidate, accepted or not."""
 
     state: LsmState
     loglik_trace: list[float] = field(default_factory=list)
     converged: bool = False
     step_failed: bool = False
     n_iters: int = 0
+    n_evals: int = 0
 
 
 def _chi(q: np.ndarray, v: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
@@ -261,7 +265,7 @@ def fit_lsm(
     kernels = _Kernels(graph)
     state = project_constraints(_spectral_init(graph.adjacency.toarray(), k, rng))
     ll = kernels.loglik(state.q, state.v)
-    fit = LsmFit(state=state, loglik_trace=[ll])
+    fit = LsmFit(state=state, loglik_trace=[ll], n_evals=1)
 
     for it in range(max_iters):
         dq, dv = kernels.gradient(state.q)
@@ -270,6 +274,7 @@ def fit_lsm(
         while step >= MIN_STEP:
             cand = project_constraints(LsmState(state.q + step * dq, state.v + step * dv))
             ll_cand = kernels.loglik(cand.q, cand.v)
+            fit.n_evals += 1
             if ll_cand > ll:
                 accepted = True
                 break

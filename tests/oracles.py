@@ -12,6 +12,7 @@ check.
 import csv
 
 import numpy as np
+import scipy.linalg
 from scipy.special import expit
 
 from enarkit import lsm
@@ -43,6 +44,22 @@ def kron_gamma0(g: np.ndarray, c: float) -> np.ndarray:
 def ls_dense(w: np.ndarray, y: np.ndarray) -> np.ndarray:
     """Explicit normal equations (W'W)^{-1} W'y via a dense inverse."""
     return np.linalg.inv(w.T @ w) @ (w.T @ y)
+
+
+def ls_pivoted_qr(w: np.ndarray, y: np.ndarray) -> dict:
+    """Least squares from scipy's pivoted QR W P = Q R, with an explicit
+    inverse of R: the coefficients, standard errors, residual variance and
+    cond(W'W) = cond(R)^2."""
+    q, r, piv = scipy.linalg.qr(w, mode="economic", pivoting=True)
+    mu = np.empty(w.shape[1])
+    mu[piv] = np.linalg.solve(r, q.T @ y)
+    resid = y - w @ mu
+    sigma2 = float(resid @ resid) / (w.shape[0] - w.shape[1])
+    r_inv = np.linalg.inv(r)
+    var = np.empty(w.shape[1])
+    var[piv] = sigma2 * np.sum(r_inv**2, axis=1)
+    return {"mu_hat": mu, "se": np.sqrt(var), "sigma2_hat": sigma2,
+            "condition_number": np.linalg.cond(r) ** 2}
 
 
 def lsm_loglik_loop(state: LsmState, adjacency: np.ndarray) -> float:
@@ -108,10 +125,18 @@ def fit_lsm_reference(
     through ``loglik(state, graph)`` and ``gradient(state, graph)``, by
     default the public ``lsm_loglik`` and ``lsm_gradient``, so chi is
     rebuilt for every call and no buffer outlives one. Starts from the
-    projected initializer (``fit_lsm`` with no iterations). Returns the fit
-    and the number of rejected line-search candidates."""
+    projected initializer (``fit_lsm`` with no iterations). Returns the fit,
+    whose ``n_evals`` counts the calls of ``loglik``, and the number of
+    rejected line-search candidates."""
+    calls = 0
+
+    def counted(state, graph):
+        nonlocal calls
+        calls += 1
+        return loglik(state, graph)
+
     state = lsm.fit_lsm(graph, k, rng, max_iters=0).state
-    ll = loglik(state, graph)
+    ll = counted(state, graph)
     fit = LsmFit(state=state, loglik_trace=[ll])
     rejected = 0
     for it in range(max_iters):
@@ -119,7 +144,7 @@ def fit_lsm_reference(
         step = 1.0 / graph.n
         while step >= lsm.MIN_STEP:
             cand = project_constraints(LsmState(state.q + step * dq, state.v + step * dv))
-            ll_cand = loglik(cand, graph)
+            ll_cand = counted(cand, graph)
             if ll_cand > ll:
                 break
             step *= lsm.BACKTRACK
@@ -136,6 +161,7 @@ def fit_lsm_reference(
             fit.converged = True
             break
     fit.state = state
+    fit.n_evals = calls
     return fit, rejected
 
 

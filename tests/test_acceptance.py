@@ -60,7 +60,7 @@ def test_criterion_02_least_squares_oracle():
         worst = max(worst, float(np.max(np.abs(fit.mu_hat - ls_dense(w, y)))))
     elapsed = time.perf_counter() - started
     ok = worst < 1e-10 and elapsed < 5.0
-    _report(2, "pivoted-QR fit matches the dense normal-equations oracle",
+    _report(2, "least-squares fit matches the dense normal-equations oracle",
             ok, f"max err {worst:.2e}, {elapsed:.1f}s")
     assert ok
 

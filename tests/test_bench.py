@@ -156,6 +156,15 @@ class TestRunReplication:
         assert res.status == "NotStationary"
         assert math.isnan(res.alpha_hat)
 
+    @pytest.mark.parametrize("truth, fit", [("enar", "enar"), ("enar", "nar"), ("amnar", "amnar")])
+    def test_fits_make_no_pivoted_qr(self, qr_calls, truth, fit):
+        # the benchmark's designs are well conditioned, so each least-squares
+        # solve takes the Cholesky factor of W'W and never the slow QR path
+        cfg = smoke_config(reps=1, truth_models=[truth], fit_models=[fit], lsm_max_iters=5)
+        res = run_replication(Cell("dcmmsbm", truth, fit, 100, 20, 3), 0, cfg)
+        assert res.status == "ok"
+        assert qr_calls == []
+
     def test_nar_fit_has_no_beta_metric(self):
         cfg = smoke_config()
         res = run_replication(Cell("dcmmsbm", "enar", "nar", 20, 6, 2), 0, cfg)

@@ -4,6 +4,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
+import scipy.linalg
 import scipy.special
 
 from enarkit import estimate, lsm, network
@@ -27,7 +28,7 @@ from enarkit.estimate import (
 )
 from enarkit.network import Graph, normalized_laplacian, spectral_embed
 from enarkit.process import CovariateSpec, EnarParams, Panel, rate_multiplier, simulate_enar
-from oracles import design_rows_loop, ls_dense, random_orthogonal
+from oracles import design_rows_loop, ls_dense, ls_pivoted_qr, random_orthogonal
 
 
 def random_graph(n, density, rng):
@@ -140,6 +141,72 @@ class TestFitLs:
         assert fit.loglik == pytest.approx(ll, rel=1e-12)
         assert fit.aic == pytest.approx(-2 * ll + 2 * 4, rel=1e-12)
         assert fit.bic == pytest.approx(-2 * ll + 4 * np.log(60), rel=1e-12)
+
+
+def conditioned_design(n_obs, d, cond_w, rng):
+    """A design whose singular values run geometrically from cond_w down to
+    1, so cond(W) = cond_w and cond(W'W) = cond_w^2."""
+    u = np.linalg.qr(rng.standard_normal((n_obs, d)))[0]
+    v = random_orthogonal(d, rng)
+    return (u * np.geomspace(cond_w, 1.0, d)) @ v.T
+
+
+def assert_matches_qr_oracle(fit, w, y, rtol):
+    ref = ls_pivoted_qr(w, y)
+    got = {"mu_hat": fit.mu_hat, "se": fit.se, "sigma2_hat": fit.sigma2_hat,
+           "condition_number": fit.diagnostics.condition_number}
+    for key, value in ref.items():
+        np.testing.assert_allclose(got[key], value, rtol=rtol, atol=0, err_msg=key)
+
+
+class TestGramRoute:
+    """Least squares from the Cholesky factor of W'W while cond(R) stays
+    within GRAM_COND_MAX; beyond it, and on any rank question, the pivoted
+    QR."""
+
+    @pytest.mark.parametrize("cond_w, solver", [
+        (1e2, "cholesky"), (0.9 * estimate.GRAM_COND_MAX, "cholesky"),
+        (1.1 * estimate.GRAM_COND_MAX, "qr"), (1e5, "qr"),
+    ])
+    def test_route_follows_the_condition_bound(self, qr_calls, cond_w, solver):
+        rng = np.random.default_rng(41)
+        w = conditioned_design(400, 6, cond_w, rng)
+        y = w @ rng.standard_normal(6) + rng.standard_normal(400)
+        fit = fit_ls(w, y)
+        assert fit.diagnostics.ls_solver == solver
+        assert qr_calls == ([] if solver == "cholesky" else [w.shape])
+        assert fit.diagnostics.condition_number == pytest.approx(cond_w**2, rel=1e-6)
+        # the Gram route's error grows as d eps cond(W)^2; the QR route is the oracle's
+        eps = np.finfo(float).eps
+        assert_matches_qr_oracle(fit, w, y, 6 * eps * cond_w**2 if solver == "cholesky" else 1e-10)
+
+    def test_collinear_design_raises_from_the_qr(self, qr_calls):
+        rng = np.random.default_rng(40)
+        w, y = rng.standard_normal((50, 5)), rng.standard_normal(50)
+        cases = [({2: 2.0 * w[:, 0]}, [0]), ({1: 0.0}, [1]),
+                 ({4: w[:, 0] + w[:, 3]}, [0]), ({1: 1.0, 3: 1.0}, [1])]
+        for columns, bad in cases:
+            a = w.copy()
+            for j, col in columns.items():
+                a[:, j] = col
+            with pytest.raises(RankDeficient) as info:
+                fit_ls(a, y)
+            assert info.value.columns == bad
+        assert qr_calls == [w.shape] * len(cases)
+
+    @pytest.mark.parametrize("where", ["design", "response"])
+    @pytest.mark.parametrize("value", [np.nan, np.inf])
+    def test_non_finite_input_fails_before_any_factorization(
+        self, qr_calls, monkeypatch, where, value
+    ):
+        cholesky_calls = []
+        monkeypatch.setattr(scipy.linalg, "cholesky", lambda *a, **k: cholesky_calls.append(a))
+        rng = np.random.default_rng(42)
+        w, y = rng.standard_normal((30, 3)), rng.standard_normal(30)
+        (w[7, 1:2] if where == "design" else y[7:8])[:] = value
+        with pytest.raises(DataError, match=f"the {where} holds a NaN"):
+            fit_ls(w, y)
+        assert qr_calls == [] and cholesky_calls == []
 
 
 class TestNoiselessRecovery:
@@ -336,6 +403,14 @@ class TestModelCompositions:
         assert (diag.lsm_iters is not None) == (model == "amnar")
 
     @pytest.mark.parametrize("model", ["nar", "enar", "enr", "amnar"])
+    def test_gram_route_matches_pivoted_qr(self, qr_calls, model):
+        g, _, _, _, panel = self.make_panel(n=30, t=1 if model == "enr" else 10)
+        fit = self.fit_model(panel, g, model)
+        assert fit.diagnostics.ls_solver == "cholesky" and qr_calls == []
+        w, y = build_design(panel, g.laplacian, fit.latent, fit.spec)
+        assert_matches_qr_oracle(fit, w, y, 1e-10)
+
+    @pytest.mark.parametrize("model", ["nar", "enar", "enr", "amnar"])
     def test_condition_number_is_that_of_the_gram_matrix(self, model):
         g, _, _, _, panel = self.make_panel(n=30, t=1 if model == "enr" else 10)
         fit = self.fit_model(panel, g, model)
@@ -365,10 +440,13 @@ class TestModelCompositions:
         # the cap stops this ascent before its relative-gain tolerance
         diag = fit_amnar(panel, g, 2, 0.25, rng=np.random.default_rng(0), max_iters=7).diagnostics
         assert diag.lsm_iters == 7 and diag.lsm_converged is False
+        evals = lsm.fit_lsm(g, 2, np.random.default_rng(0), 7).n_evals
+        assert diag.lsm_evals == evals >= 8
         doc = diag.to_dict()
         assert doc["lsm_converged"] is False and doc["lsm_iters"] == 7
+        assert doc["lsm_evals"] == evals
         enar_diag = fit_enar(panel, g, 2).diagnostics
-        assert not {"lsm_converged", "lsm_iters"} & set(enar_diag.to_dict())
+        assert not {"lsm_converged", "lsm_iters", "lsm_evals"} & set(enar_diag.to_dict())
 
 
 class TestPredict:
@@ -498,6 +576,8 @@ class TestFitJson:
         for key in ("mu_hat", "se", "sigma2_hat", "aic", "bic", "diagnostics"):
             assert key in doc
         assert list(doc["mu_hat"]) == ["beta_1", "beta_2", "alpha", "theta", "gamma_1"]
+        assert list(doc["diagnostics"]) == ["eigengap", "kappa", "condition_number", "ls_solver"]
+        assert doc["diagnostics"]["ls_solver"] == "cholesky"
         assert doc["beta_rotation_caveat"] is True
         back = read_fit_json(str(path))
         assert np.allclose(back.mu_hat, fit.mu_hat)

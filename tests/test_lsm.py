@@ -296,9 +296,10 @@ class TestFitMatchesReference:
         assert fit.loglik_trace == ref.loglik_trace
         assert fit.state.q.tobytes() == ref.state.q.tobytes()
         assert fit.state.v.tobytes() == ref.state.v.tobytes()
-        assert (fit.n_iters, fit.converged, fit.step_failed) == (
-            ref.n_iters, ref.converged, ref.step_failed
+        assert (fit.n_iters, fit.converged, fit.step_failed, fit.n_evals) == (
+            ref.n_iters, ref.converged, ref.step_failed, ref.n_evals
         )
+        assert fit.n_evals == fit.n_iters + 1 + rejected
         assert fit.loglik_trace[-1] == lsm_loglik(fit.state, g)
         assert fit.converged == (stop != "cap")
         assert (fit.n_iters == max_iters) == (stop == "cap")
