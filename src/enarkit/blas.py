@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import contextlib
 import ctypes
+import functools
 import glob
 import os
 
@@ -26,9 +27,12 @@ _POOLS = (
 )
 
 
-def _thread_controls() -> list[tuple] | None:
+@functools.cache
+def _thread_controls() -> tuple[tuple, ...] | None:
     """(setter, getter) of each bundled OpenBLAS pool, or None unless every
-    pool has both."""
+    pool has both. Looked up once per process: the libraries stay loaded,
+    and the lookup (a glob and a ``CDLL`` per pool) costs more than the
+    block a caller pins."""
     controls = []
     for package, pattern, suffix in _POOLS:
         paths = glob.glob(os.path.join(os.path.dirname(package.__file__) + ".libs", pattern))
@@ -43,7 +47,7 @@ def _thread_controls() -> list[tuple] | None:
         setter.argtypes, setter.restype = [ctypes.c_int], None
         getter.argtypes, getter.restype = [], ctypes.c_int
         controls.append((setter, getter))
-    return controls
+    return tuple(controls)
 
 
 def pinned_threads() -> int | None:

@@ -32,7 +32,7 @@ import numpy as np
 import scipy.linalg
 from scipy.special import ndtri
 
-from . import lsm
+from . import blas, lsm
 from .atomic import atomic_write
 from .errors import (
     DataError,
@@ -272,8 +272,9 @@ def fit_ls(w: np.ndarray, y_resp: np.ndarray) -> FitResult:
     pivot falls below 1e-10 of the leading one, and no silent
     pseudo-inverse. ``diagnostics.ls_solver`` names the route ("cholesky"
     or "qr"), and ``diagnostics.condition_number`` is cond(W'W) = cond(R)^2.
-    The residual is y - W mu on either route. Raises DataError, before any
-    factorization, when the design or the response holds a NaN or an
+    The residual is y - W mu on either route, and the BLAS work runs on
+    one thread (:func:`enarkit.blas.one_thread`). Raises DataError, before
+    any factorization, when the design or the response holds a NaN or an
     infinite value.
     """
     w = np.asarray(w, dtype=float)
@@ -287,34 +288,37 @@ def fit_ls(w: np.ndarray, y_resp: np.ndarray) -> FitResult:
         if not np.isfinite(arr).all():
             raise DataError(f"the {name} holds a NaN or an infinite value")
 
-    gram = _gram_factor(w) if d else None
-    if gram is not None:
-        r, cond_r = gram
-        piv, solver = np.arange(d), "cholesky"
-        qty = scipy.linalg.solve_triangular(r, w.T @ y_resp, trans="T", check_finite=False)
-    else:
-        solver = "qr"
-        q, r, piv = scipy.linalg.qr(w, mode="economic", pivoting=True, check_finite=False)
-        diag = np.abs(np.diag(r))
-        if d and (diag[0] == 0.0 or np.any(diag < 1e-10 * diag[0])):
-            bad = np.flatnonzero(diag < max(1e-10 * diag[0], np.finfo(float).tiny))
-            raise RankDeficient(sorted(int(piv[i]) for i in bad))
-        cond_r = float(np.linalg.cond(r)) if d else math.nan
-        qty = q.T @ y_resp
+    # one thread: numpy's and scipy's pools alternate below, and on a tall
+    # design each switch between them costs more than the work it splits
+    with blas.one_thread():
+        gram = _gram_factor(w) if d else None
+        if gram is not None:
+            r, cond_r = gram
+            piv, solver = np.arange(d), "cholesky"
+            qty = scipy.linalg.solve_triangular(r, w.T @ y_resp, trans="T", check_finite=False)
+        else:
+            solver = "qr"
+            q, r, piv = scipy.linalg.qr(w, mode="economic", pivoting=True, check_finite=False)
+            diag = np.abs(np.diag(r))
+            if d and (diag[0] == 0.0 or np.any(diag < 1e-10 * diag[0])):
+                bad = np.flatnonzero(diag < max(1e-10 * diag[0], np.finfo(float).tiny))
+                raise RankDeficient(sorted(int(piv[i]) for i in bad))
+            cond_r = float(np.linalg.cond(r)) if d else math.nan
+            qty = q.T @ y_resp
 
-    coef_piv = scipy.linalg.solve_triangular(r, qty)
-    mu = np.empty(d)
-    mu[piv] = coef_piv
+        coef_piv = scipy.linalg.solve_triangular(r, qty)
+        mu = np.empty(d)
+        mu[piv] = coef_piv
 
-    resid = y_resp - w @ mu
-    rss = float(resid @ resid)
-    dof = n_obs - d
-    sigma2_hat = rss / dof if dof > 0 else 0.0
+        resid = y_resp - w @ mu
+        rss = float(resid @ resid)
+        dof = n_obs - d
+        sigma2_hat = rss / dof if dof > 0 else 0.0
 
-    r_inv = scipy.linalg.solve_triangular(r, np.eye(d)) if d else np.zeros((0, 0))
-    xtx_inv = np.empty((d, d))
-    xtx_inv[np.ix_(piv, piv)] = r_inv @ r_inv.T
-    cov_hat = sigma2_hat * xtx_inv
+        r_inv = scipy.linalg.solve_triangular(r, np.eye(d)) if d else np.zeros((0, 0))
+        xtx_inv = np.empty((d, d))
+        xtx_inv[np.ix_(piv, piv)] = r_inv @ r_inv.T
+        cov_hat = sigma2_hat * xtx_inv
     cov_hat = (cov_hat + cov_hat.T) / 2.0
 
     sigma2_ml = rss / n_obs if n_obs else 0.0
@@ -503,9 +507,17 @@ def fit_to_json_dict(fit: FitResult) -> dict:
 
 
 def write_fit_json(fit: FitResult, path: str) -> None:
+    """Write :func:`fit_to_json_dict` (atomic replace): the summary indented,
+    the ``latent`` block last, one compact row per line, so that its floats
+    go through the C encoder rather than the pure-Python indenting one."""
+    doc = fit_to_json_dict(fit)
+    latent = doc.pop("latent", None)
+    text = json.dumps(doc, indent=2, allow_nan=False)
+    if latent is not None:
+        rows = json.dumps(latent, allow_nan=False)[1:-1].replace("], [", "],\n    [")
+        text = f'{text[:-2]},\n  "latent": [\n    {rows}\n  ]\n}}'
     with atomic_write(path) as fh:
-        json.dump(fit_to_json_dict(fit), fh, indent=2, allow_nan=False)
-        fh.write("\n")
+        fh.write(text + "\n")
 
 
 def read_fit_json(path: str) -> FitResult:

@@ -36,15 +36,21 @@ from .csvio import Table, load_columns, repeated_rows, write_table
 from .errors import DataError, DimensionMismatch, ShapeMismatch
 from .network import Graph, _fix_signs, _leading_eigenpairs, sample_graph, upper_mask
 
-# Ascent settings: at most MAX_ITERS accepted steps, each line search
-# starting from a step of 1/N and shrinking by BACKTRACK down to MIN_STEP;
-# the ascent stops once a step's log-likelihood gain, relative to
-# max(|loglik|, 1), falls below TOL.
+# Ascent settings: at most MAX_ITERS accepted steps. Each line search
+# starts from a Barzilai-Borwein step (1/N on the first iteration and when
+# the curvature estimate is not positive) and halves by BACKTRACK down to
+# MIN_STEP. The ascent stops once the log-likelihood gained over the last
+# WINDOW accepted steps falls below WINDOW_TOL * max(|loglik|, 1).
 MAX_ITERS = 500
-TOL = 1e-8
+WINDOW = 10
+WINDOW_TOL = 1e-5
 BACKTRACK = 0.5
 MIN_STEP = 1e-12
-
+# project_constraints alternates centering and row capping until the
+# column sums of q are within CENTER_TOL of zero, for at most
+# PROJECTION_PASSES passes
+CENTER_TOL = 1e-10
+PROJECTION_PASSES = 100
 
 @dataclass
 class LsmState:
@@ -179,39 +185,33 @@ def lsm_gradient(state: LsmState, graph: Graph) -> tuple[np.ndarray, np.ndarray]
 def project_constraints(state: LsmState, row_norm_cap: float | None = None) -> LsmState:
     """Map a state onto the identifiability set.
 
-    Columns of q are mean-centered, then rotated by the eigenvectors of q'q
-    so the Gram matrix is diagonal with a descending diagonal; rows of
-    [q | v] longer than the cap, 3 sqrt(K + 1) unless given, are shrunk
-    onto it (capping can re-break centering, in which case one repeat pass
-    runs).
+    Columns of q are mean-centered and rows of [q | v] longer than the cap,
+    3 sqrt(K + 1) unless given, are shrunk onto it; capping moves the column
+    means, so the two alternate until the column sums of q are within
+    CENTER_TOL of zero (at most PROJECTION_PASSES passes, capping last).
+    Last, q is rotated by the eigenvectors of q'q so the Gram matrix is
+    diagonal with a descending diagonal; the rotation keeps both the column
+    sums at zero and the row norms.
     """
     cap = 3.0 * np.sqrt(state.k + 1.0) if row_norm_cap is None else row_norm_cap
-
-    def center_rotate(q: np.ndarray) -> np.ndarray:
-        if q.shape[1] == 0:
-            return q
-        q = q - q.mean(axis=0)
+    x = state.x()
+    q, ones = x[:, :-1], np.ones(state.n)
+    col_sums = ones @ q
+    for _ in range(PROJECTION_PASSES):
+        q -= col_sums / state.n
+        sq_norms = np.einsum("ij,ij->i", x, x)
+        over = np.flatnonzero(sq_norms > cap * cap)
+        if not over.size:
+            break
+        x[over] *= (cap / np.sqrt(sq_norms[over]))[:, None]
+        col_sums = ones @ q
+        if np.max(np.abs(col_sums), initial=0.0) <= CENTER_TOL:
+            break
+    if q.shape[1]:
         vals, vecs = np.linalg.eigh(q.T @ q)
-        order = np.argsort(vals)[::-1]
         # sign convention keeps the projection idempotent
-        return q @ _fix_signs(vecs[:, order])
-
-    def cap_rows(q: np.ndarray, v: np.ndarray) -> tuple[np.ndarray, np.ndarray, bool]:
-        norms = np.sqrt((q**2).sum(axis=1) + v**2)
-        over = norms > cap
-        if not np.any(over):
-            return q, v, False
-        scale = np.ones_like(norms)
-        scale[over] = cap / norms[over]
-        return q * scale[:, None], v * scale, True
-
-    q, v = state.q.copy(), state.v.copy()
-    q = center_rotate(q)
-    q, v, capped = cap_rows(q, v)
-    if capped:
-        q = center_rotate(q)
-        q, v, _ = cap_rows(q, v)
-    return LsmState(q, v)
+        q = q @ _fix_signs(vecs[:, np.argsort(vals)[::-1]])
+    return LsmState(q, x[:, -1])
 
 
 def _spectral_init(adjacency: np.ndarray, k: int, rng: np.random.Generator) -> LsmState:
@@ -239,12 +239,18 @@ def fit_lsm(
     """Projected gradient ascent with backtracking from a spectral start.
 
     Every accepted step strictly increases the pairwise log-likelihood and
-    every iterate lies in the constraint set. The ascent stops after
-    ``max_iters`` accepted steps, or earlier once the relative gain of a
-    step falls below TOL (``converged``). When no step down to MIN_STEP
-    ascends, the last feasible state is returned with ``step_failed`` set.
-    ``rng`` feeds the start only when the residual spectrum is too weak to
-    give every column of q.
+    every iterate lies in the constraint set. Each iteration's first trial
+    step is a Barzilai-Borwein step on the projected iterates x = [Q | v]
+    and ascent directions g: with s = x_k - x_{k-1} and y = g_{k-1} - g_k,
+    odd iterations try s's / s'y and even ones s'y / y'y; the first
+    iteration, and any whose s'y is not positive, tries 1/N. A rejected
+    step is halved (BACKTRACK) until it ascends. The ascent stops after
+    ``max_iters`` accepted steps, or earlier once the log-likelihood gained
+    over the last WINDOW accepted steps falls below
+    WINDOW_TOL * max(|loglik|, 1) (``converged``). When no step down to
+    MIN_STEP ascends, the last feasible state is returned with
+    ``step_failed`` set. ``rng`` feeds the start only when the residual
+    spectrum is too weak to give every column of q.
 
     One iteration evaluates the log-likelihood once per line-search
     candidate, each time into the same buffers, and the gradient reads the
@@ -266,10 +272,19 @@ def fit_lsm(
     state = project_constraints(_spectral_init(graph.adjacency.toarray(), k, rng))
     ll = kernels.loglik(state.q, state.v)
     fit = LsmFit(state=state, loglik_trace=[ll], n_evals=1)
+    trace = fit.loglik_trace
+    x_prev = g_prev = None  # the last iterate and ascent direction
 
     for it in range(max_iters):
         dq, dv = kernels.gradient(state.q)
+        x, g = state.x(), np.column_stack([dq, dv])
         step = 1.0 / graph.n
+        if it:
+            s, y = x - x_prev, g_prev - g
+            sy = float(np.vdot(s, y))
+            if sy > 0.0:
+                step = float(np.vdot(s, s)) / sy if it % 2 else sy / float(np.vdot(y, y))
+        x_prev, g_prev = x, g
         accepted = False
         while step >= MIN_STEP:
             cand = project_constraints(LsmState(state.q + step * dq, state.v + step * dv))
@@ -288,11 +303,10 @@ def fit_lsm(
                 stacklevel=2,
             )
             break
-        rel_gain = (ll_cand - ll) / max(abs(ll_cand), 1.0)
         state, ll = cand, ll_cand
-        fit.loglik_trace.append(ll)
+        trace.append(ll)
         fit.n_iters = it + 1
-        if rel_gain < TOL:
+        if len(trace) > WINDOW and trace[-1] - trace[-1 - WINDOW] < WINDOW_TOL * max(abs(ll), 1.0):
             fit.converged = True
             break
 

@@ -3,10 +3,11 @@
 Everything here favours directness over speed: explicit Kronecker inverses,
 dense normal equations, pairwise Python loops, kernels over all N^2 entries
 and central finite differences. None of it shares code with the library
-paths it validates, except ``fit_lsm_reference``: it runs the ascent's
-steps on whichever log-likelihood and gradient it is given, by default the
-public ones, whose values the loop, dense and finite-difference oracles
-check.
+paths it validates, except the latent-space ascents ``fit_lsm_reference``
+and ``fit_lsm_fixed_step``: they run the ascent's steps through the public
+projection and on whichever log-likelihood and gradient they are given, by
+default the public ones, whose values the loop, dense and finite-difference
+oracles check.
 """
 
 import csv
@@ -118,16 +119,16 @@ def lsm_fd_gradient(state: LsmState, graph, h: float = 1e-6):
     return dq, dv
 
 
-def fit_lsm_reference(
-    graph, k: int, rng, max_iters: int, loglik=lsm_loglik, gradient=lsm_gradient
-) -> tuple[LsmFit, int]:
-    """The ascent of ``fit_lsm``, with each log-likelihood and gradient taken
-    through ``loglik(state, graph)`` and ``gradient(state, graph)``, by
-    default the public ``lsm_loglik`` and ``lsm_gradient``, so chi is
-    rebuilt for every call and no buffer outlives one. Starts from the
-    projected initializer (``fit_lsm`` with no iterations). Returns the fit,
-    whose ``n_evals`` counts the calls of ``loglik``, and the number of
-    rejected line-search candidates."""
+def _ascent(graph, k, rng, max_iters, loglik, gradient, first_step, stop):
+    """Projected gradient ascent with halving backtracking, each
+    log-likelihood and gradient taken through ``loglik(state, graph)`` and
+    ``gradient(state, graph)``, so chi is rebuilt for every call and no
+    buffer outlives one. Starts from the projected initializer (``fit_lsm``
+    with no iterations). Iteration ``it`` tries ``first_step(it, x, g)``
+    first, for the iterate x = [Q | v] and the ascent direction g stacked
+    the same way; the ascent stops once ``stop(trace)`` holds for the
+    log-likelihood trace. Returns the fit, whose ``n_evals`` counts the
+    calls of ``loglik``, and the number of rejected line-search candidates."""
     calls = 0
 
     def counted(state, graph):
@@ -141,7 +142,7 @@ def fit_lsm_reference(
     rejected = 0
     for it in range(max_iters):
         dq, dv = gradient(state, graph)
-        step = 1.0 / graph.n
+        step = first_step(it, state.x(), np.column_stack([dq, dv]))
         while step >= lsm.MIN_STEP:
             cand = project_constraints(LsmState(state.q + step * dq, state.v + step * dv))
             ll_cand = counted(cand, graph)
@@ -153,16 +154,62 @@ def fit_lsm_reference(
             fit.step_failed = True
             fit.n_iters = it
             break
-        rel_gain = (ll_cand - ll) / max(abs(ll_cand), 1.0)
         state, ll = cand, ll_cand
         fit.loglik_trace.append(ll)
         fit.n_iters = it + 1
-        if rel_gain < lsm.TOL:
+        if stop(fit.loglik_trace):
             fit.converged = True
             break
     fit.state = state
     fit.n_evals = calls
     return fit, rejected
+
+
+def fit_lsm_reference(
+    graph, k: int, rng, max_iters: int, loglik=lsm_loglik, gradient=lsm_gradient
+) -> tuple[LsmFit, int]:
+    """The ascent of ``fit_lsm`` through ``loglik`` and ``gradient``, by
+    default the public ``lsm_loglik`` and ``lsm_gradient``: Barzilai-Borwein
+    first steps, s's / s'y on odd iterations and s'y / y'y on even ones for
+    s = x_k - x_{k-1} and y = g_{k-1} - g_k, and 1/N on the first
+    iteration or when s'y <= 0; the ascent stops once the gain over the last
+    ``lsm.WINDOW`` accepted steps is below ``lsm.WINDOW_TOL`` times
+    max(|loglik|, 1). Returns the fit and the number of rejected
+    line-search candidates."""
+    last = {}
+
+    def first_step(it, x, g):
+        step = 1.0 / graph.n
+        if it:
+            s, y = x - last["x"], last["g"] - g
+            sy = float(np.vdot(s, y))
+            if sy > 0.0:
+                step = float(np.vdot(s, s)) / sy if it % 2 else sy / float(np.vdot(y, y))
+        last.update(x=x, g=g)
+        return step
+
+    def stop(trace):
+        window = lsm.WINDOW
+        return len(trace) > window and (
+            trace[-1] - trace[-1 - window] < lsm.WINDOW_TOL * max(abs(trace[-1]), 1.0)
+        )
+
+    return _ascent(graph, k, rng, max_iters, loglik, gradient, first_step, stop)
+
+
+def fit_lsm_fixed_step(graph, k: int, rng, max_iters: int) -> LsmFit:
+    """The fixed-step ascent the library ran before Barzilai-Borwein steps,
+    through the public kernels: every line search starts from 1/N, and the
+    ascent stops once one step's gain, relative to max(|loglik|, 1), is
+    below 1e-8."""
+
+    def stop(trace):
+        return (trace[-1] - trace[-2]) / max(abs(trace[-1]), 1.0) < 1e-8
+
+    fit, _ = _ascent(
+        graph, k, rng, max_iters, lsm_loglik, lsm_gradient, lambda it, x, g: 1.0 / graph.n, stop
+    )
+    return fit
 
 
 def sample_graph_triu(p: np.ndarray, rng) -> np.ndarray:
