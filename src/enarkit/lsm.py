@@ -36,21 +36,16 @@ from .csvio import Table, load_columns, repeated_rows, write_table
 from .errors import DataError, DimensionMismatch, ShapeMismatch
 from .network import Graph, _fix_signs, _leading_eigenpairs, sample_graph, upper_mask
 
-# Ascent settings: at most MAX_ITERS accepted steps. Each line search
-# starts from a Barzilai-Borwein step (1/N on the first iteration and when
-# the curvature estimate is not positive) and halves by BACKTRACK down to
-# MIN_STEP. The ascent stops once the log-likelihood gained over the last
-# WINDOW accepted steps falls below WINDOW_TOL * max(|loglik|, 1).
+# Settings of the ascent (see fit_lsm) and of the alternation in
+# project_constraints.
 MAX_ITERS = 500
 WINDOW = 10
 WINDOW_TOL = 1e-5
 BACKTRACK = 0.5
 MIN_STEP = 1e-12
-# project_constraints alternates centering and row capping until the
-# column sums of q are within CENTER_TOL of zero, for at most
-# PROJECTION_PASSES passes
 CENTER_TOL = 1e-10
 PROJECTION_PASSES = 100
+
 
 @dataclass
 class LsmState:
