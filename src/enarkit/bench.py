@@ -10,9 +10,8 @@ once, with its true forecast, and scores every fit model on that one draw,
 whose ``Graph`` keeps its normalized Laplacian for the simulation and all
 the fits. Each stage of a replication draws from its own child of
 ``np.random.SeedSequence(seed)`` (see ``STAGES``), so the numbers one stage
-uses never move another's, and every fit starts its own generator from the
-fit stage's child, so a row does not depend on which other fits share its
-draw.
+uses never move another's. The fits draw nothing, so a row does not depend
+on which other fits share its draw.
 """
 
 from __future__ import annotations
@@ -109,6 +108,14 @@ class ExperimentConfig:
             raise DataError("q_block must lie in (0, 1/3]")
         self.gamma = np.asarray(self.gamma, dtype=float)
         self.cov_variances = np.asarray(self.cov_variances, dtype=float)
+        if self.gamma.shape != self.cov_variances.shape:
+            raise DataError(f"gamma has {self.gamma.size} entries but cov_variances "
+                            f"has {self.cov_variances.size}")
+        if "amnar" in self.truth_models:
+            for n in self.n_values:
+                if not 0.0 < self.rho_for(n) < 1.0:
+                    raise DataError(f"an amnar truth needs rho in (0, 1), got "
+                                    f"{self.rho_for(n)} at N = {n}")
         if self.beta is not None:
             self.beta = np.asarray(self.beta, dtype=float)
 
@@ -193,9 +200,9 @@ def derive_seed(base_seed: int, cell: Cell, rep_index: int) -> int:
 
 # The stages of a replication, in the order of their SeedSequence children:
 # generator spec or planted latent-space state, graph, panel (whose start
-# draw and recursion the simulation splits in two again), forecast-time
-# covariates, and the fit.
-STAGES = ("latents", "graph", "panel", "z_next", "fit")
+# draw and recursion the simulation splits in two again), and forecast-time
+# covariates.
+STAGES = ("latents", "graph", "panel", "z_next")
 
 
 def stage_rng(seed: int, stage: str) -> np.random.Generator:
@@ -371,10 +378,7 @@ def _fit_and_score(
     if config.oracle_latents and cell.fit == cell.truth and cell.fit != "nar":
         fit = estimate.fit_with_latents(panel, graph, data.latent_true, data.truth_spec)
     elif cell.fit == "amnar":
-        fit = estimate.fit_amnar(
-            panel, graph, cell.k, config.s, stage_rng(out.seed, "fit"),
-            max_iters=config.lsm_max_iters,
-        )
+        fit = estimate.fit_amnar(panel, graph, cell.k, config.s, config.lsm_max_iters)
     else:
         fit = estimate.fit_enar(panel, graph, cell.k if cell.fit == "enar" else 0)
 

@@ -389,18 +389,17 @@ def fit_enar(panel: Panel, graph: Graph, k: int) -> FitResult:
 
 
 def fit_amnar(
-    panel: Panel, graph: Graph, k: int, s: float,
-    rng: np.random.Generator | None = None, max_iters: int = lsm.MAX_ITERS,
+    panel: Panel, graph: Graph, k: int, s: float, max_iters: int = lsm.MAX_ITERS
 ) -> FitResult:
     """Estimate the latent-space factors by constrained MLE, then fit.
 
     ``fit.latent`` is the MLE's [Q | v], which the design scales by
-    r = N^{-s} T^{-1/2}; ``rng`` and the iteration cap ``max_iters`` go to
+    r = N^{-s} T^{-1/2}; the iteration cap ``max_iters`` goes to
     :func:`enarkit.lsm.fit_lsm`, and ``fit.diagnostics`` reports the MLE's
     state. No adjacency eigendecomposition is made, so the eigengap and
     kappa diagnostics are NaN. The peer term reads ``graph.laplacian``.
     """
-    lsm_fit = lsm.fit_lsm(graph, k, rng, max_iters)
+    lsm_fit = lsm.fit_lsm(graph, k, max_iters)
     fit = fit_with_latents(panel, graph, lsm_fit.state.x(), DesignSpec("amnar", k, s=s))
     diag = fit.diagnostics
     diag.lsm_loglik = lsm_fit.loglik_trace[-1]

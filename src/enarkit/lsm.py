@@ -18,10 +18,11 @@ strict upper triangle c of chi and e = exp(-|c|), and the gradient reads
 sigmoid(c) off them, so no N x N sigmoid is evaluated. A fit holds two
 N x N buffers, chi and the strict upper triangle of sigmoid(chi), and one
 boolean mask that selects the N(N-1)/2 pairs. The adjacency stays sparse;
-dense copies of it live only while the pairs' entries are selected and
-while the spectral start runs. ``lsm_loglik`` and ``lsm_gradient`` run the
-same kernels on fresh buffers, and ``LsmState.chi`` (and so
-``sample_lsm_graph``) builds chi with the same product.
+a fit makes one dense copy of it, which lives only while the pairs'
+entries are selected and the spectral start runs. ``lsm_loglik`` and
+``lsm_gradient`` run the same kernels on fresh buffers, and
+``LsmState.chi`` (and so ``sample_lsm_graph``) builds chi with the same
+product.
 """
 
 from __future__ import annotations
@@ -32,7 +33,6 @@ from dataclasses import dataclass, field
 import numpy as np
 from scipy.special import expit
 
-from .csvio import Table, load_columns, repeated_rows, write_table
 from .errors import DataError, DimensionMismatch, ShapeMismatch
 from .network import Graph, _fix_signs, _leading_eigenpairs, sample_graph, upper_mask
 
@@ -126,15 +126,15 @@ class _Kernels:
     triangle of a second N x N buffer S whose other entries stay zero. The
     hollow sigmoid matrix is S + S', so the residual products are
     A [q | 1] - (S + S') [q | 1], with A [q | 1] from the sparse adjacency
-    and the degrees.
+    and the degrees. The dense adjacency ``dense`` is read only here.
     """
 
-    def __init__(self, graph: Graph):
+    def __init__(self, graph: Graph, dense: np.ndarray):
         n = graph.n
         self.adjacency = graph.adjacency
         self.degrees = graph.degrees
         self.upper = upper_mask(n)
-        self.a_upper = graph.adjacency.toarray()[self.upper]
+        self.a_upper = dense[self.upper]
         self.chi = np.empty((n, n))
         self.sigmoid = np.zeros((n, n))
         self.ones = np.ones(n)
@@ -167,12 +167,12 @@ class _Kernels:
 
 def lsm_loglik(state: LsmState, graph: Graph) -> float:
     """Bernoulli-logistic log-likelihood over unordered node pairs."""
-    return _Kernels(graph).loglik(state.q, state.v)
+    return _Kernels(graph, graph.adjacency.toarray()).loglik(state.q, state.v)
 
 
 def lsm_gradient(state: LsmState, graph: Graph) -> tuple[np.ndarray, np.ndarray]:
     """Ascent direction (dq, dv) of the pairwise log-likelihood."""
-    kernels = _Kernels(graph)
+    kernels = _Kernels(graph, graph.adjacency.toarray())
     kernels.loglik(state.q, state.v)
     return kernels.gradient(state.q)
 
@@ -209,9 +209,11 @@ def project_constraints(state: LsmState, row_norm_cap: float | None = None) -> L
     return LsmState(q, x[:, -1])
 
 
-def _spectral_init(adjacency: np.ndarray, k: int, rng: np.random.Generator) -> LsmState:
+def _spectral_init(adjacency: np.ndarray, k: int) -> LsmState:
     """Warm start from a dense adjacency: degree-matched additive effects,
-    residual spectrum for q."""
+    residual spectrum for q. A column whose eigenvalue is too weak to scale
+    it gets small normal draws from ``np.random.default_rng(0)``, so the
+    start is a function of the graph alone."""
     n = adjacency.shape[0]
     eps = 0.5 / max(n - 1, 1)
     p0 = np.clip(adjacency.sum(axis=1) / max(n - 1, 1), eps, 1.0 - eps)
@@ -221,16 +223,11 @@ def _spectral_init(adjacency: np.ndarray, k: int, rng: np.random.Generator) -> L
     q0 = vecs * np.sqrt(np.clip(vals, 0.0, None))
     weak = np.sqrt(np.clip(vals, 0.0, None)) < 1e-8
     if np.any(weak):
-        q0[:, weak] = 1e-3 * rng.standard_normal((n, int(weak.sum())))
+        q0[:, weak] = 1e-3 * np.random.default_rng(0).standard_normal((n, int(weak.sum())))
     return LsmState(q0, v0)
 
 
-def fit_lsm(
-    graph: Graph,
-    k: int,
-    rng: np.random.Generator | None = None,
-    max_iters: int = MAX_ITERS,
-) -> LsmFit:
+def fit_lsm(graph: Graph, k: int, max_iters: int = MAX_ITERS) -> LsmFit:
     """Projected gradient ascent with backtracking from a spectral start.
 
     Every accepted step strictly increases the pairwise log-likelihood and
@@ -244,8 +241,8 @@ def fit_lsm(
     over the last WINDOW accepted steps falls below
     WINDOW_TOL * max(|loglik|, 1) (``converged``). When no step down to
     MIN_STEP ascends, the last feasible state is returned with
-    ``step_failed`` set. ``rng`` feeds the start only when the residual
-    spectrum is too weak to give every column of q.
+    ``step_failed`` set. The fit draws nothing: the same graph gives the
+    same bits.
 
     One iteration evaluates the log-likelihood once per line-search
     candidate, each time into the same buffers, and the gradient reads the
@@ -261,10 +258,11 @@ def fit_lsm(
         raise ShapeMismatch(f"k = {k} must satisfy 1 <= k <= {graph.n}")
     if max_iters < 0:
         raise DataError("max_iters must be >= 0")
-    rng = rng if rng is not None else np.random.default_rng(0)
 
-    kernels = _Kernels(graph)
-    state = project_constraints(_spectral_init(graph.adjacency.toarray(), k, rng))
+    dense = graph.adjacency.toarray()
+    kernels = _Kernels(graph, dense)
+    state = project_constraints(_spectral_init(dense, k))
+    del dense
     ll = kernels.loglik(state.q, state.v)
     fit = LsmFit(state=state, loglik_trace=[ll], n_evals=1)
     trace = fit.loglik_trace
@@ -315,50 +313,3 @@ def sample_lsm_graph(state: LsmState, rng: np.random.Generator) -> Graph:
     p = expit(state.chi())
     np.fill_diagonal(p, 0.0)
     return sample_graph(p, rng)
-
-
-def write_latent_csv(state: LsmState, path: str) -> None:
-    """Export the latent estimate as ``node,v,q1,...,qK`` (atomic replace)."""
-    write_table(
-        path, ["node", "v"] + [f"q{j + 1}" for j in range(state.k)],
-        ([i, *row] for i, row in enumerate(np.column_stack([state.v, state.q]).tolist())),
-    )
-
-
-def read_latent_csv(path: str) -> LsmState:
-    """Exact inverse of :func:`write_latent_csv`.
-
-    Rows may come in any order, with LF or CRLF line ends and blank lines
-    between them. Every node from 0 up to the largest id must appear exactly
-    once; a row that does not parse or lacks a column, a negative or a
-    repeated node id raises :class:`DataError` naming the row, and so does a
-    missing node, naming the node.
-    """
-    table = Table(path)
-    header = table.header
-    if header is None or header[:2] != ["node", "v"]:
-        raise DataError(f"{path}: expected header 'node,v,q1,...', got {header}")
-    k = len(header) - 2
-    lines = table.lines
-    if not lines:
-        raise DataError(f"{path}: empty latent file")
-    rows = load_columns(
-        lines, range(k + 2), np.dtype([("node", np.int64), ("vq", np.float64, (k + 1,))]),
-        lambda j: f"{table.where(j)}: cannot parse {lines[j]!r}",
-    )
-    node, vq = rows["node"], rows["vq"]
-    firsts = [bad[0] for bad in (np.flatnonzero(node < 0), repeated_rows(node)) if bad.size]
-    if firsts:
-        j = min(firsts)
-        kind = "negative" if node[j] < 0 else "duplicate"
-        raise DataError(f"{table.where(j)}: {kind} node id {node[j]}")
-    m = len(lines)
-    # m distinct ids are 0..m-1 unless one reaches m; ids from m up share
-    # one slot, so a huge id allocates nothing
-    present = np.zeros(m + 1, dtype=bool)
-    present[np.minimum(node, m)] = True
-    if present[m]:
-        raise DataError(f"{path}: missing node {int(np.argmin(present))}")
-    v, q = np.empty(m), np.empty((m, k))
-    v[node], q[node] = vq[:, 0], vq[:, 1:]
-    return LsmState(q, v)

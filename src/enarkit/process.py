@@ -380,24 +380,16 @@ def write_panel_csv(panel: Panel, path: str) -> None:
     """Long-format panel: ``node,t,y,z1,...,zp``; the final time carries no
     covariates so those fields are left empty. Floats are written by
     ``repr`` (exact round trip), lines end in CRLF. Atomic replace."""
-    t_len, p = panel.t, panel.p
-    w = p + 1
-    # One format template for a node's T+1 lines: field 0 is the node id
-    # and fields 1, 2, ... take y_0, z_0, y_1, z_1, ..., y_T in that order.
-    fields = [f"{{{k}!r}}" for k in range(1, t_len * w + 2)]
-    template = "".join(
-        [f"{{0}},{t},{','.join(fields[t * w : (t + 1) * w])}\r\n" for t in range(t_len)]
-        + [f"{{0}},{t_len},{fields[-1]}{',' * p}\r\n"]
-    )
-    cells = np.empty(t_len * w + 1)
-    grid = cells[:-1].reshape(t_len, w)
+    t_len, blanks = panel.t, "," * panel.p
     with atomic_write(path, newline="") as fh:
-        fh.write(",".join(["node", "t", "y"] + [f"z{j + 1}" for j in range(p)]) + "\r\n")
+        fh.write(",".join(["node", "t", "y"] + [f"z{j + 1}" for j in range(panel.p)]) + "\r\n")
         # one node at a time: a whole-panel tolist() would hold every cell
         # as a Python float at once
         for i in range(panel.n):
-            grid[:, 0], grid[:, 1:], cells[-1] = panel.y[i, :-1], panel.z[i], panel.y[i, -1]
-            fh.write(template.format(i, *cells.tolist()))
+            y = panel.y[i].tolist()
+            fh.write("".join([f"{i},{t},{','.join(map(repr, [y[t], *z]))}\r\n"
+                              for t, z in enumerate(panel.z[i].tolist())]))
+            fh.write(f"{i},{t_len},{y[-1]!r}{blanks}\r\n")
 
 
 _PANEL_KEYS = np.dtype([("node", np.int64), ("t", np.int64), ("y", np.float64)])

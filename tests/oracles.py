@@ -119,7 +119,7 @@ def lsm_fd_gradient(state: LsmState, graph, h: float = 1e-6):
     return dq, dv
 
 
-def _ascent(graph, k, rng, max_iters, loglik, gradient, first_step, stop):
+def _ascent(graph, k, max_iters, loglik, gradient, first_step, stop):
     """Projected gradient ascent with halving backtracking, each
     log-likelihood and gradient taken through ``loglik(state, graph)`` and
     ``gradient(state, graph)``, so chi is rebuilt for every call and no
@@ -136,7 +136,7 @@ def _ascent(graph, k, rng, max_iters, loglik, gradient, first_step, stop):
         calls += 1
         return loglik(state, graph)
 
-    state = lsm.fit_lsm(graph, k, rng, max_iters=0).state
+    state = lsm.fit_lsm(graph, k, max_iters=0).state
     ll = counted(state, graph)
     fit = LsmFit(state=state, loglik_trace=[ll])
     rejected = 0
@@ -166,7 +166,7 @@ def _ascent(graph, k, rng, max_iters, loglik, gradient, first_step, stop):
 
 
 def fit_lsm_reference(
-    graph, k: int, rng, max_iters: int, loglik=lsm_loglik, gradient=lsm_gradient
+    graph, k: int, max_iters: int, loglik=lsm_loglik, gradient=lsm_gradient
 ) -> tuple[LsmFit, int]:
     """The ascent of ``fit_lsm`` through ``loglik`` and ``gradient``, by
     default the public ``lsm_loglik`` and ``lsm_gradient``: Barzilai-Borwein
@@ -194,10 +194,10 @@ def fit_lsm_reference(
             trace[-1] - trace[-1 - window] < lsm.WINDOW_TOL * max(abs(trace[-1]), 1.0)
         )
 
-    return _ascent(graph, k, rng, max_iters, loglik, gradient, first_step, stop)
+    return _ascent(graph, k, max_iters, loglik, gradient, first_step, stop)
 
 
-def fit_lsm_fixed_step(graph, k: int, rng, max_iters: int) -> LsmFit:
+def fit_lsm_fixed_step(graph, k: int, max_iters: int) -> LsmFit:
     """The fixed-step ascent the library ran before Barzilai-Borwein steps,
     through the public kernels: every line search starts from 1/N, and the
     ascent stops once one step's gain, relative to max(|loglik|, 1), is
@@ -207,7 +207,7 @@ def fit_lsm_fixed_step(graph, k: int, rng, max_iters: int) -> LsmFit:
         return (trace[-1] - trace[-2]) / max(abs(trace[-1]), 1.0) < 1e-8
 
     fit, _ = _ascent(
-        graph, k, rng, max_iters, lsm_loglik, lsm_gradient, lambda it, x, g: 1.0 / graph.n, stop
+        graph, k, max_iters, lsm_loglik, lsm_gradient, lambda it, x, g: 1.0 / graph.n, stop
     )
     return fit
 
@@ -248,15 +248,6 @@ def write_edge_csv_loop(graph, path) -> None:
             for j in range(i + 1, graph.n):
                 if graph.adjacency[i, j] > 0:
                     writer.writerow([i, j])
-
-
-def write_latent_csv_loop(state, path) -> None:
-    """Latent estimate one node at a time through ``csv.writer``."""
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["node", "v"] + [f"q{j + 1}" for j in range(state.k)])
-        for i in range(state.n):
-            writer.writerow([i, repr(float(state.v[i]))] + [repr(float(x)) for x in state.q[i]])
 
 
 def write_forecast_csv_loop(y_hat, actual, path) -> None:

@@ -308,7 +308,7 @@ def test_criterion_10_lsm_correctness():
                 0.8 * prng.standard_normal((n, 2)),
                 -1.2 + 0.3 * prng.standard_normal(n)))
             g = lsm.sample_lsm_graph(truth, prng)
-            fit = lsm.fit_lsm(g, 2, prng, max_iters=300)
+            fit = lsm.fit_lsm(g, 2, max_iters=300)
             trace = np.array(fit.loglik_trace)
             monotone = monotone and bool(np.all(np.diff(trace) >= -1e-12))
             chi_t, chi_h = truth.chi(), fit.state.chi()

@@ -201,42 +201,44 @@ class TestFitPredict:
         assert code == 2
         assert json.loads(err)["error"] == "usage"
 
-    @pytest.mark.parametrize("model", ["nar", "enar", "enr"])
-    def test_latent_out_outside_amnar_rejected(self, simulated, capsys, model):
+    @pytest.mark.parametrize("flag", ["--seed", "--latent-out"])
+    @pytest.mark.parametrize("model", ["nar", "enar", "enr", "amnar"])
+    def test_seed_and_latent_out_are_not_fit_options(self, simulated, capsys, model, flag):
         tmp_path, cfg = simulated
-        latent = tmp_path / "latent.csv"
         k = [] if model == "nar" else ["--k", "2"]
+        value = "0" if flag == "--seed" else str(tmp_path / "latent.csv")
         code, _, err = run_cli(
             capsys, "fit", "--edges", cfg["out_edges"], "--panel", cfg["out_panel"],
-            "--model", model, *k, "--latent-out", str(latent), "--out", str(tmp_path / "f.json"),
+            "--model", model, *k, flag, value, "--out", str(tmp_path / "f.json"),
         )
         assert code == 2 and json.loads(err)["error"] == "usage"
-        assert not latent.exists() and not (tmp_path / "f.json").exists()
+        assert flag in json.loads(err)["message"]
+        assert not (tmp_path / "latent.csv").exists() and not (tmp_path / "f.json").exists()
 
-    @pytest.mark.parametrize("flag", [["--seed", "0"], ["--s", "0.3"]])
     @pytest.mark.parametrize("model", ["nar", "enar", "enr"])
-    def test_seed_and_s_outside_amnar_rejected(self, simulated, capsys, model, flag):
+    def test_s_outside_amnar_rejected(self, simulated, capsys, model):
         tmp_path, cfg = simulated
         k = [] if model == "nar" else ["--k", "2"]
         code, _, err = run_cli(
             capsys, "fit", "--edges", cfg["out_edges"], "--panel", cfg["out_panel"],
-            "--model", model, *k, *flag, "--out", str(tmp_path / "f.json"),
+            "--model", model, *k, "--s", "0.3", "--out", str(tmp_path / "f.json"),
         )
         assert code == 2 and json.loads(err)["error"] == "usage"
-        assert flag[0] in json.loads(err)["message"]
+        assert "--s" in json.loads(err)["message"]
         assert not (tmp_path / "f.json").exists()
 
     @pytest.mark.parametrize("env_seed", ["abc", "-1"])
-    @pytest.mark.parametrize("model", ["nar", "enar"])
+    @pytest.mark.parametrize("model", ["nar", "enar", "enr", "amnar"])
     def test_fit_that_draws_nothing_reads_no_seed(
         self, simulated, capsys, monkeypatch, model, env_seed
     ):
         tmp_path, cfg = simulated
         monkeypatch.setenv("ENARKIT_SEED", env_seed)
         k = [] if model == "nar" else ["--k", "2"]
+        window = ["--window-len", "2"] if model == "enr" else []
         code, _, _ = run_cli(
             capsys, "fit", "--edges", cfg["out_edges"], "--panel", cfg["out_panel"],
-            "--model", model, *k, "--out", str(tmp_path / "f.json"),
+            "--model", model, *k, *window, "--out", str(tmp_path / "f.json"),
         )
         assert code == 0
 
@@ -360,8 +362,8 @@ class TestFitPredict:
         assert out.read_bytes() == (tmp_path / "ref.csv").read_bytes()
 
     def fit_model(self, simulated, capsys, model):
-        """CLI fit of ``model`` (enr on the first transition; amnar seeded
-        with 0) and the fit made in memory from the same files and seed."""
+        """CLI fit of ``model`` (enr on the first transition) and the fit
+        made in memory from the same files."""
         from enarkit import estimate
         from enarkit.network import read_edge_csv
 
@@ -369,15 +371,14 @@ class TestFitPredict:
         fit_path = tmp_path / f"{model}.json"
         window = ["--window-len", "2"] if model == "enr" else []
         k = [] if model == "nar" else ["--k", "2"]
-        seed = ["--seed", "0"] if model == "amnar" else []
         code, _, _ = run_cli(capsys, "fit", "--edges", cfg["out_edges"],
                              "--panel", cfg["out_panel"], "--model", model, *k, *window,
-                             *seed, "--out", str(fit_path))
+                             "--out", str(fit_path))
         assert code == 0
         panel = read_panel_csv(cfg["out_panel"])
         graph = read_edge_csv(cfg["out_edges"], n_nodes=panel.n)
         if model == "amnar":
-            fit = estimate.fit_amnar(panel, graph, 2, 0.25, np.random.default_rng(0))
+            fit = estimate.fit_amnar(panel, graph, 2, 0.25)
         elif model == "enr":
             window_panel = Panel(y=panel.y[:, :2].copy(), z=panel.z[:, :1].copy())
             fit = estimate.fit_embedded(window_panel, graph, estimate.DesignSpec("enr", 2))
@@ -445,20 +446,17 @@ class TestFitPredict:
         path, cfg = write_sim_config(tmp_path, model="amnar", n=40, t=12, seed=2)
         run_cli(capsys, "simulate", "--config", str(path))
         out = tmp_path / "am.json"
-        latent = tmp_path / "latent.csv"
+        before = set(tmp_path.iterdir())
         code, _, _ = run_cli(
             capsys, "fit", "--edges", cfg["out_edges"], "--panel", cfg["out_panel"],
-            "--model", "amnar", "--k", "2", "--s", "0.25", "--seed", "0",
-            "--latent-out", str(latent), "--out", str(out),
+            "--model", "amnar", "--k", "2", "--s", "0.25", "--out", str(out),
         )
         assert code == 0
-        from enarkit.lsm import read_latent_csv
-
-        assert latent.read_text().splitlines()[0] == "node,v,q1,q2"
+        assert set(tmp_path.iterdir()) - before == {out}
         doc = json.loads(out.read_text())
         assert list(doc["mu_hat"])[:3] == ["beta_1", "beta_2", "beta_3"]
-        # the CSV holds the fit's own block [Q | v], reordered as v, Q
-        assert np.array_equal(read_latent_csv(str(latent)).x(), np.array(doc["latent"]))
+        # the fit's own block [Q | v]
+        assert np.array(doc["latent"]).shape == (40, 3)
 
 
 class TestFitJsonNumbers:
@@ -606,21 +604,6 @@ class TestNegativeSeed:
         path, _ = write_sim_config(tmp_path)
         self.assert_rejected(capsys, "simulate", "--config", str(path), "--seed", "-1")
         assert not (tmp_path / "panel.csv").exists()
-
-    def test_fit_flag(self, simulated, capsys):
-        tmp_path, data = simulated
-        out = tmp_path / "fit.json"
-        self.assert_rejected(capsys, "fit", *data, "--model", "amnar", "--k", "2",
-                             "--seed", "-1", "--out", str(out))
-        assert not out.exists()
-
-    def test_fit_env_seed(self, simulated, capsys, monkeypatch):
-        tmp_path, data = simulated
-        monkeypatch.setenv("ENARKIT_SEED", "-1")
-        out = tmp_path / "fit.json"
-        self.assert_rejected(capsys, "fit", *data, "--model", "amnar", "--k", "2",
-                             "--out", str(out))
-        assert not out.exists()
 
     def test_select_k_flag(self, simulated, capsys):
         _, data = simulated
@@ -782,16 +765,28 @@ class TestHelp:
 
 class TestEnvSeed:
     def test_env_var_fallback(self, tmp_path, capsys, monkeypatch):
-        path, cfg = write_sim_config(tmp_path, n=50, t=10, seed=4)
-        run_cli(capsys, "simulate", "--config", str(path))
-        fit1 = tmp_path / "f1.json"
-        fit2 = tmp_path / "f2.json"
+        cfg = {"n": 30, "t": 10, "k": 2, "out_edges": str(tmp_path / "edges.csv"),
+               "out_panel": str(tmp_path / "panel.csv"), "out_truth": str(tmp_path / "truth.json")}
+        path = tmp_path / "sim.json"
+        path.write_text(json.dumps(cfg))
         monkeypatch.setenv("ENARKIT_SEED", "11")
-        run_cli(capsys, "fit", "--edges", cfg["out_edges"], "--panel", cfg["out_panel"],
-                "--model", "amnar", "--k", "2", "--out", str(fit1))
-        run_cli(capsys, "fit", "--edges", cfg["out_edges"], "--panel", cfg["out_panel"],
-                "--model", "amnar", "--k", "2", "--seed", "11", "--out", str(fit2))
-        assert json.loads(fit1.read_text())["mu_hat"] == json.loads(fit2.read_text())["mu_hat"]
+        assert run_cli(capsys, "simulate", "--config", str(path))[0] == 0
+        from_env = (tmp_path / "panel.csv").read_bytes()
+        monkeypatch.delenv("ENARKIT_SEED")
+        assert run_cli(capsys, "simulate", "--config", str(path), "--seed", "11")[0] == 0
+        assert (tmp_path / "panel.csv").read_bytes() == from_env
+
+    def test_amnar_fit_reads_no_env_seed(self, tmp_path, capsys, monkeypatch):
+        path, cfg = write_sim_config(tmp_path, model="amnar", n=50, t=10, seed=4)
+        run_cli(capsys, "simulate", "--config", str(path))
+        fits = []
+        for env in ("0", "99"):
+            monkeypatch.setenv("ENARKIT_SEED", env)
+            out = tmp_path / f"f{env}.json"
+            assert run_cli(capsys, "fit", "--edges", cfg["out_edges"], "--panel", cfg["out_panel"],
+                           "--model", "amnar", "--k", "2", "--out", str(out))[0] == 0
+            fits.append(out.read_bytes())
+        assert fits[0] == fits[1]
 
 
 class TestMc:
@@ -901,6 +896,39 @@ class TestMc:
         assert code == 3
         assert message in json.loads(err)["message"]
         assert not (tmp_path / "r.csv").exists() and not (tmp_path / "s.csv").exists()
+
+    def assert_simulate_and_mc_reject(self, tmp_path, capsys, model, params, message):
+        """``simulate`` and ``mc`` of a ``model`` truth with ``params`` both
+        exit 3 with a DataError before any row is drawn."""
+        path, _ = write_sim_config(tmp_path, model=model, **params)
+        code, _, err = run_cli(capsys, "simulate", "--config", str(path))
+        assert code == 3 and json.loads(err)["error"] == "DataError"
+        assert message in json.loads(err)["message"]
+        assert not (tmp_path / "panel.csv").exists()
+        cfg_path = tmp_path / "mc.json"
+        cfg_path.write_text(json.dumps({
+            "n_values": [30, 40], "t_values": [4], "k_values": [2], "reps": 1,
+            "truth_models": [model], **params,
+        }))
+        code, _, err = run_cli(
+            capsys, "mc", "--config", str(cfg_path),
+            "--out", str(tmp_path / "r.csv"), "--summary-out", str(tmp_path / "s.csv"),
+        )
+        assert code == 3 and json.loads(err)["error"] == "DataError"
+        assert message in json.loads(err)["message"]
+        assert not (tmp_path / "r.csv").exists()
+
+    def test_gamma_and_cov_variances_lengths_must_match(self, tmp_path, capsys):
+        self.assert_simulate_and_mc_reject(
+            tmp_path, capsys, "enar", {"cov_variances": [1.0, 2.0]},
+            "gamma has 3 entries but cov_variances has 2",
+        )
+
+    @pytest.mark.parametrize("rho", [1.0, 1.5, 0.0])
+    def test_amnar_truth_rho_must_lie_in_unit_interval(self, tmp_path, capsys, rho):
+        self.assert_simulate_and_mc_reject(
+            tmp_path, capsys, "amnar", {"rho": rho}, "an amnar truth needs rho in (0, 1)"
+        )
 
     def test_missing_blas_setters_pin_nothing_and_say_so(self, tmp_path, capsys, monkeypatch):
         if blas._thread_controls() is None:

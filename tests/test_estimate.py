@@ -352,7 +352,7 @@ class TestModelCompositions:
     def test_amnar_fit_and_forecast_build_one_laplacian(self, monkeypatch):
         g, _, _, _, panel = self.make_panel(n=30, t=10)
         g, built = self.count_laplacian_builds(monkeypatch, g)
-        fit = fit_amnar(panel, g, 2, 0.25, np.random.default_rng(0), max_iters=5)
+        fit = fit_amnar(panel, g, 2, 0.25, max_iters=5)
         predict_one_step(fit, g, panel.y[:, -1], panel.z[:, -1, :])
         assert len(built) == 1 and built[0] is g
 
@@ -366,7 +366,7 @@ class TestModelCompositions:
     def test_fit_amnar_runs_and_scales(self):
         g, _, _, _, panel = self.make_panel(n=30, t=10)
         for s in (0.01, 0.49):
-            fit = fit_amnar(panel, g, 2, s, rng=np.random.default_rng(0))
+            fit = fit_amnar(panel, g, 2, s)
             assert fit.names[:3] == ["beta_1", "beta_2", "beta_3"]
             assert fit.r == pytest.approx(30 ** -s * 10 ** -0.5)
             assert fit.diagnostics.lsm_loglik is not None
@@ -376,7 +376,7 @@ class TestModelCompositions:
         """The fit of ``model`` through its entry point; "oracle" is the
         known-latent enar fit on ``u``, as the benchmark's oracle runs it."""
         if model == "amnar":
-            return fit_amnar(panel, g, 2, 0.25, np.random.default_rng(0), max_iters=5)
+            return fit_amnar(panel, g, 2, 0.25, max_iters=5)
         if model == "enr":
             return fit_embedded(panel, g, DesignSpec("enr", 2))
         if model == "oracle":
@@ -392,7 +392,7 @@ class TestModelCompositions:
         if model == "nar":
             assert fit.latent is None
         elif model == "amnar":
-            state = lsm.fit_lsm(g, 2, np.random.default_rng(0), 5).state
+            state = lsm.fit_lsm(g, 2, 5).state
             assert np.array_equal(fit.latent, state.x())
         elif model == "oracle":
             assert np.array_equal(fit.latent, u)
@@ -429,7 +429,7 @@ class TestModelCompositions:
             return embed(*args)
 
         monkeypatch.setattr(network, "embed_symmetric", counting)
-        diag = fit_amnar(panel, g, 2, 0.25, np.random.default_rng(0), max_iters=5).diagnostics
+        diag = fit_amnar(panel, g, 2, 0.25, max_iters=5).diagnostics
         assert calls == []
         assert math.isnan(diag.eigengap) and math.isnan(diag.kappa)
         doc = diag.to_dict()
@@ -438,9 +438,9 @@ class TestModelCompositions:
     def test_fit_amnar_reports_mle_convergence(self):
         g, _, _, _, panel = self.make_panel(n=30, t=10)
         # the cap stops this ascent before its relative-gain tolerance
-        diag = fit_amnar(panel, g, 2, 0.25, rng=np.random.default_rng(0), max_iters=7).diagnostics
+        diag = fit_amnar(panel, g, 2, 0.25, max_iters=7).diagnostics
         assert diag.lsm_iters == 7 and diag.lsm_converged is False
-        evals = lsm.fit_lsm(g, 2, np.random.default_rng(0), 7).n_evals
+        evals = lsm.fit_lsm(g, 2, 7).n_evals
         assert diag.lsm_evals == evals >= 8
         doc = diag.to_dict()
         assert doc["lsm_converged"] is False and doc["lsm_iters"] == 7

@@ -1,5 +1,6 @@
 import math
 import re
+import warnings
 
 import numpy as np
 import pytest
@@ -11,9 +12,7 @@ from enarkit.lsm import (
     lsm_gradient,
     lsm_loglik,
     project_constraints,
-    read_latent_csv,
     sample_lsm_graph,
-    write_latent_csv,
 )
 from enarkit import blas
 from enarkit.errors import DataError, ShapeMismatch
@@ -27,7 +26,6 @@ from oracles import (
     lsm_loglik_dense,
     lsm_loglik_loop,
     random_orthogonal,
-    write_latent_csv_loop,
 )
 
 
@@ -160,9 +158,9 @@ class TestKernelsMatchDenseOracle:
         rng = np.random.default_rng(21)
         n = 150
         g = sample_lsm_graph(planted_state(n, 2, rng), rng)
-        fit = fit_lsm(g, 2, np.random.default_rng(0), max_iters=200)
+        fit = fit_lsm(g, 2, max_iters=200)
         ref, _ = fit_lsm_reference(
-            g, 2, np.random.default_rng(0), 200,
+            g, 2, 200,
             loglik=lambda s, graph: lsm_loglik_dense(s, graph.adjacency.toarray()),
             gradient=lambda s, graph: lsm_gradient_dense(s, graph.adjacency.toarray()),
         )
@@ -233,7 +231,7 @@ class TestFitLsm:
     def test_zero_iters_returns_projected_initializer(self):
         rng = np.random.default_rng(8)
         g = random_graph(30, 0.3, rng)
-        fit = fit_lsm(g, 2, np.random.default_rng(0), max_iters=0)
+        fit = fit_lsm(g, 2, max_iters=0)
         assert fit.n_iters == 0
         assert len(fit.loglik_trace) == 1
         assert fit.state.centering_residual() < 1e-8
@@ -241,23 +239,23 @@ class TestFitLsm:
     def test_k_above_node_count_rejected(self):
         g = random_graph(4, 0.5, np.random.default_rng(8))
         with pytest.raises(ShapeMismatch, match=re.escape("k = 5 must satisfy 1 <= k <= 4")):
-            fit_lsm(g, 5, np.random.default_rng(0))
-        assert fit_lsm(g, 4, np.random.default_rng(0), max_iters=5).state.k == 4
+            fit_lsm(g, 5)
+        assert fit_lsm(g, 4, max_iters=5).state.k == 4
 
     def test_k_below_one_rejected(self):
         g = random_graph(4, 0.5, np.random.default_rng(8))
         with pytest.raises(DataError):
-            fit_lsm(g, 0, np.random.default_rng(0))
+            fit_lsm(g, 0)
 
     def test_negative_iteration_cap_rejected(self):
         g = random_graph(20, 0.3, np.random.default_rng(8))
         with pytest.raises(DataError):
-            fit_lsm(g, 2, np.random.default_rng(0), max_iters=-1)
+            fit_lsm(g, 2, max_iters=-1)
 
     def test_monotone_ascent_and_improvement(self):
         rng = np.random.default_rng(9)
         g = random_graph(40, 0.25, rng)
-        fit = fit_lsm(g, 2, np.random.default_rng(0), max_iters=100)
+        fit = fit_lsm(g, 2, max_iters=100)
         trace = np.array(fit.loglik_trace)
         assert np.all(np.diff(trace) >= -1e-12)
         assert trace[-1] >= trace[0]
@@ -265,7 +263,7 @@ class TestFitLsm:
     def test_feasibility_after_fit(self):
         rng = np.random.default_rng(10)
         g = random_graph(35, 0.3, rng)
-        fit = fit_lsm(g, 3, np.random.default_rng(0), max_iters=50)
+        fit = fit_lsm(g, 3, max_iters=50)
         assert fit.state.centering_residual() < 1e-8
         assert fit.state.diagonality_residual() < 1e-8
         cap = 3.0 * math.sqrt(4.0)
@@ -280,7 +278,7 @@ class TestFitLsm:
                 rng = np.random.default_rng(1000 * n + rep)
                 truth = planted_state(n, 2, rng)
                 g = sample_lsm_graph(truth, rng)
-                fit = fit_lsm(g, 2, rng, max_iters=300)
+                fit = fit_lsm(g, 2, max_iters=300)
                 chi_t, chi_h = truth.chi(), fit.state.chi()
                 errs.append(np.linalg.norm(chi_h - chi_t) / np.linalg.norm(chi_t))
             medians.append(np.median(errs))
@@ -293,19 +291,43 @@ class TestFitLsm:
         rng = np.random.default_rng(0)
         g = sample_lsm_graph(planted_state(320, 3, rng), rng)
         with blas.one_thread():
-            fit = fit_lsm(g, 3, np.random.default_rng(0))
-            fixed = fit_lsm_fixed_step(g, 3, np.random.default_rng(0), 500)
+            fit = fit_lsm(g, 3)
+            fixed = fit_lsm_fixed_step(g, 3, 500)
         assert fit.converged and not fit.step_failed
         assert fit.loglik_trace[-1] >= fixed.loglik_trace[-1]
         assert fit.n_evals <= 300
         trace = np.array(fit.loglik_trace)
         assert np.all(np.diff(trace) > 0)
 
+    @pytest.mark.parametrize("make_graph", [empty_graph, complete_graph])
+    def test_weak_spectrum_fit_repeatable_and_draws_nothing(self, make_graph, monkeypatch):
+        # no residual eigenvalue scales a column of q, so the start fills
+        # every column from the fixed stream; no other generator is made
+        # and numpy's global state is left alone
+        seeds = []
+        default_rng = np.random.default_rng
+
+        def spy(seed=None):
+            seeds.append(seed)
+            return default_rng(seed)
+
+        monkeypatch.setattr(np.random, "default_rng", spy)
+        g = make_graph(20)
+        global_state = np.random.get_state()[1].copy()
+        assert np.any(fit_lsm(g, 2, max_iters=0).state.q != 0.0)
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", RuntimeWarning)  # no ascent on a complete graph
+            first, second = fit_lsm(g, 2), fit_lsm(g, 2)
+        assert first.state.x().tobytes() == second.state.x().tobytes()
+        assert first.loglik_trace == second.loglik_trace
+        assert seeds == [0, 0, 0]
+        assert np.array_equal(np.random.get_state()[1], global_state)
+
     def test_lanczos_start_repeat_fits_bitwise_equal(self, lanczos_path):
         rng = np.random.default_rng(12)
         g = random_graph(60, 0.2, rng)
-        first = fit_lsm(g, 2, np.random.default_rng(0), max_iters=20)
-        second = fit_lsm(g, 2, np.random.default_rng(0), max_iters=20)
+        first = fit_lsm(g, 2, max_iters=20)
+        second = fit_lsm(g, 2, max_iters=20)
         assert lanczos_path == ["LA", "LA"]
         assert np.array_equal(first.state.q, second.state.q)
         assert np.array_equal(first.state.v, second.state.v)
@@ -323,8 +345,8 @@ class TestFitMatchesReference:
     ])
     def test_bitwise_equal(self, n, density, k, seed, max_iters, stop):
         g = random_graph(n, density, np.random.default_rng(seed))
-        fit = fit_lsm(g, k, np.random.default_rng(0), max_iters=max_iters)
-        ref, rejected = fit_lsm_reference(g, k, np.random.default_rng(0), max_iters)
+        fit = fit_lsm(g, k, max_iters=max_iters)
+        ref, rejected = fit_lsm_reference(g, k, max_iters)
         assert fit.loglik_trace == ref.loglik_trace
         assert fit.state.q.tobytes() == ref.state.q.tobytes()
         assert fit.state.v.tobytes() == ref.state.v.tobytes()
@@ -361,63 +383,3 @@ class TestSampleLsmGraph:
         ref = sample_graph(p, np.random.default_rng(100 + seed))
         assert g.adjacency.nnz > 0
         assert (g.adjacency != ref.adjacency).nnz == 0
-
-
-class TestLatentCsv:
-    def test_round_trip(self, tmp_path):
-        rng = np.random.default_rng(11)
-        state = random_state(9, 3, rng)
-        path = tmp_path / "latent.csv"
-        write_latent_csv(state, str(path))
-        back = read_latent_csv(str(path))
-        assert np.array_equal(back.q, state.q)
-        assert np.array_equal(back.v, state.v)
-
-    @pytest.mark.parametrize("k", [2, 0])
-    def test_bytes_match_csv_writer_and_round_trip_bitwise(self, tmp_path, k):
-        rng = np.random.default_rng(12)
-        special = [np.nan, np.inf, -np.inf, -0.0, 5e-324, 1e300]
-        state = LsmState(rng.standard_normal((8, k)), rng.standard_normal(8))
-        state.v[: len(special)] = special
-        if k:
-            state.q.flat[-len(special) :] = special[::-1]
-        fast, ref = tmp_path / "fast.csv", tmp_path / "ref.csv"
-        write_latent_csv(state, str(fast))
-        write_latent_csv_loop(state, str(ref))
-        assert fast.read_bytes() == ref.read_bytes()
-        back = read_latent_csv(str(fast))
-        assert back.q.shape == state.q.shape
-        assert back.q.tobytes() == state.q.tobytes()
-        assert back.v.tobytes() == state.v.tobytes()
-
-    def test_shuffled_rows_lf_ends_and_blank_lines(self, tmp_path):
-        state = random_state(7, 2, np.random.default_rng(13))
-        path = tmp_path / "latent.csv"
-        write_latent_csv(state, str(path))
-        header, *rows = path.read_bytes().decode().splitlines()
-        rows = rows[::-1]
-        rows[2:2] = ["", "  "]
-        path.write_text("\n".join([header, *rows, ""]), newline="")
-        back = read_latent_csv(str(path))
-        assert back.q.tobytes() == state.q.tobytes()
-        assert back.v.tobytes() == state.v.tobytes()
-
-    @pytest.mark.parametrize("body, message", [
-        # nodes 0, 1, 0 again and -1: the repeat is the first offender
-        ("node,v,q1\n0,1,2\n1,3,4\n0,9,8\n-1,5,6\n", "row 4: duplicate node id 0"),
-        ("node,v,q1\n0,1,2\n-1,5,6\n1,3,4\n", "row 3: negative node id -1"),
-        ("node,v,q1\n0,1,2\n\n1,3,4\n1,3,4\n", "row 5: duplicate node id 1"),
-        ("node,v,q1\n0,1,2\n1,3,x\n", "row 3: cannot parse '1,3,x'"),
-        ("node,v,q1\n0,1,2\n1,3\n", "row 3: cannot parse '1,3'"),
-        ("node,v,q1\n0.5,1,2\n", "row 2: cannot parse '0.5,1,2'"),
-        ("node,v,q1\n0,1,2\n2,3,4\n", "missing node 1"),
-        ("node,v,q1\n0,1,2\n99999999999999,3,4\n", "missing node 1"),
-        ("node,v,q1\n", "empty latent file"),
-        ("", "expected header"),
-        ("id,v,q1\n0,1,2\n", "expected header"),
-    ])
-    def test_malformed_file_names_offender(self, tmp_path, body, message):
-        path = tmp_path / "latent.csv"
-        path.write_text(body, newline="")
-        with pytest.raises(DataError, match=re.escape(message)):
-            read_latent_csv(str(path))

@@ -52,7 +52,7 @@ def test_attributes_read_off_results():
     graph, latent, params, cov, rng = small_case()
     moments = process.stationary_moments(graph, latent @ params.beta, params, cov)
     assert isinstance(moments.iterations, int)
-    fit = lsm.fit_lsm(graph, 1, rng, max_iters=3)
+    fit = lsm.fit_lsm(graph, 1, max_iters=3)
     assert isinstance(fit.n_iters, int) and isinstance(fit.converged, bool)
     panel = process.simulate_enar(params, graph, latent, cov, 5, rng)
     lap = network.normalized_laplacian(graph)
