@@ -1,6 +1,7 @@
 import itertools
 import json
 import math
+import re
 
 import numpy as np
 import pytest
@@ -67,6 +68,22 @@ class TestConfig:
     def test_rejects_non_integer_counts(self, counts, message):
         with pytest.raises(DataError, match=message):
             smoke_config(**counts)
+
+    @pytest.mark.parametrize("params, message", [
+        ({"cov_variances": [1.0, 2.0]}, "gamma has 3 entries but cov_variances has 2"),
+        ({"gamma": [0.1, 0.2, 0.3, 0.4]}, "gamma has 4 entries but cov_variances has 3"),
+    ])
+    def test_rejects_gamma_and_cov_variances_of_unequal_length(self, params, message):
+        with pytest.raises(DataError, match=message):
+            smoke_config(**params)
+
+    def test_amnar_truth_rho_checked_at_every_n(self):
+        # the default rule N^{-1/2} lies in (0, 1) at N = 30 but is 1 at N = 1
+        with pytest.raises(DataError, match=re.escape("got 1.0 at N = 1")):
+            smoke_config(truth_models=["amnar"], n_values=[30, 1])
+
+    def test_rho_range_binds_only_an_amnar_truth(self):
+        assert smoke_config(truth_models=["enar"], n_values=[30, 1], rho=1.5).rho_for(1) == 1.5
 
     def test_rho_rule(self):
         cfg = smoke_config()

@@ -323,6 +323,20 @@ class TestFitLsm:
         assert seeds == [0, 0, 0]
         assert np.array_equal(np.random.get_state()[1], global_state)
 
+    def test_one_dense_adjacency_per_fit(self, monkeypatch):
+        # the kernels and the spectral start read the same dense copy
+        g = random_graph(30, 0.3, np.random.default_rng(13))
+        calls = []
+        toarray = type(g.adjacency).toarray
+
+        def spy(self, *args, **kwargs):
+            calls.append(self.shape)
+            return toarray(self, *args, **kwargs)
+
+        monkeypatch.setattr(type(g.adjacency), "toarray", spy)
+        fit_lsm(g, 2, max_iters=5)
+        assert calls == [(30, 30)]
+
     def test_lanczos_start_repeat_fits_bitwise_equal(self, lanczos_path):
         rng = np.random.default_rng(12)
         g = random_graph(60, 0.2, rng)
