@@ -25,7 +25,7 @@ from itertools import product
 import numpy as np
 
 from . import blas, estimate, lsm, network, process
-from .csvio import Table, load_columns, write_table
+from .csvio import write_table
 from .errors import DataError, EmptyGroup, check_type
 
 GENERATORS = ("dcsbm", "dcmmsbm", "rdpg")
@@ -161,15 +161,9 @@ class ReplicationResult:
     wall_ms: float = 0.0
 
 
-# The results CSV holds the ReplicationResult fields in order; this is how
-# its reader parses each (seeds are full 64-bit splitmix hashes).
-_RESULT_DTYPE = np.dtype([
-    (f.name, np.uint64 if f.name == "seed"
-     else {"str": object, "int": np.int64, "float": np.float64}[f.type])
-    for f in fields(ReplicationResult)
-])
-RESULT_COLUMNS = [name.upper() if name in ("n", "t", "k") else name
-                  for name in _RESULT_DTYPE.names]
+# The results CSV holds the ReplicationResult fields in order.
+_RESULT_FIELDS = [f.name for f in fields(ReplicationResult)]
+RESULT_COLUMNS = [name.upper() if name in ("n", "t", "k") else name for name in _RESULT_FIELDS]
 
 
 _MASK64 = (1 << 64) - 1
@@ -466,29 +460,9 @@ def results_to_csv(results: list[ReplicationResult], path: str, timing: bool = T
     column so outputs can be compared byte for byte."""
     write_table(path, RESULT_COLUMNS, (
         [getattr(r, name) if timing or name != "wall_ms" else 0.0
-         for name in _RESULT_DTYPE.names]
+         for name in _RESULT_FIELDS]
         for r in results
     ))
-
-
-def read_results_csv(path: str) -> list[ReplicationResult]:
-    """Exact inverse of :func:`results_to_csv`.
-
-    Blank lines are skipped. A header other than RESULT_COLUMNS raises
-    :class:`DataError`, and so does a row that lacks a column or holds a
-    field that does not parse, naming the row.
-    """
-    table = Table(path)
-    if table.header != RESULT_COLUMNS:
-        raise DataError(f"{path}: unexpected results header {table.header}")
-    lines = table.lines
-    if not lines:
-        return []
-    rows = load_columns(
-        lines, range(len(RESULT_COLUMNS)), _RESULT_DTYPE,
-        lambda j: f"{table.where(j)}: cannot parse {lines[j]!r}",
-    )
-    return [ReplicationResult(*row) for row in rows.tolist()]
 
 
 _GROUP_FIELDS = {"n", "t", "k", "gen", "truth", "fit", "rep", "seed"}

@@ -239,6 +239,8 @@ def cmd_fit(args) -> int:
                                ("--omit-grand-mean", args.omit_grand_mean or None, "enr")):
         if value is not None and model != owner:
             raise UsageError(f"{flag} is not meaningful for the {model} model")
+    if model == "enar" and args.k < 1:  # fit_enar reads k = 0 as the nar fit
+        raise DataError("enar requires k >= 1")
     panel_full = process.read_panel_csv(args.panel)
     graph = network.read_edge_csv(args.edges, n_nodes=panel_full.n)
     panel = _window_panel(panel_full, args.window_start, args.window_len)

@@ -380,9 +380,11 @@ def fit_enar(panel: Panel, graph: Graph, k: int) -> FitResult:
     One eigendecomposition of the adjacency, with k+1 eigenpairs, gives both
     the k-dimensional embedding (``fit.latent``) and the eigengap
     diagnostics. ``k = 0`` drops the latent block entirely, which is exactly
-    the plain network autoregression fit. The peer term reads
-    ``graph.laplacian``.
+    the plain network autoregression fit; a negative ``k`` raises
+    :class:`DataError`. The peer term reads ``graph.laplacian``.
     """
+    if k < 0:
+        raise DataError(f"k = {k} must be >= 0")
     if k >= 1:
         return fit_embedded(panel, graph, DesignSpec("enar", k))
     return fit_with_latents(panel, graph, None, DesignSpec("nar"))

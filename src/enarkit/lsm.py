@@ -13,13 +13,11 @@ finite-difference suite pins this convention.
 
 One ascent iteration evaluates the log-likelihood once per line-search
 candidate and takes the gradient off the accepted one, so an iteration
-whose first step is accepted builds chi once. The log-likelihood keeps the
-strict upper triangle c of chi and e = exp(-|c|), and the gradient reads
-sigmoid(c) off them, so no N x N sigmoid is evaluated. A fit holds two
-N x N buffers, chi and the strict upper triangle of sigmoid(chi), and one
-boolean mask that selects the N(N-1)/2 pairs. The adjacency stays sparse;
-a fit makes one dense copy of it, which lives only while the pairs'
-entries are selected and the spectral start runs. ``lsm_loglik`` and
+whose first step is accepted builds chi once. The adjacency is read only
+in its CSR form: the edge term is tr(Q'AQ) / 2 + d'v for the degrees d,
+from the sparse product A Q in O(E K). A fit holds two N x N buffers, chi
+and the strict upper triangle of sigmoid(chi), and one boolean mask that
+selects the N(N-1)/2 pairs (see ``_Kernels``). ``lsm_loglik`` and
 ``lsm_gradient`` run the same kernels on fresh buffers, and
 ``LsmState.chi`` (and so ``sample_lsm_graph``) builds chi with the same
 product.
@@ -119,42 +117,39 @@ class _Kernels:
 
     ``loglik`` builds chi into an N x N buffer with one product of [q | v | 1]
     and [q | 1 | v]', selects its strict upper triangle c through a boolean
-    mask (row-major order, as ``np.triu_indices``) and keeps c and
-    e = exp(-|c|) in their own buffers. ``gradient`` takes sigmoid(c) =
-    where(c >= 0, 1, e) / (1 + e) off those buffers, so it reads the state
-    of the last ``loglik`` call, and writes it into the strict upper
-    triangle of a second N x N buffer S whose other entries stay zero. The
-    hollow sigmoid matrix is S + S', so the residual products are
-    A [q | 1] - (S + S') [q | 1], with A [q | 1] from the sparse adjacency
-    and the degrees. The dense adjacency ``dense`` is read only here.
+    mask in row-major order and keeps c, e = exp(-|c|) and the CSR product
+    A Q, which gives the edge term sum_{i<j} a_ij chi_ij = tr(Q'AQ) / 2 +
+    d'v. ``gradient`` takes sigmoid(c) = where(c >= 0, 1, e) / (1 + e) off
+    those buffers, so it reads the state of the last ``loglik`` call, and
+    writes it into the strict upper triangle of a second N x N buffer S
+    whose other entries stay zero. The hollow sigmoid matrix is S + S', so
+    the residual products are A [q | 1] - (S + S') [q | 1], with A q kept
+    from ``loglik`` and A 1 the degrees.
     """
 
-    def __init__(self, graph: Graph, dense: np.ndarray):
+    def __init__(self, graph: Graph):
         n = graph.n
         self.adjacency = graph.adjacency
         self.degrees = graph.degrees
         self.upper = upper_mask(n)
-        self.a_upper = dense[self.upper]
         self.chi = np.empty((n, n))
         self.sigmoid = np.zeros((n, n))
         self.ones = np.ones(n)
-        self.e = np.empty(self.a_upper.size)
+        self.e = np.empty(n * (n - 1) // 2)
         self.softplus = np.empty_like(self.e)
-        self.terms = np.empty_like(self.e)
 
     def loglik(self, q: np.ndarray, v: np.ndarray) -> float:
         self.c = c = _chi(q, v, self.chi)[self.upper]
-        # log(1 + e^c) = max(c, 0) + log1p(e^{-|c|}), stable for both signs;
-        # the ufuncs run in the order of that formula and of a*c - softplus,
-        # since another order rounds differently and moves the fit
+        self.aq = self.adjacency @ q
+        # log(1 + e^c) = max(c, 0) + log1p(e^{-|c|}), stable for both signs
+        # and taken in the order of that formula, since another order rounds
+        # differently and moves the fit
         e = np.abs(c, out=self.e)
         np.negative(e, out=e)
         np.exp(e, out=e)
         sp = np.log1p(e, out=self.softplus)
-        np.add(np.maximum(c, 0.0, out=self.terms), sp, out=sp)
-        terms = np.multiply(self.a_upper, c, out=self.terms)
-        terms -= sp
-        return float(np.sum(terms))
+        sp += np.maximum(c, 0.0)
+        return 0.5 * float(np.vdot(q, self.aq)) + float(self.degrees @ v) - float(np.sum(sp))
 
     def gradient(self, q: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         c, e = self.c, self.e
@@ -162,17 +157,17 @@ class _Kernels:
         q1 = np.column_stack([q, self.ones])
         s_q1 = self.sigmoid @ q1
         s_q1 += self.sigmoid.T @ q1
-        return self.adjacency @ q - s_q1[:, :-1], self.degrees - s_q1[:, -1]
+        return self.aq - s_q1[:, :-1], self.degrees - s_q1[:, -1]
 
 
 def lsm_loglik(state: LsmState, graph: Graph) -> float:
     """Bernoulli-logistic log-likelihood over unordered node pairs."""
-    return _Kernels(graph, graph.adjacency.toarray()).loglik(state.q, state.v)
+    return _Kernels(graph).loglik(state.q, state.v)
 
 
 def lsm_gradient(state: LsmState, graph: Graph) -> tuple[np.ndarray, np.ndarray]:
     """Ascent direction (dq, dv) of the pairwise log-likelihood."""
-    kernels = _Kernels(graph, graph.adjacency.toarray())
+    kernels = _Kernels(graph)
     kernels.loglik(state.q, state.v)
     return kernels.gradient(state.q)
 
@@ -209,16 +204,19 @@ def project_constraints(state: LsmState, row_norm_cap: float | None = None) -> L
     return LsmState(q, x[:, -1])
 
 
-def _spectral_init(adjacency: np.ndarray, k: int) -> LsmState:
-    """Warm start from a dense adjacency: degree-matched additive effects,
-    residual spectrum for q. A column whose eigenvalue is too weak to scale
-    it gets small normal draws from ``np.random.default_rng(0)``, so the
-    start is a function of the graph alone."""
-    n = adjacency.shape[0]
+def _spectral_init(graph: Graph, k: int) -> LsmState:
+    """Warm start: degree-matched additive effects v0, and q from the
+    spectrum of the residual A - sigmoid(v0 1' + 1 v0'), built as the
+    negated sigmoid plus 1 at the CSR entries. A column whose eigenvalue is
+    too weak to scale it gets small normal draws from
+    ``np.random.default_rng(0)``, so the start is a function of the graph
+    alone."""
+    n = graph.n
     eps = 0.5 / max(n - 1, 1)
-    p0 = np.clip(adjacency.sum(axis=1) / max(n - 1, 1), eps, 1.0 - eps)
+    p0 = np.clip(graph.degrees / max(n - 1, 1), eps, 1.0 - eps)
     v0 = np.log(p0 / (1.0 - p0))
-    resid = adjacency - expit(v0[:, None] + v0[None, :])
+    resid = -expit(v0[:, None] + v0[None, :])
+    resid[graph.adjacency.nonzero()] += 1.0
     vals, vecs = _leading_eigenpairs(resid, k, "LA")
     q0 = vecs * np.sqrt(np.clip(vals, 0.0, None))
     weak = np.sqrt(np.clip(vals, 0.0, None)) < 1e-8
@@ -259,10 +257,8 @@ def fit_lsm(graph: Graph, k: int, max_iters: int = MAX_ITERS) -> LsmFit:
     if max_iters < 0:
         raise DataError("max_iters must be >= 0")
 
-    dense = graph.adjacency.toarray()
-    kernels = _Kernels(graph, dense)
-    state = project_constraints(_spectral_init(dense, k))
-    del dense
+    kernels = _Kernels(graph)
+    state = project_constraints(_spectral_init(graph, k))
     ll = kernels.loglik(state.q, state.v)
     fit = LsmFit(state=state, loglik_trace=[ll], n_evals=1)
     trace = fit.loglik_trace

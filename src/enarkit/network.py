@@ -365,11 +365,13 @@ def select_k(
 ) -> int:
     """Embedding dimension chosen by cross-validation on hidden node pairs.
 
-    Each fold hides a random ``holdout_fraction`` of the node pairs, zeroes
-    them out, scales the remaining entries by 1/(1 - holdout_fraction) and
-    reconstructs with a rank-k truncated eigendecomposition; squared error
-    on the hidden pairs is averaged over folds and the k with the smallest
-    mean error wins (ties go to the smaller k).
+    Each fold hides a random ``holdout_fraction`` of the node pairs, takes
+    the hidden edges out of the sparse adjacency, scales the remaining
+    entries by 1/(1 - holdout_fraction) and reconstructs with a rank-k
+    truncated eigendecomposition; squared error on the hidden pairs is
+    averaged over folds and the k with the smallest mean error wins (ties go
+    to the smaller k). No dense copy of the graph is made above the dense
+    eigensolver's limit.
     """
     if rng is None:
         rng = np.random.default_rng()
@@ -380,26 +382,22 @@ def select_k(
     if not 0.0 < holdout_fraction < 1.0:
         raise DataError("holdout_fraction must lie in (0, 1)")
 
-    a = g.adjacency.toarray()
-    iu = np.triu_indices(g.n, k=1)
-    n_pairs = iu[0].size
+    a = g.adjacency
+    n_pairs = g.n * (g.n - 1) // 2
     n_hidden = max(1, int(round(holdout_fraction * n_pairs)))
     errors = np.zeros((folds, k_max))
     for f in range(folds):
-        hidden = rng.choice(n_pairs, size=n_hidden, replace=False)
-        mask = np.ones(n_pairs, dtype=bool)
-        mask[hidden] = False
-        a_obs = np.zeros_like(a)
-        a_obs[iu[0][mask], iu[1][mask]] = a[iu[0][mask], iu[1][mask]]
-        a_obs = (a_obs + a_obs.T) / (1.0 - holdout_fraction)
+        i, j = _upper_pairs(g.n, rng.choice(n_pairs, size=n_hidden, replace=False))
+        truth = a[i, j]
+        edge = truth != 0
+        a_obs = (a - _from_upper(g.n, i[edge], j[edge]).adjacency) / (1.0 - holdout_fraction)
         emb = embed_symmetric(a_obs, k_max)
-        truth = a[iu[0][hidden], iu[1][hidden]]
         # Rank-k reconstructions share the leading eigenpairs, so build the
         # holdout predictions incrementally.
         pred = np.zeros(n_hidden)
         for k in range(k_max):
             uk = emb.vectors[:, k]
-            pred += emb.eigenvalues[k] * uk[iu[0][hidden]] * uk[iu[1][hidden]]
+            pred += emb.eigenvalues[k] * uk[i] * uk[j]
             errors[f, k] = np.sum((truth - pred) ** 2)
     mean_err = errors.mean(axis=0)
     return int(np.argmin(mean_err)) + 1
@@ -410,8 +408,10 @@ def read_edge_csv(path: str, n_nodes: int | None = None) -> Graph:
 
     Node ids are 0-based and each edge must appear exactly once; negative
     ids, self loops and duplicates are rejected with the row number of the
-    first offending row.
+    first offending row. A negative ``n_nodes`` is rejected as well.
     """
+    if n_nodes is not None and n_nodes < 0:
+        raise DataError(f"{path}: node count {n_nodes} is negative")
     table = Table(path)
     header = table.header
     if header is None or [h.strip() for h in header[:2]] != ["src", "dst"]:

@@ -7,7 +7,8 @@ paths it validates, except the latent-space ascents ``fit_lsm_reference``
 and ``fit_lsm_fixed_step``: they run the ascent's steps through the public
 projection and on whichever log-likelihood and gradient they are given, by
 default the public ones, whose values the loop, dense and finite-difference
-oracles check.
+oracles check, and ``select_k_dense``, which embeds its dense fold matrices
+with the library's ``embed_symmetric``.
 """
 
 import csv
@@ -18,6 +19,7 @@ from scipy.special import expit
 
 from enarkit import lsm
 from enarkit.lsm import LsmFit, LsmState, lsm_gradient, lsm_loglik, project_constraints
+from enarkit.network import embed_symmetric
 
 
 def dense_transition(graph, alpha: float, theta: float) -> np.ndarray:
@@ -219,6 +221,32 @@ def sample_graph_triu(p: np.ndarray, rng) -> np.ndarray:
     a = np.zeros(p.shape)
     a[iu] = rng.random(iu[0].size) < p[iu]
     return a + a.T
+
+
+def select_k_dense(g, k_max: int, folds: int = 5, holdout_fraction: float = 0.1, rng=None) -> int:
+    """``select_k`` on a dense copy of the adjacency: each fold zeroes the
+    hidden ``np.triu_indices`` pairs of a dense N x N array, symmetrizes and
+    scales it, and embeds it with the library's ``embed_symmetric``."""
+    a = g.adjacency.toarray()
+    iu = np.triu_indices(g.n, k=1)
+    n_pairs = iu[0].size
+    n_hidden = max(1, int(round(holdout_fraction * n_pairs)))
+    errors = np.zeros((folds, k_max))
+    for f in range(folds):
+        hidden = rng.choice(n_pairs, size=n_hidden, replace=False)
+        mask = np.ones(n_pairs, dtype=bool)
+        mask[hidden] = False
+        a_obs = np.zeros_like(a)
+        a_obs[iu[0][mask], iu[1][mask]] = a[iu[0][mask], iu[1][mask]]
+        a_obs = (a_obs + a_obs.T) / (1.0 - holdout_fraction)
+        emb = embed_symmetric(a_obs, k_max)
+        truth = a[iu[0][hidden], iu[1][hidden]]
+        pred = np.zeros(n_hidden)
+        for k in range(k_max):
+            uk = emb.vectors[:, k]
+            pred += emb.eigenvalues[k] * uk[iu[0][hidden]] * uk[iu[1][hidden]]
+            errors[f, k] = np.sum((truth - pred) ** 2)
+    return int(np.argmin(errors.mean(axis=0))) + 1
 
 
 def write_panel_csv_loop(panel, path) -> None:

@@ -201,6 +201,21 @@ class TestFitPredict:
         assert code == 2
         assert json.loads(err)["error"] == "usage"
 
+    @pytest.mark.parametrize("model", ["enar", "enr"])
+    @pytest.mark.parametrize("k", ["0", "-1"])
+    def test_k_below_one_is_a_data_error(self, simulated, capsys, model, k):
+        # an enar fit with k < 1 would otherwise be written as a nar fit
+        tmp_path, cfg = simulated
+        out = tmp_path / "f.json"
+        code, stdout, err = run_cli(
+            capsys, "fit", "--edges", cfg["out_edges"], "--panel", cfg["out_panel"],
+            "--model", model, "--k", k, "--out", str(out),
+        )
+        assert code == 3 and stdout == ""
+        error = json.loads(err)
+        assert error["error"] == "DataError" and "k >= 1" in error["message"]
+        assert not out.exists()
+
     @pytest.mark.parametrize("flag", ["--seed", "--latent-out"])
     @pytest.mark.parametrize("model", ["nar", "enar", "enr", "amnar"])
     def test_seed_and_latent_out_are_not_fit_options(self, simulated, capsys, model, flag):
@@ -697,6 +712,15 @@ class TestSelectK:
             if json.loads(out)["k"] == 3:
                 hits += 1
         assert hits >= 3
+
+    def test_negative_node_count_is_a_data_error(self, tmp_path, capsys):
+        path = tmp_path / "empty.csv"
+        path.write_text("src,dst\n")
+        code, stdout, err = run_cli(capsys, "select-k", "--edges", str(path),
+                                    "--k-max", "1", "--n", "-1")
+        assert code == 3 and stdout == ""
+        error = json.loads(err)
+        assert error["error"] == "DataError" and "node count -1" in error["message"]
 
 
 class TestHelp:

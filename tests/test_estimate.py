@@ -297,6 +297,11 @@ class TestModelCompositions:
         direct = fit_ls(w, y)
         assert np.array_equal(fit.mu_hat, direct.mu_hat)
 
+    def test_negative_k_rejected(self):
+        g, _, _, _, panel = self.make_panel()
+        with pytest.raises(DataError, match="k = -1 must be >= 0"):
+            fit_enar(panel, g, -1)
+
     def test_rotation_invariance(self):
         g, _, _, _, panel = self.make_panel()
         rng = np.random.default_rng(5)

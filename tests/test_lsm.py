@@ -4,6 +4,7 @@ import warnings
 
 import numpy as np
 import pytest
+import scipy.sparse
 from scipy.special import expit
 
 from enarkit.lsm import (
@@ -16,7 +17,7 @@ from enarkit.lsm import (
 )
 from enarkit import blas
 from enarkit.errors import DataError, ShapeMismatch
-from enarkit.network import Graph, sample_graph
+from enarkit.network import Graph, sample_graph, select_k
 from oracles import (
     fit_lsm_fixed_step,
     fit_lsm_reference,
@@ -323,19 +324,30 @@ class TestFitLsm:
         assert seeds == [0, 0, 0]
         assert np.array_equal(np.random.get_state()[1], global_state)
 
-    def test_one_dense_adjacency_per_fit(self, monkeypatch):
-        # the kernels and the spectral start read the same dense copy
-        g = random_graph(30, 0.3, np.random.default_rng(13))
+    @pytest.mark.parametrize("call", [
+        lambda: fit_lsm(random_graph(30, 0.3, np.random.default_rng(13)), 2, max_iters=5),
+        lambda: lsm_loglik(random_state(30, 2, np.random.default_rng(1)),
+                           random_graph(30, 0.3, np.random.default_rng(13))),
+        lambda: lsm_gradient(random_state(30, 2, np.random.default_rng(1)),
+                             random_graph(30, 0.3, np.random.default_rng(13))),
+        lambda: select_k(random_graph(150, 0.1, np.random.default_rng(13)), 3, folds=2,
+                         rng=np.random.default_rng(0)),
+    ], ids=["fit_lsm", "lsm_loglik", "lsm_gradient", "select_k"])
+    def test_no_dense_adjacency(self, call, monkeypatch):
+        # the latent-space kernels and select_k above the dense eigensolver's
+        # limit read the CSR adjacency only
         calls = []
-        toarray = type(g.adjacency).toarray
+        for cls in (scipy.sparse.csr_array, scipy.sparse.csc_array, scipy.sparse.coo_array):
+            for name in ("toarray", "todense"):
+                dense = getattr(cls, name)
 
-        def spy(self, *args, **kwargs):
-            calls.append(self.shape)
-            return toarray(self, *args, **kwargs)
+                def spy(self, *args, _dense=dense, **kwargs):
+                    calls.append(self.shape)
+                    return _dense(self, *args, **kwargs)
 
-        monkeypatch.setattr(type(g.adjacency), "toarray", spy)
-        fit_lsm(g, 2, max_iters=5)
-        assert calls == [(30, 30)]
+                monkeypatch.setattr(cls, name, spy)
+        call()
+        assert calls == []
 
     def test_lanczos_start_repeat_fits_bitwise_equal(self, lanczos_path):
         rng = np.random.default_rng(12)

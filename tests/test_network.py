@@ -29,6 +29,7 @@ from oracles import (
     magnitude_order_sorted,
     random_orthogonal,
     sample_graph_triu,
+    select_k_dense,
     write_edge_csv_loop,
 )
 
@@ -419,6 +420,19 @@ class TestSelectK:
                 hits += 1
         assert hits >= 0.8 * runs
 
+    @pytest.mark.parametrize("n", [60, 128, 200])
+    def test_same_k_as_dense_reference(self, n):
+        # the dense eigensolver runs up to N=128 and Lanczos above it
+        k = 3
+        spec = DcsbmSpec(0.3 * np.eye(k) + 0.1 * np.ones((k, k)), np.arange(n) % k,
+                         np.ones(n), n ** 0.6)
+        p = connection_matrix(spec)
+        for seed in range(4):
+            g = sample_graph(p, np.random.default_rng(seed))
+            assert select_k(g, 6, rng=np.random.default_rng(seed)) == select_k_dense(
+                g, 6, rng=np.random.default_rng(seed)
+            )
+
     def test_k_max_one(self):
         g = complete_graph(10)
         assert select_k(g, 1, rng=np.random.default_rng(0)) == 1
@@ -478,6 +492,13 @@ class TestEdgeCsv:
             expected[i, j] = expected[j, i] = 1.0
         assert np.array_equal(read_edge_csv(str(path), n_nodes=5).adjacency.toarray(), expected)
         assert read_edge_csv(str(path)).n == 4
+
+    @pytest.mark.parametrize("body", ["src,dst\n", "src,dst\n0,1\n"])
+    def test_negative_node_count_rejected(self, tmp_path, body):
+        path = tmp_path / "edges.csv"
+        path.write_text(body)
+        with pytest.raises(DataError, match="node count -1 is negative"):
+            read_edge_csv(str(path), n_nodes=-1)
 
     @pytest.mark.parametrize("body, message", [
         ("src,dst\n0,1\n\n2,3\n3,2\n", r"row 5: duplicate edge \(2, 3\)"),
