@@ -7,6 +7,7 @@ experiments at desk scale.
 """
 
 from .network import (
+    ConnectionOperator,
     DcsbmSpec,
     DcmmsbmSpec,
     Embedding,

@@ -11,7 +11,10 @@ whose ``Graph`` keeps its normalized Laplacian for the simulation and all
 the fits. Each stage of a replication draws from its own child of
 ``np.random.SeedSequence(seed)`` (see ``STAGES``), so the numbers one stage
 uses never move another's. The fits draw nothing, so a row does not depend
-on which other fits share its draw.
+on which other fits share its draw. An enar or nar truth's connection
+matrix stays a ``network.ConnectionOperator``: the graph is swept from it in
+strips of rows and the truth embedding takes products with it, so no draw
+forms an N x N array.
 """
 
 from __future__ import annotations
@@ -233,17 +236,9 @@ def _make_generator_spec(cell: Cell, config: ExperimentConfig, rng: np.random.Ge
         memberships = rng.dirichlet(np.ones(k), size=n)
         cls = network.DcmmsbmSpec
     m = cls(block, memberships, degrees, 1.0).membership_matrix()
-    row_sums = _hollow_row_sums(degrees, m, block)
+    row_sums = network.hollow_row_sums(degrees, m, block)
     max_deg = n * rho * row_sums.max() / row_sums.mean()
     return cls(block, memberships, degrees, max_deg)
-
-
-def _hollow_row_sums(theta: np.ndarray, m: np.ndarray, block: np.ndarray) -> np.ndarray:
-    """Row sums of Theta M B M' Theta with its diagonal zeroed, in O(N K^2)
-    without forming the N x N matrix:
-    theta * (M B (M' theta)) - theta^2 * diag(M B M')."""
-    mb = m @ block
-    return theta * (mb @ (m.T @ theta)) - theta**2 * np.einsum("ij,ij->i", mb, m)
 
 
 def _planted_lsm_state(cell: Cell, config: ExperimentConfig, rng: np.random.Generator) -> lsm.LsmState:
@@ -306,12 +301,11 @@ def simulate_cell_data(cell: Cell, config: ExperimentConfig, seed: int) -> CellD
             params, graph, latent_true, cov, cell.t, stage_rng(seed, "panel")
         )
     else:
-        gen_spec = _make_generator_spec(cell, config, stage_rng(seed, "latents"))
-        p_matrix = network.connection_matrix(gen_spec)
-        graph = network.sample_graph(p_matrix, stage_rng(seed, "graph"))
-        latent_true = (network.embed_symmetric(p_matrix, cell.k).vectors
-                       if cell.truth == "enar" else None)
-        del p_matrix  # the draw's last N x N array; the simulation holds none
+        p = network.ConnectionOperator(
+            _make_generator_spec(cell, config, stage_rng(seed, "latents"))
+        )
+        graph = network.sample_graph(p, stage_rng(seed, "graph"))
+        latent_true = network.embed_symmetric(p, cell.k).vectors if cell.truth == "enar" else None
         panel = process.simulate_enar(
             params, graph,
             latent_true if latent_true is not None else np.zeros((cell.n, 0)),

@@ -250,11 +250,11 @@ def build_design(
 GRAM_COND_MAX = 1e4
 
 
-def _gram_factor(w: np.ndarray) -> tuple[np.ndarray, float] | None:
-    """Upper Cholesky factor R of W'W and cond(R), or None when the
-    factorization fails or cond(R) exceeds GRAM_COND_MAX."""
+def _gram_factor(gram: np.ndarray) -> tuple[np.ndarray, float] | None:
+    """Upper Cholesky factor R of the Gram matrix W'W and cond(R), or None
+    when the factorization fails or cond(R) exceeds GRAM_COND_MAX."""
     try:
-        r = scipy.linalg.cholesky(w.T @ w, check_finite=False)
+        r = scipy.linalg.cholesky(gram, check_finite=False)
     except np.linalg.LinAlgError:
         return None
     cond_r = float(np.linalg.cond(r))
@@ -275,7 +275,10 @@ def fit_ls(w: np.ndarray, y_resp: np.ndarray) -> FitResult:
     The residual is y - W mu on either route, and the BLAS work runs on
     one thread (:func:`enarkit.blas.one_thread`). Raises DataError, before
     any factorization, when the design or the response holds a NaN or an
-    infinite value.
+    infinite value. Finiteness is read off the diagonal of W'W and off W'y,
+    which any such value reaches (0 times infinity is NaN); only when one
+    of them is not finite are W and y scanned, and a finite design whose
+    squares overflow goes to the pivoted QR.
     """
     w = np.asarray(w, dtype=float)
     y_resp = np.asarray(y_resp, dtype=float).reshape(-1)
@@ -284,18 +287,23 @@ def fit_ls(w: np.ndarray, y_resp: np.ndarray) -> FitResult:
         raise DimensionMismatch(f"{n_obs} rows in w but {y_resp.shape[0]} responses")
     if n_obs < d:
         raise DimensionMismatch(f"underdetermined system: {n_obs} obs, {d} columns")
-    for name, arr in (("design", w), ("response", y_resp)):
-        if not np.isfinite(arr).all():
-            raise DataError(f"the {name} holds a NaN or an infinite value")
 
     # one thread: numpy's and scipy's pools alternate below, and on a tall
     # design each switch between them costs more than the work it splits
     with blas.one_thread():
-        gram = _gram_factor(w) if d else None
-        if gram is not None:
-            r, cond_r = gram
+        with np.errstate(over="ignore", invalid="ignore"):  # checked right below
+            gram, wty = w.T @ w, w.T @ y_resp
+        factor = None
+        if d and np.isfinite(np.diagonal(gram)).all() and np.isfinite(wty).all():
+            factor = _gram_factor(gram)
+        else:
+            for name, arr in (("design", w), ("response", y_resp)):
+                if not np.isfinite(arr).all():
+                    raise DataError(f"the {name} holds a NaN or an infinite value")
+        if factor is not None:
+            r, cond_r = factor
             piv, solver = np.arange(d), "cholesky"
-            qty = scipy.linalg.solve_triangular(r, w.T @ y_resp, trans="T", check_finite=False)
+            qty = scipy.linalg.solve_triangular(r, wty, trans="T", check_finite=False)
         else:
             solver = "qr"
             q, r, piv = scipy.linalg.qr(w, mode="economic", pivoting=True, check_finite=False)

@@ -18,9 +18,9 @@ in its CSR form: the edge term is tr(Q'AQ) / 2 + d'v for the degrees d,
 from the sparse product A Q in O(E K). A fit holds two N x N buffers, chi
 and the strict upper triangle of sigmoid(chi), and one boolean mask that
 selects the N(N-1)/2 pairs (see ``_Kernels``). ``lsm_loglik`` and
-``lsm_gradient`` run the same kernels on fresh buffers, and
-``LsmState.chi`` (and so ``sample_lsm_graph``) builds chi with the same
-product.
+``lsm_gradient`` run the same kernels on fresh buffers. ``LsmState.chi``
+builds chi with the same product, and ``sample_lsm_graph`` builds it in
+strips of rows.
 """
 
 from __future__ import annotations
@@ -32,7 +32,7 @@ import numpy as np
 from scipy.special import expit
 
 from .errors import DataError, DimensionMismatch, ShapeMismatch
-from .network import Graph, _fix_signs, _leading_eigenpairs, sample_graph, upper_mask
+from .network import Graph, _fix_signs, _leading_eigenpairs, _sweep_graph, upper_mask
 
 # Settings of the ascent (see fit_lsm) and of the alternation in
 # project_constraints.
@@ -105,11 +105,17 @@ class LsmFit:
     n_evals: int = 0
 
 
+def _chi_factors(q: np.ndarray, v: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """[q | v | 1] and [q | 1 | v], whose product F G' is chi."""
+    ones = np.ones(v.shape[0])
+    return np.column_stack([q, v, ones]), np.column_stack([q, ones, v])
+
+
 def _chi(q: np.ndarray, v: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
     """Q Q' + v 1' + 1 v' (into ``out`` when given) by one product of
     [q | v | 1] and [q | 1 | v]'."""
-    ones = np.ones(v.shape[0])
-    return np.matmul(np.column_stack([q, v, ones]), np.column_stack([q, ones, v]).T, out=out)
+    f, g = _chi_factors(q, v)
+    return np.matmul(f, g.T, out=out)
 
 
 class _Kernels:
@@ -305,7 +311,14 @@ def fit_lsm(graph: Graph, k: int, max_iters: int = MAX_ITERS) -> LsmFit:
 
 def sample_lsm_graph(state: LsmState, rng: np.random.Generator) -> Graph:
     """Draw one graph with edge probabilities sigmoid(chi); isolated nodes
-    are kept (no resampling), as in the benchmark's sparse regimes."""
-    p = expit(state.chi())
-    np.fill_diagonal(p, 0.0)
-    return sample_graph(p, rng)
+    are kept (no resampling), as in the benchmark's sparse regimes. The
+    Bernoulli sweep of ``sample_graph`` reads chi in strips of rows, each
+    one product of [q | v | 1] rows and [q | 1 | v]', so no N x N array is
+    formed; the uniforms and the graph are those of the dense sigmoid."""
+    f, g = _chi_factors(state.q, state.v)
+
+    def strip(r0: int, r1: int) -> np.ndarray:
+        chi = f[r0:r1] @ g[r0:].T
+        return expit(chi, out=chi)
+
+    return _sweep_graph(state.n, strip, rng)

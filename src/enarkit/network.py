@@ -4,12 +4,16 @@ Graphs are simple, hollow, undirected 0/1 adjacency matrices held in
 compressed sparse row (CSR) form, so a graph with E edges costs O(N + E)
 memory, and so do its normalized Laplacian and every product with it.
 Generators draw Bernoulli edges from a low-rank connection-probability
-matrix built either from explicit latent positions (with a sparsity factor)
+matrix P built either from explicit latent positions (with a sparsity factor)
 or from a (degree-corrected, possibly mixed-membership) block structure;
-isolated nodes are kept. Spectral embeddings keep the eigenvectors of the k
-eigenvalues of largest magnitude with a deterministic sign convention and,
-above the dense limit, a fixed Lanczos start, so that repeated runs agree
-exactly.
+isolated nodes are kept. ``ConnectionOperator`` holds P as its low-rank
+factors, the hollow diagonal and a sparse excess of the clipped entries, so
+neither the draw nor the truth embedding forms the N x N matrix:
+``sample_graph`` sweeps P in strips of rows, and Lanczos takes products with
+the operator. ``connection_matrix`` builds the dense P as a reference.
+Spectral embeddings keep the eigenvectors of the k eigenvalues of largest
+magnitude with a deterministic sign convention and, above the dense limit, a
+fixed Lanczos start, so that repeated runs agree exactly.
 """
 
 from __future__ import annotations
@@ -40,6 +44,10 @@ from .errors import (
 # N=1000. Eigenvalues agreed to 9e-14, sign-fixed eigenvectors to 6e-9.
 DENSE_EIG_LIMIT = 128
 _LANCZOS_START_SEED = 20240601
+
+# Rows of P per strip of the Bernoulli sweep: a strip holds at most
+# _STRIP_ROWS x N probabilities (1 MB at N = 1000).
+_STRIP_ROWS = 128
 
 
 class _FrozenCsr(scipy.sparse.csr_array):
@@ -195,13 +203,44 @@ def normalized_laplacian(g: Graph) -> scipy.sparse.csr_array:
     return scipy.sparse.csr_array((data, a.indices, a.indptr), shape=a.shape)
 
 
+def hollow_row_sums(theta: np.ndarray, m: np.ndarray, block: np.ndarray) -> np.ndarray:
+    """Row sums of Theta M B M' Theta with its diagonal zeroed, in O(N K^2)
+    without forming the N x N matrix:
+    theta * (M B (M' theta)) - theta^2 * diag(M B M').
+
+    The block models' one rescale rule: ``connection_matrix`` and
+    ``ConnectionOperator`` scale P so the largest of these sums is the
+    target maximum expected degree."""
+    mb = m @ block
+    return theta * (mb @ (m.T @ theta)) - theta**2 * np.einsum("ij,ij->i", mb, m)
+
+
+def _rescale(spec: DcsbmSpec) -> float:
+    """Factor that takes the largest hollow row sum to the target degree."""
+    row_max = hollow_row_sums(spec.degrees, spec.membership_matrix(), spec.block_matrix).max()
+    if row_max <= 0:
+        raise DataError("connection matrix has no mass to rescale")
+    return spec.max_expected_degree / row_max
+
+
+def _warn_clipped(n_clipped: int) -> None:
+    if n_clipped:
+        warnings.warn(
+            f"{n_clipped} connection probabilities exceeded 1 and were clipped",
+            RuntimeWarning,
+            stacklevel=3,
+        )
+
+
 def connection_matrix(spec: LatentGraphSpec) -> np.ndarray:
-    """Population edge-probability matrix P implied by a generator spec.
+    """Population edge-probability matrix P implied by a generator spec, as
+    a dense N x N array: the reference that ``ConnectionOperator`` applies
+    without forming it.
 
     For latent positions this is rho * X X'. For block models it is
-    Theta M B M' Theta rescaled so the largest row sum equals the target
-    maximum expected degree, then clipped to [0, 1] (a warning reports how
-    many entries were clipped).
+    Theta M B M' Theta with its diagonal zeroed, rescaled so the largest row
+    sum equals the target maximum expected degree, then clipped to [0, 1]
+    (a warning reports how many entries were clipped).
     """
     if isinstance(spec, RdpgSpec):
         p = spec.rho * (spec.x @ spec.x.T)
@@ -216,19 +255,78 @@ def connection_matrix(spec: LatentGraphSpec) -> np.ndarray:
     # expected degrees are over the hollow graph, so the diagonal carries
     # no mass before the rescale
     np.fill_diagonal(p, 0.0)
-    row_max = p.sum(axis=1).max()
-    if row_max <= 0:
-        raise DataError("connection matrix has no mass to rescale")
-    p *= spec.max_expected_degree / row_max
+    p *= _rescale(spec)
     n_clipped = int(np.count_nonzero(p > 1.0))
-    if n_clipped:
-        warnings.warn(
-            f"{n_clipped} connection probabilities exceeded 1 and were clipped",
-            RuntimeWarning,
-            stacklevel=2,
-        )
-        p = np.minimum(p, 1.0)
-    return p
+    _warn_clipped(n_clipped)
+    return np.minimum(p, 1.0) if n_clipped else p
+
+
+class ConnectionOperator(scipy.sparse.linalg.LinearOperator):
+    """The connection matrix P of a generator spec, held without its N x N
+    array, as P = U V' - D - E.
+
+    An RDPG has U = rho X and V = X, with D and E zero. A block model has
+    U = c Theta M B and V = Theta M, where c is ``connection_matrix``'s
+    rescale, D the diagonal of U V' (the graph is hollow) and E the sparse
+    excess U_i'V_j - 1 of the entries that ``connection_matrix`` clips to 1.
+    E is found without a sweep: entry (i, j) is at most c max(B) w_i w_j for
+    the row sums w of |V| (theta, for membership rows on the simplex), so
+    sorting w bounds the pairs that can clip. Building the operator warns
+    about clipped entries as ``connection_matrix`` does, with the same count.
+
+    A product takes O(N K) plus the sparse E; ``eigsh`` runs on it directly.
+    ``toarray`` gives the dense P, and ``strip`` the rows of it that the
+    Bernoulli sweep of ``sample_graph`` reads.
+    """
+
+    def __init__(self, spec: LatentGraphSpec):
+        if isinstance(spec, RdpgSpec):
+            self.left, self.right, self.hollow = spec.rho * spec.x, spec.x, False
+        else:
+            scale = _rescale(spec)
+            self.right = spec.degrees[:, None] * spec.membership_matrix()
+            self.left = scale * (self.right @ spec.block_matrix)
+            self.hollow = True
+            self.diagonal = np.einsum("ij,ij->i", self.left, self.right)
+            self.excess = self._clipped_excess(scale * spec.block_matrix.max())
+            _warn_clipped(self.excess.nnz)
+        super().__init__(dtype=np.dtype(float), shape=(self.left.shape[0],) * 2)
+
+    def _clipped_excess(self, c_max: float) -> scipy.sparse.csr_array:
+        """E, evaluated on the pairs whose bound c_max w_i w_j exceeds 1 (with
+        a margin for rounding): in descending order of w, each node's
+        candidates are a prefix."""
+        n = self.left.shape[0]
+        w = np.abs(self.right).sum(axis=1)
+        order = np.argsort(-w, kind="stable")
+        ws = w[order]
+        reach = np.searchsorted(-ws, -1.0 / ((1.0 + 1e-9) * c_max * ws))
+        a = np.repeat(np.arange(n), reach)
+        b = np.arange(a.size) - np.repeat(np.cumsum(reach) - reach, reach)
+        i, j = order[a], order[b]
+        i, j = i[i != j], j[i != j]
+        vals = np.einsum("ij,ij->i", self.left[i], self.right[j])
+        over = vals > 1.0
+        return scipy.sparse.csr_array((vals[over] - 1.0, (i[over], j[over])), shape=(n, n))
+
+    def _matmat(self, x: np.ndarray) -> np.ndarray:
+        out = self.left @ (self.right.T @ x)
+        if self.hollow:
+            out -= self.diagonal[:, None] * x
+            out -= self.excess @ x
+        return out
+
+    def strip(self, r0: int, r1: int) -> np.ndarray:
+        """Rows r0:r1 of P on columns r0:N, clipped, from one product of the
+        factors; the diagonal of a hollow P is left as the product gives it."""
+        s = self.left[r0:r1] @ self.right[r0:].T
+        return np.minimum(s, 1.0, out=s) if self.hollow else s
+
+    def toarray(self) -> np.ndarray:
+        p = self.strip(0, self.shape[0])
+        if self.hollow:
+            np.fill_diagonal(p, 0.0)
+        return p
 
 
 def upper_mask(n: int) -> np.ndarray:
@@ -248,26 +346,59 @@ def _upper_pairs(n: int, pos: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return i, pos - starts[i] + i + 1
 
 
-def sample_graph(p: np.ndarray, rng: np.random.Generator) -> Graph:
+def _in_unit_interval(x: np.ndarray) -> bool:
+    """Whether every entry lies in [0, 1]; False on a NaN, which min and max
+    propagate."""
+    return x.size == 0 or (x.min() >= 0.0 and x.max() <= 1.0)
+
+
+def _sweep_graph(n: int, strip, rng: np.random.Generator, with_diagonal: bool = False) -> Graph:
+    """Bernoulli graph on ``n`` nodes drawn strip by strip.
+
+    ``strip(r0, r1)`` gives rows r0:r1 of the probability matrix on columns
+    r0:n, for strips of _STRIP_ROWS rows. Each strip's pairs i < j draw one
+    uniform each, in row-major order, so the uniforms are those of one
+    ``rng.random`` call over the whole triangle. Before a strip draws, its
+    first entry in row-major order that is NaN or outside [0, 1] raises
+    :class:`InvalidProbability`; the diagonal is checked too when
+    ``with_diagonal``, but never drawn.
+    """
+    cols, rows = np.arange(n), np.arange(min(n, _STRIP_ROWS))[:, None]
+    upper = cols > rows  # sliced to each strip's shape below
+    hits, done = [np.empty(0, dtype=np.int64)], 0
+    for r0 in range(0, n, _STRIP_ROWS):
+        shape = (min(r0 + _STRIP_ROWS, n) - r0, n - r0)
+        block = strip(r0, r0 + shape[0])
+        probs = block[upper[: shape[0], : shape[1]]]
+        if not (_in_unit_interval(probs)
+                and (not with_diagonal or _in_unit_interval(np.diagonal(block)))):
+            checked = (cols >= rows if with_diagonal else upper)[: shape[0], : shape[1]]
+            a, c = np.argwhere(~((block >= 0.0) & (block <= 1.0)) & checked)[0]
+            raise InvalidProbability(r0 + int(a), r0 + int(c), float(block[a, c]))
+        hits.append(done + np.flatnonzero(rng.random(probs.size) < probs))
+        done += probs.size
+    return _from_upper(n, *_upper_pairs(n, np.concatenate(hits)))
+
+
+def sample_graph(p: np.ndarray | ConnectionOperator, rng: np.random.Generator) -> Graph:
     """Hollow symmetric Bernoulli graph with edge probabilities ``p``.
 
-    Build ``p`` with ``connection_matrix`` (or any symmetric matrix of
-    probabilities); only its strict upper triangle is read. One uniform is
-    drawn per pair i < j in row-major order, and isolated nodes are kept.
-    A non-square ``p`` raises :class:`ShapeMismatch`; the first pair whose
-    probability is NaN or outside [0, 1] raises :class:`InvalidProbability`.
+    ``p`` is a ``ConnectionOperator`` or any symmetric matrix of
+    probabilities (``connection_matrix`` builds the dense one); only its
+    strict upper triangle is drawn, in strips of rows, so an operator's P is
+    never formed whole. One uniform is drawn per pair i < j in row-major
+    order, and isolated nodes are kept. A non-square ``p`` raises
+    :class:`ShapeMismatch`; the first pair whose probability is NaN or
+    outside [0, 1] raises :class:`InvalidProbability` (for an RDPG operator
+    the first such entry on or above the diagonal, as ``connection_matrix``
+    checks it).
     """
+    if isinstance(p, ConnectionOperator):
+        return _sweep_graph(p.shape[0], p.strip, rng, with_diagonal=not p.hollow)
     p = np.asarray(p, dtype=float)
     if p.ndim != 2 or p.shape[0] != p.shape[1]:
         raise ShapeMismatch(f"edge probabilities must be a square matrix, got {p.shape}")
-    n = p.shape[0]
-    probs = p[upper_mask(n)]
-    bad = np.flatnonzero(~((probs >= 0.0) & (probs <= 1.0)))
-    if bad.size:
-        i, j = _upper_pairs(n, bad[:1])
-        raise InvalidProbability(int(i[0]), int(j[0]), float(probs[bad[0]]))
-    hit = np.flatnonzero(rng.random(probs.size) < probs)
-    return _from_upper(n, *_upper_pairs(n, hit))
+    return _sweep_graph(p.shape[0], lambda r0, r1: p[r0:r1, r0:], rng)
 
 
 def _order_by_magnitude(eigenvalues: np.ndarray) -> np.ndarray:
@@ -287,7 +418,7 @@ def _fix_signs(vectors: np.ndarray) -> np.ndarray:
 
 
 def _leading_eigenpairs(
-    a: np.ndarray | scipy.sparse.sparray, k: int, which: str
+    a: np.ndarray | scipy.sparse.sparray | ConnectionOperator, k: int, which: str
 ) -> tuple[np.ndarray, np.ndarray]:
     """k leading eigenpairs of a symmetric matrix, leading first.
 
@@ -295,11 +426,12 @@ def _leading_eigenpairs(
     "LA" (largest eigenvalue). Dense ``eigh`` up to DENSE_EIG_LIMIT rows,
     Lanczos above that from a fixed start vector drawn from its own stream,
     so repeated calls agree bit for bit and no caller's rng is consumed.
-    ``a`` may be dense or sparse; only the dense solver densifies it.
+    ``a`` may be dense, sparse or an operator; only the dense solver
+    densifies it.
     """
     n = a.shape[0]
     if n <= DENSE_EIG_LIMIT or k >= n - 1:
-        vals, vecs = np.linalg.eigh(a.toarray() if scipy.sparse.issparse(a) else a)
+        vals, vecs = np.linalg.eigh(a if isinstance(a, np.ndarray) else a.toarray())
     else:
         v0 = np.random.default_rng(_LANCZOS_START_SEED).uniform(-1.0, 1.0, n)
         try:
@@ -315,8 +447,11 @@ def _leading_eigenpairs(
     return vals[order], vecs[:, order]
 
 
-def embed_symmetric(a: np.ndarray | scipy.sparse.sparray, k: int) -> Embedding:
-    """Leading-|eigenvalue| eigenpairs of a symmetric matrix, dense or sparse.
+def embed_symmetric(
+    a: np.ndarray | scipy.sparse.sparray | ConnectionOperator, k: int
+) -> Embedding:
+    """Leading-|eigenvalue| eigenpairs of a symmetric matrix, dense, sparse
+    or a ``ConnectionOperator``.
 
     Each eigenvector's largest-magnitude entry is positive. Dense solver up
     to DENSE_EIG_LIMIT rows, Lanczos from a fixed start above that, so the
@@ -324,7 +459,7 @@ def embed_symmetric(a: np.ndarray | scipy.sparse.sparray, k: int) -> Embedding:
     embedding are those of the j-pair embedding on the dense path; on the
     Lanczos path they agree to the solver tolerance.
     """
-    if not scipy.sparse.issparse(a):
+    if not (scipy.sparse.issparse(a) or isinstance(a, ConnectionOperator)):
         a = np.asarray(a, dtype=float)
     n = a.shape[0]
     if not 1 <= k <= n:

@@ -3,11 +3,13 @@ import itertools
 import json
 import math
 import re
+import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
 
-from enarkit import bench, blas, cli, estimate
+from enarkit import bench, blas, cli, estimate, network
 from enarkit.bench import (
     RESULT_COLUMNS,
     Cell,
@@ -387,17 +389,34 @@ class TestBlasPin:
         assert blas_at_two_threads() == [2, 2]
 
 
-class TestHollowRowSums:
+class TestEnarDraw:
+    @pytest.mark.parametrize("gen", ["dcsbm", "dcmmsbm", "rdpg"])
+    def test_holds_no_dense_connection_matrix(self, gen):
+        # the N x N float P alone would take N^2 * 8 bytes (72 MB here)
+        n = 3000
+        cell = Cell(gen, "enar", "enar", n, 2, 3)
+        tracemalloc.start()
+        try:
+            bench.simulate_cell_data(cell, ExperimentConfig([n], [2], [3]), 5)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < n * n * 8 / 4
+
     @pytest.mark.parametrize("gen", ["dcsbm", "dcmmsbm"])
-    def test_match_the_dense_row_sums(self, gen):
-        cell = Cell(gen, "enar", "enar", 300, 10, 3)
-        spec = bench._make_generator_spec(cell, smoke_config(), np.random.default_rng(4))
-        m, theta = spec.membership_matrix(), spec.degrees
-        dense = np.outer(theta, theta) * (m @ spec.block_matrix @ m.T)
-        np.fill_diagonal(dense, 0.0)
-        expected = dense.sum(axis=1)
-        got = bench._hollow_row_sums(theta, m, spec.block_matrix)
-        assert np.max(np.abs(got - expected) / expected) < 1e-12
+    def test_one_clipping_warning_per_draw_with_the_reference_count(self, gen):
+        cell = Cell(gen, "enar", "enar", 600, 4, 3)
+        config = ExperimentConfig([600], [4], [3])
+        for seed in range(3):
+            spec = bench._make_generator_spec(cell, config, bench.stage_rng(seed, "latents"))
+            with warnings.catch_warnings(record=True) as ref:
+                warnings.simplefilter("always")
+                network.connection_matrix(spec)
+            with warnings.catch_warnings(record=True) as got:
+                warnings.simplefilter("always")
+                bench.simulate_cell_data(cell, config, seed)
+            clip = [str(w.message) for w in got if "were clipped" in str(w.message)]
+            assert len(ref) == 1 and clip == [str(ref[0].message)]
 
 
 class TestConsistencyTrends:

@@ -195,7 +195,7 @@ class TestGramRoute:
         assert qr_calls == [w.shape] * len(cases)
 
     @pytest.mark.parametrize("where", ["design", "response"])
-    @pytest.mark.parametrize("value", [np.nan, np.inf])
+    @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
     def test_non_finite_input_fails_before_any_factorization(
         self, qr_calls, monkeypatch, where, value
     ):
@@ -203,10 +203,29 @@ class TestGramRoute:
         monkeypatch.setattr(scipy.linalg, "cholesky", lambda *a, **k: cholesky_calls.append(a))
         rng = np.random.default_rng(42)
         w, y = rng.standard_normal((30, 3)), rng.standard_normal(30)
+        # next to a zero row of W the value still reaches W'W or W'y, as NaN
+        w[7] = 0.0
         (w[7, 1:2] if where == "design" else y[7:8])[:] = value
         with pytest.raises(DataError, match=f"the {where} holds a NaN"):
             fit_ls(w, y)
         assert qr_calls == [] and cholesky_calls == []
+
+    def test_finite_entry_whose_square_overflows_goes_to_the_qr(self, qr_calls):
+        # W'W overflows to infinity with every entry finite: no DataError, the
+        # pivoted QR decides, and here it finds the 1e200 column dominant
+        rng = np.random.default_rng(44)
+        w, y = rng.standard_normal((30, 3)), rng.standard_normal(30)
+        w[7, 1] = 1e200
+        with pytest.raises(RankDeficient) as info:
+            fit_ls(w, y)
+        assert info.value.columns == [0, 2] and qr_calls == [w.shape]
+
+    def test_finite_design_whose_gram_overflows_fits_by_qr(self, qr_calls):
+        rng = np.random.default_rng(45)
+        w, mu = 1e160 * rng.standard_normal((40, 3)), np.array([0.5, -1.0, 2.0])
+        fit = fit_ls(w, w @ mu)
+        assert fit.diagnostics.ls_solver == "qr" and qr_calls == [w.shape]
+        assert np.allclose(fit.mu_hat, mu, rtol=1e-12, atol=0)
 
 
 class TestNoiselessRecovery:

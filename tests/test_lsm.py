@@ -27,6 +27,7 @@ from oracles import (
     lsm_loglik_dense,
     lsm_loglik_loop,
     random_orthogonal,
+    sample_graph_triu,
 )
 
 
@@ -409,3 +410,11 @@ class TestSampleLsmGraph:
         ref = sample_graph(p, np.random.default_rng(100 + seed))
         assert g.adjacency.nnz > 0
         assert (g.adjacency != ref.adjacency).nnz == 0
+
+    @pytest.mark.parametrize("n", [40, 129, 320])
+    def test_strips_draw_the_dense_triu_indices_graph(self, n):
+        # the strips of chi give the uniforms and edges of one dense draw
+        state = planted_state(n, 3, np.random.default_rng(n))
+        p = expit(lsm_chi_terms(state))
+        g = sample_lsm_graph(state, np.random.default_rng(7))
+        assert np.array_equal(g.adjacency.toarray(), sample_graph_triu(p, np.random.default_rng(7)))

@@ -1,8 +1,11 @@
+import warnings
+
 import numpy as np
 import pytest
 import scipy.sparse.linalg
 
 import enarkit.network as net
+from enarkit import bench
 from enarkit.errors import (
     DataError,
     InvalidProbability,
@@ -12,6 +15,7 @@ from enarkit.network import (
     DcsbmSpec,
     DcmmsbmSpec,
     Graph,
+    ConnectionOperator,
     RdpgSpec,
     _order_by_magnitude,
     connection_matrix,
@@ -257,6 +261,141 @@ class TestGenerators:
         x = np.full((4, 1), 1.5)
         with pytest.raises(InvalidProbability):
             connection_matrix(RdpgSpec(x, rho=1.0))
+
+
+STRIP = net._STRIP_ROWS
+
+
+def mc_spec(gen, n, seed, k=3):
+    """A generator spec as the Monte Carlo grid draws it: rho = N^(-1/2),
+    log-normal degrees and the degree target pinned to N rho."""
+    cell = bench.Cell(gen, "enar", "enar", n, 2, k)
+    config = bench.ExperimentConfig([n], [2], [k])
+    return bench._make_generator_spec(cell, config, np.random.default_rng(seed))
+
+
+class TestHollowRowSums:
+    @pytest.mark.parametrize("gen", ["dcsbm", "dcmmsbm"])
+    def test_match_the_dense_row_sums(self, gen):
+        spec = mc_spec(gen, 300, 4)
+        m, theta = spec.membership_matrix(), spec.degrees
+        dense = np.outer(theta, theta) * (m @ spec.block_matrix @ m.T)
+        np.fill_diagonal(dense, 0.0)
+        expected = dense.sum(axis=1)
+        got = net.hollow_row_sums(theta, m, spec.block_matrix)
+        assert np.max(np.abs(got - expected) / expected) < 1e-12
+
+
+class TestStripSweep:
+    def test_chunked_uniforms_reproduce_one_call(self):
+        # the sweep draws strip by strip what sample_graph drew in one call
+        sizes = [0, 1, STRIP - 1, 3 * STRIP, 0, 5000, 2]
+        whole, chunked = np.random.default_rng(5), np.random.default_rng(5)
+        one = whole.random(sum(sizes))
+        pieces = np.concatenate([chunked.random(size) for size in sizes])
+        assert np.array_equal(one, pieces)
+        assert whole.random() == chunked.random()
+
+    @pytest.mark.parametrize("n", [1, 2, STRIP - 1, STRIP, STRIP + 1, 2 * STRIP + 1])
+    def test_matches_triu_indices_reference_at_strip_edges(self, n):
+        rng = np.random.default_rng(n)
+        p = rng.random((n, n))
+        p = 0.5 * (p + p.T)
+        mine, ref = np.random.default_rng(3), np.random.default_rng(3)
+        g = sample_graph(p, mine)
+        assert np.array_equal(g.adjacency.toarray(), sample_graph_triu(p, ref))
+        assert mine.random() == ref.random()
+
+    @pytest.mark.parametrize("n", [STRIP + 1, 2 * STRIP + 1])
+    def test_first_bad_pair_in_row_major_order_across_strips(self, n):
+        rng = np.random.default_rng(n)
+        iu = np.triu_indices(n, 1)
+        for _ in range(10):
+            p = np.full((n, n), 0.5)
+            p[np.tril_indices(n)] = 7.0  # the diagonal and below are never read
+            picks = rng.choice(iu[0].size, size=3, replace=False)
+            p[iu[0][picks], iu[1][picks]] = rng.choice([-0.5, 1.5, np.nan], size=3)
+            first = picks.min()
+            with pytest.raises(InvalidProbability) as err:
+                sample_graph(p, np.random.default_rng(0))
+            assert (err.value.i, err.value.j) == (iu[0][first], iu[1][first])
+            assert np.array_equal([err.value.p], [p[iu[0][first], iu[1][first]]], equal_nan=True)
+
+    @pytest.mark.parametrize("n", [30, 2 * STRIP + 1])
+    def test_operator_draw_matches_triu_indices_reference(self, n):
+        spec = mc_spec("dcmmsbm", n, 8)
+        p = connection_matrix(spec)
+        g = sample_graph(ConnectionOperator(spec), np.random.default_rng(9))
+        assert np.array_equal(g.adjacency.toarray(), sample_graph_triu(p, np.random.default_rng(9)))
+
+
+GENS = ["dcsbm", "dcmmsbm", "rdpg"]
+
+
+class TestConnectionOperator:
+    @pytest.mark.parametrize("gen", GENS)
+    @pytest.mark.parametrize("n", [100, 300])
+    def test_graphs_match_the_dense_reference(self, gen, n):
+        spec = mc_spec(gen, n, n)
+        op, p = ConnectionOperator(spec), connection_matrix(spec)
+        for seed in range(6):
+            got = sample_graph(op, np.random.default_rng(seed))
+            ref = sample_graph(p, np.random.default_rng(seed))
+            assert (got.adjacency != ref.adjacency).nnz == 0
+
+    @pytest.mark.parametrize("gen", GENS)
+    @pytest.mark.parametrize("n", [100, 300])
+    def test_products_and_dense_form_match_the_reference(self, gen, n):
+        spec = mc_spec(gen, n, n + 1)
+        op, p = ConnectionOperator(spec), connection_matrix(spec)
+        if gen != "rdpg":
+            assert op.excess.nnz > 0  # the clipped correction is exercised
+        assert np.max(np.abs(op.toarray() - p)) <= 1e-14 * np.max(p)
+        v = np.random.default_rng(0).standard_normal((n, 4))
+        for x in (v, v[:, 0]):
+            ref = p @ x
+            assert np.max(np.abs(op @ x - ref)) <= 1e-14 * np.max(np.abs(ref))
+
+    @pytest.mark.parametrize("gen", GENS)
+    @pytest.mark.parametrize("n", [100, 300])
+    def test_embedding_matches_the_reference(self, gen, n):
+        # dense eigh at N = 100, Lanczos at N = 300
+        spec = mc_spec(gen, n, n + 2)
+        got = embed_symmetric(ConnectionOperator(spec), 3)
+        ref = embed_symmetric(connection_matrix(spec), 3)
+        assert np.max(np.abs(got.vectors - ref.vectors)) < 1e-10
+        assert np.max(np.abs(got.eigenvalues - ref.eigenvalues)) < 1e-10 * ref.eigenvalues[0]
+
+    @pytest.mark.parametrize("gen", ["dcsbm", "dcmmsbm"])
+    def test_clipping_warning_counts_the_reference_entries(self, gen):
+        for seed in range(3):
+            spec = mc_spec(gen, 1000, seed)
+            with warnings.catch_warnings(record=True) as ref:
+                warnings.simplefilter("always")
+                connection_matrix(spec)
+            with warnings.catch_warnings(record=True) as got:
+                warnings.simplefilter("always")
+                op = ConnectionOperator(spec)
+                sample_graph(op, np.random.default_rng(seed))
+                embed_symmetric(op, 3)
+            assert len(ref) == 1 and int(str(ref[0].message).split()[0]) > 0
+            assert [(w.category, str(w.message)) for w in got] == [
+                (w.category, str(w.message)) for w in ref
+            ]
+
+    @pytest.mark.parametrize("bad_row, value", [(0, -0.5), (STRIP + 3, -0.5), (STRIP + 3, 1.5)])
+    def test_rdpg_reports_the_reference_pair(self, bad_row, value):
+        # a long row puts its diagonal out of range first; a negative one
+        # makes its pairs with earlier rows negative
+        x = np.full((2 * STRIP + 5, 1), 0.5)
+        x[STRIP + 1] = 1.2
+        x[bad_row] = value
+        spec = RdpgSpec(x, rho=1.0)
+        with pytest.raises(InvalidProbability) as ref:
+            connection_matrix(spec)
+        with pytest.raises(InvalidProbability) as got:
+            sample_graph(ConnectionOperator(spec), np.random.default_rng(0))
+        assert (got.value.i, got.value.j, got.value.p) == (ref.value.i, ref.value.j, ref.value.p)
 
 
 class TestSpectralEmbed:
