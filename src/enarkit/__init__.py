@@ -43,9 +43,9 @@ from .estimate import (
     build_design,
     confint,
     fit_amnar,
-    fit_embedded,
     fit_enar,
     fit_ls,
+    fit_model,
     fit_with_latents,
     predict_one_step,
     rmse_rel,

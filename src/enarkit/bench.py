@@ -14,7 +14,11 @@ uses never move another's. The fits draw nothing, so a row does not depend
 on which other fits share its draw. An enar or nar truth's connection
 matrix stays a ``network.ConnectionOperator``: the graph is swept from it in
 strips of rows and the truth embedding takes products with it, so no draw
-forms an N x N array.
+forms an N x N array. Every fit is ``estimate.fit_model`` of the spec that
+``ExperimentConfig.design_spec`` builds, as the truth's is (the oracle mode
+fits the true latents instead). A config error that does not depend on the
+seed is raised by ``ExperimentConfig`` before any row runs; a row's status
+records only what a draw or a fit raised.
 """
 
 from __future__ import annotations
@@ -29,7 +33,9 @@ import numpy as np
 
 from . import blas, estimate, lsm, network, process
 from .csvio import write_table
-from .errors import DataError, EmptyGroup, check_type
+from .errors import (
+    DataError, DimensionMismatch, EmptyGroup, NotStationary, ShapeMismatch, check_type,
+)
 
 GENERATORS = ("dcsbm", "dcmmsbm", "rdpg")
 TRUTH_MODELS = ("nar", "enar", "amnar")
@@ -63,8 +69,12 @@ class ExperimentConfig:
     ``rho`` of None means the sparsity rule N^{-1/2}; ``beta`` of None means
     the alternating-sign rule sized to each cell's K. ``oracle_latents``
     plumbs the true latent matrices into the fits (a debugging mode that
-    makes noiseless runs exactly recoverable). ``lsm_max_iters`` caps the
-    latent-space MLE of the amnar fits.
+    makes noiseless runs exactly recoverable).
+
+    Construction raises every error that does not depend on the seed, as
+    the type a row would record: it builds the covariate law, each truth's
+    parameters and each fit's ``DesignSpec`` at every K, and checks
+    stationarity, rho, the length of ``beta`` and K <= N.
     """
 
     n_values: list[int]
@@ -86,13 +96,10 @@ class ExperimentConfig:
     q_block: float = 9.0 / 40.0
     rho: float | None = None
     oracle_latents: bool = False
-    lsm_max_iters: int = lsm.MAX_ITERS
 
     def __post_init__(self):
         if check_type(self.reps, (int,), "reps") < 1:
             raise DataError("reps must be >= 1")
-        if check_type(self.lsm_max_iters, (int,), "lsm_max_iters") < 0:
-            raise DataError("lsm_max_iters must be >= 0")
         for name, vals in (("n", self.n_values), ("t", self.t_values), ("k", self.k_values)):
             if not vals or any(
                 check_type(v, (int,), f"{name}_values element {i}") < 1 for i, v in enumerate(vals)
@@ -114,13 +121,28 @@ class ExperimentConfig:
         if self.gamma.shape != self.cov_variances.shape:
             raise DataError(f"gamma has {self.gamma.size} entries but cov_variances "
                             f"has {self.cov_variances.size}")
-        if "amnar" in self.truth_models:
-            for n in self.n_values:
-                if not 0.0 < self.rho_for(n) < 1.0:
-                    raise DataError(f"an amnar truth needs rho in (0, 1), got "
-                                    f"{self.rho_for(n)} at N = {n}")
         if self.beta is not None:
             self.beta = np.asarray(self.beta, dtype=float)
+        self.cov_spec()
+        if not process.check_stationarity(self.alpha, self.theta):
+            raise NotStationary(f"|{self.alpha}| + |{self.theta}| >= 1")
+        drawn = set(self.truth_models) - {"amnar"}  # truths drawn by a generator
+        rho_max = 1.0 if "rdpg" in self.generators else math.inf
+        for n in self.n_values:
+            rho = self.rho_for(n)
+            if "amnar" in self.truth_models and not 0.0 < rho < 1.0:
+                raise DataError(f"an amnar truth needs rho in (0, 1), got {rho} at N = {n}")
+            if drawn and not 0.0 < rho <= rho_max:
+                raise DataError(f"a generator needs rho > 0 (<= 1 for rdpg), got {rho} at N = {n}")
+        embeds = "enar" in self.truth_models or {"enar", "amnar"} & set(self.fit_models)
+        if embeds and max(self.k_values) > min(self.n_values):
+            raise ShapeMismatch(f"K = {max(self.k_values)} exceeds N = {min(self.n_values)}")
+        for k in self.k_values:
+            for truth in self.truth_models:
+                if self.truth_params(truth, k).k != (0 if truth == "nar" else k):
+                    raise DimensionMismatch(f"beta has {self.beta.size} entries but K = {k}")
+            for fit in self.fit_models:
+                self.design_spec(fit, k)
 
     def cells(self) -> list[Cell]:
         return [
@@ -139,6 +161,25 @@ class ExperimentConfig:
 
     def cov_spec(self) -> process.CovariateSpec:
         return process.CovariateSpec(len(self.cov_variances), self.cov_variances)
+
+    def truth_params(self, truth: str, k: int) -> process.EnarParams | process.AmnarParams:
+        if truth == "amnar":
+            return process.AmnarParams(
+                alpha=self.alpha, theta=self.theta, beta1=self.beta_for(k), beta2=self.beta2,
+                gamma=self.gamma, sigma=self.sigma, s=self.s,
+            )
+        return process.EnarParams(
+            alpha=self.alpha, theta=self.theta,
+            beta=self.beta_for(k) if truth == "enar" else np.zeros(0),
+            gamma=self.gamma, sigma=self.sigma,
+        )
+
+    def design_spec(self, model: str, k: int) -> estimate.DesignSpec:
+        """The design of ``model`` in a cell of dimension ``k``, for its truth
+        or its fit: no latent block for nar, and the rate exponent s for amnar."""
+        return estimate.DesignSpec(
+            model, 0 if model == "nar" else k, s=self.s if model == "amnar" else None
+        )
 
 
 @dataclass
@@ -250,20 +291,6 @@ def _planted_lsm_state(cell: Cell, config: ExperimentConfig, rng: np.random.Gene
     return lsm.project_constraints(lsm.LsmState(q, v))
 
 
-def _truth_params(cell: Cell, config: ExperimentConfig):
-    if cell.truth == "amnar":
-        return process.AmnarParams(
-            alpha=config.alpha, theta=config.theta,
-            beta1=config.beta_for(cell.k), beta2=config.beta2,
-            gamma=config.gamma, sigma=config.sigma, s=config.s,
-        )
-    beta = config.beta_for(cell.k) if cell.truth == "enar" else np.zeros(0)
-    return process.EnarParams(
-        alpha=config.alpha, theta=config.theta, beta=beta,
-        gamma=config.gamma, sigma=config.sigma,
-    )
-
-
 @dataclass
 class CellData:
     """One replication's data draw plus the truth needed for scoring:
@@ -291,7 +318,7 @@ def simulate_cell_data(cell: Cell, config: ExperimentConfig, seed: int) -> CellD
     seed, never on the fit.
     """
     cov = config.cov_spec()
-    params = _truth_params(cell, config)
+    params = config.truth_params(cell.truth, cell.k)
     amnar = cell.truth == "amnar"
     if amnar:
         state_true = _planted_lsm_state(cell, config, stage_rng(seed, "latents"))
@@ -312,9 +339,7 @@ def simulate_cell_data(cell: Cell, config: ExperimentConfig, seed: int) -> CellD
             cov, cell.t, stage_rng(seed, "panel"),
         )
     # a nar truth's beta is empty and an amnar truth's is [beta1 | beta2]
-    truth_spec = estimate.DesignSpec(
-        cell.truth, 0 if cell.truth == "nar" else cell.k, s=config.s if amnar else None
-    )
+    truth_spec = config.design_spec(cell.truth, cell.k)
     mu_true = np.concatenate([params.beta, [params.alpha, params.theta], params.gamma])
     r_true = process.rate_multiplier(cell.n, cell.t, config.s) if amnar else None
     z_next = stage_rng(seed, "z_next").standard_normal((cell.n, cov.p)) * np.sqrt(cov.variances)
@@ -365,10 +390,8 @@ def _fit_and_score(
     # fit stage
     if config.oracle_latents and cell.fit == cell.truth and cell.fit != "nar":
         fit = estimate.fit_with_latents(panel, graph, data.latent_true, data.truth_spec)
-    elif cell.fit == "amnar":
-        fit = estimate.fit_amnar(panel, graph, cell.k, config.s, config.lsm_max_iters)
     else:
-        fit = estimate.fit_enar(panel, graph, cell.k if cell.fit == "enar" else 0)
+        fit = estimate.fit_model(panel, graph, config.design_spec(cell.fit, cell.k))
 
     out.alpha_hat = fit.coef("alpha")
     out.theta_hat = fit.coef("theta")

@@ -93,7 +93,7 @@ def _load_json(path: str) -> dict:
 
 # The only config keys that may be null: a null keeps the ExperimentConfig
 # default, which for beta and rho is None, their size-dependent rules.
-_NULLABLE = {"beta", "rho", "lsm_max_iters"}
+_NULLABLE = {"beta", "rho"}
 
 
 def _validate_keys(doc: dict, allowed: dict, where: str) -> None:
@@ -135,7 +135,7 @@ _MC_SCHEMA = {
     "n_values": [(int,)], "t_values": [(int,)], "k_values": [(int,)],
     "generators": [(str,)], "truth_models": [(str,)], "fit_models": [(str,)],
     "reps": (int,), "base_seed": (int,),
-    "oracle_latents": (bool,), "lsm_max_iters": (int,),
+    "oracle_latents": (bool,),
 }
 
 
@@ -239,21 +239,12 @@ def cmd_fit(args) -> int:
                                ("--omit-grand-mean", args.omit_grand_mean or None, "enr")):
         if value is not None and model != owner:
             raise UsageError(f"{flag} is not meaningful for the {model} model")
-    if model == "enar" and args.k < 1:  # fit_enar reads k = 0 as the nar fit
-        raise DataError("enar requires k >= 1")
+    s = bench.ExperimentConfig.s if model == "amnar" and args.s is None else args.s
+    spec = estimate.DesignSpec(model, args.k or 0, s=s, grand_mean=not args.omit_grand_mean)
     panel_full = process.read_panel_csv(args.panel)
     graph = network.read_edge_csv(args.edges, n_nodes=panel_full.n)
     panel = _window_panel(panel_full, args.window_start, args.window_len)
-
-    if model in ("nar", "enar"):
-        fit = estimate.fit_enar(panel, graph, args.k or 0)
-    elif model == "amnar":
-        s = bench.ExperimentConfig.s if args.s is None else args.s
-        fit = estimate.fit_amnar(panel, graph, args.k, s)
-    else:  # enr
-        spec = estimate.DesignSpec("enr", args.k, grand_mean=not args.omit_grand_mean)
-        fit = estimate.fit_embedded(panel, graph, spec)
-
+    fit = estimate.fit_model(panel, graph, spec)
     estimate.write_fit_json(fit, args.out)
     print(json.dumps({"fit": args.out, "model": model, "n_obs": fit.n_obs,
                       "sigma2_hat": fit.sigma2_hat, "aic": fit.aic, "bic": fit.bic}))

@@ -12,6 +12,11 @@ additive+multiplicative factors scaled by r = N^{-s} T^{-1/2} (AMNAR), or
 absent (plain network autoregression). The regression variant drops the lag
 terms and may carry a grand-mean column.
 
+``fit_model(panel, graph, spec)`` is the one fit entry point: it estimates
+the latent block that ``spec.model`` names and fits through
+``fit_with_latents``, which also takes a known latent block directly.
+``fit_enar`` and ``fit_amnar`` are shorthands for it.
+
 Standard errors come from the plug-in covariance sigma2_hat * (W'W)^{-1},
 and the design's condition number cond(W'W) = cond(R)^2, both from the
 triangular factor R of W P = Q R: the Cholesky factor of W'W (P = I), or
@@ -368,11 +373,32 @@ def fit_with_latents(panel: Panel, graph: Graph, latent, spec: DesignSpec) -> Fi
     return fit
 
 
-def fit_embedded(panel: Panel, graph: Graph, spec: DesignSpec) -> FitResult:
-    """Fit an embedding model (enar or enr) from one eigendecomposition:
+def fit_model(panel: Panel, graph: Graph, spec: DesignSpec) -> FitResult:
+    """Two-stage fit of ``spec``: estimate the latent block it names from the
+    adjacency, then least squares through :func:`fit_with_latents`.
+
+    nar has no latent block. enar and enr take one eigendecomposition with
     k+1 eigenpairs (k when k = N), whose first k columns are the latent
-    block and whose eigenvalues give the eigengap and kappa diagnostics."""
+    block and whose eigenvalues give the eigengap and kappa diagnostics.
+    amnar takes the MLE [Q | v] of :func:`enarkit.lsm.fit_lsm` at its
+    default iteration cap, with the MLE's state in ``fit.diagnostics``; no
+    eigendecomposition is made, so eigengap and kappa stay NaN.
+    """
     k = spec.k
+    if spec.model == "nar":
+        return fit_with_latents(panel, graph, None, spec)
+    if spec.model == "amnar":
+        mle = lsm.fit_lsm(graph, k)
+        fit = fit_with_latents(panel, graph, mle.state.x(), spec)
+        diag = fit.diagnostics
+        diag.lsm_loglik = mle.loglik_trace[-1]
+        diag.lsm_centering = mle.state.centering_residual()
+        diag.lsm_diagonality = mle.state.diagonality_residual()
+        diag.lsm_step_failed = mle.step_failed
+        diag.lsm_converged = mle.converged
+        diag.lsm_iters = mle.n_iters
+        diag.lsm_evals = mle.n_evals
+        return fit
     full = spectral_embed(graph, k + 1 if k < graph.n else k)
     fit = fit_with_latents(panel, graph, full.vectors[:, :k], spec)
     vals = np.abs(full.eigenvalues)
@@ -383,43 +409,13 @@ def fit_embedded(panel: Panel, graph: Graph, spec: DesignSpec) -> FitResult:
 
 
 def fit_enar(panel: Panel, graph: Graph, k: int) -> FitResult:
-    """Embed the observed graph, build the design, and fit by least squares.
-
-    One eigendecomposition of the adjacency, with k+1 eigenpairs, gives both
-    the k-dimensional embedding (``fit.latent``) and the eigengap
-    diagnostics. ``k = 0`` drops the latent block entirely, which is exactly
-    the plain network autoregression fit; a negative ``k`` raises
-    :class:`DataError`. The peer term reads ``graph.laplacian``.
-    """
-    if k < 0:
-        raise DataError(f"k = {k} must be >= 0")
-    if k >= 1:
-        return fit_embedded(panel, graph, DesignSpec("enar", k))
-    return fit_with_latents(panel, graph, None, DesignSpec("nar"))
+    """:func:`fit_model` of enar with dimension ``k``, or of nar at k = 0."""
+    return fit_model(panel, graph, DesignSpec("enar", k) if k else DesignSpec("nar"))
 
 
-def fit_amnar(
-    panel: Panel, graph: Graph, k: int, s: float, max_iters: int = lsm.MAX_ITERS
-) -> FitResult:
-    """Estimate the latent-space factors by constrained MLE, then fit.
-
-    ``fit.latent`` is the MLE's [Q | v], which the design scales by
-    r = N^{-s} T^{-1/2}; the iteration cap ``max_iters`` goes to
-    :func:`enarkit.lsm.fit_lsm`, and ``fit.diagnostics`` reports the MLE's
-    state. No adjacency eigendecomposition is made, so the eigengap and
-    kappa diagnostics are NaN. The peer term reads ``graph.laplacian``.
-    """
-    lsm_fit = lsm.fit_lsm(graph, k, max_iters)
-    fit = fit_with_latents(panel, graph, lsm_fit.state.x(), DesignSpec("amnar", k, s=s))
-    diag = fit.diagnostics
-    diag.lsm_loglik = lsm_fit.loglik_trace[-1]
-    diag.lsm_centering = lsm_fit.state.centering_residual()
-    diag.lsm_diagonality = lsm_fit.state.diagonality_residual()
-    diag.lsm_step_failed = lsm_fit.step_failed
-    diag.lsm_converged = lsm_fit.converged
-    diag.lsm_iters = lsm_fit.n_iters
-    diag.lsm_evals = lsm_fit.n_evals
-    return fit
+def fit_amnar(panel: Panel, graph: Graph, k: int, s: float) -> FitResult:
+    """:func:`fit_model` of amnar with dimension ``k`` and rate exponent ``s``."""
+    return fit_model(panel, graph, DesignSpec("amnar", k, s=s))
 
 
 def predict_one_step(

@@ -108,7 +108,8 @@ class Graph:
 
 def _from_upper(n: int, lo: np.ndarray, hi: np.ndarray) -> Graph:
     """Graph on ``n`` nodes with one edge per pair (lo[e], hi[e]), lo < hi."""
-    rows, cols = np.concatenate([lo, hi]), np.concatenate([hi, lo])
+    # lower triangle first: row-major pairs then give each CSR row sorted
+    rows, cols = np.concatenate([hi, lo]), np.concatenate([lo, hi])
     a = scipy.sparse.coo_array((np.ones(rows.size), (rows, cols)), shape=(n, n))
     return Graph(n, a.tocsr())
 

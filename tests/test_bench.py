@@ -23,8 +23,17 @@ from enarkit.bench import (
     summarize,
     summary_to_csv,
 )
-from enarkit.errors import DataError, EmptyGroup
+from enarkit.errors import DataError, DimensionMismatch, EmptyGroup, NotStationary, ShapeMismatch
 from oracles import write_results_csv_loop, write_summary_csv_loop
+
+
+@pytest.fixture
+def failing_draw(monkeypatch):
+    """Every data draw raises NotStationary, as a draw that fails does."""
+    def fail(cell, config, seed):
+        raise NotStationary("|0.7| + |0.5| >= 1")
+
+    monkeypatch.setattr(bench, "simulate_cell_data", fail)
 
 
 def smoke_config(**overrides):
@@ -50,10 +59,6 @@ class TestConfig:
         with pytest.raises(DataError):
             smoke_config(reps=0)
 
-    def test_rejects_negative_lsm_max_iters(self):
-        with pytest.raises(DataError):
-            smoke_config(lsm_max_iters=-1)
-
     @pytest.mark.parametrize("sizes, message", [
         ({"n_values": [12.9]}, "n_values element 0 has type float"),
         ({"t_values": [6, 4.5]}, "t_values element 1 has type float"),
@@ -63,13 +68,9 @@ class TestConfig:
         with pytest.raises(DataError, match=message):
             smoke_config(**sizes)
 
-    @pytest.mark.parametrize("counts, message", [
-        ({"reps": True}, "reps has type bool"),
-        ({"lsm_max_iters": 2.5}, "lsm_max_iters has type float"),
-    ])
-    def test_rejects_non_integer_counts(self, counts, message):
-        with pytest.raises(DataError, match=message):
-            smoke_config(**counts)
+    def test_rejects_non_integer_reps(self):
+        with pytest.raises(DataError, match="reps has type bool"):
+            smoke_config(reps=True)
 
     @pytest.mark.parametrize("params, message", [
         ({"cov_variances": [1.0, 2.0]}, "gamma has 3 entries but cov_variances has 2"),
@@ -85,7 +86,40 @@ class TestConfig:
             smoke_config(truth_models=["amnar"], n_values=[30, 1])
 
     def test_rho_range_binds_only_an_amnar_truth(self):
-        assert smoke_config(truth_models=["enar"], n_values=[30, 1], rho=1.5).rho_for(1) == 1.5
+        cfg = smoke_config(truth_models=["nar"], fit_models=["nar"], n_values=[30, 1], rho=1.5)
+        assert cfg.rho_for(1) == 1.5
+
+    # every rule that does not depend on the seed, each broken on its own;
+    # a row of such a config used to record the error as its status
+    @pytest.mark.parametrize("params, error, message", [
+        ({"sigma": -1.0}, DataError, "sigma must be nonnegative"),
+        ({"sigma": -1.0, "truth_models": ["amnar"]}, DataError, "sigma must be nonnegative"),
+        ({"alpha": 0.7, "theta": 0.5}, NotStationary, "|0.7| + |0.5| >= 1"),
+        ({"cov_variances": [3.0, 0.0, 1.0]}, DataError, "strictly positive"),
+        ({"s": 0.7, "truth_models": ["amnar"]}, DataError, "s = 0.7 must lie in (0, 1/2)"),
+        ({"s": 0.7, "fit_models": ["amnar"]}, DataError, "amnar requires s in (0, 1/2)"),
+        ({"rho": 1.5, "generators": ["rdpg"]}, DataError, "got 1.5 at N = 20"),
+        ({"rho": -0.1, "truth_models": ["nar"]}, DataError, "got -0.1 at N = 20"),
+        ({"beta": [1.0, -0.5], "k_values": [3]}, DimensionMismatch, "2 entries but K = 3"),
+        ({"beta": [1.0], "truth_models": ["amnar"]}, DimensionMismatch, "1 entries but K = 2"),
+        ({"k_values": [21]}, ShapeMismatch, "K = 21 exceeds N = 20"),
+        ({"k_values": [21], "truth_models": ["nar"], "fit_models": ["amnar"]},
+         ShapeMismatch, "K = 21 exceeds N = 20"),
+    ], ids=["sigma-enar", "sigma-amnar", "stationarity", "cov-variance", "s-amnar-truth",
+            "s-amnar-fit", "rho-rdpg", "rho-negative", "beta-enar", "beta-amnar",
+            "k-enar", "k-amnar-fit"])
+    def test_rejects_seed_independent_errors(self, params, error, message):
+        with pytest.raises(error, match=re.escape(message)):
+            smoke_config(**params)
+
+    @pytest.mark.parametrize("params", [
+        {"s": 0.7},  # an enar truth and nar and enar fits have no rate exponent
+        {"beta": [1.0, -0.5], "k_values": [3], "truth_models": ["nar"]},  # beta unused
+        {"rho": 1.5, "generators": ["dcsbm", "dcmmsbm"]},  # clipped, not invalid
+        {"k_values": [21], "truth_models": ["nar", "amnar"], "fit_models": ["nar"]},
+    ])
+    def test_accepts_what_no_model_in_use_rejects(self, params):
+        smoke_config(**params)
 
     def test_rho_rule(self):
         cfg = smoke_config()
@@ -169,8 +203,8 @@ class TestRunReplication:
         assert res.rmse_alpha < 1e-8 and res.rmse_theta < 1e-8
         assert res.rmse_beta < 1e-8 and res.rmsp < 1e-8
 
-    def test_failure_recorded_not_raised(self):
-        cfg = smoke_config(alpha=0.7, theta=0.5)  # not stationary
+    def test_failure_recorded_not_raised(self, failing_draw):
+        cfg = smoke_config()
         res = run_replication(cfg.cells()[0], 0, cfg)
         assert res.status == "NotStationary"
         assert math.isnan(res.alpha_hat)
@@ -179,7 +213,7 @@ class TestRunReplication:
     def test_fits_make_no_pivoted_qr(self, qr_calls, truth, fit):
         # the benchmark's designs are well conditioned, so each least-squares
         # solve takes the Cholesky factor of W'W and never the slow QR path
-        cfg = smoke_config(reps=1, truth_models=[truth], fit_models=[fit], lsm_max_iters=5)
+        cfg = smoke_config(reps=1, truth_models=[truth], fit_models=[fit])
         res = run_replication(Cell("dcmmsbm", truth, fit, 100, 20, 3), 0, cfg)
         assert res.status == "ok"
         assert qr_calls == []
@@ -210,8 +244,7 @@ class TestRunGrid:
     def test_parallel_identity_on_lanczos_path(self, tmp_path, lanczos_path):
         # workers are forked, so they inherit the patched eigensolver switch
         cfg = smoke_config(truth_models=["enar", "amnar"], fit_models=["enar", "amnar"],
-                           n_values=[40], t_values=[6], reps=2,
-                           lsm_max_iters=20)
+                           n_values=[40], t_values=[6], reps=2)
         serial = run_grid(cfg, parallelism=1)
         assert "LM" in lanczos_path and "LA" in lanczos_path
         parallel = run_grid(cfg, parallelism=2)
@@ -258,8 +291,7 @@ class TestSharedDraw:
     @pytest.mark.parametrize("oracle", [False, True])
     def test_grid_rows_match_lone_replications(self, tmp_path, oracle):
         cfg = smoke_config(truth_models=["enar", "amnar"], fit_models=["nar", "enar", "amnar"],
-                           n_values=[20, 24], oracle_latents=oracle,
-                           lsm_max_iters=20)
+                           n_values=[20, 24], oracle_latents=oracle)
         grid = run_grid(cfg)
         assert len(grid) == 24 and all(r.status == "ok" for r in grid)
         lone = lone_rows(cfg)
@@ -268,8 +300,7 @@ class TestSharedDraw:
     def test_amnar_fits_of_one_draw_match_lone_replication(self, tmp_path):
         # the latent-space fit draws nothing, so two fits of one shared draw
         # and a replication that draws its own data give the same row
-        cfg = smoke_config(truth_models=["amnar"], fit_models=["amnar", "amnar"], reps=1,
-                           lsm_max_iters=20)
+        cfg = smoke_config(truth_models=["amnar"], fit_models=["amnar", "amnar"], reps=1)
         first, second = run_grid(cfg)
         lone = run_replication(cfg.cells()[0], 0, cfg)
         assert first.status == "ok"
@@ -286,16 +317,15 @@ class TestSharedDraw:
             return simulate(cell, config, rng)
 
         monkeypatch.setattr(bench, "simulate_cell_data", counting)
-        cfg = smoke_config(truth_models=["nar", "enar"], fit_models=["nar", "enar", "amnar"],
-                           lsm_max_iters=5)
+        cfg = smoke_config(truth_models=["nar", "enar"], fit_models=["nar", "enar", "amnar"])
         rows = run_grid(cfg)
         assert len(rows) == 12
         assert sorted(calls) == sorted(
             [("dcmmsbm", truth, 20, 6, 2) for truth in ("nar", "enar")] * cfg.reps
         )
 
-    def test_failed_draw_fails_every_row(self):
-        cfg = smoke_config(alpha=0.7, theta=0.5, fit_models=["nar", "enar", "amnar"])
+    def test_failed_draw_fails_every_row(self, failing_draw):
+        cfg = smoke_config(fit_models=["nar", "enar", "amnar"])
         rows = run_grid(cfg)
         assert len(rows) == 6
         assert {r.status for r in rows} == {"NotStationary"}
@@ -307,7 +337,7 @@ class TestSharedDraw:
         cfg_path.write_text(json.dumps({
             "n_values": [20], "t_values": [6], "k_values": [2],
             "truth_models": ["enar", "amnar"], "fit_models": ["nar", "enar", "amnar"],
-            "reps": 2, "base_seed": 3, "lsm_max_iters": 20,
+            "reps": 2, "base_seed": 3,
         }))
         outputs = []
         for jobs in ("1", "2"):
@@ -476,8 +506,8 @@ class TestSummarize:
         with pytest.raises(EmptyGroup):
             summarize([], ["fit"])
 
-    def test_failure_rate_reported(self):
-        cfg = smoke_config(alpha=0.7, theta=0.5, reps=2, fit_models=["nar"])
+    def test_failure_rate_reported(self, failing_draw):
+        cfg = smoke_config(reps=2, fit_models=["nar"])
         rows = run_grid(cfg)
         summary = summarize(rows, ["fit"])
         frow = next(r for r in summary if r["metric"] == "failure_rate")

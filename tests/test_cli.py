@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import os
 import subprocess
@@ -8,7 +9,7 @@ import numpy as np
 import pytest
 
 import enarkit
-from enarkit import blas
+from enarkit import bench, blas, cli
 from enarkit.cli import main
 from enarkit.network import Graph, write_edge_csv
 from enarkit.process import Panel, read_panel_csv, write_panel_csv
@@ -201,19 +202,18 @@ class TestFitPredict:
         assert code == 2
         assert json.loads(err)["error"] == "usage"
 
-    @pytest.mark.parametrize("model", ["enar", "enr"])
+    @pytest.mark.parametrize("model", ["enar", "enr", "amnar"])
     @pytest.mark.parametrize("k", ["0", "-1"])
-    def test_k_below_one_is_a_data_error(self, simulated, capsys, model, k):
-        # an enar fit with k < 1 would otherwise be written as a nar fit
-        tmp_path, cfg = simulated
+    def test_k_below_one_is_a_data_error_before_any_read(self, tmp_path, capsys, model, k):
+        # the design spec is checked first, so the missing files are never read
         out = tmp_path / "f.json"
         code, stdout, err = run_cli(
-            capsys, "fit", "--edges", cfg["out_edges"], "--panel", cfg["out_panel"],
-            "--model", model, "--k", k, "--out", str(out),
+            capsys, "fit", "--edges", str(tmp_path / "no_edges.csv"),
+            "--panel", str(tmp_path / "no_panel.csv"), "--model", model, "--k", k,
+            "--out", str(out),
         )
         assert code == 3 and stdout == ""
-        error = json.loads(err)
-        assert error["error"] == "DataError" and "k >= 1" in error["message"]
+        assert json.loads(err) == {"error": "DataError", "message": f"{model} requires k >= 1"}
         assert not out.exists()
 
     @pytest.mark.parametrize("flag", ["--seed", "--latent-out"])
@@ -396,7 +396,7 @@ class TestFitPredict:
             fit = estimate.fit_amnar(panel, graph, 2, 0.25)
         elif model == "enr":
             window_panel = Panel(y=panel.y[:, :2].copy(), z=panel.z[:, :1].copy())
-            fit = estimate.fit_embedded(window_panel, graph, estimate.DesignSpec("enr", 2))
+            fit = estimate.fit_model(window_panel, graph, estimate.DesignSpec("enr", 2))
         else:
             fit = estimate.fit_enar(panel, graph, 0 if model == "nar" else 2)
         return fit_path, fit
@@ -841,7 +841,7 @@ class TestMc:
         cfg_path = tmp_path / "mc.json"
         cfg_path.write_text(json.dumps({
             "n_values": [12], "t_values": [4], "k_values": [2],
-            "fit_models": ["nar"], "reps": 1, "rho": None, "lsm_max_iters": None, key: None,
+            "fit_models": ["nar"], "reps": 1, "rho": None, "beta": None, key: None,
         }))
         code, _, err = run_cli(
             capsys, "mc", "--config", str(cfg_path),
@@ -850,38 +850,6 @@ class TestMc:
         assert code == 3
         assert f"{key!r} may not be null" in json.loads(err)["message"]
         assert not (tmp_path / "r.csv").exists()
-
-    def test_negative_lsm_max_iters_is_data_error(self, tmp_path, capsys):
-        cfg_path = tmp_path / "mc.json"
-        cfg_path.write_text(json.dumps({
-            "n_values": [12], "t_values": [4], "k_values": [2],
-            "truth_models": ["amnar"], "fit_models": ["amnar"], "reps": 1,
-            "lsm_max_iters": -1,
-        }))
-        code, _, err = run_cli(
-            capsys, "mc", "--config", str(cfg_path),
-            "--out", str(tmp_path / "r.csv"), "--summary-out", str(tmp_path / "s.csv"),
-        )
-        assert code == 3
-        assert json.loads(err)["error"] == "DataError"
-        assert not (tmp_path / "r.csv").exists()
-
-    def test_null_lsm_max_iters_keeps_the_default(self, tmp_path, capsys):
-        outputs = []
-        for name, extra in (("omitted", {}), ("null", {"lsm_max_iters": None})):
-            cfg_path = tmp_path / f"{name}.json"
-            cfg_path.write_text(json.dumps({
-                "n_values": [12], "t_values": [4], "k_values": [2],
-                "truth_models": ["amnar"], "fit_models": ["amnar"], "reps": 1, **extra,
-            }))
-            out = tmp_path / f"{name}.csv"
-            code, _, _ = run_cli(
-                capsys, "mc", "--config", str(cfg_path), "--out", str(out),
-                "--summary-out", str(tmp_path / f"{name}_s.csv"), "--no-timing",
-            )
-            assert code == 0
-            outputs.append(out.read_bytes())
-        assert outputs[0] == outputs[1]
 
     def test_bool_for_an_integer_rejected(self, tmp_path, capsys):
         cfg_path = tmp_path / "mc.json"
@@ -953,6 +921,49 @@ class TestMc:
         self.assert_simulate_and_mc_reject(
             tmp_path, capsys, "amnar", {"rho": rho}, "an amnar truth needs rho in (0, 1)"
         )
+
+    def test_config_schemas_hold_the_config_fields(self):
+        config_fields = dataclasses.fields(bench.ExperimentConfig)
+        assert set(cli._MC_SCHEMA) == {f.name for f in config_fields}
+        assert set(cli._PARAM_SCHEMA) <= set(cli._SIM_SCHEMA)
+        # a null keeps the default, so only keys whose default is None may be null
+        assert cli._NULLABLE == {f.name for f in config_fields if f.default is None}
+
+    # configs whose rows all failed with the same error, whatever the seed;
+    # simulate draws the same truth and fits nothing
+    @pytest.mark.parametrize("params, error, code, sim_code", [
+        ({"sigma": -1}, "DataError", 3, 3),
+        ({"sigma": -1, "truth_models": ["amnar"]}, "DataError", 3, 3),
+        ({"alpha": 0.7, "theta": 0.5}, "NotStationary", 4, 4),
+        ({"cov_variances": [3.0, 0.0, 1.0]}, "DataError", 3, 3),
+        ({"s": 0.7, "truth_models": ["amnar"]}, "DataError", 3, 3),
+        ({"s": 0.7, "fit_models": ["amnar"]}, "DataError", 3, 0),
+        ({"rho": 1.5, "generators": ["rdpg"]}, "DataError", 3, 3),
+        ({"rho": -0.1}, "DataError", 3, 3),
+        ({"beta": [1.0, -0.5]}, "DimensionMismatch", 3, 3),
+        ({"k_values": [40]}, "ShapeMismatch", 3, 3),
+    ], ids=["sigma-enar", "sigma-amnar", "stationarity", "cov-variance", "s-amnar-truth",
+            "s-amnar-fit", "rho-rdpg", "rho-negative", "beta", "k-above-n"])
+    def test_seed_independent_errors_stop_mc_before_any_row(
+        self, tmp_path, capsys, params, error, code, sim_code
+    ):
+        cfg_path = tmp_path / "mc.json"
+        cfg_path.write_text(json.dumps({
+            "n_values": [30], "t_values": [5], "k_values": [3], "fit_models": ["nar"],
+            "reps": 1, **params,
+        }))
+        results = tmp_path / "r.csv"
+        got, stdout, err = run_cli(capsys, "mc", "--config", str(cfg_path),
+                                   "--out", str(results), "--summary-out", str(tmp_path / "s.csv"))
+        assert (got, stdout, json.loads(err)["error"]) == (code, "", error)
+        assert not results.exists()
+        sim_params = {key: params[key] for key in params if key in cli._SIM_SCHEMA}
+        path, _ = write_sim_config(
+            tmp_path, n=30, t=5, k=params.get("k_values", [3])[0], **sim_params,
+            model=params.get("truth_models", ["enar"])[0],
+            generator=params.get("generators", ["dcmmsbm"])[0],
+        )
+        assert run_cli(capsys, "simulate", "--config", str(path))[0] == sim_code
 
     def test_missing_blas_setters_pin_nothing_and_say_so(self, tmp_path, capsys, monkeypatch):
         if blas._thread_controls() is None:

@@ -16,9 +16,9 @@ from enarkit.estimate import (
     confint,
     design_rows,
     fit_amnar,
-    fit_embedded,
     fit_enar,
     fit_ls,
+    fit_model,
     fit_with_latents,
     predict_one_step,
     read_fit_json,
@@ -318,7 +318,7 @@ class TestModelCompositions:
 
     def test_negative_k_rejected(self):
         g, _, _, _, panel = self.make_panel()
-        with pytest.raises(DataError, match="k = -1 must be >= 0"):
+        with pytest.raises(DataError, match="enar requires k >= 1"):
             fit_enar(panel, g, -1)
 
     def test_rotation_invariance(self):
@@ -376,14 +376,14 @@ class TestModelCompositions:
     def test_amnar_fit_and_forecast_build_one_laplacian(self, monkeypatch):
         g, _, _, _, panel = self.make_panel(n=30, t=10)
         g, built = self.count_laplacian_builds(monkeypatch, g)
-        fit = fit_amnar(panel, g, 2, 0.25, max_iters=5)
+        fit = fit_amnar(panel, g, 2, 0.25)
         predict_one_step(fit, g, panel.y[:, -1], panel.z[:, -1, :])
         assert len(built) == 1 and built[0] is g
 
     def test_enr_fit_and_forecast_build_no_laplacian(self, monkeypatch):
         g, _, _, _, panel = self.make_panel(t=1)
         g, built = self.count_laplacian_builds(monkeypatch, g)
-        fit = fit_embedded(panel, g, DesignSpec("enr", 2))
+        fit = fit_model(panel, g, DesignSpec("enr", 2))
         predict_one_step(fit, g, panel.y[:, -1], panel.z[:, -1, :])
         assert built == [] and "laplacian" not in vars(g)
 
@@ -396,27 +396,24 @@ class TestModelCompositions:
             assert fit.diagnostics.lsm_loglik is not None
             assert np.all(np.isfinite(fit.mu_hat))
 
-    def fit_model(self, panel, g, model, u=None):
-        """The fit of ``model`` through its entry point; "oracle" is the
+    def fit(self, panel, g, model, u=None):
+        """The fit of ``model`` through :func:`fit_model`; "oracle" is the
         known-latent enar fit on ``u``, as the benchmark's oracle runs it."""
-        if model == "amnar":
-            return fit_amnar(panel, g, 2, 0.25, max_iters=5)
-        if model == "enr":
-            return fit_embedded(panel, g, DesignSpec("enr", 2))
         if model == "oracle":
             return fit_with_latents(panel, g, u, DesignSpec("enar", 2))
-        return fit_enar(panel, g, 2 if model == "enar" else 0)
+        k = 0 if model == "nar" else 2
+        return fit_model(panel, g, DesignSpec(model, k, s=0.25 if model == "amnar" else None))
 
     @pytest.mark.parametrize("model", ["nar", "enar", "enr", "amnar", "oracle"])
     def test_every_fit_carries_its_latent_block_and_diagnostics(self, model):
         g, u, _, _, panel = self.make_panel(n=30, t=1 if model == "enr" else 10)
-        fit = self.fit_model(panel, g, model, u)
+        fit = self.fit(panel, g, model, u)
         diag = fit.diagnostics
         assert isinstance(diag, Diagnostics) and diag.condition_number >= 1
         if model == "nar":
             assert fit.latent is None
         elif model == "amnar":
-            state = lsm.fit_lsm(g, 2, 5).state
+            state = lsm.fit_lsm(g, 2).state
             assert np.array_equal(fit.latent, state.x())
         elif model == "oracle":
             assert np.array_equal(fit.latent, u)
@@ -429,7 +426,7 @@ class TestModelCompositions:
     @pytest.mark.parametrize("model", ["nar", "enar", "enr", "amnar"])
     def test_gram_route_matches_pivoted_qr(self, qr_calls, model):
         g, _, _, _, panel = self.make_panel(n=30, t=1 if model == "enr" else 10)
-        fit = self.fit_model(panel, g, model)
+        fit = self.fit(panel, g, model)
         assert fit.diagnostics.ls_solver == "cholesky" and qr_calls == []
         w, y = build_design(panel, g.laplacian, fit.latent, fit.spec)
         assert_matches_qr_oracle(fit, w, y, 1e-10)
@@ -437,7 +434,7 @@ class TestModelCompositions:
     @pytest.mark.parametrize("model", ["nar", "enar", "enr", "amnar"])
     def test_condition_number_is_that_of_the_gram_matrix(self, model):
         g, _, _, _, panel = self.make_panel(n=30, t=1 if model == "enr" else 10)
-        fit = self.fit_model(panel, g, model)
+        fit = self.fit(panel, g, model)
         w, _ = build_design(panel, g.laplacian, fit.latent, fit.spec)
         assert fit.diagnostics.condition_number == pytest.approx(
             np.linalg.cond(w.T @ w), rel=1e-10
@@ -453,21 +450,29 @@ class TestModelCompositions:
             return embed(*args)
 
         monkeypatch.setattr(network, "embed_symmetric", counting)
-        diag = fit_amnar(panel, g, 2, 0.25, max_iters=5).diagnostics
+        diag = fit_amnar(panel, g, 2, 0.25).diagnostics
         assert calls == []
         assert math.isnan(diag.eigengap) and math.isnan(diag.kappa)
         doc = diag.to_dict()
         assert doc["eigengap"] is None and doc["kappa"] is None
 
-    def test_fit_amnar_reports_mle_convergence(self):
-        g, _, _, _, panel = self.make_panel(n=30, t=10)
-        # the cap stops this ascent before its relative-gain tolerance
-        diag = fit_amnar(panel, g, 2, 0.25, max_iters=7).diagnostics
-        assert diag.lsm_iters == 7 and diag.lsm_converged is False
-        evals = lsm.fit_lsm(g, 2, 7).n_evals
-        assert diag.lsm_evals == evals >= 8
+    def test_amnar_fit_that_ends_at_the_cap_says_so(self):
+        # on this 8-node graph the ascent never meets its windowed stop: it
+        # takes every step up to the fixed cap and reports converged false,
+        # with no failed line search
+        rng = np.random.default_rng(1)
+        a = np.triu((rng.random((8, 8)) < 0.5).astype(float), 1)
+        g = Graph(8, a + a.T)
+        params = EnarParams(0.2, 0.2, np.zeros(0), np.array([0.3]), 0.4)
+        panel = simulate_enar(params, g, np.zeros((8, 0)), CovariateSpec(1, np.array([2.0])),
+                              10, rng)
+        diag = fit_model(panel, g, DesignSpec("amnar", 2, s=0.25)).diagnostics
+        assert diag.lsm_iters == lsm.MAX_ITERS == 500
+        assert diag.lsm_converged is False and diag.lsm_step_failed is False
+        evals = lsm.fit_lsm(g, 2).n_evals
+        assert diag.lsm_evals == evals >= 501
         doc = diag.to_dict()
-        assert doc["lsm_converged"] is False and doc["lsm_iters"] == 7
+        assert doc["lsm_converged"] is False and doc["lsm_iters"] == 500
         assert doc["lsm_evals"] == evals
         enar_diag = fit_enar(panel, g, 2).diagnostics
         assert not {"lsm_converged", "lsm_iters", "lsm_evals"} & set(enar_diag.to_dict())
