@@ -163,6 +163,7 @@ class ExperimentConfig:
         return process.CovariateSpec(len(self.cov_variances), self.cov_variances)
 
     def truth_params(self, truth: str, k: int) -> process.EnarParams | process.AmnarParams:
+        """The parameters of ``truth`` in a cell of dimension ``k``; nar has no beta."""
         if truth == "amnar":
             return process.AmnarParams(
                 alpha=self.alpha, theta=self.theta, beta1=self.beta_for(k), beta2=self.beta2,
