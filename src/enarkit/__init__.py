@@ -49,7 +49,6 @@ from .estimate import (
     fit_with_latents,
     predict_one_step,
     rmse_rel,
-    rmsp,
 )
 from .lsm import (
     LsmFit,

@@ -460,19 +460,6 @@ def rmse_rel(b_true: np.ndarray, b_hat: np.ndarray) -> float:
     return float(np.linalg.norm(b_true - b_hat, ord_) / denom)
 
 
-def rmsp(w_t: np.ndarray, mu_hat: np.ndarray, mu_true: np.ndarray) -> float:
-    """One-step relative prediction error ||W_T (mu_hat - mu)|| / ||W_T mu||."""
-    w_t = np.asarray(w_t, dtype=float)
-    mu_hat = np.asarray(mu_hat, dtype=float).reshape(-1)
-    mu_true = np.asarray(mu_true, dtype=float).reshape(-1)
-    if mu_hat.shape != mu_true.shape or w_t.shape[1] != mu_true.shape[0]:
-        raise DimensionMismatch("w_t, mu_hat, mu_true dimensions are incoherent")
-    denom = float(np.linalg.norm(w_t @ mu_true))
-    if denom == 0:
-        raise ZeroDenominator("prediction error undefined: ||W_T mu|| = 0")
-    return float(np.linalg.norm(w_t @ (mu_hat - mu_true)) / denom)
-
-
 def confint(fit: FitResult, index: int, level: float) -> tuple[float, float]:
     """Symmetric normal-quantile interval from the plug-in covariance."""
     if not 0.0 < level < 1.0:

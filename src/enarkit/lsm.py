@@ -178,18 +178,18 @@ def lsm_gradient(state: LsmState, graph: Graph) -> tuple[np.ndarray, np.ndarray]
     return kernels.gradient(state.q)
 
 
-def project_constraints(state: LsmState, row_norm_cap: float | None = None) -> LsmState:
+def project_constraints(state: LsmState) -> LsmState:
     """Map a state onto the identifiability set.
 
     Columns of q are mean-centered and rows of [q | v] longer than the cap,
-    3 sqrt(K + 1) unless given, are shrunk onto it; capping moves the column
-    means, so the two alternate until the column sums of q are within
-    CENTER_TOL of zero (at most PROJECTION_PASSES passes, capping last).
+    3 sqrt(K + 1), are shrunk onto it; capping moves the column means, so
+    the two alternate until the column sums of q are within CENTER_TOL of
+    zero (at most PROJECTION_PASSES passes, capping last).
     Last, q is rotated by the eigenvectors of q'q so the Gram matrix is
     diagonal with a descending diagonal; the rotation keeps both the column
     sums at zero and the row norms.
     """
-    cap = 3.0 * np.sqrt(state.k + 1.0) if row_norm_cap is None else row_norm_cap
+    cap = 3.0 * np.sqrt(state.k + 1.0)
     x = state.x()
     q, ones = x[:, :-1], np.ones(state.n)
     col_sums = ones @ q

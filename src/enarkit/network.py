@@ -238,17 +238,16 @@ def connection_matrix(spec: LatentGraphSpec) -> np.ndarray:
     a dense N x N array: the reference that ``ConnectionOperator`` applies
     without forming it.
 
-    For latent positions this is rho * X X'. For block models it is
-    Theta M B M' Theta with its diagonal zeroed, rescaled so the largest row
-    sum equals the target maximum expected degree, then clipped to [0, 1]
-    (a warning reports how many entries were clipped).
+    For latent positions this is rho * X X'; its first pair i < j (row-major)
+    that is NaN or outside [0, 1] raises :class:`InvalidProbability`, as in
+    ``sample_graph``, and the diagonal, no edge's probability, is not checked.
+    For block models it is Theta M B M' Theta with its diagonal zeroed,
+    rescaled so the largest row sum equals the target maximum expected
+    degree, then clipped to [0, 1] (a warning reports how many were clipped).
     """
     if isinstance(spec, RdpgSpec):
         p = spec.rho * (spec.x @ spec.x.T)
-        bad = (p < 0) | (p > 1)
-        if np.any(bad):
-            i, j = np.argwhere(bad)[0]
-            raise InvalidProbability(int(i), int(j), float(p[i, j]))
+        _check_pairs(p.shape[0], p[upper_mask(p.shape[0])], 0)
         return p
     m = spec.membership_matrix()
     theta = spec.degrees
@@ -319,7 +318,8 @@ class ConnectionOperator(scipy.sparse.linalg.LinearOperator):
 
     def strip(self, r0: int, r1: int) -> np.ndarray:
         """Rows r0:r1 of P on columns r0:N, clipped, from one product of the
-        factors; the diagonal of a hollow P is left as the product gives it."""
+        factors; the diagonal, which the sweep never reads, is left as the
+        product gives it."""
         s = self.left[r0:r1] @ self.right[r0:].T
         return np.minimum(s, 1.0, out=s) if self.hollow else s
 
@@ -347,35 +347,34 @@ def _upper_pairs(n: int, pos: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return i, pos - starts[i] + i + 1
 
 
-def _in_unit_interval(x: np.ndarray) -> bool:
-    """Whether every entry lies in [0, 1]; False on a NaN, which min and max
-    propagate."""
-    return x.size == 0 or (x.min() >= 0.0 and x.max() <= 1.0)
+def _check_pairs(n: int, probs: np.ndarray, start: int) -> None:
+    """Raise :class:`InvalidProbability` for the first entry of ``probs``
+    that is NaN or outside [0, 1]; ``probs`` holds the pairs i < j of an
+    n-node graph in row-major order from position ``start`` on."""
+    # min and max propagate a NaN, so a NaN fails this fast test too
+    if probs.size == 0 or (probs.min() >= 0.0 and probs.max() <= 1.0):
+        return
+    bad = np.flatnonzero(~((probs >= 0.0) & (probs <= 1.0)))[0]
+    i, j = _upper_pairs(n, start + bad)
+    raise InvalidProbability(int(i), int(j), float(probs[bad]))
 
 
-def _sweep_graph(n: int, strip, rng: np.random.Generator, with_diagonal: bool = False) -> Graph:
+def _sweep_graph(n: int, strip, rng: np.random.Generator) -> Graph:
     """Bernoulli graph on ``n`` nodes drawn strip by strip.
 
     ``strip(r0, r1)`` gives rows r0:r1 of the probability matrix on columns
-    r0:n, for strips of _STRIP_ROWS rows. Each strip's pairs i < j draw one
-    uniform each, in row-major order, so the uniforms are those of one
-    ``rng.random`` call over the whole triangle. Before a strip draws, its
-    first entry in row-major order that is NaN or outside [0, 1] raises
-    :class:`InvalidProbability`; the diagonal is checked too when
-    ``with_diagonal``, but never drawn.
+    r0:n, for strips of _STRIP_ROWS rows; only the strip's pairs i < j are
+    read. They draw one uniform each, in row-major order, so the uniforms
+    are those of one ``rng.random`` call over the whole triangle. Before a
+    strip draws, its first pair that is NaN or outside [0, 1] raises
+    :class:`InvalidProbability`. The diagonal is never read.
     """
-    cols, rows = np.arange(n), np.arange(min(n, _STRIP_ROWS))[:, None]
-    upper = cols > rows  # sliced to each strip's shape below
+    upper = np.arange(n) > np.arange(min(n, _STRIP_ROWS))[:, None]  # sliced per strip below
     hits, done = [np.empty(0, dtype=np.int64)], 0
     for r0 in range(0, n, _STRIP_ROWS):
         shape = (min(r0 + _STRIP_ROWS, n) - r0, n - r0)
-        block = strip(r0, r0 + shape[0])
-        probs = block[upper[: shape[0], : shape[1]]]
-        if not (_in_unit_interval(probs)
-                and (not with_diagonal or _in_unit_interval(np.diagonal(block)))):
-            checked = (cols >= rows if with_diagonal else upper)[: shape[0], : shape[1]]
-            a, c = np.argwhere(~((block >= 0.0) & (block <= 1.0)) & checked)[0]
-            raise InvalidProbability(r0 + int(a), r0 + int(c), float(block[a, c]))
+        probs = strip(r0, r0 + shape[0])[upper[: shape[0], : shape[1]]]
+        _check_pairs(n, probs, done)
         hits.append(done + np.flatnonzero(rng.random(probs.size) < probs))
         done += probs.size
     return _from_upper(n, *_upper_pairs(n, np.concatenate(hits)))
@@ -385,17 +384,16 @@ def sample_graph(p: np.ndarray | ConnectionOperator, rng: np.random.Generator) -
     """Hollow symmetric Bernoulli graph with edge probabilities ``p``.
 
     ``p`` is a ``ConnectionOperator`` or any symmetric matrix of
-    probabilities (``connection_matrix`` builds the dense one); only its
-    strict upper triangle is drawn, in strips of rows, so an operator's P is
-    never formed whole. One uniform is drawn per pair i < j in row-major
-    order, and isolated nodes are kept. A non-square ``p`` raises
+    probabilities (``connection_matrix`` builds the dense one). Either way
+    only the pairs i < j are read, never the diagonal, in strips of rows, so
+    an operator's P is never formed whole; one uniform is drawn per pair in
+    row-major order, and isolated nodes are kept. A non-square ``p`` raises
     :class:`ShapeMismatch`; the first pair whose probability is NaN or
-    outside [0, 1] raises :class:`InvalidProbability` (for an RDPG operator
-    the first such entry on or above the diagonal, as ``connection_matrix``
-    checks it).
+    outside [0, 1] raises :class:`InvalidProbability`, the pair that
+    ``connection_matrix`` reports for an RDPG.
     """
     if isinstance(p, ConnectionOperator):
-        return _sweep_graph(p.shape[0], p.strip, rng, with_diagonal=not p.hollow)
+        return _sweep_graph(p.shape[0], p.strip, rng)
     p = np.asarray(p, dtype=float)
     if p.ndim != 2 or p.shape[0] != p.shape[1]:
         raise ShapeMismatch(f"edge probabilities must be a square matrix, got {p.shape}")

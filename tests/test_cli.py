@@ -126,6 +126,14 @@ class TestSimulate:
         assert np.bincount(edges.ravel(), minlength=300).min() == 0  # isolated nodes
         assert outputs["1"] == outputs["2"]
 
+    def test_rdpg_at_rho_one_draws(self, tmp_path, capsys):
+        # unit latent rows put the diagonal at 1 + 2^-52; no pair is above 1
+        path, _ = write_sim_config(
+            tmp_path, model="nar", generator="rdpg", n=30, t=10, k=3, seed=0, rho=1.0
+        )
+        code, _, err = run_cli(capsys, "simulate", "--config", str(path))
+        assert code == 0, err
+
     def test_no_temp_files_linger(self, tmp_path, capsys):
         path, _ = write_sim_config(tmp_path)
         run_cli(capsys, "simulate", "--config", str(path))
@@ -835,6 +843,24 @@ class TestMc:
         assert header == ("gen,truth,fit,N,T,K,rep,seed,alpha_hat,theta_hat,"
                           "rmse_alpha,rmse_theta,rmse_beta,rmsp,sigma2_hat,"
                           "aic,bic,status,wall_ms")
+
+    def test_rdpg_grid_at_rho_one_writes_every_row_ok(self, tmp_path, capsys):
+        cfg = {
+            "n_values": [30, 200], "t_values": [10], "k_values": [3],
+            "generators": ["rdpg"], "truth_models": ["nar", "enar"],
+            "fit_models": ["nar", "enar"], "reps": 3, "base_seed": 0, "rho": 1.0,
+        }
+        cfg_path = tmp_path / "mc.json"
+        cfg_path.write_text(json.dumps(cfg))
+        out = tmp_path / "results.csv"
+        code, _, _ = run_cli(
+            capsys, "mc", "--config", str(cfg_path), "--out", str(out),
+            "--summary-out", str(tmp_path / "summary.csv"),
+        )
+        assert code == 0
+        lines = out.read_text().splitlines()
+        status = lines[0].split(",").index("status")
+        assert [line.split(",")[status] for line in lines[1:]] == ["ok"] * 24
 
     @pytest.mark.parametrize("key", ["sigma", "base_seed", "reps"])
     def test_null_without_none_default_rejected(self, tmp_path, capsys, key):

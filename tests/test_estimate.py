@@ -23,7 +23,6 @@ from enarkit.estimate import (
     predict_one_step,
     read_fit_json,
     rmse_rel,
-    rmsp,
     write_fit_json,
 )
 from enarkit.network import Graph, normalized_laplacian, spectral_embed
@@ -530,14 +529,6 @@ class TestMetrics:
     def test_rmse_zero_denominator(self):
         with pytest.raises(ZeroDenominator):
             rmse_rel(np.zeros(2), np.ones(2))
-
-    def test_rmsp_exact_and_zero_cases(self):
-        rng = np.random.default_rng(0)
-        w = rng.standard_normal((10, 3))
-        mu = rng.standard_normal(3)
-        assert rmsp(w, mu, mu) == 0.0
-        with pytest.raises(ZeroDenominator):
-            rmsp(w, mu, np.zeros(3))
 
 
 class TestConfint:

@@ -196,9 +196,9 @@ class TestProjection:
 
     def test_gram_diagonal_descending_and_preserved(self):
         rng = np.random.default_rng(6)
-        q = rng.standard_normal((25, 2))
+        q = 0.1 * rng.standard_normal((25, 2))  # rows well inside the cap
         state = LsmState(q, np.zeros(25))
-        out = project_constraints(state, row_norm_cap=1e9)  # capping disabled
+        out = project_constraints(state)
         gram = out.q.T @ out.q
         assert abs(gram[0, 1]) < 1e-10
         assert gram[0, 0] >= gram[1, 1]
@@ -224,9 +224,9 @@ class TestProjection:
     def test_row_cap_enforced(self):
         rng = np.random.default_rng(7)
         state = LsmState(5.0 * rng.standard_normal((10, 2)), 5.0 * rng.standard_normal(10))
-        out = project_constraints(state, row_norm_cap=2.0)
+        out = project_constraints(state)
         norms = np.sqrt((out.q**2).sum(axis=1) + out.v**2)
-        assert np.all(norms <= 2.0 + 1e-9)
+        assert np.all(norms <= 3.0 * math.sqrt(3.0) + 1e-9)  # 3 sqrt(K + 1), K = 2
 
 
 class TestFitLsm:

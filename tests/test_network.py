@@ -385,8 +385,9 @@ class TestConnectionOperator:
 
     @pytest.mark.parametrize("bad_row, value", [(0, -0.5), (STRIP + 3, -0.5), (STRIP + 3, 1.5)])
     def test_rdpg_reports_the_reference_pair(self, bad_row, value):
-        # a long row puts its diagonal out of range first; a negative one
-        # makes its pairs with earlier rows negative
+        # a long row's first pair out of range is the one with the other long
+        # row, (STRIP + 1, STRIP + 3) = 1.8; a negative row makes every one of
+        # its pairs negative
         x = np.full((2 * STRIP + 5, 1), 0.5)
         x[STRIP + 1] = 1.2
         x[bad_row] = value
@@ -396,6 +397,23 @@ class TestConnectionOperator:
         with pytest.raises(InvalidProbability) as got:
             sample_graph(ConnectionOperator(spec), np.random.default_rng(0))
         assert (got.value.i, got.value.j, got.value.p) == (ref.value.i, ref.value.j, ref.value.p)
+
+    def test_rdpg_diagonal_is_not_checked(self):
+        # only the diagonal (1.44) lies outside [0, 1], and it is no pair's
+        x = np.array([[1.2, 0.0], [0.0, 1.2], [0.6, 0.6]])
+        p = connection_matrix(RdpgSpec(x, rho=1.0))
+        assert np.diagonal(p).max() > 1.0
+        assert np.array_equal(p[np.triu_indices(3, 1)], [0.0, 0.72, 0.72])
+
+    def test_unit_norm_rdpg_draws_at_rho_one(self):
+        # unit rows as the grid draws them: x_4'x_4 rounds to 1 + 2^-52
+        x = np.abs(np.random.default_rng(1).standard_normal((300, 3)))
+        x /= np.linalg.norm(x, axis=1, keepdims=True)
+        spec = RdpgSpec(x, rho=1.0)
+        p = connection_matrix(spec)
+        assert p[4, 4] > 1.0
+        got = sample_graph(ConnectionOperator(spec), np.random.default_rng(0))
+        assert np.array_equal(got.adjacency.toarray(), sample_graph_triu(p, np.random.default_rng(0)))
 
 
 class TestSpectralEmbed:
