@@ -17,8 +17,9 @@ strips of rows and the truth embedding takes products with it, so no draw
 forms an N x N array. Every fit is ``estimate.fit_model`` of the spec that
 ``ExperimentConfig.design_spec`` builds, as the truth's is (the oracle mode
 fits the true latents instead). A config error that does not depend on the
-seed is raised by ``ExperimentConfig`` before any row runs; a row's status
-records only what a draw or a fit raised.
+seed, a wrong type in ``CONFIG_TYPES`` among them, is raised by
+``ExperimentConfig`` before any row runs; a row's status records only what
+a draw or a fit raised.
 """
 
 from __future__ import annotations
@@ -40,6 +41,20 @@ from .errors import (
 GENERATORS = ("dcsbm", "dcmmsbm", "rdpg")
 TRUTH_MODELS = ("nar", "enar", "amnar")
 FIT_MODELS = ("nar", "enar", "amnar")
+
+# The JSON type of each ExperimentConfig field (see errors.check_type); the
+# model parameters are shared with the simulate command.
+_NUMBER = (int, float)
+PARAM_TYPES = {
+    "alpha": _NUMBER, "theta": _NUMBER, "beta": [_NUMBER], "beta2": _NUMBER, "s": _NUMBER,
+    "gamma": [_NUMBER], "sigma": _NUMBER, "cov_variances": [_NUMBER], "q_block": _NUMBER,
+    "rho": _NUMBER,
+}
+CONFIG_TYPES = {
+    "n_values": [(int,)], "t_values": [(int,)], "k_values": [(int,)],
+    "generators": [(str,)], "truth_models": [(str,)], "fit_models": [(str,)],
+    "reps": (int,), "base_seed": (int,), **PARAM_TYPES, "oracle_latents": (bool,),
+}
 
 METRIC_COLUMNS = [
     "alpha_hat", "theta_hat", "rmse_alpha", "rmse_theta", "rmse_beta",
@@ -72,9 +87,10 @@ class ExperimentConfig:
     makes noiseless runs exactly recoverable).
 
     Construction raises every error that does not depend on the seed, as
-    the type a row would record: it builds the covariate law, each truth's
-    parameters and each fit's ``DesignSpec`` at every K, and checks
-    stationarity, rho, the length of ``beta`` and K <= N.
+    the type a row would record: it checks each field's type in
+    ``CONFIG_TYPES`` (for Python callers and CLI configs alike), builds the
+    covariate law, each truth's parameters and each fit's ``DesignSpec`` at
+    every K, and checks stationarity, rho, the length of ``beta`` and K <= N.
     """
 
     n_values: list[int]
@@ -98,12 +114,16 @@ class ExperimentConfig:
     oracle_latents: bool = False
 
     def __post_init__(self):
-        if check_type(self.reps, (int,), "reps") < 1:
+        for f in fields(self):  # a numpy array stands for a JSON list
+            value = getattr(self, f.name)
+            if isinstance(value, np.ndarray):
+                value = value.tolist()
+            if value is not None or f.default is not None:  # None only where it is the default
+                check_type(value, CONFIG_TYPES[f.name], f"key {f.name!r}")
+        if self.reps < 1:
             raise DataError("reps must be >= 1")
         for name, vals in (("n", self.n_values), ("t", self.t_values), ("k", self.k_values)):
-            if not vals or any(
-                check_type(v, (int,), f"{name}_values element {i}") < 1 for i, v in enumerate(vals)
-            ):
+            if min(vals, default=0) < 1:
                 raise DataError(f"{name}_values must be positive")
         for g in self.generators:
             if g not in GENERATORS:

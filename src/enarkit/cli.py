@@ -2,14 +2,17 @@
 
 Configs and fit outputs are JSON, bulk data is CSV, and every write goes
 through a temp-file rename so a killed process never leaves a partial file.
-Exit codes: 0 success, 2 usage, 3 data error, 4 numerical failure; errors
-are reported as one JSON object on stderr. The environment variable
-ENARKIT_SEED provides the base seed when none is given.
+Exit codes: 0 success, 2 usage, 3 data error, 4 numerical failure; each
+error type carries its code (``exit_code``), and errors are reported as
+one JSON object on stderr. Config keys and their types are those of
+``bench.ExperimentConfig``; ``simulate`` adds its own keys. The environment
+variable ENARKIT_SEED provides the base seed when none is given.
 """
 
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import hashlib
 import json
 import os
@@ -20,34 +23,14 @@ import numpy as np
 from . import bench, blas, estimate, network, process
 from .atomic import atomic_write
 from .csvio import write_table
-from .errors import (
-    DataError,
-    DimensionMismatch,
-    EigConvergenceFailure,
-    EmptyGroup,
-    EnarkitError,
-    InvalidProbability,
-    NotStationary,
-    RankDeficient,
-    ShapeMismatch,
-    ZeroDenominator,
-    check_type,
-)
+from .errors import DataError, EnarkitError, check_type
 
 EXIT_OK = 0
 EXIT_USAGE = 2
-EXIT_DATA = 3
-EXIT_NUMERICAL = 4
-
-_NUMERICAL_ERRORS = (
-    NotStationary, RankDeficient, EigConvergenceFailure, InvalidProbability,
-    ZeroDenominator,
-)
-_DATA_ERRORS = (DataError, DimensionMismatch, ShapeMismatch, EmptyGroup)
 
 
 class UsageError(EnarkitError):
-    pass
+    exit_code = EXIT_USAGE
 
 
 class _Parser(argparse.ArgumentParser):
@@ -91,69 +74,51 @@ def _load_json(path: str) -> dict:
         raise DataError(f"{path}: invalid JSON at line {exc.lineno}: {exc.msg}") from exc
 
 
-# The only config keys that may be null: a null keeps the ExperimentConfig
-# default, which for beta and rho is None, their size-dependent rules.
-_NULLABLE = {"beta", "rho"}
+# A config key is an ExperimentConfig field, whose type ExperimentConfig
+# checks. A null keeps the default, so only a field whose default is None
+# may be null; mc requires the fields without a default.
+_CONFIG_FIELDS = dataclasses.fields(bench.ExperimentConfig)
+_NULL_DEFAULTS = {f.name for f in _CONFIG_FIELDS if f.default is None}
+_MC_REQUIRED = [f.name for f in _CONFIG_FIELDS
+                if f.default is dataclasses.MISSING and f.default_factory is dataclasses.MISSING]
 
-
-def _validate_keys(doc: dict, allowed: dict, where: str) -> None:
-    """Reject unknown keys, nulls outside _NULLABLE and wrong types. A schema
-    entry is a tuple of types, or ``[types]`` for a list of such elements."""
-    unknown = set(doc) - set(allowed)
-    if unknown:
-        raise DataError(f"{where}: unknown keys {sorted(unknown)}")
-    for key, types in allowed.items():
-        if key not in doc or (doc[key] is None and key in _NULLABLE):
-            continue
-        if doc[key] is None:
-            raise DataError(f"{where}: key {key!r} may not be null")
-        if isinstance(types, list):
-            check_type(doc[key], (list,), f"{where}: key {key!r}")
-            for i, value in enumerate(doc[key]):
-                check_type(value, types[0], f"{where}: key {key!r} element {i}")
-        else:
-            check_type(doc[key], types, f"{where}: key {key!r}")
-
-
-# Model parameters shared by simulate and mc; absent keys keep the
-# ExperimentConfig defaults.
-_PARAM_SCHEMA = {
-    "alpha": (int, float), "theta": (int, float), "beta": [(int, float)],
-    "beta2": (int, float), "s": (int, float), "gamma": [(int, float)],
-    "sigma": (int, float), "cov_variances": [(int, float)],
-    "q_block": (int, float), "rho": (int, float),
-}
-
-_SIM_SCHEMA = {
-    **_PARAM_SCHEMA,
+# simulate's own keys and their JSON types, next to bench.PARAM_TYPES
+_SIM_TYPES = {
     "model": (str,), "generator": (str,), "n": (int,), "t": (int,), "k": (int,),
     "seed": (int,), "out_edges": (str,), "out_panel": (str,), "out_truth": (str,),
 }
 
-_MC_SCHEMA = {
-    **_PARAM_SCHEMA,
-    "n_values": [(int,)], "t_values": [(int,)], "k_values": [(int,)],
-    "generators": [(str,)], "truth_models": [(str,)], "fit_models": [(str,)],
-    "reps": (int,), "base_seed": (int,),
-    "oracle_latents": (bool,),
-}
+
+def _validate_keys(doc: dict, where: str, own_types: dict, config_keys, required) -> None:
+    """Reject keys that are neither ``own_types`` nor ``config_keys``, nulls
+    where the ExperimentConfig default is not None, a wrong type among
+    ``own_types`` and a missing ``required`` key."""
+    unknown = set(doc) - set(config_keys) - set(own_types)
+    if unknown:
+        raise DataError(f"{where}: unknown keys {sorted(unknown)}")
+    for key, value in doc.items():
+        if value is None and key not in _NULL_DEFAULTS:
+            raise DataError(f"{where}: key {key!r} may not be null")
+        if value is not None and key in own_types:
+            check_type(value, own_types[key], f"{where}: key {key!r}")
+    for key in required:
+        if key not in doc:
+            raise DataError(f"{where}: missing required key {key!r}")
 
 
 def _experiment_config(doc: dict, keys, **fields) -> bench.ExperimentConfig:
-    """ExperimentConfig from ``fields`` plus each of ``keys`` that ``doc``
-    sets to a value other than null, so every other default lives only in
-    ExperimentConfig."""
+    """ExperimentConfig from ``fields``, overridden by each of ``keys`` that
+    ``doc`` sets to a value other than null, so every other default lives
+    only in ExperimentConfig."""
     return bench.ExperimentConfig(
-        **{key: doc[key] for key in keys if doc.get(key) is not None}, **fields
+        **{**fields, **{key: doc[key] for key in keys if doc.get(key) is not None}}
     )
 
 
 def cmd_simulate(args) -> int:
     doc = _load_json(args.config)
-    _validate_keys(doc, _SIM_SCHEMA, args.config)
-    for req in ("n", "t", "k", "out_edges", "out_panel", "out_truth"):
-        if req not in doc:
-            raise DataError(f"{args.config}: missing required key {req!r}")
+    _validate_keys(doc, args.config, _SIM_TYPES, bench.PARAM_TYPES,
+                   ("n", "t", "k", "out_edges", "out_panel", "out_truth"))
 
     model = doc.get("model", "enar")
     generator = doc.get("generator", "dcmmsbm")
@@ -161,7 +126,7 @@ def cmd_simulate(args) -> int:
     n, t, k = doc["n"], doc["t"], doc["k"]
 
     config = _experiment_config(
-        doc, _PARAM_SCHEMA,
+        doc, bench.PARAM_TYPES,
         n_values=[n], t_values=[t], k_values=[k],
         generators=[generator], truth_models=[model], fit_models=["nar"],
         reps=1, base_seed=seed,
@@ -297,16 +262,10 @@ def cmd_mc(args) -> int:
     if args.jobs < 1:
         raise UsageError(f"--jobs must be at least 1, got {args.jobs}")
     doc = _load_json(args.config)
-    _validate_keys(doc, _MC_SCHEMA, args.config)
-    for req in ("n_values", "t_values", "k_values"):
-        if req not in doc:
-            raise DataError(f"{args.config}: missing required key {req!r}")
+    _validate_keys(doc, args.config, {}, bench.CONFIG_TYPES, _MC_REQUIRED)
     if args.reps is not None:
         doc["reps"] = args.reps
-    config = _experiment_config(
-        doc, [key for key in _MC_SCHEMA if key != "base_seed"],
-        base_seed=doc.get("base_seed", _env_seed()),
-    )
+    config = _experiment_config(doc, bench.CONFIG_TYPES, base_seed=_env_seed())
     results = bench.run_grid(config, parallelism=args.jobs)
     bench.results_to_csv(results, args.out, timing=not args.no_timing)
     group_by = [g.strip() for g in args.group_by.split(",") if g.strip()]
@@ -332,7 +291,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("fit", help="fit a model to an edge list and panel")
     p.add_argument("--edges", required=True)
     p.add_argument("--panel", required=True)
-    p.add_argument("--model", required=True, choices=["nar", "enar", "amnar", "enr"])
+    p.add_argument("--model", required=True, choices=estimate.MODELS)
     p.add_argument("--k", type=int, help="latent dimension (embedding models)")
     p.add_argument("--s", type=float,
                    help=f"amnar rate exponent (default {bench.ExperimentConfig.s})")
@@ -384,18 +343,12 @@ def main(argv=None) -> int:
         return int(exc.code or 0)
     try:
         return args.func(args)
-    except UsageError as exc:
-        _emit_error("usage", str(exc))
-        return EXIT_USAGE
-    except _NUMERICAL_ERRORS as exc:
-        _emit_error(type(exc).__name__, str(exc))
-        return EXIT_NUMERICAL
-    except _DATA_ERRORS as exc:
-        _emit_error(type(exc).__name__, str(exc))
-        return EXIT_DATA
+    except EnarkitError as exc:
+        _emit_error("usage" if isinstance(exc, UsageError) else type(exc).__name__, str(exc))
+        return exc.exit_code
     except OSError as exc:
         _emit_error("io", str(exc))
-        return EXIT_DATA
+        return DataError.exit_code
     return EXIT_OK
 
 

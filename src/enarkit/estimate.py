@@ -283,7 +283,8 @@ def fit_ls(w: np.ndarray, y_resp: np.ndarray) -> FitResult:
     infinite value. Finiteness is read off the diagonal of W'W and off W'y,
     which any such value reaches (0 times infinity is NaN); only when one
     of them is not finite are W and y scanned, and a finite design whose
-    squares overflow goes to the pivoted QR.
+    squares overflow goes to the pivoted QR. A covariance that is not
+    finite, as on data scaled near the ends of the double range, is a DataError.
     """
     w = np.asarray(w, dtype=float)
     y_resp = np.asarray(y_resp, dtype=float).reshape(-1)
@@ -323,16 +324,20 @@ def fit_ls(w: np.ndarray, y_resp: np.ndarray) -> FitResult:
         mu = np.empty(d)
         mu[piv] = coef_piv
 
-        resid = y_resp - w @ mu
-        rss = float(resid @ resid)
-        dof = n_obs - d
-        sigma2_hat = rss / dof if dof > 0 else 0.0
+        with np.errstate(over="ignore", invalid="ignore"):  # cov_hat is checked below
+            resid = y_resp - w @ mu
+            rss = float(resid @ resid)
+            dof = n_obs - d
+            sigma2_hat = rss / dof if dof > 0 else 0.0
 
-        r_inv = scipy.linalg.solve_triangular(r, np.eye(d)) if d else np.zeros((0, 0))
-        xtx_inv = np.empty((d, d))
-        xtx_inv[np.ix_(piv, piv)] = r_inv @ r_inv.T
-        cov_hat = sigma2_hat * xtx_inv
+            r_inv = scipy.linalg.solve_triangular(r, np.eye(d)) if d else np.zeros((0, 0))
+            xtx_inv = np.empty((d, d))
+            xtx_inv[np.ix_(piv, piv)] = r_inv @ r_inv.T
+            cov_hat = sigma2_hat * xtx_inv
     cov_hat = (cov_hat + cov_hat.T) / 2.0
+    if not np.isfinite(cov_hat).all():
+        raise DataError("the covariance of the estimate is not finite: the data's "
+                        "scale is too large or too small for double precision")
 
     sigma2_ml = rss / n_obs if n_obs else 0.0
     if sigma2_ml > 0:

@@ -426,7 +426,7 @@ def _leading_eigenpairs(
     Lanczos above that from a fixed start vector drawn from its own stream,
     so repeated calls agree bit for bit and no caller's rng is consumed.
     ``a`` may be dense, sparse or an operator; only the dense solver
-    densifies it.
+    densifies it. Any ARPACK failure raises EigConvergenceFailure.
     """
     n = a.shape[0]
     if n <= DENSE_EIG_LIMIT or k >= n - 1:
@@ -439,6 +439,11 @@ def _leading_eigenpairs(
             )
         except scipy.sparse.linalg.ArpackNoConvergence as exc:
             raise EigConvergenceFailure(str(exc)) from exc
+        except scipy.sparse.linalg.ArpackError as exc:
+            raise EigConvergenceFailure(
+                f"{exc} (the start vector lies in the null space of the matrix, "
+                "as for a graph with no edges)"
+            ) from exc
     if which == "LM":
         order = _order_by_magnitude(vals)[:k]
     else:

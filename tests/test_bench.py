@@ -1,4 +1,5 @@
 import csv
+import dataclasses
 import itertools
 import json
 import math
@@ -60,17 +61,62 @@ class TestConfig:
             smoke_config(reps=0)
 
     @pytest.mark.parametrize("sizes, message", [
-        ({"n_values": [12.9]}, "n_values element 0 has type float"),
-        ({"t_values": [6, 4.5]}, "t_values element 1 has type float"),
-        ({"k_values": [True]}, "k_values element 0 has type bool"),
+        ({"n_values": [12.9]}, "key 'n_values' element 0 has type float"),
+        ({"t_values": [6, 4.5]}, "key 't_values' element 1 has type float"),
+        ({"k_values": [True]}, "key 'k_values' element 0 has type bool"),
     ])
     def test_rejects_non_integer_sizes(self, sizes, message):
         with pytest.raises(DataError, match=message):
             smoke_config(**sizes)
 
     def test_rejects_non_integer_reps(self):
-        with pytest.raises(DataError, match="reps has type bool"):
+        with pytest.raises(DataError, match="key 'reps' has type bool"):
             smoke_config(reps=True)
+
+    # one wrong JSON type per ExperimentConfig field, as a Python caller
+    # passes it; the first seven used to raise TypeError or ValueError, or
+    # were accepted
+    WRONG_TYPES = [
+        ("alpha", "0.2", "key 'alpha' has type str, expected int/float"),
+        ("q_block", "0.2", "key 'q_block' has type str, expected int/float"),
+        ("gamma", ["x", 1, 2], "key 'gamma' element 0 has type str"),
+        ("rho", "0.3", "key 'rho' has type str, expected int/float"),
+        ("sigma", True, "key 'sigma' has type bool, expected int/float"),
+        ("beta", [True, 1.0], "key 'beta' element 0 has type bool"),
+        ("oracle_latents", "yes", "key 'oracle_latents' has type str, expected bool"),
+        ("n_values", 20, "key 'n_values' has type int, expected list"),
+        ("t_values", [6.0], "key 't_values' element 0 has type float, expected int"),
+        ("k_values", np.array([2.0]), "key 'k_values' element 0 has type float"),
+        ("generators", ("dcmmsbm",), "key 'generators' has type tuple, expected list"),
+        ("truth_models", [None], "key 'truth_models' element 0 has type NoneType"),
+        ("fit_models", ["nar", 1], "key 'fit_models' element 1 has type int, expected str"),
+        ("reps", 2.0, "key 'reps' has type float, expected int"),
+        ("base_seed", None, "key 'base_seed' has type NoneType, expected int"),
+        ("theta", np.array([0.2]), "key 'theta' has type list, expected int/float"),
+        ("beta2", [1.0], "key 'beta2' has type list, expected int/float"),
+        ("s", None, "key 's' has type NoneType, expected int/float"),
+        ("cov_variances", np.ones((3, 1)), "key 'cov_variances' element 0 has type list"),
+    ]
+
+    @pytest.mark.parametrize("key, value, message", WRONG_TYPES,
+                             ids=[key for key, _, _ in WRONG_TYPES])
+    def test_rejects_a_wrong_type_in_each_field(self, key, value, message):
+        with pytest.raises(DataError, match=re.escape(message)):
+            smoke_config(**{key: value})
+
+    def test_wrong_types_cover_every_field(self):
+        keys = [key for key, _, _ in self.WRONG_TYPES]
+        assert sorted(keys) == sorted(f.name for f in dataclasses.fields(ExperimentConfig))
+        assert list(bench.CONFIG_TYPES) == [f.name for f in dataclasses.fields(ExperimentConfig)]
+        assert bench.PARAM_TYPES.items() <= bench.CONFIG_TYPES.items()
+
+    def test_numpy_arrays_of_numbers_pass_for_lists(self):
+        cfg = smoke_config(
+            n_values=np.array([20, 24]), beta=np.array([1.0, -0.5]),
+            gamma=np.array([0.3, -0.1, 0.0]), cov_variances=np.array([3.0, 2.0, 1.0]),
+            rho=np.float64(0.3), alpha=np.array(0.2),
+        )
+        assert len(cfg.cells()) == 4 and cfg.rho_for(20) == 0.3
 
     @pytest.mark.parametrize("params, message", [
         ({"cov_variances": [1.0, 2.0]}, "gamma has 3 entries but cov_variances has 2"),

@@ -1,4 +1,3 @@
-import dataclasses
 import json
 import os
 import subprocess
@@ -9,7 +8,7 @@ import numpy as np
 import pytest
 
 import enarkit
-from enarkit import bench, blas, cli
+from enarkit import bench, blas, cli, errors, network
 from enarkit.cli import main
 from enarkit.network import Graph, write_edge_csv
 from enarkit.process import Panel, read_panel_csv, write_panel_csv
@@ -731,6 +730,87 @@ class TestSelectK:
         assert error["error"] == "DataError" and "node count -1" in error["message"]
 
 
+def _error_types():
+    """Every subclass of EnarkitError in enarkit.errors, by name."""
+    found, todo = [], list(errors.EnarkitError.__subclasses__())
+    while todo:
+        cls = todo.pop()
+        if cls.__module__ == errors.__name__:
+            found.append(cls)
+        todo.extend(cls.__subclasses__())
+    return sorted(found, key=lambda cls: cls.__name__)
+
+
+class TestExitCodes:
+    @pytest.mark.parametrize("cls", _error_types() + [cli.UsageError],
+                             ids=lambda cls: cls.__name__)
+    def test_each_error_type_exits_with_its_code(self, tmp_path, capsys, monkeypatch, cls):
+        args = {errors.InvalidProbability: (0, 1, 1.5), errors.RankDeficient: ([2],)}
+        exc = cls(*args.get(cls, ("boom",)))
+
+        def raise_it(_args):
+            raise exc
+
+        monkeypatch.setattr(cli, "cmd_select_k", raise_it)
+        code, stdout, err = run_cli(capsys, "select-k", "--edges", str(tmp_path / "g.csv"),
+                                    "--k-max", "2")
+        # every type belongs to a family, which fixes its code
+        families = {cli.UsageError: 2, errors.DataError: 3, errors.NumericalError: 4}
+        expected = [c for family, c in families.items() if issubclass(cls, family)]
+        assert (code, stdout) == (cls.exit_code, "") and expected == [code]
+        kind = "usage" if cls is cli.UsageError else cls.__name__
+        assert json.loads(err) == {"error": kind, "message": str(exc)}
+
+
+class TestDegenerateInputs:
+    """Inputs that used to crash with exit 1 and a traceback: an edgeless
+    graph above the dense eigensolver's size (ARPACK's start vector lies in
+    the null space) and finite panels whose scale overflows the covariance."""
+
+    @staticmethod
+    def edgeless(tmp_path):
+        n = 200
+        assert n > network.DENSE_EIG_LIMIT
+        rng = np.random.default_rng(0)
+        write_panel_csv(Panel(y=rng.standard_normal((n, 6)), z=rng.standard_normal((n, 5, 1))),
+                        str(tmp_path / "p.csv"))
+        (tmp_path / "g.csv").write_text("src,dst\n")
+        return ["--edges", str(tmp_path / "g.csv")], ["--panel", str(tmp_path / "p.csv")]
+
+    @staticmethod
+    def scaled(tmp_path, scale):
+        n = 30
+        rng = np.random.default_rng(1)
+        y, z = rng.standard_normal((n, 9)), rng.standard_normal((n, 8, 1))
+        write_panel_csv(Panel(y=scale * y, z=scale * z), str(tmp_path / "p.csv"))
+        (tmp_path / "g.csv").write_text(
+            "src,dst\n" + "".join(f"{i},{(i + 1) % n}\n" for i in range(n)))
+        return ["--edges", str(tmp_path / "g.csv")], ["--panel", str(tmp_path / "p.csv")]
+
+    @pytest.mark.parametrize("case, command, error, code", [
+        ("edgeless", ["fit", "--model", "enar", "--k", "2"], "EigConvergenceFailure", 4),
+        ("edgeless", ["fit", "--model", "enr", "--k", "2", "--window-len", "2"],
+         "EigConvergenceFailure", 4),
+        ("edgeless", ["select-k", "--k-max", "3", "--n", "200"], "EigConvergenceFailure", 4),
+        (1e155, ["fit", "--model", "nar"], "DataError", 3),
+        (1e-160, ["fit", "--model", "nar"], "DataError", 3),
+        (1e-200, ["fit", "--model", "nar"], "DataError", 3),
+    ], ids=["enar-edgeless", "enr-edgeless", "select-k-edgeless",
+            "nar-1e155", "nar-1e-160", "nar-1e-200"])
+    def test_exits_with_a_typed_error_and_writes_nothing(
+        self, tmp_path, capsys, case, command, error, code
+    ):
+        edges, panel = (self.edgeless(tmp_path) if case == "edgeless"
+                        else self.scaled(tmp_path, case))
+        out = tmp_path / "fit.json"
+        argv = command + edges + (panel + ["--out", str(out)] if command[0] == "fit" else [])
+        got, stdout, err = run_cli(capsys, *argv)
+        assert (got, stdout, json.loads(err)["error"]) == (code, "", error)
+        assert not out.exists()
+        if case == "edgeless":
+            assert "graph with no edges" in json.loads(err)["message"]
+
+
 class TestHelp:
     def test_fit_rate_exponent_defaults_to_the_experiment_default(self, tmp_path, capsys):
         from enarkit.bench import ExperimentConfig
@@ -948,13 +1028,6 @@ class TestMc:
             tmp_path, capsys, "amnar", {"rho": rho}, "an amnar truth needs rho in (0, 1)"
         )
 
-    def test_config_schemas_hold_the_config_fields(self):
-        config_fields = dataclasses.fields(bench.ExperimentConfig)
-        assert set(cli._MC_SCHEMA) == {f.name for f in config_fields}
-        assert set(cli._PARAM_SCHEMA) <= set(cli._SIM_SCHEMA)
-        # a null keeps the default, so only keys whose default is None may be null
-        assert cli._NULLABLE == {f.name for f in config_fields if f.default is None}
-
     # configs whose rows all failed with the same error, whatever the seed;
     # simulate draws the same truth and fits nothing
     @pytest.mark.parametrize("params, error, code, sim_code", [
@@ -983,7 +1056,7 @@ class TestMc:
                                    "--out", str(results), "--summary-out", str(tmp_path / "s.csv"))
         assert (got, stdout, json.loads(err)["error"]) == (code, "", error)
         assert not results.exists()
-        sim_params = {key: params[key] for key in params if key in cli._SIM_SCHEMA}
+        sim_params = {key: params[key] for key in params if key in bench.PARAM_TYPES}
         path, _ = write_sim_config(
             tmp_path, n=30, t=5, k=params.get("k_values", [3])[0], **sim_params,
             model=params.get("truth_models", ["enar"])[0],
