@@ -35,7 +35,7 @@ import numpy as np
 from . import blas, estimate, lsm, network, process
 from .csvio import write_table
 from .errors import (
-    DataError, DimensionMismatch, EmptyGroup, NotStationary, ShapeMismatch, check_type,
+    NUMBER, DataError, DimensionMismatch, EmptyGroup, NotStationary, ShapeMismatch, check_type,
 )
 
 GENERATORS = ("dcsbm", "dcmmsbm", "rdpg")
@@ -44,11 +44,10 @@ FIT_MODELS = ("nar", "enar", "amnar")
 
 # The JSON type of each ExperimentConfig field (see errors.check_type); the
 # model parameters are shared with the simulate command.
-_NUMBER = (int, float)
 PARAM_TYPES = {
-    "alpha": _NUMBER, "theta": _NUMBER, "beta": [_NUMBER], "beta2": _NUMBER, "s": _NUMBER,
-    "gamma": [_NUMBER], "sigma": _NUMBER, "cov_variances": [_NUMBER], "q_block": _NUMBER,
-    "rho": _NUMBER,
+    "alpha": NUMBER, "theta": NUMBER, "beta": [NUMBER], "beta2": NUMBER, "s": NUMBER,
+    "gamma": [NUMBER], "sigma": NUMBER, "cov_variances": [NUMBER], "q_block": NUMBER,
+    "rho": NUMBER,
 }
 CONFIG_TYPES = {
     "n_values": [(int,)], "t_values": [(int,)], "k_values": [(int,)],
@@ -125,15 +124,12 @@ class ExperimentConfig:
         for name, vals in (("n", self.n_values), ("t", self.t_values), ("k", self.k_values)):
             if min(vals, default=0) < 1:
                 raise DataError(f"{name}_values must be positive")
-        for g in self.generators:
-            if g not in GENERATORS:
-                raise DataError(f"unknown generator {g!r}")
-        for m in self.truth_models:
-            if m not in TRUTH_MODELS:
-                raise DataError(f"unknown truth model {m!r}")
-        for m in self.fit_models:
-            if m not in FIT_MODELS:
-                raise DataError(f"unknown fit model {m!r}")
+        for what, names, known in (("generator", self.generators, GENERATORS),
+                                   ("truth model", self.truth_models, TRUTH_MODELS),
+                                   ("fit model", self.fit_models, FIT_MODELS)):
+            for name in names:
+                if name not in known:
+                    raise DataError(f"unknown {what} {name!r}")
         if not 0.0 < self.q_block <= 1.0 / 3.0:
             raise DataError("q_block must lie in (0, 1/3]")
         self.gamma = np.asarray(self.gamma, dtype=float)
@@ -506,11 +502,12 @@ def results_to_csv(results: list[ReplicationResult], path: str, timing: bool = T
 _GROUP_FIELDS = {"n", "t", "k", "gen", "truth", "fit", "rep", "seed"}
 
 
-def _group_field(name: str) -> str:
-    key = name.lower()
-    if key not in _GROUP_FIELDS:
-        raise DataError(f"cannot group by {name!r}")
-    return key
+def group_fields(group_by: list[str]) -> list[str]:
+    """The result field each ``group_by`` name stands for, in any case."""
+    bad = [name for name in group_by if name.lower() not in _GROUP_FIELDS]
+    if bad:
+        raise DataError(f"cannot group by {bad[0]!r}")
+    return [name.lower() for name in group_by]
 
 
 def summarize(results: list[ReplicationResult], group_by: list[str]) -> list[dict]:
@@ -522,7 +519,7 @@ def summarize(results: list[ReplicationResult], group_by: list[str]) -> list[dic
     """
     if not results:
         raise EmptyGroup("no results to summarize")
-    fields = [_group_field(g) for g in group_by]
+    fields = group_fields(group_by)
     groups: dict[tuple, list[ReplicationResult]] = {}
     for r in results:
         groups.setdefault(tuple(getattr(r, f) for f in fields), []).append(r)

@@ -23,7 +23,7 @@ import numpy as np
 from . import bench, blas, estimate, network, process
 from .atomic import atomic_write
 from .csvio import write_table
-from .errors import DataError, EnarkitError, check_type
+from .errors import DataError, EnarkitError, check_type, load_json
 
 EXIT_OK = 0
 EXIT_USAGE = 2
@@ -62,16 +62,6 @@ def _seed(*given) -> int:
     if seed < 0:  # numpy generators take none
         raise DataError(f"seed {seed} is negative")
     return seed
-
-
-def _load_json(path: str) -> dict:
-    try:
-        with open(path) as fh:
-            return json.load(fh)
-    except OSError as exc:
-        raise DataError(f"cannot read {path}: {exc}") from exc
-    except json.JSONDecodeError as exc:
-        raise DataError(f"{path}: invalid JSON at line {exc.lineno}: {exc.msg}") from exc
 
 
 # A config key is an ExperimentConfig field, whose type ExperimentConfig
@@ -116,7 +106,7 @@ def _experiment_config(doc: dict, keys, **fields) -> bench.ExperimentConfig:
 
 
 def cmd_simulate(args) -> int:
-    doc = _load_json(args.config)
+    doc = load_json(args.config)
     _validate_keys(doc, args.config, _SIM_TYPES, bench.PARAM_TYPES,
                    ("n", "t", "k", "out_edges", "out_panel", "out_truth"))
 
@@ -261,14 +251,15 @@ def cmd_select_k(args) -> int:
 def cmd_mc(args) -> int:
     if args.jobs < 1:
         raise UsageError(f"--jobs must be at least 1, got {args.jobs}")
-    doc = _load_json(args.config)
+    doc = load_json(args.config)
     _validate_keys(doc, args.config, {}, bench.CONFIG_TYPES, _MC_REQUIRED)
     if args.reps is not None:
         doc["reps"] = args.reps
     config = _experiment_config(doc, bench.CONFIG_TYPES, base_seed=_env_seed())
+    group_by = [g.strip() for g in args.group_by.split(",") if g.strip()]
+    bench.group_fields(group_by)
     results = bench.run_grid(config, parallelism=args.jobs)
     bench.results_to_csv(results, args.out, timing=not args.no_timing)
-    group_by = [g.strip() for g in args.group_by.split(",") if g.strip()]
     summary = bench.summarize(results, group_by)
     bench.summary_to_csv(summary, group_by, args.summary_out)
     n_fail = sum(1 for r in results if r.status != "ok")

@@ -28,7 +28,6 @@ cross-run comparisons must align embeddings first.
 
 from __future__ import annotations
 
-import itertools
 import json
 import math
 from dataclasses import dataclass, field
@@ -40,11 +39,13 @@ from scipy.special import ndtri
 from . import blas, lsm
 from .atomic import atomic_write
 from .errors import (
+    NUMBER,
     DataError,
     DimensionMismatch,
     RankDeficient,
     ZeroDenominator,
     check_type,
+    load_json,
 )
 from .network import Graph, spectral_embed
 from .process import Panel, rate_multiplier
@@ -517,86 +518,67 @@ def write_fit_json(fit: FitResult, path: str) -> None:
         fh.write(text + "\n")
 
 
+# The JSON type of each key of the fit file (see errors.check_type)
+FIT_TYPES = {
+    "model": (str,), "k": (int,), "s": NUMBER, "r": NUMBER, "grand_mean": (bool,),
+    "mu_hat": (dict,), "se": (dict,), "sigma2_hat": NUMBER, "n_obs": (int,),
+    "n_params": (int,), "loglik": NUMBER, "aic": NUMBER, "bic": NUMBER,
+    "diagnostics": (dict,), "beta_rotation_caveat": (bool,), "latent": [[NUMBER]],
+}
+
+
 def read_fit_json(path: str) -> FitResult:
     """Rebuild a fit (coefficients, spec and latent block) from its JSON
-    form, for forecasting.
+    form, for forecasting. A key that is null or absent takes its default.
 
-    Each field must have its JSON type: a number that is not a bool for the
-    coefficients, the latent entries and the float fields, an integer that
-    is not a bool for ``k`` and ``n_obs``, a bool for ``grand_mean``. A
-    latent model needs ``latent``, a list of rows of ``latent_cols``
-    numbers. Coefficients and standard errors are looked up by the names
+    Coefficients and standard errors are looked up by the names
     ``spec.coef_names(p)`` gives, so their keys may come in any order. A
-    scalar field that is absent or null takes its default. A wrong type, a
-    missing key, a missing or extra coefficient name, a coefficient or
-    latent entry that is not finite, or invalid JSON raises
-    :class:`DataError` naming the file.
+    type other than ``FIT_TYPES`` gives, a missing key, a missing or extra
+    coefficient name, a coefficient or latent entry that is not a finite
+    number, a ``latent`` row that is not ``latent_cols`` long, an invalid
+    spec, or invalid JSON raises :class:`DataError` naming the file.
     """
-    number = (int, float)
+    doc = {key: value for key, value in load_json(path).items() if value is not None}
+
+    def finite(key: str, values) -> np.ndarray:
+        values = np.array(values, dtype=float)
+        if not np.isfinite(values).all():
+            raise DataError(f"key {key!r} holds a value that is not finite")
+        return values
+
+    def coefficients(key: str, names) -> np.ndarray:
+        table = doc.get(key, {})
+        if set(table) != set(names):
+            raise DataError(f"key {key!r} holds {sorted(table)}, not the "
+                            f"{spec.model} coefficients {names}")
+        return finite(key, [check_type(table[n], NUMBER, f"key {key!r} entry {n!r}")
+                            for n in names])
+
     try:
-        with open(path) as fh:
-            doc = check_type(json.load(fh), (dict,), f"{path}: the fit")
-
-        def scalar(key: str, types: tuple, default):
-            value = doc.get(key)
-            return default if value is None else check_type(value, types, f"{path}: key {key!r}")
-
-        def finite(key: str, values: np.ndarray) -> np.ndarray:
-            if not np.isfinite(values).all():
-                raise DataError(f"{path}: key {key!r} holds a value that is not finite")
-            return values
-
-        def coefficients(key: str, names) -> np.ndarray:
-            table = check_type(doc[key], (dict,), f"{path}: key {key!r}")
-            if set(table) != set(names):
-                raise DataError(f"{path}: key {key!r} holds {sorted(table)}, not the "
-                                f"{spec.model} coefficients {names}")
-            return finite(key, np.array([
-                check_type(table[n], number, f"{path}: key {key!r} entry {n!r}") for n in names
-            ], dtype=float))
-
-        def latent_block(cols: int) -> np.ndarray | None:
-            if not cols:
-                return None
-            if "latent" not in doc:
-                raise DataError(f"{path}: the {spec.model} fit has no key 'latent'; refit")
-            rows = check_type(doc["latent"], (list,), f"{path}: key 'latent'")
-            # one pass over the types; the rows are walked only to name a bad one
-            if (set(map(type, rows)) <= {list} and set(map(len, rows)) <= {cols}
-                    and set(map(type, itertools.chain.from_iterable(rows))) <= {int, float}):
-                block = np.array(rows, dtype=float).reshape(len(rows), cols)
-            else:
-                block = np.empty((len(rows), cols))
-                for i, row in enumerate(rows):
-                    where = f"{path}: key 'latent' row {i}"
-                    if len(check_type(row, (list,), where)) != cols:
-                        raise DataError(f"{where} has {len(row)} entries, expected {cols}")
-                    block[i] = [check_type(v, number, where) for v in row]
-            return finite("latent", block)
-
-        spec = DesignSpec(
-            doc["model"],
-            scalar("k", (int,), 0),
-            s=scalar("s", number, None),
-            grand_mean=scalar("grand_mean", (bool,), True),
-        )
+        for key, types in FIT_TYPES.items():
+            if key in doc:
+                check_type(doc[key], types, f"key {key!r}")
+        spec = DesignSpec(doc["model"], doc.get("k", 0), s=doc.get("s"),
+                          grand_mean=doc.get("grand_mean", True))
         # the names come from the spec, not from the file's key order
-        n_coef = len(check_type(doc["mu_hat"], (dict,), f"{path}: key 'mu_hat'"))
-        names = spec.coef_names(n_coef - len(spec.coef_names(0)))
+        names = spec.coef_names(len(doc.get("mu_hat", {})) - len(spec.coef_names(0)))
         mu = coefficients("mu_hat", names)
+        cols, latent = spec.latent_cols, None
+        if cols:
+            if "latent" not in doc:
+                raise DataError(f"the {spec.model} fit has no key 'latent'; refit")
+            for i, row in enumerate(doc["latent"]):
+                if len(row) != cols:
+                    raise DataError(f"key 'latent' row {i} has {len(row)} entries, "
+                                    f"expected {cols}")
+            latent = finite("latent", doc["latent"]).reshape(-1, cols)
         return FitResult(
-            mu_hat=mu,
-            sigma2_hat=float(scalar("sigma2_hat", number, 0.0)),
-            cov_hat=np.diag(coefficients("se", names) ** 2),
-            n_obs=scalar("n_obs", (int,), 0),
-            n_params=mu.size,
-            loglik=scalar("loglik", number, math.nan),
-            aic=scalar("aic", number, math.nan),
-            bic=scalar("bic", number, math.nan),
-            spec=spec,
-            names=names,
-            r=scalar("r", number, None),
-            latent=latent_block(spec.latent_cols),
+            mu_hat=mu, sigma2_hat=float(doc.get("sigma2_hat", 0.0)),
+            cov_hat=np.diag(coefficients("se", names) ** 2), n_obs=doc.get("n_obs", 0),
+            n_params=mu.size, loglik=doc.get("loglik", math.nan), aic=doc.get("aic", math.nan),
+            bic=doc.get("bic", math.nan), spec=spec, names=names, r=doc.get("r"), latent=latent,
         )
+    except DataError as exc:  # the spec's own checks included
+        raise DataError(f"{path}: {exc}") from exc
     except (KeyError, TypeError, ValueError, OverflowError) as exc:
         raise DataError(f"{path}: malformed fit JSON ({exc})") from exc

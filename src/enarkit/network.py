@@ -145,34 +145,39 @@ class DcsbmSpec:
 
     def __post_init__(self):
         self.block_matrix = np.asarray(self.block_matrix, dtype=float)
-        self.memberships = np.asarray(self.memberships)
         self.degrees = np.asarray(self.degrees, dtype=float)
-        if np.any(self.block_matrix < 0):
+        k = len(np.atleast_1d(self.block_matrix))
+        if self.block_matrix.shape != (k, k) or self.degrees.ndim != 1:
+            raise ShapeMismatch("the block matrix must be K x K and the degrees a vector")
+        # each check below fails on NaN too
+        if not np.all(self.block_matrix >= 0):
             raise DataError("block matrix entries must be nonnegative")
-        if np.any(self.degrees <= 0):
-            raise DataError("degree parameters must be positive")
-        if self.max_expected_degree <= 0:
-            raise DataError("max_expected_degree must be positive")
+        if not (np.all(self.degrees > 0) and self.max_expected_degree > 0):
+            raise DataError("degree parameters and max_expected_degree must be positive")
+        self.memberships = self._checked_memberships(np.asarray(self.memberships), k)
+
+    def _checked_memberships(self, labels: np.ndarray, k: int) -> np.ndarray:
+        if labels.shape != self.degrees.shape:
+            raise ShapeMismatch(f"{labels.shape} memberships for {self.degrees.size} nodes")
+        if not np.isin(labels, np.arange(k)).all():
+            raise DataError(f"memberships must be block labels 0..{k - 1}")
+        return labels
 
     def membership_matrix(self) -> np.ndarray:
-        k = self.block_matrix.shape[0]
-        m = np.zeros((len(self.memberships), k))
-        m[np.arange(len(self.memberships)), self.memberships.astype(int)] = 1.0
-        return m
+        return np.eye(self.block_matrix.shape[0])[self.memberships.astype(int)]
 
 
 @dataclass
 class DcmmsbmSpec(DcsbmSpec):
     """Mixed-membership variant: ``memberships`` rows lie on the simplex."""
 
-    def __post_init__(self):
-        super().__post_init__()
-        rows = np.asarray(self.memberships, dtype=float)
-        if rows.ndim != 2:
-            raise DataError("mixed memberships must be an N x K matrix")
-        if np.max(np.abs(rows.sum(axis=1) - 1.0)) > 1e-12:
-            raise DataError("membership rows must sum to 1")
-        self.memberships = rows
+    def _checked_memberships(self, rows: np.ndarray, k: int) -> np.ndarray:
+        rows = np.asarray(rows, dtype=float)
+        if rows.shape != (self.degrees.size, k):
+            raise ShapeMismatch(f"{rows.shape} memberships for {self.degrees.size} nodes, K = {k}")
+        if not (np.all(rows >= 0) and np.all(np.abs(rows.sum(axis=1) - 1.0) <= 1e-12)):
+            raise DataError("membership rows must be nonnegative and sum to 1")
+        return rows
 
     def membership_matrix(self) -> np.ndarray:
         return self.memberships

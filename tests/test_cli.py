@@ -565,12 +565,24 @@ class TestFitJsonNumbers:
         assert error["error"] == "DataError"
         assert str(fitted[2]["enar"]) in error["message"] and where in error["message"]
 
+    @pytest.mark.parametrize("model, key, value, where", [
+        ("enar", "model", "x", "unknown model 'x'"),
+        ("enar", "k", 0, "enar requires k >= 1"),
+        ("amnar", "s", 0.7, "amnar requires s in (0, 1/2)"),
+    ])
+    def test_invalid_spec_is_data_error_naming_the_file(
+        self, fitted, capsys, model, key, value, where
+    ):
+        code, error = self.predict_with(capsys, fitted, model, key, value)
+        assert (code, error["error"]) == (3, "DataError")
+        assert error["message"].startswith(f"{fitted[2][model]}: {where}")
+
     @pytest.mark.parametrize("model, edit, kind, where", [
         ("enar", lambda doc: doc.pop("latent"), "DataError", "no key 'latent'; refit"),
         ("amnar", lambda doc: doc.pop("latent"), "DataError", "no key 'latent'; refit"),
         ("enar", lambda doc: doc.update(latent="x"), "DataError", "key 'latent' has type str"),
         ("enar", lambda doc: doc["latent"][0].__setitem__(0, True), "DataError",
-         "key 'latent' row 0 has type bool"),
+         "key 'latent' element 0 element 0 has type bool"),
         ("amnar", lambda doc: doc["latent"][3].pop(), "DataError",
          "key 'latent' row 3 has 2 entries, expected 3"),
         ("enar", lambda doc: doc["latent"][1].__setitem__(1, float("nan")), "DataError",
@@ -1064,6 +1076,18 @@ class TestMc:
         )
         assert run_cli(capsys, "simulate", "--config", str(path))[0] == sim_code
 
+    def test_bad_group_by_field_stops_mc_before_any_row(self, tmp_path, capsys):
+        cfg_path = tmp_path / "mc.json"
+        cfg_path.write_text(json.dumps({
+            "n_values": [12], "t_values": [4], "k_values": [2], "fit_models": ["nar"], "reps": 1,
+        }))
+        results, summary = tmp_path / "r.csv", tmp_path / "s.csv"
+        code, stdout, err = run_cli(capsys, "mc", "--config", str(cfg_path), "--out", str(results),
+                                    "--summary-out", str(summary), "--group-by", "gen,colour")
+        assert (code, stdout, json.loads(err)) == (
+            3, "", {"error": "DataError", "message": "cannot group by 'colour'"})
+        assert not results.exists() and not summary.exists()
+
     def test_missing_blas_setters_pin_nothing_and_say_so(self, tmp_path, capsys, monkeypatch):
         if blas._thread_controls() is None:
             pytest.skip("no bundled OpenBLAS with thread setters")
@@ -1142,6 +1166,45 @@ class TestMc:
         )
         assert code == 0
         assert json.loads(stdout)["rows"] == 1
+
+
+class TestConfigFiles:
+    """simulate and mc read their --config through the one JSON loader: a
+    top level that is not an object is a data error and an unreadable file
+    an I/O error, and either writes nothing."""
+
+    def run(self, tmp_path, capsys, command, text):
+        config = tmp_path / "config.json"
+        if text is not None:
+            config.write_bytes(text)
+        outputs = {"simulate": [], "mc": ["--out", str(tmp_path / "r.csv"),
+                                          "--summary-out", str(tmp_path / "s.csv")]}
+        code, stdout, err = run_cli(capsys, command, "--config", str(config), *outputs[command])
+        assert stdout == "" and sorted(tmp_path.iterdir()) == ([config] if text else [])
+        return code, json.loads(err)
+
+    @pytest.mark.parametrize("command", ["simulate", "mc"])
+    @pytest.mark.parametrize("top", [5, None, "n", ["n"], [1, 2]])
+    def test_top_level_that_is_not_an_object_is_a_data_error(
+        self, tmp_path, capsys, command, top
+    ):
+        code, error = self.run(tmp_path, capsys, command, json.dumps(top).encode())
+        assert code == 3 and error["error"] == "DataError"
+        assert error["message"].endswith(f"the top level has type {type(top).__name__}, "
+                                         "expected dict")
+
+    @pytest.mark.parametrize("command", ["simulate", "mc"])
+    def test_unreadable_config_is_an_io_error(self, tmp_path, capsys, command):
+        code, error = self.run(tmp_path, capsys, command, None)
+        assert (code, error["error"]) == (3, "io")
+        assert "config.json" in error["message"]
+
+    @pytest.mark.parametrize("command", ["simulate", "mc"])
+    @pytest.mark.parametrize("text", [b'{"n": 30,', b'{"n": "\xff"}'], ids=["cut", "not-utf8"])
+    def test_text_that_is_not_json_is_a_data_error(self, tmp_path, capsys, command, text):
+        code, error = self.run(tmp_path, capsys, command, text)
+        assert code == 3 and error["error"] == "DataError"
+        assert error["message"].startswith(f"{tmp_path / 'config.json'}: invalid JSON")
 
 
 class TestSlidingWindow:

@@ -8,7 +8,9 @@ import scipy.linalg
 import scipy.special
 
 from enarkit import estimate, lsm, network
-from enarkit.errors import DataError, DimensionMismatch, RankDeficient, ZeroDenominator
+from enarkit.errors import (
+    DataError, DimensionMismatch, RankDeficient, ZeroDenominator, check_type,
+)
 from enarkit.estimate import (
     DesignSpec,
     Diagnostics,
@@ -624,6 +626,22 @@ class TestFitJson:
         doc = json.loads(path.read_text(), parse_constant=reject)
         assert doc["diagnostics"]["eigengap"] == 0.0
         assert doc["diagnostics"]["kappa"] is None
+
+    @pytest.mark.parametrize("spec", [
+        DesignSpec("nar"), DesignSpec("enar", 2), DesignSpec("enr", 2),
+        DesignSpec("amnar", 2, s=0.25),
+    ], ids=["nar", "enar", "enr", "amnar"])
+    def test_every_written_key_has_its_declared_type(self, spec):
+        rng = np.random.default_rng(3)
+        g = random_graph(20, 0.3, rng)
+        t = 1 if spec.model == "enr" else 5  # the regression takes one transition
+        panel = Panel(y=rng.standard_normal((20, t + 1)), z=rng.standard_normal((20, t, 1)))
+        doc = json.loads(json.dumps(estimate.fit_to_json_dict(fit_model(panel, g, spec))))
+        assert set(doc) <= set(estimate.FIT_TYPES)
+        for key, value in doc.items():  # null is every key's "absent"
+            if value is not None:
+                check_type(value, estimate.FIT_TYPES[key], key)
+        assert ("latent" in doc) == (spec.model != "nar")
 
     def test_diagnostics_serialization_drops_nan(self):
         d = Diagnostics(eigengap=math.nan, kappa=math.nan, condition_number=5.0)

@@ -274,6 +274,62 @@ def mc_spec(gen, n, seed, k=3):
     return bench._make_generator_spec(cell, config, np.random.default_rng(seed))
 
 
+class TestBlockModelSpecs:
+    """A block-model spec checks its own inputs when it is built, so no
+    connection matrix is ever formed from an invalid one."""
+
+    block = 0.3 * np.eye(2) + 0.1
+
+    @pytest.mark.parametrize("labels", [[0, 1, -1], [0, 1, 0.7], [0, 1, 5], [0, 1, np.nan]])
+    def test_hard_labels_must_name_a_block(self, labels):
+        with pytest.raises(DataError, match=r"block labels 0\.\.1"):
+            DcsbmSpec(self.block, np.array(labels), np.ones(3), 2.0)
+
+    @pytest.mark.parametrize("rows", [
+        [[1.5, -0.5], [0.5, 0.5]], [[0.6, 0.6], [0.5, 0.5]], [[np.nan, 1.0], [0.5, 0.5]],
+    ])
+    def test_mixed_rows_must_lie_on_the_simplex(self, rows):
+        with pytest.raises(DataError, match="nonnegative and sum to 1"):
+            DcmmsbmSpec(self.block, np.array(rows), np.ones(2), 1.0)
+
+    @pytest.mark.parametrize("cls, block, memberships, degrees", [
+        (DcsbmSpec, np.ones((2, 3)), [0, 1], np.ones(2)),
+        (DcsbmSpec, np.ones(2), [0, 1], np.ones(2)),
+        (DcsbmSpec, block, [0, 1, 1], np.ones(2)),
+        (DcsbmSpec, block, [[0, 1]], np.ones(2)),
+        (DcsbmSpec, block, [0, 1], np.ones((2, 1))),
+        (DcmmsbmSpec, block, [[0.5, 0.5]], np.ones(2)),
+        (DcmmsbmSpec, block, [[1 / 3] * 3] * 2, np.ones(2)),
+        (DcmmsbmSpec, block, [0.5, 0.5], np.ones(2)),
+    ])
+    def test_shapes_must_agree(self, cls, block, memberships, degrees):
+        with pytest.raises(ShapeMismatch):
+            cls(block, np.array(memberships), degrees, 1.0)
+
+    @pytest.mark.parametrize("field, value", [
+        ("block", -0.1), ("block", np.nan), ("degrees", 0.0), ("degrees", np.nan),
+        ("target", 0.0), ("target", np.nan),
+    ])
+    def test_weights_must_be_positive(self, field, value):
+        block, degrees, target = self.block.copy(), np.ones(2), 1.0
+        if field == "block":
+            block[0, 1] = block[1, 0] = value
+        elif field == "degrees":
+            degrees[1] = value
+        else:
+            target = value
+        with pytest.raises(DataError):
+            DcsbmSpec(block, np.array([0, 1]), degrees, target)
+
+    def test_valid_specs_keep_their_memberships(self):
+        labels = np.array([1, 0, 1])
+        spec = DcsbmSpec(self.block, labels, np.ones(3), 2.0)
+        assert spec.memberships is labels
+        assert np.array_equal(spec.membership_matrix(), [[0, 1], [1, 0], [0, 1]])
+        rows = np.array([[0.25, 0.75], [1.0, 0.0]])
+        assert np.array_equal(DcmmsbmSpec(self.block, rows, np.ones(2), 1.0).memberships, rows)
+
+
 class TestHollowRowSums:
     @pytest.mark.parametrize("gen", ["dcsbm", "dcmmsbm"])
     def test_match_the_dense_row_sums(self, gen):
