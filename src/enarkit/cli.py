@@ -21,9 +21,8 @@ import sys
 import numpy as np
 
 from . import bench, blas, estimate, network, process
-from .atomic import atomic_write
 from .csvio import write_table
-from .errors import DataError, EnarkitError, check_type, load_json
+from .errors import DataError, EnarkitError, check_type, load_json, write_json
 
 EXIT_OK = 0
 EXIT_USAGE = 2
@@ -148,9 +147,7 @@ def cmd_simulate(args) -> int:
         truth["beta2"] = params.beta2
         truth["s"] = params.s
         truth["r"] = data.r_true
-    with atomic_write(doc["out_truth"]) as fh:
-        json.dump(truth, fh, indent=2)
-        fh.write("\n")
+    write_json(doc["out_truth"], truth)
     print(json.dumps({
         "edges": doc["out_edges"], "panel": doc["out_panel"], "truth": doc["out_truth"],
         "n": n, "t": t, "k": k, "seed": seed,
@@ -200,7 +197,7 @@ def cmd_fit(args) -> int:
     graph = network.read_edge_csv(args.edges, n_nodes=panel_full.n)
     panel = _window_panel(panel_full, args.window_start, args.window_len)
     fit = estimate.fit_model(panel, graph, spec)
-    estimate.write_fit_json(fit, args.out)
+    write_json(args.out, estimate.fit_to_json_dict(fit))
     print(json.dumps({"fit": args.out, "model": model, "n_obs": fit.n_obs,
                       "sigma2_hat": fit.sigma2_hat, "aic": fit.aic, "bic": fit.bic}))
     return EXIT_OK

@@ -1,5 +1,5 @@
-"""Exception types shared across the package, the one JSON loader and the
-one JSON type checker. Every error belongs to one of two families, which
+"""Exception types shared across the package, and the one JSON loader,
+writer and type checker. Every error belongs to one of two families, which
 carry the CLI's exit codes: DataError (3) for input that fails to validate
 and NumericalError (4) for a computation that fails.
 """
@@ -7,6 +7,8 @@ and NumericalError (4) for a computation that fails.
 from __future__ import annotations
 
 import json
+
+from .atomic import atomic_write
 
 
 class EnarkitError(Exception):
@@ -65,7 +67,8 @@ class EmptyGroup(DataError):
     """A summary was requested over an empty group."""
 
 
-NUMBER = (int, float)  # a JSON number for check_type: an int or a float, not a bool
+NUMBER = (int, float)  # a JSON number for check_type: finite in a double, not a bool
+_DOUBLE_MAX = 1.7976931348623157e308  # no NaN, infinity or larger int is at most this
 
 
 def check_type(value, types: tuple | list, what: str):
@@ -74,17 +77,22 @@ def check_type(value, types: tuple | list, what: str):
     elements each are, so ``[[types]]`` takes a list of such lists. A bool
     passes only where ``bool`` is listed: JSON true and false load as bool,
     which Python counts as an int, so ``(int, float)`` takes a number and
-    ``(int,)`` an integer, neither a bool."""
+    ``(int,)`` any integer, neither a bool. Where ``float`` is listed, as
+    in ``NUMBER``, the value must also be finite in a double."""
     if isinstance(types, list):
         check_type(value, (list,), what)
-        # one pass over the element types; walk only to name a bad one or into nested lists
-        if isinstance(types[0], list) or not set(map(type, value)) <= set(types[0]):
+        # one pass over the element types and values; walk only to name a bad one or nest
+        if (isinstance(types[0], list) or not set(map(type, value)) <= set(types[0])
+                or (float in types[0] and not all(abs(v) <= _DOUBLE_MAX for v in value))):
             for i, element in enumerate(value):
                 check_type(element, types[0], f"{what} element {i}")
         return value
     if not isinstance(value, types) or (isinstance(value, bool) and bool not in types):
         expected = "/".join(t.__name__ for t in types)
         raise DataError(f"{what} has type {type(value).__name__}, expected {expected}")
+    if float in types and not abs(value) <= _DOUBLE_MAX:
+        shown = repr(value) if isinstance(value, float) else "an integer beyond the double range"
+        raise DataError(f"{what} is {shown}, not a finite number")
     return value
 
 
@@ -99,3 +107,18 @@ def load_json(path: str) -> dict:
         except UnicodeDecodeError as exc:
             raise DataError(f"{path}: invalid JSON: {exc.reason}") from exc
     return check_type(doc, (dict,), f"{path}: the top level")
+
+
+def write_json(path: str, doc: dict) -> None:
+    """Write ``doc`` as strict JSON (atomic replace): the keys indented, and
+    a ``latent`` block last, one compact row per line, so that its floats go
+    through the C encoder rather than the pure-Python indenting one."""
+    rest = {key: value for key, value in doc.items() if key != "latent"}
+    if "latent" not in doc:
+        text = json.dumps(rest, indent=2, allow_nan=False)
+    else:  # a placeholder 0 holds the block's place, last
+        rows = json.dumps(doc["latent"], allow_nan=False)[1:-1].replace("], [", "],\n    [")
+        text = json.dumps({**rest, "latent": 0}, indent=2, allow_nan=False)[:-3]
+        text += f"[\n    {rows}\n  ]\n}}" if rows else "[]\n}"
+    with atomic_write(path) as fh:
+        fh.write(text + "\n")

@@ -28,7 +28,6 @@ cross-run comparisons must align embeddings first.
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass, field
 
@@ -37,7 +36,6 @@ import scipy.linalg
 from scipy.special import ndtri
 
 from . import blas, lsm
-from .atomic import atomic_write
 from .errors import (
     NUMBER,
     DataError,
@@ -504,20 +502,6 @@ def fit_to_json_dict(fit: FitResult) -> dict:
     return out
 
 
-def write_fit_json(fit: FitResult, path: str) -> None:
-    """Write :func:`fit_to_json_dict` (atomic replace): the summary indented,
-    the ``latent`` block last, one compact row per line, so that its floats
-    go through the C encoder rather than the pure-Python indenting one."""
-    doc = fit_to_json_dict(fit)
-    latent = doc.pop("latent", None)
-    text = json.dumps(doc, indent=2, allow_nan=False)
-    if latent is not None:
-        rows = json.dumps(latent, allow_nan=False)[1:-1].replace("], [", "],\n    [")
-        text = f'{text[:-2]},\n  "latent": [\n    {rows}\n  ]\n}}'
-    with atomic_write(path) as fh:
-        fh.write(text + "\n")
-
-
 # The JSON type of each key of the fit file (see errors.check_type)
 FIT_TYPES = {
     "model": (str,), "k": (int,), "s": NUMBER, "r": NUMBER, "grand_mean": (bool,),
@@ -533,26 +517,20 @@ def read_fit_json(path: str) -> FitResult:
 
     Coefficients and standard errors are looked up by the names
     ``spec.coef_names(p)`` gives, so their keys may come in any order. A
-    type other than ``FIT_TYPES`` gives, a missing key, a missing or extra
-    coefficient name, a coefficient or latent entry that is not a finite
-    number, a ``latent`` row that is not ``latent_cols`` long, an invalid
-    spec, or invalid JSON raises :class:`DataError` naming the file.
+    type other than ``FIT_TYPES`` gives (a number that is not finite
+    among them), a missing key, a missing or extra coefficient name, a
+    ``latent`` row that is not ``latent_cols`` long, an invalid spec, or
+    invalid JSON raises :class:`DataError` naming the file.
     """
     doc = {key: value for key, value in load_json(path).items() if value is not None}
-
-    def finite(key: str, values) -> np.ndarray:
-        values = np.array(values, dtype=float)
-        if not np.isfinite(values).all():
-            raise DataError(f"key {key!r} holds a value that is not finite")
-        return values
 
     def coefficients(key: str, names) -> np.ndarray:
         table = doc.get(key, {})
         if set(table) != set(names):
             raise DataError(f"key {key!r} holds {sorted(table)}, not the "
                             f"{spec.model} coefficients {names}")
-        return finite(key, [check_type(table[n], NUMBER, f"key {key!r} entry {n!r}")
-                            for n in names])
+        return np.array([check_type(table[n], NUMBER, f"key {key!r} entry {n!r}")
+                         for n in names], dtype=float)
 
     try:
         for key, types in FIT_TYPES.items():
@@ -571,7 +549,7 @@ def read_fit_json(path: str) -> FitResult:
                 if len(row) != cols:
                     raise DataError(f"key 'latent' row {i} has {len(row)} entries, "
                                     f"expected {cols}")
-            latent = finite("latent", doc["latent"]).reshape(-1, cols)
+            latent = np.array(doc["latent"], dtype=float).reshape(-1, cols)
         return FitResult(
             mu_hat=mu, sigma2_hat=float(doc.get("sigma2_hat", 0.0)),
             cov_hat=np.diag(coefficients("se", names) ** 2), n_obs=doc.get("n_obs", 0),
@@ -580,5 +558,5 @@ def read_fit_json(path: str) -> FitResult:
         )
     except DataError as exc:  # the spec's own checks included
         raise DataError(f"{path}: {exc}") from exc
-    except (KeyError, TypeError, ValueError, OverflowError) as exc:
+    except (KeyError, TypeError, ValueError) as exc:
         raise DataError(f"{path}: malformed fit JSON ({exc})") from exc

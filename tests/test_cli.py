@@ -586,15 +586,16 @@ class TestFitJsonNumbers:
         ("amnar", lambda doc: doc["latent"][3].pop(), "DataError",
          "key 'latent' row 3 has 2 entries, expected 3"),
         ("enar", lambda doc: doc["latent"][1].__setitem__(1, float("nan")), "DataError",
-         "key 'latent' holds a value that is not finite"),
+         "key 'latent' element 1 element 1 is nan, not a finite number"),
         ("amnar", lambda doc: doc["latent"][2].__setitem__(0, float("-inf")), "DataError",
-         "key 'latent' holds a value that is not finite"),
+         "key 'latent' element 2 element 0 is -inf, not a finite number"),
         ("enar", lambda doc: doc["mu_hat"].update(alpha=float("nan")), "DataError",
-         "key 'mu_hat' holds a value that is not finite"),
+         "key 'mu_hat' entry 'alpha' is nan, not a finite number"),
         ("enar", lambda doc: doc["se"].update(theta=float("inf")), "DataError",
-         "key 'se' holds a value that is not finite"),
+         "key 'se' entry 'theta' is inf, not a finite number"),
         ("enar", lambda doc: doc["latent"][0].__setitem__(1, 10**400), "DataError",
-         "int too large to convert to float"),
+         "key 'latent' element 0 element 1 is an integer beyond the double range, "
+         "not a finite number"),
         ("enar", lambda doc: doc["latent"].pop(), "DimensionMismatch",
          "latent matrix has shape (29, 2), expected (30, 2)"),
     ])

@@ -9,7 +9,7 @@ import scipy.special
 
 from enarkit import estimate, lsm, network
 from enarkit.errors import (
-    DataError, DimensionMismatch, RankDeficient, ZeroDenominator, check_type,
+    DataError, DimensionMismatch, RankDeficient, ZeroDenominator, check_type, write_json,
 )
 from enarkit.estimate import (
     DesignSpec,
@@ -25,7 +25,6 @@ from enarkit.estimate import (
     predict_one_step,
     read_fit_json,
     rmse_rel,
-    write_fit_json,
 )
 from enarkit.network import Graph, normalized_laplacian, spectral_embed
 from enarkit.process import CovariateSpec, EnarParams, Panel, rate_multiplier, simulate_enar
@@ -593,7 +592,7 @@ class TestFitJson:
         panel = simulate_enar(params, g, u, cov, 10, rng)
         fit = fit_enar(panel, g, 2)
         path = tmp_path / "fit.json"
-        write_fit_json(fit, str(path))
+        write_json(str(path), estimate.fit_to_json_dict(fit))
         doc = json.loads(path.read_text())
         for key in ("mu_hat", "se", "sigma2_hat", "aic", "bic", "diagnostics"):
             assert key in doc
@@ -618,7 +617,7 @@ class TestFitJson:
         fit = fit_enar(panel, g, 1)
         assert fit.diagnostics.eigengap == 0.0 and fit.diagnostics.kappa == math.inf
         path = tmp_path / "fit.json"
-        write_fit_json(fit, str(path))
+        write_json(str(path), estimate.fit_to_json_dict(fit))
 
         def reject(constant):
             raise ValueError(f"{constant} is not JSON")
