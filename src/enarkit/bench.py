@@ -88,8 +88,9 @@ class ExperimentConfig:
     Construction raises every error that does not depend on the seed, as
     the type a row would record: it checks each field's type in
     ``CONFIG_TYPES`` (for Python callers and CLI configs alike), builds the
-    covariate law, each truth's parameters and each fit's ``DesignSpec`` at
-    every K, and checks stationarity, rho, the length of ``beta`` and K <= N.
+    covariate law and its innovation variance, each truth's parameters and
+    each fit's ``DesignSpec`` at every K, and checks stationarity, rho, the
+    length of ``beta`` and K <= N.
     """
 
     n_values: list[int]
@@ -139,7 +140,7 @@ class ExperimentConfig:
                             f"has {self.cov_variances.size}")
         if self.beta is not None:
             self.beta = np.asarray(self.beta, dtype=float)
-        self.cov_spec()
+        process.innovation_variance(self.sigma, self.gamma, self.cov_spec())
         if not process.check_stationarity(self.alpha, self.theta):
             raise NotStationary(f"|{self.alpha}| + |{self.theta}| >= 1")
         drawn = set(self.truth_models) - {"amnar"}  # truths drawn by a generator

@@ -1,7 +1,9 @@
 """Command-line interface: simulate / fit / predict / select-k / mc.
 
-Configs and fit outputs are JSON, bulk data is CSV, and every write goes
-through a temp-file rename so a killed process never leaves a partial file.
+Configs and fit outputs are JSON, read by ``errors.load_json`` and written
+by ``errors.write_json``; bulk data is CSV. Every output's directory is
+checked before any work, and every write goes through a temp-file rename so
+a killed process never leaves a partial file.
 Exit codes: 0 success, 2 usage, 3 data error, 4 numerical failure; each
 error type carries its code (``exit_code``), and errors are reported as
 one JSON object on stderr. Config keys and their types are those of
@@ -22,7 +24,7 @@ import numpy as np
 
 from . import bench, blas, estimate, network, process
 from .csvio import write_table
-from .errors import DataError, EnarkitError, check_type, load_json, write_json
+from .errors import DataError, EnarkitError, check_type, json_value, load_json, write_json
 
 EXIT_OK = 0
 EXIT_USAGE = 2
@@ -63,6 +65,20 @@ def _seed(*given) -> int:
     return seed
 
 
+def _check_outputs(*paths: str) -> None:
+    """Raise, before any work, the OSError that writing one of ``paths``
+    would end in: its directory is missing or not writable, or the path is
+    a directory."""
+    for path in paths:
+        folder = os.path.dirname(path) or "."
+        if not os.path.isdir(folder):
+            raise FileNotFoundError(f"no such directory: {folder!r}")
+        if not os.access(folder, os.W_OK):
+            raise PermissionError(f"directory not writable: {folder!r}")
+        if os.path.isdir(path):
+            raise IsADirectoryError(f"output is a directory: {path!r}")
+
+
 # A config key is an ExperimentConfig field, whose type ExperimentConfig
 # checks. A null keeps the default, so only a field whose default is None
 # may be null; mc requires the fields without a default.
@@ -95,13 +111,17 @@ def _validate_keys(doc: dict, where: str, own_types: dict, config_keys, required
             raise DataError(f"{where}: missing required key {key!r}")
 
 
-def _experiment_config(doc: dict, keys, **fields) -> bench.ExperimentConfig:
+def _experiment_config(doc: dict, where: str, keys, **fields) -> bench.ExperimentConfig:
     """ExperimentConfig from ``fields``, overridden by each of ``keys`` that
     ``doc`` sets to a value other than null, so every other default lives
-    only in ExperimentConfig."""
-    return bench.ExperimentConfig(
-        **{**fields, **{key: doc[key] for key in keys if doc.get(key) is not None}}
-    )
+    only in ExperimentConfig; an error it raises names the file ``where``."""
+    try:
+        return bench.ExperimentConfig(
+            **{**fields, **{key: doc[key] for key in keys if doc.get(key) is not None}}
+        )
+    except EnarkitError as exc:
+        exc.args = (f"{where}: {exc}",)
+        raise
 
 
 def cmd_simulate(args) -> int:
@@ -115,11 +135,12 @@ def cmd_simulate(args) -> int:
     n, t, k = doc["n"], doc["t"], doc["k"]
 
     config = _experiment_config(
-        doc, bench.PARAM_TYPES,
+        doc, args.config, bench.PARAM_TYPES,
         n_values=[n], t_values=[t], k_values=[k],
         generators=[generator], truth_models=[model], fit_models=["nar"],
         reps=1, base_seed=seed,
     )
+    _check_outputs(doc["out_edges"], doc["out_panel"], doc["out_truth"])
     cell = bench.Cell(generator, model, "nar", n, t, k)
     data = bench.simulate_cell_data(cell, config, seed)
 
@@ -193,17 +214,28 @@ def cmd_fit(args) -> int:
             raise UsageError(f"{flag} is not meaningful for the {model} model")
     s = bench.ExperimentConfig.s if model == "amnar" and args.s is None else args.s
     spec = estimate.DesignSpec(model, args.k or 0, s=s, grand_mean=not args.omit_grand_mean)
+    _check_outputs(args.out)
     panel_full = process.read_panel_csv(args.panel)
     graph = network.read_edge_csv(args.edges, n_nodes=panel_full.n)
     panel = _window_panel(panel_full, args.window_start, args.window_len)
     fit = estimate.fit_model(panel, graph, spec)
-    write_json(args.out, estimate.fit_to_json_dict(fit))
-    print(json.dumps({"fit": args.out, "model": model, "n_obs": fit.n_obs,
-                      "sigma2_hat": fit.sigma2_hat, "aic": fit.aic, "bic": fit.bic}))
+    doc = estimate.fit_to_json_dict(fit)
+    write_json(args.out, doc)
+    print(json.dumps({"fit": args.out, **{key: doc[key] for key in
+                                          ("model", "n_obs", "sigma2_hat", "aic", "bic")}}))
     return EXIT_OK
 
 
+def _check_cells(where: str, name: str, values: np.ndarray, t: int) -> None:
+    """A DataError naming the file ``where`` and the first node whose
+    ``name`` at time ``t`` is a NaN or an infinity."""
+    bad = np.flatnonzero(~np.isfinite(values.reshape(len(values), -1)).all(axis=1))
+    if bad.size:
+        raise DataError(f"{where}: {name} of node {bad[0]} at t = {t} is not finite")
+
+
 def cmd_predict(args) -> int:
+    _check_outputs(args.out)
     fit = estimate.read_fit_json(args.fit)
     panel = process.read_panel_csv(args.panel)
     graph = network.read_edge_csv(args.edges, n_nodes=panel.n)
@@ -219,8 +251,13 @@ def cmd_predict(args) -> int:
         # forecast origin are unobserved, so their contribution is zero
         z_t = np.zeros((panel.n, panel.p))
 
-    y_hat = estimate.predict_one_step(fit, graph, y_t, z_t)
     actual = panel.y[:, t_cond + 1] if t_cond + 1 <= panel.t else None
+    # the cells the forecast reads: y and z at the origin, y at an observed target
+    _check_cells(args.panel, "y", y_t, t_cond)
+    _check_cells(args.panel, "z", z_t, t_cond)
+    if actual is not None:
+        _check_cells(args.panel, "y", actual, t_cond + 1)
+    y_hat = estimate.predict_one_step(fit, graph, y_t, z_t)
 
     header, columns = ["node", "y_hat"], [y_hat]
     if actual is not None:
@@ -230,7 +267,8 @@ def cmd_predict(args) -> int:
 
     summary = {"forecast": args.out, "target_t": t_cond + 1, "n": panel.n}
     if actual is not None:
-        summary["mspe"] = float(np.mean((y_hat - actual) ** 2))
+        with np.errstate(over="ignore"):  # an MSPE beyond the double range prints as null
+            summary["mspe"] = json_value(np.mean((y_hat - actual) ** 2))
     print(json.dumps(summary))
     return EXIT_OK
 
@@ -252,9 +290,10 @@ def cmd_mc(args) -> int:
     _validate_keys(doc, args.config, {}, bench.CONFIG_TYPES, _MC_REQUIRED)
     if args.reps is not None:
         doc["reps"] = args.reps
-    config = _experiment_config(doc, bench.CONFIG_TYPES, base_seed=_env_seed())
+    config = _experiment_config(doc, args.config, bench.CONFIG_TYPES, base_seed=_env_seed())
     group_by = [g.strip() for g in args.group_by.split(",") if g.strip()]
     bench.group_fields(group_by)
+    _check_outputs(args.out, args.summary_out)
     results = bench.run_grid(config, parallelism=args.jobs)
     bench.results_to_csv(results, args.out, timing=not args.no_timing)
     summary = bench.summarize(results, group_by)

@@ -91,7 +91,8 @@ def check_type(value, types: tuple | list, what: str):
         expected = "/".join(t.__name__ for t in types)
         raise DataError(f"{what} has type {type(value).__name__}, expected {expected}")
     if float in types and not abs(value) <= _DOUBLE_MAX:
-        shown = repr(value) if isinstance(value, float) else "an integer beyond the double range"
+        shown = (repr(float(value)) if isinstance(value, float)
+                 else "an integer beyond the double range")
         raise DataError(f"{what} is {shown}, not a finite number")
     return value
 
@@ -104,9 +105,19 @@ def load_json(path: str) -> dict:
             doc = json.load(fh)
         except json.JSONDecodeError as exc:
             raise DataError(f"{path}: invalid JSON at line {exc.lineno}: {exc.msg}") from exc
-        except UnicodeDecodeError as exc:
-            raise DataError(f"{path}: invalid JSON: {exc.reason}") from exc
+        except ValueError as exc:  # bad UTF-8, or an integer over Python's digit limit
+            raise DataError(f"{path}: invalid JSON: {exc}") from exc
     return check_type(doc, (dict,), f"{path}: the top level")
+
+
+def json_value(v):
+    """``v`` as strict JSON holds it: None, strings, bools and ints as they
+    are, any other number as a float, and a float that is not finite as
+    None."""
+    if v is None or isinstance(v, (str, bool, int)):
+        return v
+    v = float(v)
+    return v if abs(v) <= _DOUBLE_MAX else None
 
 
 def write_json(path: str, doc: dict) -> None:

@@ -43,6 +43,7 @@ from .errors import (
     RankDeficient,
     ZeroDenominator,
     check_type,
+    json_value,
     load_json,
 )
 from .network import Graph, spectral_embed
@@ -123,7 +124,7 @@ class Diagnostics:
 
     def to_dict(self) -> dict:
         """Every field in order as strict JSON, less the unset (None) ones."""
-        return {key: _json_value(val) for key, val in vars(self).items() if val is not None}
+        return {key: json_value(val) for key, val in vars(self).items() if val is not None}
 
 
 @dataclass
@@ -158,16 +159,6 @@ class FitResult:
 
     def coef(self, name: str) -> float:
         return float(self.mu_hat[self.names.index(name)])
-
-
-def _json_value(v):
-    """``v`` as strict JSON holds it: None, strings, bools and ints as they
-    are, any other number as a float, and a float that is not finite as
-    None."""
-    if v is None or isinstance(v, (str, bool, int)):
-        return v
-    v = float(v)
-    return v if math.isfinite(v) else None
 
 
 def _check_latent(latent, n: int, cols: int) -> np.ndarray | None:
@@ -491,9 +482,9 @@ def fit_to_json_dict(fit: FitResult) -> dict:
         "sigma2_hat": float(fit.sigma2_hat),
         "n_obs": fit.n_obs,
         "n_params": fit.n_params,
-        "loglik": _json_value(fit.loglik),
-        "aic": _json_value(fit.aic),
-        "bic": _json_value(fit.bic),
+        "loglik": json_value(fit.loglik),
+        "aic": json_value(fit.aic),
+        "bic": json_value(fit.bic),
         "diagnostics": fit.diagnostics.to_dict(),
     }
     if fit.spec.latent_cols:

@@ -210,6 +210,19 @@ def transition_matrix(graph: Graph, alpha: float, theta: float) -> np.ndarray:
     return g
 
 
+def innovation_variance(sigma: float, gamma, cov_spec: CovariateSpec) -> float:
+    """c = sigma^2 + gamma' Sigma_z gamma, or a DataError when it is not finite."""
+    try:
+        with np.errstate(over="ignore", invalid="ignore"):  # checked right below
+            c = sigma**2 + cov_spec.quad_form(gamma)
+    except OverflowError:  # the square of a float or an int beyond the double range
+        c = math.inf
+    if not math.isfinite(c):
+        raise DataError("the innovation variance sigma^2 + gamma' Sigma_z gamma is not "
+                        "finite: lower 'sigma', 'gamma' or 'cov_variances'")
+    return c
+
+
 def _checked_law(
     graph: Graph,
     latent_effect: np.ndarray,
@@ -225,7 +238,7 @@ def _checked_law(
         raise DimensionMismatch(
             f"latent effect has shape {latent_effect.shape}, expected ({graph.n},)"
         )
-    return latent_effect, params.sigma**2 + cov_spec.quad_form(params.gamma)
+    return latent_effect, innovation_variance(params.sigma, params.gamma, cov_spec)
 
 
 def stationary_moments(

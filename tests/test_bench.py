@@ -104,6 +104,26 @@ class TestConfig:
         with pytest.raises(DataError, match=re.escape(message)):
             smoke_config(**{key: value})
 
+    @pytest.mark.parametrize("key, value, message", [
+        ("sigma", float("nan"), "key 'sigma' is nan, not a finite number"),
+        ("alpha", np.float64("inf"), "key 'alpha' is inf, not a finite number"),
+        ("gamma", np.array([0.3, np.inf, 0.0]), "key 'gamma' element 1 is inf, not a finite"),
+        ("beta", [1.0, -(10**400)], "key 'beta' element 1 is an integer beyond the double"),
+    ])
+    def test_rejects_a_number_that_is_not_finite(self, key, value, message):
+        with pytest.raises(DataError, match=re.escape(message)):
+            smoke_config(**{key: value})
+
+    @pytest.mark.parametrize("params", [
+        {"sigma": 1e200}, {"sigma": 10**200}, {"gamma": [1e200, 0.0, 0.0]},
+        {"cov_variances": [1e300, 1.0, 1.0], "gamma": [1e10, 0.0, 0.0]},
+        {"sigma": 1e200, "truth_models": ["amnar"]},
+    ], ids=["sigma", "sigma-int", "gamma", "cov_variances", "sigma-amnar"])
+    def test_rejects_an_innovation_variance_that_overflows(self, params):
+        message = "not finite: lower 'sigma', 'gamma' or 'cov_variances'"
+        with pytest.raises(DataError, match=re.escape(message)):
+            smoke_config(**params)
+
     def test_wrong_types_cover_every_field(self):
         keys = [key for key, _, _ in self.WRONG_TYPES]
         assert sorted(keys) == sorted(f.name for f in dataclasses.fields(ExperimentConfig))

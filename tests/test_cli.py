@@ -145,7 +145,21 @@ class TestSimulate:
         code, _, err = run_cli(capsys, "simulate", "--config", str(path))
         assert code == 3
         assert json.loads(err)["error"] == "io"
-        assert [p for p in os.listdir(tmp_path) if ".tmp." in p] == []
+        assert sorted(os.listdir(tmp_path)) == ["sim.json", "truth.json"]
+
+    @pytest.mark.parametrize("key", ["out_edges", "out_panel", "out_truth"])
+    def test_output_in_a_missing_directory_draws_and_writes_nothing(
+        self, tmp_path, capsys, monkeypatch, key
+    ):
+        def forbidden(*args, **kwargs):
+            raise AssertionError("simulate drew before checking its outputs")
+
+        monkeypatch.setattr(bench, "simulate_cell_data", forbidden)
+        path, _ = write_sim_config(tmp_path, **{key: str(tmp_path / "missing" / "x")})
+        code, stdout, err = run_cli(capsys, "simulate", "--config", str(path))
+        assert (code, stdout, json.loads(err)["error"]) == (3, "", "io")
+        assert str(tmp_path / "missing") in json.loads(err)["message"]
+        assert os.listdir(tmp_path) == ["sim.json"]
 
 
 class TestFitPredict:
@@ -451,6 +465,64 @@ class TestFitPredict:
         assert error["error"] == "DataError" and "NaN or an infinite value" in error["message"]
         assert not out.exists()
 
+    @pytest.mark.parametrize("command", ["fit", "predict"])
+    def test_output_in_a_missing_directory_reads_nothing(
+        self, simulated, capsys, monkeypatch, command
+    ):
+        tmp_path, cfg = simulated
+        fit_path, _ = self.fit_model(simulated, capsys, "enar")
+
+        def forbidden(*args, **kwargs):
+            raise AssertionError(f"{command} read its input before checking its output")
+
+        monkeypatch.setattr(cli.process, "read_panel_csv", forbidden)
+        before = sorted(os.listdir(tmp_path))
+        args = (["--model", "enar", "--k", "2"] if command == "fit"
+                else ["--fit", str(fit_path)])
+        code, stdout, err = run_cli(capsys, command, *args, "--edges", cfg["out_edges"],
+                                    "--panel", cfg["out_panel"],
+                                    "--out", str(tmp_path / "missing" / "out"))
+        assert (code, stdout, json.loads(err)["error"]) == (3, "", "io")
+        assert sorted(os.listdir(tmp_path)) == before
+
+    # predict with --window-len 10 conditions on t = 9 and forecasts t = 10
+    @pytest.mark.parametrize("cells, named", [
+        ({("y", 4, 9), ("y", 4, 10)}, "y of node 4 at t = 9"),
+        ({("y", 7, 10), ("y", 4, 10)}, "y of node 4 at t = 10"),
+        ({("z", 5, 9)}, "z of node 5 at t = 9"),
+    ], ids=["origin", "target", "covariate"])
+    @pytest.mark.parametrize("value", [np.nan, np.inf])
+    def test_predict_rejects_a_non_finite_cell_it_reads(
+        self, simulated, capsys, cells, named, value
+    ):
+        tmp_path, cfg = simulated
+        fit_path, _ = self.fit_model(simulated, capsys, "enar")
+        panel = read_panel_csv(cfg["out_panel"])
+        for name, node, t in cells:
+            getattr(panel, name)[node, t] = value
+        bad = tmp_path / "bad_panel.csv"
+        write_panel_csv(panel, str(bad))
+        out = tmp_path / "forecast.csv"
+        code, stdout, err = run_cli(capsys, "predict", "--fit", str(fit_path),
+                                    "--edges", cfg["out_edges"], "--panel", str(bad),
+                                    "--window-len", "10", "--out", str(out))
+        assert (code, stdout) == (3, "")
+        assert json.loads(err) == {"error": "DataError",
+                                   "message": f"{bad}: {named} is not finite"}
+        assert not out.exists()
+
+    def test_predict_ignores_a_non_finite_cell_it_does_not_read(self, simulated, capsys):
+        tmp_path, cfg = simulated
+        fit_path, _ = self.fit_model(simulated, capsys, "enar")
+        panel = read_panel_csv(cfg["out_panel"])
+        panel.y[4, 8] = panel.z[4, 10, 0] = np.nan
+        bad = tmp_path / "bad_panel.csv"
+        write_panel_csv(panel, str(bad))
+        code, _, _ = run_cli(capsys, "predict", "--fit", str(fit_path),
+                             "--edges", cfg["out_edges"], "--panel", str(bad),
+                             "--window-len", "10", "--out", str(tmp_path / "forecast.csv"))
+        assert code == 0
+
     def test_enr_fit_on_single_transition(self, tmp_path, capsys):
         path, cfg = write_sim_config(tmp_path, n=40, t=1, seed=9)
         run_cli(capsys, "simulate", "--config", str(path))
@@ -550,6 +622,15 @@ class TestFitJsonNumbers:
         assert code == 3
         assert error["error"] == "DataError"
         assert str(fitted[2][model]) in error["message"] and repr(key) in error["message"]
+
+    @pytest.mark.parametrize("model, key", [
+        ("amnar", "r"), ("amnar", "s"), ("enar", "sigma2_hat"),
+        ("enar", "loglik"), ("enar", "aic"), ("enar", "bic"),
+    ])
+    def test_nan_number_is_data_error(self, fitted, capsys, model, key):
+        code, error = self.predict_with(capsys, fitted, model, key, float("nan"))
+        assert (code, error) == (3, {"error": "DataError", "message":
+                                     f"{fitted[2][model]}: key {key!r} is nan, not a finite number"})
 
     @pytest.mark.parametrize("key, value, where", [
         ("k", 3.7, "key 'k' has type float"),
@@ -1077,6 +1158,25 @@ class TestMc:
         )
         assert run_cli(capsys, "simulate", "--config", str(path))[0] == sim_code
 
+    @pytest.mark.parametrize("flag", ["--out", "--summary-out"])
+    def test_output_in_a_missing_directory_stops_mc_before_any_row(
+        self, tmp_path, capsys, monkeypatch, flag
+    ):
+        def forbidden(*args, **kwargs):
+            raise AssertionError("mc ran a row before checking its outputs")
+
+        monkeypatch.setattr(bench, "run_grid", forbidden)
+        cfg_path = tmp_path / "mc.json"
+        cfg_path.write_text(json.dumps({
+            "n_values": [12], "t_values": [4], "k_values": [2], "fit_models": ["nar"], "reps": 1,
+        }))
+        outputs = {"--out": str(tmp_path / "r.csv"), "--summary-out": str(tmp_path / "s.csv"),
+                   flag: str(tmp_path / "missing" / "x.csv")}
+        code, stdout, err = run_cli(capsys, "mc", "--config", str(cfg_path),
+                                    *[arg for item in outputs.items() for arg in item])
+        assert (code, stdout, json.loads(err)["error"]) == (3, "", "io")
+        assert os.listdir(tmp_path) == ["mc.json"]
+
     def test_bad_group_by_field_stops_mc_before_any_row(self, tmp_path, capsys):
         cfg_path = tmp_path / "mc.json"
         cfg_path.write_text(json.dumps({
@@ -1169,6 +1269,97 @@ class TestMc:
         assert json.loads(stdout)["rows"] == 1
 
 
+class TestNonFiniteConfigNumbers:
+    """Every number of a simulate or mc config must be finite in a double;
+    JSON's NaN and Infinity and a literal beyond the double range are a
+    DataError naming the file and the key, and nothing is written."""
+
+    SIM = {"n": 30, "t": 5, "k": 2, "out_edges": "e.csv", "out_panel": "p.csv",
+           "out_truth": "t.json"}
+    MC = {"n_values": [30], "t_values": [5], "k_values": [2], "reps": 1}
+
+    @pytest.mark.parametrize("literal, shown", [
+        ("NaN", "nan"), ("Infinity", "inf"), ("-Infinity", "-inf"), ("1e400", "inf"),
+    ])
+    @pytest.mark.parametrize("key", list(bench.PARAM_TYPES))
+    @pytest.mark.parametrize("command", ["simulate", "mc"])
+    def test_number_that_is_not_finite_is_a_data_error(
+        self, tmp_path, capsys, monkeypatch, command, key, literal, shown
+    ):
+        monkeypatch.chdir(tmp_path)
+        listed = isinstance(bench.PARAM_TYPES[key], list)  # put it in a list's element 0
+        doc = {**(self.SIM if command == "simulate" else self.MC), key: "@"}
+        text = json.dumps(doc).replace('"@"', f"[{literal}]" if listed else literal)
+        Path("config.json").write_text(text)
+        argv = ["--config", "config.json"] + (["--out", "r.csv", "--summary-out", "s.csv"]
+                                              if command == "mc" else [])
+        code, stdout, err = run_cli(capsys, command, *argv)
+        where = f"key {key!r}" + (" element 0" if listed else "")
+        assert (code, stdout) == (3, "")
+        assert json.loads(err) == {"error": "DataError", "message":
+                                   f"config.json: {where} is {shown}, not a finite number"}
+        assert os.listdir(tmp_path) == ["config.json"]
+
+
+class TestStrictJson:
+    """Every JSON file and every printed line of each command is strict
+    JSON: it parses with NaN and Infinity rejected."""
+
+    @staticmethod
+    def reject(constant):
+        raise ValueError(f"{constant} is not JSON")
+
+    def strict(self, text):
+        return json.loads(text, parse_constant=self.reject)
+
+    def test_every_output_parses_without_nan_or_infinity(self, tmp_path, capsys):
+        printed = []
+
+        def run(*argv):
+            code, stdout, _ = run_cli(capsys, *argv)
+            assert code == 0
+            printed.extend(stdout.splitlines())
+
+        for model in ("nar", "enar", "amnar"):
+            path, _ = write_sim_config(
+                tmp_path, model=model, n=40, t=12, out_truth=str(tmp_path / f"{model}.json"))
+            run("simulate", "--config", str(path))
+        data = ["--edges", str(tmp_path / "edges.csv"), "--panel", str(tmp_path / "panel.csv")]
+        for model, extra in (("nar", []), ("enar", ["--k", "2"]), ("amnar", ["--k", "2"]),
+                             ("enr", ["--k", "2", "--window-len", "2"])):
+            fit = str(tmp_path / f"fit_{model}.json")
+            run("fit", *data, "--model", model, *extra, "--out", fit)
+            run("predict", "--fit", fit, *data, "--window-len", "8",
+                "--out", str(tmp_path / f"{model}.csv"))
+        run("select-k", "--edges", str(tmp_path / "edges.csv"), "--k-max", "3")
+        cfg = tmp_path / "mc.json"
+        cfg.write_text(json.dumps({"n_values": [20], "t_values": [5], "k_values": [2],
+                                   "reps": 1, "fit_models": ["nar", "enar"]}))
+        run("mc", "--config", str(cfg), "--out", str(tmp_path / "r.csv"),
+            "--summary-out", str(tmp_path / "s.csv"))
+        assert len(printed) == 3 + 4 * 2 + 1 + 1
+        for line in printed:
+            self.strict(line)
+        files = sorted(tmp_path.glob("*.json"))
+        assert len(files) == 3 + 4 + 2  # truths, fits, and the simulate and mc configs
+        for path in files:
+            self.strict(path.read_text())
+
+
+    def test_an_mspe_beyond_the_double_range_prints_as_null(self, tmp_path, capsys):
+        path, cfg = write_sim_config(tmp_path)
+        assert run_cli(capsys, "simulate", "--config", str(path))[0] == 0
+        data = ["--edges", cfg["out_edges"], "--panel", cfg["out_panel"]]
+        fit = str(tmp_path / "fit.json")
+        assert run_cli(capsys, "fit", *data, "--model", "nar", "--out", fit)[0] == 0
+        panel = read_panel_csv(cfg["out_panel"])
+        panel.y[:, 10] *= 1e200  # finite cells whose squared forecast error overflows
+        write_panel_csv(panel, cfg["out_panel"])
+        code, stdout, _ = run_cli(capsys, "predict", "--fit", fit, *data, "--window-len", "10",
+                                  "--out", str(tmp_path / "forecast.csv"))
+        assert code == 0 and self.strict(stdout)["mspe"] is None
+
+
 class TestConfigFiles:
     """simulate and mc read their --config through the one JSON loader: a
     top level that is not an object is a data error and an unreadable file
@@ -1201,7 +1392,8 @@ class TestConfigFiles:
         assert "config.json" in error["message"]
 
     @pytest.mark.parametrize("command", ["simulate", "mc"])
-    @pytest.mark.parametrize("text", [b'{"n": 30,', b'{"n": "\xff"}'], ids=["cut", "not-utf8"])
+    @pytest.mark.parametrize("text", [b'{"n": 30,', b'{"n": "\xff"}', b'{"n": 1%s}' % (b"0" * 5000)],
+                             ids=["cut", "not-utf8", "over-the-int-digit-limit"])
     def test_text_that_is_not_json_is_a_data_error(self, tmp_path, capsys, command, text):
         code, error = self.run(tmp_path, capsys, command, text)
         assert code == 3 and error["error"] == "DataError"

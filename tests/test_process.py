@@ -211,6 +211,16 @@ class TestSimulate:
         assert panel.z.shape == (40, 40, 3)
         assert np.all(np.isfinite(panel.y)) and np.all(np.isfinite(panel.z))
 
+    @pytest.mark.parametrize("sigma, gamma", [(1e200, [0.3]), (0.5, [1e200]), (np.nan, [0.3])])
+    def test_innovation_variance_not_finite_is_data_error(self, sigma, gamma):
+        g = ring_graph(6)
+        params = EnarParams(0.2, 0.2, np.zeros(0), np.array(gamma), sigma)
+        with pytest.raises(DataError, match="innovation variance .* is not finite"):
+            simulate_enar(params, g, np.zeros((6, 0)), CovariateSpec(1, [1.0]), 3,
+                          np.random.default_rng(0))
+        with pytest.raises(DataError, match="innovation variance .* is not finite"):
+            stationary_moments(g, np.zeros(6), params, CovariateSpec(1, [1.0]))
+
     def test_seed_determinism(self):
         g = ring_graph(10)
         u = np.linalg.qr(np.random.default_rng(0).standard_normal((10, 2)))[0]
