@@ -81,7 +81,7 @@ def check_type(value, types: tuple | list, what: str):
     in ``NUMBER``, the value must also be finite in a double."""
     if isinstance(types, list):
         check_type(value, (list,), what)
-        # one pass over the element types and values; walk only to name a bad one or nest
+        # one pass over the types and values; walk only to name a bad one or into nested lists
         if (isinstance(types[0], list) or not set(map(type, value)) <= set(types[0])
                 or (float in types[0] and not all(abs(v) <= _DOUBLE_MAX for v in value))):
             for i, element in enumerate(value):

@@ -629,8 +629,8 @@ class TestFitJsonNumbers:
     ])
     def test_nan_number_is_data_error(self, fitted, capsys, model, key):
         code, error = self.predict_with(capsys, fitted, model, key, float("nan"))
-        assert (code, error) == (3, {"error": "DataError", "message":
-                                     f"{fitted[2][model]}: key {key!r} is nan, not a finite number"})
+        message = f"{fitted[2][model]}: key {key!r} is nan, not a finite number"
+        assert (code, error) == (3, {"error": "DataError", "message": message})
 
     @pytest.mark.parametrize("key, value, where", [
         ("k", 3.7, "key 'k' has type float"),
@@ -1392,8 +1392,9 @@ class TestConfigFiles:
         assert "config.json" in error["message"]
 
     @pytest.mark.parametrize("command", ["simulate", "mc"])
-    @pytest.mark.parametrize("text", [b'{"n": 30,', b'{"n": "\xff"}', b'{"n": 1%s}' % (b"0" * 5000)],
-                             ids=["cut", "not-utf8", "over-the-int-digit-limit"])
+    @pytest.mark.parametrize("text", [
+        b'{"n": 30,', b'{"n": "\xff"}', b'{"n": 1%s}' % (b"0" * 5000),
+    ], ids=["cut", "not-utf8", "over-the-int-digit-limit"])
     def test_text_that_is_not_json_is_a_data_error(self, tmp_path, capsys, command, text):
         code, error = self.run(tmp_path, capsys, command, text)
         assert code == 3 and error["error"] == "DataError"
