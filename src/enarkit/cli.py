@@ -24,7 +24,9 @@ import numpy as np
 
 from . import bench, blas, estimate, network, process
 from .csvio import write_table
-from .errors import DataError, EnarkitError, check_type, json_value, load_json, write_json
+from .errors import (
+    DataError, EnarkitError, NumericalError, check_type, json_value, load_json, write_json,
+)
 
 EXIT_OK = 0
 EXIT_USAGE = 2
@@ -258,6 +260,10 @@ def cmd_predict(args) -> int:
     if actual is not None:
         _check_cells(args.panel, "y", actual, t_cond + 1)
     y_hat = estimate.predict_one_step(fit, graph, y_t, z_t)
+    # finite cells and a finite fit can still overflow the forecast product
+    bad = np.flatnonzero(~np.isfinite(y_hat))
+    if bad.size:
+        raise NumericalError(f"forecast y_hat of node {bad[0]} at t = {t_cond + 1} is not finite")
 
     header, columns = ["node", "y_hat"], [y_hat]
     if actual is not None:

@@ -3,9 +3,12 @@ import dataclasses
 import itertools
 import json
 import math
+import multiprocessing
+import os
 import re
 import tracemalloc
 import warnings
+from concurrent.futures import ProcessPoolExecutor
 
 import numpy as np
 import pytest
@@ -446,16 +449,16 @@ def blas_at_two_threads():
     controls = blas._thread_controls()
     if controls is None:
         pytest.skip("no bundled OpenBLAS with thread setters")
-    before = [getter() for _, getter in controls]
-    for setter, _ in controls:
+    before = [getter() for _, getter, _ in controls]
+    for setter, _, _ in controls:
         setter(2)
 
     def counts():
-        return [getter() for _, getter in controls]
+        return [getter() for _, getter, _ in controls]
 
     assert counts() == [2, 2]
     yield counts
-    for (setter, _), count in zip(controls, before):
+    for (setter, _, _), count in zip(controls, before):
         setter(count)
 
 
@@ -476,6 +479,62 @@ class TestBlasPin:
         rows = run_grid(smoke_config(), parallelism=jobs)
         assert [r.status for r in rows] == ["ok"] * 4
         assert blas_at_two_threads() == [2, 2]
+
+    @pytest.fixture
+    def thread_stop(self):
+        controls = blas._thread_controls()
+        if controls is None or any(stop is None for _, _, stop in controls):
+            pytest.skip("no bundled OpenBLAS with a thread shutdown")
+        try:
+            os.listdir("/proc/self/task")
+        except OSError:
+            pytest.skip("no /proc/self/task to count threads in")
+
+    def test_every_worker_task_runs_one_os_thread(self, monkeypatch, thread_stop):
+        draw = bench.simulate_cell_data
+
+        def counted_draw(*args):
+            # read in every task: each task's BLAS setter calls would start
+            # a stopped pool's helpers again
+            threads = len(os.listdir("/proc/self/task"))
+            if threads != 1:
+                raise RuntimeError(f"{threads} threads")
+            return draw(*args)
+
+        monkeypatch.setattr(bench, "simulate_cell_data", counted_draw)
+        rows = run_grid(smoke_config(fit_models=["nar"], reps=6), parallelism=2)
+        assert [r.status for r in rows] == ["ok"] * 6
+        assert multiprocessing.active_children() == []
+
+    def test_a_spawned_worker_runs_one_os_thread(self, thread_stop):
+        # a spawned worker imports numpy and scipy afresh, and their helpers
+        # run until pin_worker stops them; a forked one starts without them
+        context = multiprocessing.get_context("spawn")
+        with ProcessPoolExecutor(2, mp_context=context, initializer=blas.pin_worker) as pool:
+            tasks = list(pool.map(os.listdir, ["/proc/self/task"] * 4))
+        assert [len(t) for t in tasks] == [1] * 4
+
+    def test_without_the_thread_stop_workers_only_pin(self, tmp_path, capsys, monkeypatch):
+        controls = blas._thread_controls()
+        if controls is None:
+            pytest.skip("no bundled OpenBLAS with thread setters")
+        monkeypatch.setattr(blas, "_thread_controls",
+                            lambda: tuple((setter, getter, None) for setter, getter, _ in controls))
+        cfg_path = tmp_path / "mc.json"
+        cfg_path.write_text(json.dumps({
+            "n_values": [20], "t_values": [6], "k_values": [2], "fit_models": ["nar", "enar"],
+            "reps": 3, "base_seed": 8,
+        }))
+        outputs = []
+        for jobs in ("1", "2"):
+            out = tmp_path / f"r{jobs}.csv"
+            assert cli.main(["mc", "--config", str(cfg_path), "--out", str(out),
+                             "--summary-out", str(tmp_path / "s.csv"), "--jobs", jobs,
+                             "--no-timing"]) == 0
+            report = json.loads(capsys.readouterr().out)
+            outputs.append((report["failures"], report["blas_threads"], out.read_bytes()))
+        assert outputs[0][:2] == outputs[1][:2] == (0, 1)
+        assert outputs[0][2] == outputs[1][2]
 
     def test_counts_restored_when_the_block_raises(self, blas_at_two_threads):
         with pytest.raises(ZeroDivisionError):

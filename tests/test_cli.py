@@ -523,6 +523,32 @@ class TestFitPredict:
                              "--window-len", "10", "--out", str(tmp_path / "forecast.csv"))
         assert code == 0
 
+    def test_predict_rejects_a_forecast_that_overflows(self, simulated, capsys):
+        # every cell and the fit are finite, yet y = 1.7e308 at the origin
+        # overflows the forecast product of some nodes
+        from enarkit.estimate import predict_one_step, read_fit_json
+        from enarkit.network import read_edge_csv
+
+        tmp_path, cfg = simulated
+        fit_path, _ = self.fit_model(simulated, capsys, "nar")
+        panel = read_panel_csv(cfg["out_panel"])
+        panel.y[:, 9] = 1.7e308
+        big = tmp_path / "big_panel.csv"
+        write_panel_csv(panel, str(big))
+        y_hat = predict_one_step(read_fit_json(str(fit_path)),
+                                 read_edge_csv(cfg["out_edges"], panel.n),
+                                 panel.y[:, 9], panel.z[:, 9, :])
+        first = int(np.flatnonzero(~np.isfinite(y_hat))[0])
+        out = tmp_path / "forecast.csv"
+        code, stdout, err = run_cli(capsys, "predict", "--fit", str(fit_path),
+                                    "--edges", cfg["out_edges"], "--panel", str(big),
+                                    "--window-len", "10", "--out", str(out))
+        assert (code, stdout) == (4, "")
+        assert json.loads(err) == {
+            "error": "NumericalError",
+            "message": f"forecast y_hat of node {first} at t = 10 is not finite"}
+        assert not out.exists()
+
     def test_enr_fit_on_single_transition(self, tmp_path, capsys):
         path, cfg = write_sim_config(tmp_path, n=40, t=1, seed=9)
         run_cli(capsys, "simulate", "--config", str(path))
