@@ -511,11 +511,23 @@ def group_fields(group_by: list[str]) -> list[str]:
     return [name.lower() for name in group_by]
 
 
+def _moments(values: np.ndarray) -> list[dict]:
+    """Count, mean, sd, median and quartiles of each row of ``values``, whose
+    rows hold one or more finite values each: one call of each reduction
+    for all the rows."""
+    q1, med, q3 = np.percentile(values, [25, 50, 75], axis=1)
+    count = values.shape[1]
+    sd = values.std(axis=1, ddof=1) if count > 1 else np.zeros(len(values))
+    return [dict(count=count, mean=float(m), sd=float(s), median=float(md), q1=float(a),
+                 q3=float(b))
+            for m, s, md, a, b in zip(values.mean(axis=1), sd, med, q1, q3)]
+
+
 def summarize(results: list[ReplicationResult], group_by: list[str]) -> list[dict]:
     """Per-group distribution summary of every metric, long format.
 
     Each output row holds one (group, metric) pair with count, mean, sd,
-    median, and quartiles over the non-NaN values; a ``failure_rate`` metric
+    median, and quartiles over the finite values; a ``failure_rate`` metric
     reports the share of non-ok rows per group.
     """
     if not results:
@@ -525,27 +537,19 @@ def summarize(results: list[ReplicationResult], group_by: list[str]) -> list[dic
     for r in results:
         groups.setdefault(tuple(getattr(r, f) for f in fields), []).append(r)
 
+    empty = dict(count=0, mean=math.nan, sd=math.nan, median=math.nan, q1=math.nan, q3=math.nan)
     rows = []
     for key in sorted(groups, key=lambda k: tuple(map(str, k))):
         members = groups[key]
         base = dict(zip(group_by, key))
-        for metric in METRIC_COLUMNS:
-            vals = np.array([getattr(r, metric) for r in members], dtype=float)
-            vals = vals[np.isfinite(vals)]
-            row = dict(base)
-            row["metric"] = metric
-            row["count"] = int(vals.size)
-            if vals.size:
-                q1, med, q3 = np.percentile(vals, [25, 50, 75])
-                row.update(
-                    mean=float(vals.mean()),
-                    sd=float(vals.std(ddof=1)) if vals.size > 1 else 0.0,
-                    median=float(med), q1=float(q1), q3=float(q3),
-                )
-            else:
-                row.update(mean=math.nan, sd=math.nan, median=math.nan,
-                           q1=math.nan, q3=math.nan)
-            rows.append(row)
+        values = np.array([[getattr(r, m) for r in members] for m in METRIC_COLUMNS], dtype=float)
+        finite = np.isfinite(values)
+        whole = finite.all(axis=1)  # these metrics share one reduction each
+        stats = dict(zip(np.flatnonzero(whole), _moments(values[whole])))
+        for i in np.flatnonzero(~whole):
+            vals = values[i, finite[i]]
+            stats[i] = _moments(vals[None]).pop() if vals.size else empty
+        rows.extend(dict(base, metric=metric, **stats[i]) for i, metric in enumerate(METRIC_COLUMNS))
         n_fail = sum(1 for r in members if r.status != "ok")
         rows.append(dict(base, metric="failure_rate", count=len(members),
                          mean=n_fail / len(members), sd=0.0,

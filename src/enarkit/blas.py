@@ -8,16 +8,18 @@ thread count unless both pools run one thread. Their thread setters are
 reached through ctypes; where a library or setter is missing (another BLAS
 build), nothing is pinned and the callers report that.
 
-Each library also keeps ``blas_num_threads`` - 1 helper threads.
-OpenBLAS's fork handler stops them before a fork and the next setter call
-starts them again, so a forked pool worker that only set one thread would
-still run them all: the setter caps which threads get work, not how many
-exist. The pool-worker initializer therefore calls the handler's
-``blas_thread_shutdown_`` (a spawned worker's helpers are running) and sets
-``blas_num_threads`` to 1 (every setter call after it reads that) before it
-sets one thread, so the worker runs one OS thread for its whole life. Both
-symbols are OpenBLAS internals, not API; where either is missing, the
-worker only sets one thread, and its helpers stay, idle.
+Each library also keeps helper threads, which OpenBLAS's fork handler
+(``blas_thread_shutdown_``) stops before a fork, leaving the library's
+``blas_server_avail`` at 0. A setter call on a stopped pool starts them
+again, whatever count it sets, so every count change here writes a stopped
+pool's ``blas_cpu_number`` (the count the getter reads and a BLAS call
+splits its work by) in place of the setter call, and OpenBLAS starts the
+helpers itself when a call next splits work. No enarkit call therefore
+starts a helper. The pool-worker initializer stops a worker's helpers
+first (a spawned worker's are running), so a worker runs one OS thread for
+its whole life. The three symbols are OpenBLAS internals, not API; where
+one is missing, the setter sets every count and a worker's helpers stay,
+idle.
 """
 
 from __future__ import annotations
@@ -42,10 +44,10 @@ _POOLS = (
 def _thread_controls() -> tuple[tuple, ...] | None:
     """(setter, getter, stop) of each bundled OpenBLAS pool, or None unless
     every pool has a setter and a getter. ``stop`` is the pool's
-    (``blas_thread_shutdown_``, ``blas_num_threads``), or None where the
-    library lacks either. Looked up once per process: the libraries stay
-    loaded, and the lookup (a glob and a ``CDLL`` per pool) costs more than
-    the block a caller pins."""
+    (``blas_thread_shutdown_``, ``blas_server_avail``, ``blas_cpu_number``),
+    or None where the library lacks any of them. Looked up once per process:
+    the libraries stay loaded, and the lookup (a glob and a ``CDLL`` per
+    pool) costs more than the block a caller pins."""
     controls = []
     for package, pattern, suffix in _POOLS:
         paths = glob.glob(os.path.join(os.path.dirname(package.__file__) + ".libs", pattern))
@@ -61,14 +63,25 @@ def _thread_controls() -> tuple[tuple, ...] | None:
         getter.argtypes, getter.restype = [], ctypes.c_int
         try:
             shutdown = lib.blas_thread_shutdown_
-            pool_size = ctypes.c_int.in_dll(lib, "blas_num_threads")
+            running = ctypes.c_int.in_dll(lib, "blas_server_avail")
+            count = ctypes.c_int.in_dll(lib, "blas_cpu_number")
         except (AttributeError, ValueError):  # a missing function, a missing variable
             stop = None
         else:
             shutdown.argtypes, shutdown.restype = [], ctypes.c_int
-            stop = (shutdown, pool_size)
+            stop = (shutdown, running, count)
         controls.append((setter, getter, stop))
     return tuple(controls)
+
+
+def _set_count(setter, stop, threads: int) -> None:
+    """Set one pool's thread count without starting its helpers: on a pool
+    whose helpers are stopped, the setter would start them, so write the
+    count instead."""
+    if stop is not None and stop[1].value == 0:
+        stop[2].value = threads
+    else:
+        setter(threads)
 
 
 def pinned_threads() -> int | None:
@@ -80,30 +93,27 @@ def pinned_threads() -> int | None:
 @contextlib.contextmanager
 def one_thread():
     """Run the block with every bundled OpenBLAS pool on one thread, and put
-    back each pool's previous count on exit, also when the block raises."""
+    back each pool's previous count on exit, also when the block raises.
+    Helpers that a fork in the block stopped stay stopped until a BLAS call
+    splits work again."""
     controls = _thread_controls() or []
     before = [getter() for _, getter, _ in controls]
-    for setter, _, _ in controls:
-        setter(1)
+    for setter, _, stop in controls:
+        _set_count(setter, stop, 1)
     try:
         yield
     finally:
-        for (setter, _, _), count in zip(controls, before):
-            setter(count)
+        for (setter, _, stop), count in zip(controls, before):
+            _set_count(setter, stop, count)
 
 
 def pin_worker() -> None:
     """Pool-worker initializer: one BLAS thread for the worker's whole life,
     and no helper threads left waiting beside it.
 
-    Never restored, because the worker exits with its pool; restoring after
-    each task would start the BLAS threads again in every child.
+    Never restored, because the worker exits with its pool.
     """
-    controls = _thread_controls() or []
-    for _, _, stop in controls:
+    for setter, _, stop in _thread_controls() or []:
         if stop is not None:
-            shutdown, pool_size = stop
-            shutdown()  # joins a spawned worker's helpers; a forked one has none
-            pool_size.value = 1  # so that this and every later setter call starts none
-    for setter, _, _ in controls:
-        setter(1)
+            stop[0]()  # joins a spawned worker's helpers; a forked one has none
+        _set_count(setter, stop, 1)

@@ -2,8 +2,9 @@
 
 Configs and fit outputs are JSON, read by ``errors.load_json`` and written
 by ``errors.write_json``; bulk data is CSV. Every output's directory is
-checked before any work, and every write goes through a temp-file rename so
-a killed process never leaves a partial file.
+checked before any work, as is that no two of a command's paths name the
+same file, and every write goes through a temp-file rename so a killed
+process never leaves a partial file.
 Exit codes: 0 success, 2 usage, 3 data error, 4 numerical failure; each
 error type carries its code (``exit_code``), and errors are reported as
 one JSON object on stderr. Config keys and their types are those of
@@ -67,11 +68,21 @@ def _seed(*given) -> int:
     return seed
 
 
-def _check_outputs(*paths: str) -> None:
-    """Raise, before any work, the OSError that writing one of ``paths``
-    would end in: its directory is missing or not writable, or the path is
-    a directory."""
-    for path in paths:
+def _check_outputs(outputs: dict[str, str], inputs: dict[str, str] | None = None,
+                   clash=lambda a, b: UsageError(f"{a} and {b} name the same file")) -> None:
+    """Raise, before any work, the error that writing ``outputs`` would end
+    in. ``outputs`` and ``inputs`` map each flag or key to its path; two of
+    them that resolve to the same file raise ``clash(first, second)``, since
+    a write would lose the other output or overwrite an input. Then the
+    OSError of an output whose directory is missing or not writable, or
+    that is a directory."""
+    named: dict[str, str] = {}
+    for name, path in {**(inputs or {}), **outputs}.items():
+        real = os.path.realpath(path)
+        if real in named:
+            raise clash(named[real], name)
+        named[real] = name
+    for path in outputs.values():
         folder = os.path.dirname(path) or "."
         if not os.path.isdir(folder):
             raise FileNotFoundError(f"no such directory: {folder!r}")
@@ -142,7 +153,9 @@ def cmd_simulate(args) -> int:
         generators=[generator], truth_models=[model], fit_models=["nar"],
         reps=1, base_seed=seed,
     )
-    _check_outputs(doc["out_edges"], doc["out_panel"], doc["out_truth"])
+    _check_outputs({key: doc[key] for key in ("out_edges", "out_panel", "out_truth")},
+                   clash=lambda a, b: DataError(
+                       f"{args.config}: keys {a!r} and {b!r} name the same file"))
     cell = bench.Cell(generator, model, "nar", n, t, k)
     data = bench.simulate_cell_data(cell, config, seed)
 
@@ -216,7 +229,7 @@ def cmd_fit(args) -> int:
             raise UsageError(f"{flag} is not meaningful for the {model} model")
     s = bench.ExperimentConfig.s if model == "amnar" and args.s is None else args.s
     spec = estimate.DesignSpec(model, args.k or 0, s=s, grand_mean=not args.omit_grand_mean)
-    _check_outputs(args.out)
+    _check_outputs({"--out": args.out}, {"--edges": args.edges, "--panel": args.panel})
     panel_full = process.read_panel_csv(args.panel)
     graph = network.read_edge_csv(args.edges, n_nodes=panel_full.n)
     panel = _window_panel(panel_full, args.window_start, args.window_len)
@@ -237,7 +250,8 @@ def _check_cells(where: str, name: str, values: np.ndarray, t: int) -> None:
 
 
 def cmd_predict(args) -> int:
-    _check_outputs(args.out)
+    _check_outputs({"--out": args.out},
+                   {"--fit": args.fit, "--edges": args.edges, "--panel": args.panel})
     fit = estimate.read_fit_json(args.fit)
     panel = process.read_panel_csv(args.panel)
     graph = network.read_edge_csv(args.edges, n_nodes=panel.n)
@@ -299,7 +313,7 @@ def cmd_mc(args) -> int:
     config = _experiment_config(doc, args.config, bench.CONFIG_TYPES, base_seed=_env_seed())
     group_by = [g.strip() for g in args.group_by.split(",") if g.strip()]
     bench.group_fields(group_by)
-    _check_outputs(args.out, args.summary_out)
+    _check_outputs({"--out": args.out, "--summary-out": args.summary_out})
     results = bench.run_grid(config, parallelism=args.jobs)
     bench.results_to_csv(results, args.out, timing=not args.no_timing)
     summary = bench.summarize(results, group_by)

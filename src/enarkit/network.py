@@ -58,6 +58,13 @@ class _FrozenCsr(scipy.sparse.csr_array):
         raise ValueError("a Graph's adjacency is read-only")
 
 
+def _freeze(a: _FrozenCsr) -> _FrozenCsr:
+    """``a`` with its buffers made read-only."""
+    for buf in (a.data, a.indices, a.indptr):
+        buf.flags.writeable = False
+    return a
+
+
 @dataclass
 class Graph:
     """Simple undirected graph held as a read-only CSR 0/1 adjacency.
@@ -85,9 +92,15 @@ class Graph:
             raise DataError("adjacency matrix has a nonzero diagonal")
         if np.any(a.data != 1):
             raise DataError("adjacency entries must be 0 or 1")
-        for buf in (a.data, a.indices, a.indptr):
-            buf.flags.writeable = False
-        self.adjacency = a
+        self.adjacency = _freeze(a)
+
+    @classmethod
+    def _built(cls, n: int, adjacency: _FrozenCsr) -> Graph:
+        """Graph over a CSR that its builder made n x n, symmetric, hollow,
+        0/1 and sorted: frozen in place, without the copy and the checks."""
+        g = object.__new__(cls)
+        g.n, g.adjacency = n, _freeze(adjacency)
+        return g
 
     @functools.cached_property
     def laplacian(self) -> scipy.sparse.csr_array:
@@ -110,8 +123,9 @@ def _from_upper(n: int, lo: np.ndarray, hi: np.ndarray) -> Graph:
     """Graph on ``n`` nodes with one edge per pair (lo[e], hi[e]), lo < hi."""
     # lower triangle first: row-major pairs then give each CSR row sorted
     rows, cols = np.concatenate([hi, lo]), np.concatenate([lo, hi])
-    a = scipy.sparse.coo_array((np.ones(rows.size), (rows, cols)), shape=(n, n))
-    return Graph(n, a.tocsr())
+    # the conversion to CSR sorts each row's indices
+    a = _FrozenCsr(scipy.sparse.coo_array((np.ones(rows.size), (rows, cols)), shape=(n, n)))
+    return Graph._built(n, a)
 
 
 @dataclass

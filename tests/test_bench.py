@@ -6,6 +6,7 @@ import math
 import multiprocessing
 import os
 import re
+import time
 import tracemalloc
 import warnings
 from concurrent.futures import ProcessPoolExecutor
@@ -542,6 +543,41 @@ class TestBlasPin:
                 assert blas_at_two_threads() == [1, 1]
                 1 / 0
         assert blas_at_two_threads() == [2, 2]
+
+    @staticmethod
+    def settled_threads() -> int:
+        """This process's OS threads, read once any thread a pool joined is
+        gone: a joined thread's OS thread outlives its join by a moment."""
+        deadline = time.monotonic() + 2.0
+        while (threads := len(os.listdir("/proc/self/task"))) > 1 and time.monotonic() < deadline:
+            time.sleep(0.01)
+        return threads
+
+    def test_the_parent_starts_no_helper_after_a_pool(self, blas_at_two_threads, thread_stop):
+        # the fork handler stops the parent's helpers, and restoring the
+        # counts on a stopped pool must not start them again
+        for jobs in (2, 1):
+            rows = run_grid(smoke_config(), parallelism=jobs)
+            assert [r.status for r in rows] == ["ok"] * 4
+            assert self.settled_threads() == 1
+            assert blas_at_two_threads() == [2, 2]
+
+    def test_a_later_split_starts_the_helpers(self, blas_at_two_threads, thread_stop):
+        run_grid(smoke_config(), parallelism=2)
+        assert self.settled_threads() == 1
+        a = np.ones((400, 400))
+        a @ a  # large enough for the restored two threads to split
+        assert len(os.listdir("/proc/self/task")) > 1
+
+    def test_a_fork_in_a_block_that_raises(self, blas_at_two_threads, thread_stop):
+        with pytest.raises(ZeroDivisionError):
+            with blas.one_thread():
+                child = multiprocessing.get_context("fork").Process(target=os.getpid)
+                child.start()
+                child.join()
+                1 / 0
+        assert blas_at_two_threads() == [2, 2]
+        assert self.settled_threads() == 1
 
 
 class TestEnarDraw:

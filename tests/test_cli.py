@@ -162,6 +162,29 @@ class TestSimulate:
         assert os.listdir(tmp_path) == ["sim.json"]
 
 
+    @pytest.mark.parametrize("first, second", [
+        ("out_edges", "out_panel"), ("out_edges", "out_truth"), ("out_panel", "out_truth"),
+    ])
+    def test_two_keys_naming_one_file_draw_and_write_nothing(
+        self, tmp_path, capsys, monkeypatch, first, second
+    ):
+        def forbidden(*args, **kwargs):
+            raise AssertionError("simulate drew before checking its outputs")
+
+        monkeypatch.setattr(bench, "simulate_cell_data", forbidden)
+        same = tmp_path / "same.csv"
+        same.write_bytes(b"kept\r\n")
+        # the second spelling resolves to the first
+        path, _ = write_sim_config(tmp_path, **{first: str(same),
+                                                second: os.path.join(tmp_path, ".", "same.csv")})
+        code, stdout, err = run_cli(capsys, "simulate", "--config", str(path))
+        assert (code, stdout, json.loads(err)) == (3, "", {
+            "error": "DataError",
+            "message": f"{path}: keys {first!r} and {second!r} name the same file"})
+        assert same.read_bytes() == b"kept\r\n"
+        assert sorted(os.listdir(tmp_path)) == ["same.csv", "sim.json"]
+
+
 class TestFitPredict:
     @pytest.fixture()
     def simulated(self, tmp_path, capsys):
@@ -484,6 +507,32 @@ class TestFitPredict:
                                     "--out", str(tmp_path / "missing" / "out"))
         assert (code, stdout, json.loads(err)["error"]) == (3, "", "io")
         assert sorted(os.listdir(tmp_path)) == before
+
+    @pytest.mark.parametrize("command, flag, other", [
+        ("fit", "--edges", "--out"), ("fit", "--panel", "--out"), ("fit", "--edges", "--panel"),
+        ("predict", "--fit", "--out"), ("predict", "--edges", "--out"),
+        ("predict", "--panel", "--out"), ("predict", "--fit", "--panel"),
+    ])
+    def test_two_flags_naming_one_file_are_a_usage_error(
+        self, simulated, capsys, command, flag, other
+    ):
+        tmp_path, cfg = simulated
+        fit_path, _ = self.fit_model(simulated, capsys, "enar")
+        paths = {"--edges": cfg["out_edges"], "--panel": cfg["out_panel"],
+                 "--out": str(tmp_path / "out")}
+        if command == "predict":
+            paths = {"--fit": str(fit_path), **paths}
+        inputs = [paths[name] for name in paths if name != "--out"]
+        kept = [open(path, "rb").read() for path in inputs]
+        before = sorted(os.listdir(tmp_path))
+        paths[other] = os.path.relpath(paths[flag])  # another spelling of the same file
+        model = ["--model", "enar", "--k", "2"] if command == "fit" else []
+        code, stdout, err = run_cli(capsys, command, *model,
+                                    *[arg for item in paths.items() for arg in item])
+        assert (code, stdout, json.loads(err)) == (
+            2, "", {"error": "usage", "message": f"{flag} and {other} name the same file"})
+        assert sorted(os.listdir(tmp_path)) == before
+        assert [open(path, "rb").read() for path in inputs] == kept
 
     # predict with --window-len 10 conditions on t = 9 and forecasts t = 10
     @pytest.mark.parametrize("cells, named", [
@@ -1202,6 +1251,33 @@ class TestMc:
                                     *[arg for item in outputs.items() for arg in item])
         assert (code, stdout, json.loads(err)["error"]) == (3, "", "io")
         assert os.listdir(tmp_path) == ["mc.json"]
+
+    @pytest.mark.parametrize("link", [False, True])
+    def test_out_and_summary_out_naming_one_file_stop_mc_before_any_row(
+        self, tmp_path, capsys, monkeypatch, link
+    ):
+        def forbidden(*args, **kwargs):
+            raise AssertionError("mc ran a row before checking its outputs")
+
+        monkeypatch.setattr(bench, "run_grid", forbidden)
+        cfg_path = tmp_path / "mc.json"
+        cfg_path.write_text(json.dumps({
+            "n_values": [12], "t_values": [4], "k_values": [2], "fit_models": ["nar"], "reps": 1,
+        }))
+        results = tmp_path / "r.csv"
+        results.write_bytes(b"kept\r\n")
+        summary = tmp_path / "s.csv"
+        if link:
+            summary.symlink_to(results)
+        else:
+            summary = tmp_path / "." / "r.csv"
+        before = sorted(os.listdir(tmp_path))
+        code, stdout, err = run_cli(capsys, "mc", "--config", str(cfg_path), "--out", str(results),
+                                    "--summary-out", str(summary))
+        assert (code, stdout, json.loads(err)) == (2, "", {
+            "error": "usage", "message": "--out and --summary-out name the same file"})
+        assert results.read_bytes() == b"kept\r\n"
+        assert sorted(os.listdir(tmp_path)) == before
 
     def test_bad_group_by_field_stops_mc_before_any_row(self, tmp_path, capsys):
         cfg_path = tmp_path / "mc.json"

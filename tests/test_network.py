@@ -28,6 +28,7 @@ from enarkit.network import (
     spectral_embed,
     write_edge_csv,
 )
+from enarkit.lsm import LsmState, sample_lsm_graph
 from oracles import (
     dense_transition,
     magnitude_order_sorted,
@@ -75,6 +76,49 @@ class TestGraph:
         with pytest.raises(ValueError):
             g.adjacency[0, 2] = 1
         assert np.array_equal(g.adjacency.toarray(), path_graph(3).adjacency.toarray())
+
+
+def assert_same_as_checked(g):
+    """``g`` equals the graph that the checked constructor builds from its
+    CSR, buffer for buffer, and is frozen like it."""
+    ref = Graph(g.n, g.adjacency)
+    a, b = g.adjacency, ref.adjacency
+    assert type(a) is type(b)
+    for name in ("indptr", "indices", "data"):
+        x, y = getattr(a, name), getattr(b, name)
+        assert x.dtype == y.dtype and np.array_equal(x, y)
+        assert not x.flags.writeable and not y.flags.writeable
+    assert a.has_sorted_indices and b.has_sorted_indices
+    with pytest.raises(ValueError):
+        a[0, 0] = 1
+
+
+class TestBuiltGraph:
+    """The package's own builds skip the checked constructor's copy and
+    checks, and give the graph it gives."""
+
+    @pytest.mark.parametrize("n", [3, 30, 300])
+    def test_sample_graph(self, n):
+        rng = np.random.default_rng(n)
+        x = rng.random((n, 2))
+        assert_same_as_checked(sample_graph(connection_matrix(RdpgSpec(x, rho=0.5)), rng))
+        spec = mc_spec("dcmmsbm", n, n)
+        assert_same_as_checked(sample_graph(ConnectionOperator(spec), rng))
+
+    @pytest.mark.parametrize("n", [2, 40, 200])
+    def test_lsm_sampler(self, n):
+        rng = np.random.default_rng(n)
+        state = LsmState(rng.standard_normal((n, 2)), rng.standard_normal(n))
+        assert_same_as_checked(sample_lsm_graph(state, rng))
+
+    @pytest.mark.parametrize("n, count", [(1, 0), (2, 1), (9, 36), (50, 300), (400, 3000)])
+    def test_random_pair_sets(self, n, count):
+        # pairs in random order, as an edge list or a holdout draw gives them
+        rng = np.random.default_rng(count)
+        pos = rng.choice(n * (n - 1) // 2, count, replace=False)
+        g = net._from_upper(n, *net._upper_pairs(n, pos))
+        assert g.adjacency.nnz == 2 * count
+        assert_same_as_checked(g)
 
 
 class TestLaplacian:
