@@ -549,7 +549,8 @@ def summarize(results: list[ReplicationResult], group_by: list[str]) -> list[dic
         for i in np.flatnonzero(~whole):
             vals = values[i, finite[i]]
             stats[i] = _moments(vals[None]).pop() if vals.size else empty
-        rows.extend(dict(base, metric=metric, **stats[i]) for i, metric in enumerate(METRIC_COLUMNS))
+        rows.extend(dict(base, metric=metric, **stats[i])
+                    for i, metric in enumerate(METRIC_COLUMNS))
         n_fail = sum(1 for r in members if r.status != "ok")
         rows.append(dict(base, metric="failure_rate", count=len(members),
                          mean=n_fail / len(members), sd=0.0,
