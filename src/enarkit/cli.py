@@ -154,8 +154,9 @@ def cmd_simulate(args) -> int:
         reps=1, base_seed=seed,
     )
     _check_outputs({key: doc[key] for key in ("out_edges", "out_panel", "out_truth")},
-                   clash=lambda a, b: DataError(
-                       f"{args.config}: keys {a!r} and {b!r} name the same file"))
+                   {"--config": args.config}, clash=lambda a, b: DataError(
+                       f"{args.config}: key {b!r} names the config file itself" if a == "--config"
+                       else f"{args.config}: keys {a!r} and {b!r} name the same file"))
     cell = bench.Cell(generator, model, "nar", n, t, k)
     data = bench.simulate_cell_data(cell, config, seed)
 
@@ -313,7 +314,8 @@ def cmd_mc(args) -> int:
     config = _experiment_config(doc, args.config, bench.CONFIG_TYPES, base_seed=_env_seed())
     group_by = [g.strip() for g in args.group_by.split(",") if g.strip()]
     bench.group_fields(group_by)
-    _check_outputs({"--out": args.out, "--summary-out": args.summary_out})
+    _check_outputs({"--out": args.out, "--summary-out": args.summary_out},
+                   {"--config": args.config})
     results = bench.run_grid(config, parallelism=args.jobs)
     bench.results_to_csv(results, args.out, timing=not args.no_timing)
     summary = bench.summarize(results, group_by)

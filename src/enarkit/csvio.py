@@ -3,14 +3,15 @@
 Reading splits the file into lines once, drops blank lines and parses whole
 columns with numpy's C loader ``np.loadtxt``; when a parse fails, the first
 offending line is found afterwards, so every error still names the file row
-it came from. Writing formats each float by ``repr`` (an exact round trip),
-ends lines in CRLF and replaces the file atomically.
+it came from. ``write_table``, the one CSV writer, formats each row from one
+template, ends lines in CRLF and replaces the file atomically.
 """
 
 from __future__ import annotations
 
 import csv
 from collections.abc import Callable, Iterable, Sequence
+from itertools import islice
 
 import numpy as np
 
@@ -81,19 +82,15 @@ def repeated_rows(*keys: np.ndarray) -> np.ndarray:
     return np.sort(order[1:][same])
 
 
-_FLOATS = (float, np.floating)
-
-
-def _field(value) -> str:
-    # repr of a numpy float reads "np.float64(...)", so convert first
-    return repr(float(value)) if isinstance(value, _FLOATS) else str(value)
-
-
 def write_table(path: str, header: Sequence[str], rows: Iterable[Sequence]) -> None:
     """Write ``header`` and ``rows`` as comma-separated lines ending in CRLF
-    (atomic replace). Floats are written as ``repr(float(v))``, everything
-    else by ``str``. Fields are never quoted, so none may hold a comma, a
-    double quote or a line break."""
+    (atomic replace). Fields are written by ``str``, which for a float or a
+    numpy float64 is its shortest round-trip ``repr``, and never quoted, so
+    none may hold a comma, a double quote or a line break. A row whose width
+    differs from the header's raises ``TypeError`` and leaves ``path`` as it was."""
+    template = ",".join(["%s"] * len(header)) + "\r\n"
+    lines = map(template.__mod__, map(tuple, rows))
     with atomic_write(path, newline="") as fh:
-        lines = [",".join(header)] + [",".join(map(_field, row)) for row in rows]
-        fh.write("\r\n".join(lines) + "\r\n")
+        fh.write(template % tuple(header))
+        while batch := "".join(islice(lines, 2048)):  # no whole-file list
+            fh.write(batch)

@@ -28,13 +28,12 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from itertools import compress
+from itertools import compress, repeat
 
 import numpy as np
 
 from . import blas
-from .atomic import atomic_write
-from .csvio import Table, load_columns, repeated_rows
+from .csvio import Table, load_columns, repeated_rows, write_table
 from .errors import DataError, DimensionMismatch, NotStationary
 from .network import Graph
 
@@ -391,18 +390,18 @@ def simulate_amnar(
 
 def write_panel_csv(panel: Panel, path: str) -> None:
     """Long-format panel: ``node,t,y,z1,...,zp``; the final time carries no
-    covariates so those fields are left empty. Floats are written by
-    ``repr`` (exact round trip), lines end in CRLF. Atomic replace."""
-    t_len, blanks = panel.t, "," * panel.p
-    with atomic_write(path, newline="") as fh:
-        fh.write(",".join(["node", "t", "y"] + [f"z{j + 1}" for j in range(panel.p)]) + "\r\n")
+    covariates so those fields are left empty. Written one node at a time
+    by :func:`~enarkit.csvio.write_table`, so floats round-trip exactly."""
+
+    def rows():
         # one node at a time: a whole-panel tolist() would hold every cell
         # as a Python float at once
         for i in range(panel.n):
             y = panel.y[i].tolist()
-            fh.write("".join([f"{i},{t},{','.join(map(repr, [y[t], *z]))}\r\n"
-                              for t, z in enumerate(panel.z[i].tolist())]))
-            fh.write(f"{i},{t_len},{y[-1]!r}{blanks}\r\n")
+            yield from zip(repeat(i), range(panel.t), y, *panel.z[i].T.tolist())
+            yield (i, panel.t, y[-1], *[""] * panel.p)
+
+    write_table(path, ["node", "t", "y"] + [f"z{j + 1}" for j in range(panel.p)], rows())
 
 
 _PANEL_KEYS = np.dtype([("node", np.int64), ("t", np.int64), ("y", np.float64)])

@@ -184,6 +184,22 @@ class TestSimulate:
         assert same.read_bytes() == b"kept\r\n"
         assert sorted(os.listdir(tmp_path)) == ["same.csv", "sim.json"]
 
+    @pytest.mark.parametrize("key", ["out_edges", "out_panel", "out_truth"])
+    def test_key_naming_the_config_draws_and_writes_nothing(
+        self, tmp_path, capsys, monkeypatch, key
+    ):
+        def forbidden(*args, **kwargs):
+            raise AssertionError("simulate drew before checking its outputs")
+
+        monkeypatch.setattr(bench, "simulate_cell_data", forbidden)
+        path, _ = write_sim_config(tmp_path, **{key: os.path.join(tmp_path, ".", "sim.json")})
+        kept = path.read_bytes()
+        code, stdout, err = run_cli(capsys, "simulate", "--config", str(path))
+        assert (code, stdout, json.loads(err)) == (3, "", {
+            "error": "DataError", "message": f"{path}: key {key!r} names the config file itself"})
+        assert path.read_bytes() == kept
+        assert os.listdir(tmp_path) == ["sim.json"]
+
 
 class TestFitPredict:
     @pytest.fixture()
@@ -523,7 +539,7 @@ class TestFitPredict:
         if command == "predict":
             paths = {"--fit": str(fit_path), **paths}
         inputs = [paths[name] for name in paths if name != "--out"]
-        kept = [open(path, "rb").read() for path in inputs]
+        kept = [Path(path).read_bytes() for path in inputs]
         before = sorted(os.listdir(tmp_path))
         paths[other] = os.path.relpath(paths[flag])  # another spelling of the same file
         model = ["--model", "enar", "--k", "2"] if command == "fit" else []
@@ -532,7 +548,24 @@ class TestFitPredict:
         assert (code, stdout, json.loads(err)) == (
             2, "", {"error": "usage", "message": f"{flag} and {other} name the same file"})
         assert sorted(os.listdir(tmp_path)) == before
-        assert [open(path, "rb").read() for path in inputs] == kept
+        assert [Path(path).read_bytes() for path in inputs] == kept
+
+    def test_output_hard_linked_to_an_input_leaves_the_input_intact(self, simulated, capsys):
+        # the atomic write renames a new file over the link's name, so the
+        # panel keeps its inode and its bytes
+        tmp_path, cfg = simulated
+        fit_path, _ = self.fit_model(simulated, capsys, "enar")
+        panel = Path(cfg["out_panel"])
+        kept = panel.read_bytes()
+        link = tmp_path / "link.csv"
+        os.link(panel, link)
+        code, _, err = run_cli(capsys, "predict", "--fit", str(fit_path),
+                               "--edges", cfg["out_edges"], "--panel", str(panel),
+                               "--out", str(link))
+        assert code == 0, err
+        assert panel.read_bytes() == kept
+        assert link.read_bytes().startswith(b"node,y_hat\r\n")
+        assert os.stat(panel).st_nlink == 1
 
     # predict with --window-len 10 conditions on t = 9 and forecasts t = 10
     @pytest.mark.parametrize("cells, named", [
@@ -1278,6 +1311,28 @@ class TestMc:
             "error": "usage", "message": "--out and --summary-out name the same file"})
         assert results.read_bytes() == b"kept\r\n"
         assert sorted(os.listdir(tmp_path)) == before
+
+    @pytest.mark.parametrize("flag", ["--out", "--summary-out"])
+    def test_output_naming_the_config_stops_mc_before_any_row(
+        self, tmp_path, capsys, monkeypatch, flag
+    ):
+        def forbidden(*args, **kwargs):
+            raise AssertionError("mc ran a row before checking its outputs")
+
+        monkeypatch.setattr(bench, "run_grid", forbidden)
+        cfg_path = tmp_path / "mc.json"
+        cfg_path.write_text(json.dumps({
+            "n_values": [12], "t_values": [4], "k_values": [2], "fit_models": ["nar"], "reps": 1,
+        }))
+        kept = cfg_path.read_bytes()
+        paths = {"--out": str(tmp_path / "r.csv"), "--summary-out": str(tmp_path / "s.csv"),
+                 flag: str(cfg_path)}
+        code, stdout, err = run_cli(capsys, "mc", "--config", str(cfg_path),
+                                    *[arg for item in paths.items() for arg in item])
+        assert (code, stdout, json.loads(err)) == (2, "", {
+            "error": "usage", "message": f"--config and {flag} name the same file"})
+        assert cfg_path.read_bytes() == kept
+        assert os.listdir(tmp_path) == ["mc.json"]
 
     def test_bad_group_by_field_stops_mc_before_any_row(self, tmp_path, capsys):
         cfg_path = tmp_path / "mc.json"

@@ -422,6 +422,14 @@ class TestPanelCsv:
         assert back.z.tobytes() == panel.z.tobytes()
         assert back.z.shape == (4, 5, p)
 
+    def test_panel_of_several_write_batches_matches_csv_writer(self, tmp_path):
+        rng = np.random.default_rng(4)
+        panel = Panel(y=rng.standard_normal((90, 101)), z=rng.standard_normal((90, 100, 2)))
+        fast, ref = tmp_path / "fast.csv", tmp_path / "ref.csv"
+        write_panel_csv(panel, str(fast))
+        write_panel_csv_loop(panel, str(ref))
+        assert fast.read_bytes() == ref.read_bytes()
+
     def test_shuffled_rows_lf_ends_and_blank_lines_round_trip(self, tmp_path):
         rng = np.random.default_rng(3)
         panel = Panel(y=rng.standard_normal((5, 4)), z=rng.standard_normal((5, 3, 2)))
