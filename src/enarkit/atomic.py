@@ -11,14 +11,15 @@ from typing import TextIO
 @contextlib.contextmanager
 def atomic_write(path: str, newline: str | None = None) -> Iterator[TextIO]:
     """Write text to a temp file beside ``path`` and rename it over ``path``
-    when the block completes, so no reader ever sees a partial file.
+    when the block completes, so no reader ever sees a partial file. Text is
+    encoded as UTF-8 whatever the locale.
 
     If the write or the rename fails, the temp file is removed and the error
     propagates.
     """
     tmp = f"{path}.tmp.{os.getpid()}"
     try:
-        with open(tmp, "w", newline=newline) as fh:
+        with open(tmp, "w", encoding="utf-8", newline=newline) as fh:
             yield fh
         os.replace(tmp, path)
     except BaseException:

@@ -1,74 +1,155 @@
 """CSV tables: one header line over rows of numbers and identifiers.
 
-Reading splits the file into lines once, drops blank lines and parses whole
-columns with numpy's C loader ``np.loadtxt``; when a parse fails, the first
-offending line is found afterwards, so every error still names the file row
-it came from. ``write_table``, the one CSV writer, formats each row from one
-template, ends lines in CRLF and replaces the file atomically.
+Files are read as UTF-8 and streamed: ``read_table`` yields the body in
+chunks of at most ``CHUNK_LINES`` physical lines, so only one chunk's text is
+held at a time. A line ends at LF, CR or CRLF. Blank and whitespace-only
+lines are skipped but still counted, so every error names the file row it
+came from, the header being row 1. ``np.loadtxt`` parses a chunk's columns
+in C; when a parse fails, the offending lines are found afterwards by
+halving. An error found after parsing names its row by streaming the file
+again (``row_of``). ``write_table``, the one CSV writer, formats each row from
+one template, ends lines in CRLF and replaces the file atomically.
 """
 
 from __future__ import annotations
 
+import contextlib
 import csv
-from collections.abc import Callable, Iterable, Sequence
-from itertools import islice
+from collections.abc import Iterable, Iterator, Sequence
+from itertools import filterfalse, islice
 
 import numpy as np
 
 from .atomic import atomic_write
 from .errors import DataError
 
+CHUNK_LINES = 4096  # physical lines read and parsed at a time
+_ENDS = "\r\n"
 
-class Table:
-    """Header fields (``None`` for an empty file) and the non-blank data
-    lines of a CSV file. Line ends may be LF or CRLF."""
 
-    def __init__(self, path: str):
-        self.path = path
-        with open(path, newline="") as fh:
-            lines = fh.read().splitlines()
-        self.header = next(csv.reader(lines[:1]), None)
-        self._body = lines[1:]
-        self.lines = list(filter(str.strip, self._body))
+class Chunk:
+    """Consecutive physical lines of a CSV body, the first being file row
+    ``row``; ``lines`` holds the non-blank ones, line ends kept."""
+
+    def __init__(self, path: str, raw: list[str], row: int):
+        self.path, self._raw, self._row = path, raw, row
+        self.lines = list(filterfalse(str.isspace, raw))
 
     def where(self, j: int) -> str:
-        """``"<path>: row <r>"`` for ``self.lines[j]``, counting the header
-        as row 1 and blank lines as rows."""
-        rows = [r for r, line in enumerate(self._body, start=2) if line.strip()]
+        """``"<path>: row <r>"`` for ``self.lines[j]``."""
+        rows = [r for r, line in enumerate(self._raw, start=self._row) if not line.isspace()]
         return f"{self.path}: row {rows[j]}"
 
+    def load(self, usecols: Sequence[int], dtype, what: str = "") -> np.ndarray:
+        """Columns ``usecols`` of ``self.lines``, as :func:`parse_lines` gives
+        them; the first line that does not parse raises ``DataError`` naming
+        its row and quoting it after ``"cannot parse <what>"``."""
+        values, ok = parse_lines(self.lines, usecols, dtype)
+        if not ok.all():
+            j = int(ok.argmin())
+            raise DataError(f"{self.where(j)}: cannot parse {what}{self.lines[j].rstrip(_ENDS)!r}")
+        return values
 
-def load_columns(
-    lines: Sequence[str], usecols: Sequence[int], dtype, describe: Callable[[int], str]
-) -> np.ndarray:
-    """Columns ``usecols`` of comma-separated ``lines``: one record per line
-    for a structured ``dtype``, else a (lines x columns) array.
 
-    If a line lacks a column or holds a field that does not parse, raises
-    ``DataError(describe(j))`` for the first such line ``j``. Lines parse
-    independently, so it is found by bisection in about one more pass.
-    """
-    ndmin = 1 if np.dtype(dtype).names else 2
-
-    def parse(chunk):
-        return np.loadtxt(
-            chunk, delimiter=",", usecols=usecols, dtype=dtype, comments=None, ndmin=ndmin
-        )
-
+@contextlib.contextmanager
+def read_table(path: str) -> Iterator[tuple[list[str] | None, Iterator[Chunk]]]:
+    """The header fields of the CSV file at ``path`` (``None`` for an empty
+    file) and an iterator over its body in :class:`Chunk` s of
+    ``CHUNK_LINES`` lines, valid inside the ``with`` block. A byte that is
+    not UTF-8 raises ``DataError`` naming its row."""
     try:
-        return parse(lines)
-    except ValueError:
-        pass
-    lo, hi = 0, len(lines)  # lines[:lo] parse; lines[lo:hi] holds a failure
-    while hi - lo > 1:
-        mid = (lo + hi) // 2
+        with open(path, encoding="utf-8", newline="") as fh:
+            first = fh.readline()
+            header = next(csv.reader([first.rstrip(_ENDS)]), None) if first else None
+            yield header, _chunks(path, fh)
+    except UnicodeDecodeError:
+        raise DataError(_undecodable(path)) from None
+
+
+def _chunks(path: str, fh) -> Iterator[Chunk]:
+    row = 2
+    while raw := list(islice(fh, CHUNK_LINES)):
+        yield Chunk(path, raw, row)
+        row += len(raw)
+
+
+def _undecodable(path: str) -> str:
+    """``"<path>: row <r>: ..."`` for the first row of the file at ``path``
+    that is not UTF-8, counting rows as :func:`read_table` does."""
+    row = 0
+    with open(path, "rb") as fh:
+        for block in fh:  # ends at LF; splitlines also splits at CR
+            for line in block.splitlines():
+                row += 1
+                try:
+                    line.decode("utf-8")
+                except UnicodeDecodeError as exc:
+                    return f"{path}: row {row}: not UTF-8: {exc}"
+    return f"{path}: not UTF-8"
+
+
+def row_of(path: str, j: int) -> str:
+    """``"<path>: row <r>"`` for data line ``j`` of the CSV file at ``path``,
+    counting from 0 and skipping blank lines, found by streaming the file
+    again."""
+    with read_table(path) as (_, chunks):
+        for chunk in chunks:
+            if j < len(chunk.lines):
+                return chunk.where(j)
+            j -= len(chunk.lines)
+    raise IndexError(j)
+
+
+class Rows:
+    """Records of one ``dtype`` appended chunk by chunk into one array,
+    which doubles when full."""
+
+    def __init__(self, dtype):
+        self._dtype = dtype  # a subarray dtype adds its shape to the array's
+        self._buf = np.empty(0, dtype)
+        self.size = 0
+
+    def add(self, count: int) -> np.ndarray:
+        """The next ``count`` records, for the caller to fill."""
+        end = self.size + count
+        if end > len(self._buf):
+            grown = np.empty(max(end, 2 * len(self._buf)), self._dtype)
+            grown[: self.size] = self._buf[: self.size]
+            self._buf = grown
+        block = self._buf[self.size : end]
+        self.size = end
+        return block
+
+    def array(self) -> np.ndarray:
+        """The records added so far (a view)."""
+        return self._buf[: self.size]
+
+
+def parse_lines(
+    lines: Sequence[str], usecols: Sequence[int], dtype
+) -> tuple[np.ndarray, np.ndarray]:
+    """Columns ``usecols`` of comma-separated ``lines`` (one record per line
+    for a structured ``dtype``, else a lines x columns array) and a mask of
+    the lines that parse. A line that lacks a column or holds a field that
+    does not parse is left unset. Lines parse independently, so the failures
+    are isolated by halving."""
+    structured = np.dtype(dtype).names is not None
+    values = np.empty((len(lines),) if structured else (len(lines), len(usecols)), dtype)
+    ok = np.ones(len(lines), dtype=bool)
+    spans = [(0, len(lines))] if lines else []
+    while spans:
+        a, b = spans.pop()
         try:
-            parse(lines[lo:mid])
+            values[a:b] = np.loadtxt(
+                lines[a:b], delimiter=",", usecols=usecols, dtype=dtype, comments=None,
+                ndmin=1 if structured else 2,
+            )
         except ValueError:
-            hi = mid
-        else:
-            lo = mid
-    raise DataError(describe(lo))
+            if b - a == 1:
+                ok[a] = False
+            else:
+                spans += [((a + b) // 2, b), (a, (a + b) // 2)]
+    return values, ok
 
 
 def repeated_rows(*keys: np.ndarray) -> np.ndarray:

@@ -27,7 +27,7 @@ import numpy as np
 import scipy.sparse
 import scipy.sparse.linalg
 
-from .csvio import Table, load_columns, repeated_rows, write_table
+from .csvio import Rows, read_table, repeated_rows, row_of, write_table
 from .errors import (
     DataError,
     EigConvergenceFailure,
@@ -570,37 +570,38 @@ def read_edge_csv(path: str, n_nodes: int | None = None) -> Graph:
     """
     if n_nodes is not None and n_nodes < 0:
         raise DataError(f"{path}: node count {n_nodes} is negative")
-    table = Table(path)
-    header = table.header
-    if header is None or [h.strip() for h in header[:2]] != ["src", "dst"]:
-        raise DataError(f"{path}: expected header 'src,dst', got {header}")
-    lines = table.lines
-    edges = np.empty((0, 2), dtype=np.int64)
-    if lines:
-        edges = load_columns(
-            lines, (0, 1), np.int64,
-            lambda j: f"{table.where(j)}: cannot parse edge {lines[j]!r}",
-        )
-    src, dst = edges[:, 0], edges[:, 1]
-    lo, hi = np.minimum(src, dst), np.maximum(src, dst)
+    lo, hi = _read_pairs(path)
     # the first row breaking any rule, with the rules checked in this order
     # on that row
-    offenders = (np.flatnonzero(lo < 0), np.flatnonzero(src == dst), repeated_rows(lo, hi))
+    offenders = (np.flatnonzero(lo < 0), np.flatnonzero(lo == hi), repeated_rows(lo, hi))
     firsts = [rows[0] for rows in offenders if rows.size]
     if firsts:
         j = min(firsts)
-        where = table.where(j)
+        where = row_of(path, j)
         if lo[j] < 0:
             raise DataError(f"{where}: negative node id")
-        if src[j] == dst[j]:
-            raise DataError(f"{where}: self-loop on node {src[j]}")
+        if lo[j] == hi[j]:
+            raise DataError(f"{where}: self-loop on node {lo[j]}")
         raise DataError(f"{where}: duplicate edge ({lo[j]}, {hi[j]})")
     n = n_nodes if n_nodes is not None else (int(hi.max()) + 1 if hi.size else 0)
     over = np.flatnonzero(hi >= n)
     if over.size:
         j = over[0]
-        raise DataError(f"{table.where(j)}: edge ({lo[j]},{hi[j]}) exceeds node count {n}")
+        raise DataError(f"{row_of(path, j)}: edge ({lo[j]},{hi[j]}) exceeds node count {n}")
     return _from_upper(n, lo, hi)
+
+
+def _read_pairs(path: str) -> tuple[np.ndarray, np.ndarray]:
+    """The smaller and the larger id of each edge of an ``src,dst`` file, in
+    file order."""
+    with read_table(path) as (header, chunks):
+        if header is None or [h.strip() for h in header[:2]] != ["src", "dst"]:
+            raise DataError(f"{path}: expected header 'src,dst', got {header}")
+        edges = Rows((np.int64, (2,)))
+        for chunk in chunks:
+            edges.add(len(chunk.lines))[:] = chunk.load((0, 1), np.int64, "edge ")
+    src, dst = edges.array().T
+    return np.minimum(src, dst), np.maximum(src, dst)
 
 
 def write_edge_csv(g: Graph, path: str) -> None:

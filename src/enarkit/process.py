@@ -33,7 +33,7 @@ from itertools import compress, repeat
 import numpy as np
 
 from . import blas
-from .csvio import Table, load_columns, repeated_rows, write_table
+from .csvio import CHUNK_LINES, Rows, parse_lines, read_table, repeated_rows, row_of, write_table
 from .errors import DataError, DimensionMismatch, NotStationary
 from .network import Graph
 
@@ -404,7 +404,8 @@ def write_panel_csv(panel: Panel, path: str) -> None:
     write_table(path, ["node", "t", "y"] + [f"z{j + 1}" for j in range(panel.p)], rows())
 
 
-_PANEL_KEYS = np.dtype([("node", np.int64), ("t", np.int64), ("y", np.float64)])
+_PANEL_KEYS = [("node", np.int64), ("t", np.int64), ("y", np.float64)]
+_EMPTY_LAST = (",\r\n", ",\n", ",\r", ",")  # a last field left empty, and the line end
 
 
 def read_panel_csv(path: str) -> Panel:
@@ -416,54 +417,78 @@ def read_panel_csv(path: str) -> Panel:
     carry ``p`` covariates; a violation raises :class:`DataError` naming
     the row, or the node and time.
     """
-    table = Table(path)
-    header = table.header
-    if header is None or header[:3] != ["node", "t", "y"]:
-        raise DataError(f"{path}: expected header 'node,t,y,z1,...', got {header}")
-    p = len(header) - 3
-    lines = table.lines
-    if not lines:
+    with read_table(path) as (header, chunks):
+        if header is None or header[:3] != ["node", "t", "y"]:
+            raise DataError(f"{path}: expected header 'node,t,y,z1,...', got {header}")
+        p = len(header) - 3
+        record = _PANEL_KEYS + [("z", np.float64, (p,))]
+        rows = Rows(record + [("has_z", bool)])
+        for chunk in chunks:
+            lines = chunk.lines
+            block = rows.add(len(lines))
+            # a line whose last field is empty has no covariates: the final
+            # time's, which are never read, or a gap reported below
+            has_z = block["has_z"]
+            has_z[:] = [not line.endswith(_EMPTY_LAST) for line in lines] if p else False
+            full, ok = parse_lines(list(compress(lines, has_z)), range(3 + p), record)
+            keys, keys_ok = parse_lines(list(compress(lines, ~has_z)), range(3), _PANEL_KEYS)
+            if ok.all() and keys_ok.all():
+                block[["node", "t", "y", "z"]][has_z] = full
+                block[["node", "t", "y"]][~has_z] = keys
+            else:  # raise for the first key that does not parse; mark bad covariates
+                block[["node", "t", "y"]] = chunk.load((0, 1, 2), _PANEL_KEYS)
+                block["z"][has_z] = full["z"]
+                has_z[np.flatnonzero(has_z)] = ok
+    data = rows.array()
+    node, t = data["node"], data["t"]
+    n, t_len = _panel_dims(path, node, t)
+    width = t_len + 1
+    y = np.empty(n * width)
+    y[node * width + t] = data["y"]  # row-major in the N x (T+1) response matrix
+    z = np.empty((n * t_len, p))
+    if p and t_len:
+        # in blocks, to bound the copies that fancy indexing makes
+        for a in range(0, data.size, CHUNK_LINES):
+            block = data[a : a + CHUNK_LINES]
+            before = np.flatnonzero(block["t"] < t_len)
+            gaps = before[~block["has_z"][before]]
+            if gaps.size:
+                j = a + gaps[0]
+                raise DataError(
+                    f"{row_of(path, j)}: covariates missing or malformed at "
+                    f"node {node[j]}, t {t[j]}"
+                )
+            block = block[before]
+            z[block["node"] * t_len + block["t"]] = block["z"]
+    return Panel(y=y.reshape(n, width), z=z.reshape(n, t_len, p))
+
+
+def _panel_dims(path: str, node: np.ndarray, t: np.ndarray) -> tuple[int, int]:
+    """(N, T) of a panel whose data lines hold ``node`` and ``t``, checking
+    that every (node, t) up to them appears exactly once; a violation raises
+    :class:`DataError` naming the row, or the node and time."""
+    m = node.size
+    if not m:
         raise DataError(f"{path}: empty panel")
-    keys = load_columns(
-        lines, (0, 1, 2), _PANEL_KEYS,
-        lambda j: f"{table.where(j)}: cannot parse {lines[j]!r}",
-    )
-    node, t = keys["node"], keys["t"]
-    m = len(lines)
     # a complete panel of m rows has every node id and time below m
     outside = np.flatnonzero((node < 0) | (t < 0) | (node >= m) | (t >= m))
     if outside.size:
         j = outside[0]
         raise DataError(
-            f"{table.where(j)}: node {node[j]}, t {t[j]} outside 0..{m - 1} "
+            f"{row_of(path, j)}: node {node[j]}, t {t[j]} outside 0..{m - 1} "
             f"for a panel of {m} rows"
         )
     n, t_len = int(node.max()) + 1, int(t.max())
     width = t_len + 1
-    slot = node * width + t  # row-major position in the N x (T+1) response matrix
+    slot = node * width + t
     # slots from m up cannot all be filled by m rows: one shared overflow
     # bin keeps the count at m + 1 entries whatever the ids
     counts = np.bincount(np.minimum(slot, m), minlength=m + 1)
     if counts[:m].max(initial=0) > 1:
         j = repeated_rows(slot)[0]
-        raise DataError(f"{table.where(j)}: duplicate (node={node[j]}, t={t[j]})")
+        raise DataError(f"{row_of(path, j)}: duplicate (node={node[j]}, t={t[j]})")
     empty = np.flatnonzero(counts[: min(n * width, m)] == 0)
     if empty.size or n * width > m:
         i, s = divmod(int(empty[0]) if empty.size else m, width)
         raise DataError(f"{path}: missing row for node {i}, t {s}")
-
-    y = np.empty(n * width)
-    y[slot] = keys["y"]
-    z = np.empty((n * t_len, p))
-    if p and t_len:
-        # the final time's covariate fields are empty and never parsed
-        before = t < t_len
-        rows = np.flatnonzero(before)
-        z[node[rows] * t_len + t[rows]] = load_columns(
-            list(compress(lines, before.tolist())), range(3, 3 + p), np.float64,
-            lambda j: (
-                f"{table.where(rows[j])}: covariates missing or malformed at "
-                f"node {node[rows[j]]}, t {t[rows[j]]}"
-            ),
-        )
-    return Panel(y=y.reshape(n, width), z=z.reshape(n, t_len, p))
+    return n, t_len

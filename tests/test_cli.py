@@ -2,6 +2,7 @@ import json
 import os
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -659,6 +660,67 @@ class TestFitPredict:
         assert list(doc["mu_hat"])[:3] == ["beta_1", "beta_2", "beta_3"]
         # the fit's own block [Q | v]
         assert np.array(doc["latent"]).shape == (40, 3)
+
+
+class TestInputEncoding:
+    @pytest.mark.parametrize("which, bad", [("out_edges", b"\xff"), ("out_panel", b"\xe9")],
+                             ids=["edges", "panel"])
+    def test_csv_byte_that_is_not_utf8_is_a_data_error(self, tmp_path, capsys, which, bad):
+        path, cfg = write_sim_config(tmp_path)
+        assert run_cli(capsys, "simulate", "--config", str(path))[0] == 0
+        target = Path(cfg[which])
+        header, first, rest = target.read_bytes().split(b"\r\n", 2)
+        target.write_bytes(b"\r\n".join([header, first + bad, rest]))
+        out = tmp_path / "fit.json"
+        code, stdout, err = run_cli(
+            capsys, "fit", "--edges", cfg["out_edges"], "--panel", cfg["out_panel"],
+            "--model", "nar", "--out", str(out),
+        )
+        error = json.loads(err)
+        assert (code, stdout, error["error"]) == (3, "", "DataError")
+        assert error["message"].startswith(f"{target}: row 2: not UTF-8: 'utf-8' codec")
+        assert not out.exists()
+
+
+class TestLargeRoundTrip:
+    """simulate -> fit -> predict at N = 10^4 (about half a million edges)."""
+
+    N = 10_000
+
+    def round_trip(self, tmp_path, capsys):
+        tmp_path.mkdir()
+        path, cfg = write_sim_config(tmp_path, n=self.N, t=5, k=3, seed=21)
+        fit, forecast = tmp_path / "fit.json", tmp_path / "forecast.csv"
+        inputs = ["--edges", cfg["out_edges"], "--panel", cfg["out_panel"]]
+        for argv in (["simulate", "--config", str(path)],
+                     ["fit", *inputs, "--model", "enar", "--k", "3", "--out", str(fit)],
+                     ["predict", "--fit", str(fit), *inputs, "--out", str(forecast)]):
+            assert run_cli(capsys, *argv)[0] == 0
+        return cfg, {p.name: p.read_bytes() for p in sorted(tmp_path.iterdir())}
+
+    def test_outputs_repeat_byte_for_byte(self, tmp_path, capsys):
+        cfg, first = self.round_trip(tmp_path / "a", capsys)
+        _, second = self.round_trip(tmp_path / "b", capsys)
+        assert set(first) == {"edges.csv", "panel.csv", "truth.json", "sim.json",
+                              "fit.json", "forecast.csv"}
+        first.pop("sim.json"), second.pop("sim.json")  # names its own directory
+        assert first == second
+        assert first["forecast.csv"].count(b"\r\n") == self.N + 1
+
+        # each reader's traced peak is a small multiple of what it returns
+        tracemalloc.start()
+        try:
+            panel = read_panel_csv(cfg["out_panel"])
+            panel_bytes = panel.y.nbytes + panel.z.nbytes
+            panel_peak = tracemalloc.get_traced_memory()[1]
+            tracemalloc.reset_peak()
+            a = network.read_edge_csv(cfg["out_edges"], n_nodes=panel.n).adjacency
+            edge_peak = tracemalloc.get_traced_memory()[1] - panel_bytes
+        finally:
+            tracemalloc.stop()
+        edge_bytes = a.data.nbytes + a.indices.nbytes + a.indptr.nbytes
+        assert panel_peak / panel_bytes < 4
+        assert edge_peak / edge_bytes < 4
 
 
 class TestFitJsonNumbers:
