@@ -416,7 +416,8 @@ def fit_amnar(panel: Panel, graph: Graph, k: int, s: float) -> FitResult:
 def predict_one_step(
     fit: FitResult, graph: Graph, y_t: np.ndarray, z_t: np.ndarray
 ) -> np.ndarray:
-    """Noise-free point forecast W_T mu_hat for the next time step.
+    """Noise-free point forecast W_T mu_hat for the next time step, from
+    the N responses ``y_t`` and the N x p covariates ``z_t`` at the origin.
 
     The latent columns are the fit's own block ``fit.latent``, so the
     forecast uses the fitted basis and makes no eigendecomposition and no
@@ -429,10 +430,8 @@ def predict_one_step(
     if y_t.shape != (n,):
         raise DimensionMismatch(f"y_t must have {n} entries")
     z_t = np.asarray(z_t, dtype=float)
-    if z_t.ndim == 1:
-        z_t = z_t.reshape(n, -1) if z_t.size else np.zeros((n, 0))
-    if z_t.shape[0] != n:
-        raise DimensionMismatch(f"z_t has {z_t.shape[0]} rows, expected {n}")
+    if z_t.ndim != 2 or z_t.shape[0] != n:
+        raise DimensionMismatch(f"z_t has shape {z_t.shape}, expected ({n}, p)")
     lap = None if fit.spec.model == "enr" else graph.laplacian
     w_t = design_rows(fit.spec, lap, fit.latent, y_t[:, None], z_t[:, None, :], fit.r)
     if w_t.shape[1] != fit.mu_hat.shape[0]:

@@ -18,9 +18,8 @@ in its CSR form: the edge term is tr(Q'AQ) / 2 + d'v for the degrees d,
 from the sparse product A Q in O(E K). A fit holds two N x N buffers, chi
 and the strict upper triangle of sigmoid(chi), and one boolean mask that
 selects the N(N-1)/2 pairs (see ``_Kernels``). ``lsm_loglik`` and
-``lsm_gradient`` run the same kernels on fresh buffers. ``LsmState.chi``
-builds chi with the same product, and ``sample_lsm_graph`` builds it in
-strips of rows.
+``lsm_gradient`` run the same kernels on fresh buffers, and
+``sample_lsm_graph`` builds chi in strips of rows.
 """
 
 from __future__ import annotations
@@ -72,10 +71,6 @@ class LsmState:
         """The stacked factor matrix [Q | v]."""
         return np.column_stack([self.q, self.v])
 
-    def chi(self) -> np.ndarray:
-        """Latent factor matrix Q Q' + v 1' + 1 v'."""
-        return _chi(self.q, self.v)
-
     def centering_residual(self) -> float:
         """max |column sum of q| (zero on the constraint set)."""
         return float(np.max(np.abs(self.q.sum(axis=0)))) if self.k else 0.0
@@ -111,13 +106,6 @@ def _chi_factors(q: np.ndarray, v: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return np.column_stack([q, v, ones]), np.column_stack([q, ones, v])
 
 
-def _chi(q: np.ndarray, v: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
-    """Q Q' + v 1' + 1 v' (into ``out`` when given) by one product of
-    [q | v | 1] and [q | 1 | v]'."""
-    f, g = _chi_factors(q, v)
-    return np.matmul(f, g.T, out=out)
-
-
 class _Kernels:
     """Log-likelihood and ascent direction of one graph over its N(N-1)/2 pairs.
 
@@ -145,7 +133,8 @@ class _Kernels:
         self.softplus = np.empty_like(self.e)
 
     def loglik(self, q: np.ndarray, v: np.ndarray) -> float:
-        self.c = c = _chi(q, v, self.chi)[self.upper]
+        f, g = _chi_factors(q, v)
+        self.c = c = np.matmul(f, g.T, out=self.chi)[self.upper]
         self.aq = self.adjacency @ q
         # log(1 + e^c) = max(c, 0) + log1p(e^{-|c|}), stable for both signs
         # and taken in the order of that formula, since another order rounds

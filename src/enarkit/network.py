@@ -9,8 +9,8 @@ or from a (degree-corrected, possibly mixed-membership) block structure;
 isolated nodes are kept. ``ConnectionOperator`` holds P as its low-rank
 factors, the hollow diagonal and a sparse excess of the clipped entries, so
 neither the draw nor the truth embedding forms the N x N matrix:
-``sample_graph`` sweeps P in strips of rows, and Lanczos takes products with
-the operator. ``connection_matrix`` builds the dense P as a reference.
+``sample_graph`` sweeps the operator in strips of rows, and Lanczos takes
+products with it. ``connection_matrix`` builds the dense P as a reference.
 Spectral embeddings keep the eigenvectors of the k eigenvalues of largest
 magnitude with a deterministic sign convention and, above the dense limit, a
 fixed Lanczos start, so that repeated runs agree exactly.
@@ -27,7 +27,7 @@ import numpy as np
 import scipy.sparse
 import scipy.sparse.linalg
 
-from .csvio import Rows, read_table, repeated_rows, row_of, write_table
+from .csvio import CHUNK_LINES, Rows, read_table, repeated_rows, row_of, write_table
 from .errors import (
     DataError,
     EigConvergenceFailure,
@@ -399,24 +399,16 @@ def _sweep_graph(n: int, strip, rng: np.random.Generator) -> Graph:
     return _from_upper(n, *_upper_pairs(n, np.concatenate(hits)))
 
 
-def sample_graph(p: np.ndarray | ConnectionOperator, rng: np.random.Generator) -> Graph:
-    """Hollow symmetric Bernoulli graph with edge probabilities ``p``.
+def sample_graph(p: ConnectionOperator, rng: np.random.Generator) -> Graph:
+    """Hollow symmetric Bernoulli graph with the edge probabilities of ``p``.
 
-    ``p`` is a ``ConnectionOperator`` or any symmetric matrix of
-    probabilities (``connection_matrix`` builds the dense one). Either way
-    only the pairs i < j are read, never the diagonal, in strips of rows, so
-    an operator's P is never formed whole; one uniform is drawn per pair in
-    row-major order, and isolated nodes are kept. A non-square ``p`` raises
-    :class:`ShapeMismatch`; the first pair whose probability is NaN or
-    outside [0, 1] raises :class:`InvalidProbability`, the pair that
+    Only the pairs i < j are read, never the diagonal, in strips of rows, so
+    P is never formed whole; one uniform is drawn per pair in row-major
+    order, and isolated nodes are kept. The first pair whose probability is
+    NaN or outside [0, 1] raises :class:`InvalidProbability`, the pair that
     ``connection_matrix`` reports for an RDPG.
     """
-    if isinstance(p, ConnectionOperator):
-        return _sweep_graph(p.shape[0], p.strip, rng)
-    p = np.asarray(p, dtype=float)
-    if p.ndim != 2 or p.shape[0] != p.shape[1]:
-        raise ShapeMismatch(f"edge probabilities must be a square matrix, got {p.shape}")
-    return _sweep_graph(p.shape[0], lambda r0, r1: p[r0:r1, r0:], rng)
+    return _sweep_graph(p.shape[0], p.strip, rng)
 
 
 def _order_by_magnitude(eigenvalues: np.ndarray) -> np.ndarray:
@@ -425,14 +417,11 @@ def _order_by_magnitude(eigenvalues: np.ndarray) -> np.ndarray:
 
 
 def _fix_signs(vectors: np.ndarray) -> np.ndarray:
-    """Flip each column so its largest-magnitude entry is positive."""
-    out = vectors.copy()
-    for j in range(out.shape[1]):
-        col = out[:, j]
-        idx = int(np.argmax(np.abs(col)))
-        if col[idx] < 0:
-            out[:, j] = -col
-    return out
+    """Flip each column so its largest-magnitude entry (the first, on a tie)
+    is positive. The result is C-ordered whatever the input's layout, since
+    the rounding of a product with it depends on the layout."""
+    lead = vectors[np.argmax(np.abs(vectors), axis=0), np.arange(vectors.shape[1])]
+    return np.multiply(vectors, np.where(lead < 0, -1.0, 1.0), order="C")
 
 
 def _leading_eigenpairs(
@@ -610,4 +599,12 @@ def write_edge_csv(g: Graph, path: str) -> None:
     a = g.adjacency
     rows = np.repeat(np.arange(g.n), np.diff(a.indptr))
     upper = a.indices > rows  # indices are sorted within each row
-    write_table(path, ["src", "dst"], zip(rows[upper].tolist(), a.indices[upper].tolist()))
+    src, dst = rows[upper], a.indices[upper]
+
+    def pairs():
+        # a slice at a time, so no list holds every id as a Python int
+        for start in range(0, src.size, CHUNK_LINES):
+            stop = start + CHUNK_LINES
+            yield from zip(src[start:stop].tolist(), dst[start:stop].tolist())
+
+    write_table(path, ["src", "dst"], pairs())

@@ -166,11 +166,11 @@ class StationaryMoments:
     of the transition matrix.
 
     ``eigvecs`` holds the orthonormal eigenvectors V and ``g_eig`` the
-    eigenvalues; G and Gamma(0) are built from them only when asked for.
-    The simulation uses this record only when its start series would be
-    longer than N terms. ``iterations`` is always 0,
-    since no iteration runs; the field stays so that records which report it
-    keep their schema.
+    eigenvalues; Gamma(0) and the autocovariances are built from them on
+    demand (``gamma0``, :func:`autocov`). The simulation uses this record
+    only when its start series would be longer than N terms. ``iterations``
+    is always 0, since no iteration runs; the field stays so that records
+    which report it keep their schema.
     """
 
     phi: np.ndarray
@@ -178,11 +178,6 @@ class StationaryMoments:
     eigvecs: np.ndarray
     g_eig: np.ndarray
     iterations: int = field(default=0)
-
-    @property
-    def g(self) -> np.ndarray:
-        """Transition matrix V diag(g_eig) V'."""
-        return (self.eigvecs * self.g_eig) @ self.eigvecs.T
 
     @property
     def stationary_var(self) -> np.ndarray:
@@ -198,15 +193,6 @@ class StationaryMoments:
 def check_stationarity(alpha: float, theta: float) -> bool:
     """True iff |alpha| + |theta| < 1."""
     return abs(alpha) + abs(theta) < 1.0
-
-
-def transition_matrix(graph: Graph, alpha: float, theta: float) -> np.ndarray:
-    """Dense G = alpha I + theta L; isolated nodes get a zero Laplacian row:
-    no peer term, plain AR(1)."""
-    g = graph.laplacian.toarray()
-    g *= theta
-    g[np.diag_indices(graph.n)] += alpha
-    return g
 
 
 def innovation_variance(sigma: float, gamma, cov_spec: CovariateSpec) -> float:
@@ -254,7 +240,11 @@ def stationary_moments(
     Gamma(0) = V diag(c / (1 - g^2)) V', which is built on demand.
     """
     latent_effect, c = _checked_law(graph, latent_effect, params, cov_spec)
-    g_eig, v = np.linalg.eigh(transition_matrix(graph, params.alpha, params.theta))
+    # dense G = alpha I + theta L: an isolated node's row is a plain AR(1)
+    g = graph.laplacian.toarray()
+    g *= params.theta
+    g[np.diag_indices(graph.n)] += params.alpha
+    g_eig, v = np.linalg.eigh(g)
     phi = v @ ((v.T @ latent_effect) / (1.0 - g_eig))
     return StationaryMoments(phi=phi, c=c, eigvecs=v, g_eig=g_eig)
 
@@ -283,11 +273,10 @@ def _simulate(
     cov_spec: CovariateSpec,
     t_len: int,
     rng: np.random.Generator,
-    y0: np.ndarray | None,
 ) -> Panel:
     """The start draw and the recursion each take a child of ``rng``
-    (``rng.spawn``), so the path of the start draw or a given ``y0``
-    never moves the recursion's noise and covariates."""
+    (``rng.spawn``), so the path of the start draw never moves the
+    recursion's noise and covariates."""
     if t_len < 1:
         raise DimensionMismatch("t_len must be >= 1")
     b, c = _checked_law(graph, latent_effect, params, cov_spec)
@@ -323,17 +312,10 @@ def _simulate(
             noise = m.eigvecs @ (np.sqrt(m.stationary_var) * start_rng.standard_normal(n))
         phi = m.phi
 
-    if y0 is not None:
-        y_cur = np.asarray(y0, dtype=float).reshape(-1)
-        if y_cur.shape != (n,):
-            raise DimensionMismatch(f"y0 has shape {y_cur.shape}, expected ({n},)")
-    else:
-        y_cur = phi + noise
-
     sd = np.sqrt(cov_spec.variances)
     y = np.empty((n, t_len + 1))
     z = np.empty((n, t_len, p))
-    y[:, 0] = y_cur
+    y[:, 0] = y_cur = phi + noise
     for t in range(t_len):
         z[:, t, :] = step_rng.standard_normal((n, p)) * sd
         eps = params.sigma * step_rng.standard_normal(n)
@@ -349,15 +331,13 @@ def simulate_enar(
     cov_spec: CovariateSpec,
     t_len: int,
     rng: np.random.Generator,
-    y0: np.ndarray | None = None,
 ) -> Panel:
     """Simulate from the embedding model with latent effect U beta.
 
     ``embedding_truth`` holds the population eigenvectors (N x K). Starts
     from a stationary draw: the moving-average series cut after
     :func:`series_terms` terms, or the closed-form law of
-    :func:`stationary_moments` where that series is longer than N; pass
-    ``y0`` to pin the initial state instead.
+    :func:`stationary_moments` where that series is longer than N.
     """
     u = np.atleast_2d(np.asarray(embedding_truth, dtype=float))
     if u.shape[0] != graph.n or u.shape[1] != params.k:
@@ -365,7 +345,7 @@ def simulate_enar(
             f"embedding shape {u.shape} incompatible with N={graph.n}, K={params.k}"
         )
     latent_effect = u @ params.beta if params.k else np.zeros(graph.n)
-    return _simulate(graph, latent_effect, params, cov_spec, t_len, rng, y0)
+    return _simulate(graph, latent_effect, params, cov_spec, t_len, rng)
 
 
 def simulate_amnar(
@@ -375,7 +355,6 @@ def simulate_amnar(
     cov_spec: CovariateSpec,
     t_len: int,
     rng: np.random.Generator,
-    y0: np.ndarray | None = None,
 ) -> Panel:
     """Simulate with latent effect r [Q | v] (beta1, beta2), r = N^{-s} T^{-1/2}."""
     x = np.atleast_2d(np.asarray(latent_truth, dtype=float))
@@ -385,7 +364,7 @@ def simulate_amnar(
         )
     r = rate_multiplier(graph.n, t_len, params.s)
     latent_effect = r * (x @ params.beta)
-    return _simulate(graph, latent_effect, params, cov_spec, t_len, rng, y0)
+    return _simulate(graph, latent_effect, params, cov_spec, t_len, rng)
 
 
 def write_panel_csv(panel: Panel, path: str) -> None:

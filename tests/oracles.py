@@ -7,8 +7,10 @@ paths it validates, except the latent-space ascents ``fit_lsm_reference``
 and ``fit_lsm_fixed_step``: they run the ascent's steps through the public
 projection and on whichever log-likelihood and gradient they are given, by
 default the public ones, whose values the loop, dense and finite-difference
-oracles check, and ``select_k_dense``, which embeds its dense fold matrices
-with the library's ``embed_symmetric``.
+oracles check; ``select_k_dense``, which embeds its dense fold matrices
+with the library's ``embed_symmetric``; and ``sample_dense``, which draws
+from a dense probability matrix through the library's strip sweep, whose
+uniforms and edges ``sample_graph_triu`` checks.
 """
 
 import csv
@@ -17,7 +19,7 @@ import numpy as np
 import scipy.linalg
 from scipy.special import expit
 
-from enarkit import lsm
+from enarkit import lsm, network
 from enarkit.lsm import LsmFit, LsmState, lsm_gradient, lsm_loglik, project_constraints
 from enarkit.network import embed_symmetric
 
@@ -214,6 +216,12 @@ def fit_lsm_fixed_step(graph, k: int, max_iters: int) -> LsmFit:
     return fit
 
 
+def sample_dense(p: np.ndarray, rng):
+    """The Bernoulli graph of a dense symmetric probability matrix ``p``,
+    drawn by the strip sweep that ``sample_graph`` runs on an operator."""
+    return network._sweep_graph(p.shape[0], lambda r0, r1: p[r0:r1, r0:], rng)
+
+
 def sample_graph_triu(p: np.ndarray, rng) -> np.ndarray:
     """Dense adjacency of the Bernoulli draw over the ``np.triu_indices``
     pairs, one uniform per pair in row-major order."""
@@ -327,6 +335,17 @@ def magnitude_order_sorted(eigenvalues) -> np.ndarray:
         key=lambda i: (-abs(eigenvalues[i]), -eigenvalues[i], i),
     )
     return np.array(keys, dtype=np.intp)
+
+
+def fix_signs_loop(vectors: np.ndarray) -> np.ndarray:
+    """C-ordered copy with each column negated, one at a time, when its first
+    largest-magnitude entry is negative."""
+    out = np.array(vectors, order="C")
+    for j in range(out.shape[1]):
+        col = out[:, j]
+        if col[int(np.argmax(np.abs(col)))] < 0:
+            out[:, j] = -col
+    return out
 
 
 def design_rows_loop(panel, laplacian, latent, spec) -> tuple[np.ndarray, np.ndarray]:

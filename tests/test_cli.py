@@ -714,13 +714,26 @@ class TestLargeRoundTrip:
             panel_bytes = panel.y.nbytes + panel.z.nbytes
             panel_peak = tracemalloc.get_traced_memory()[1]
             tracemalloc.reset_peak()
-            a = network.read_edge_csv(cfg["out_edges"], n_nodes=panel.n).adjacency
+            graph = network.read_edge_csv(cfg["out_edges"], n_nodes=panel.n)
             edge_peak = tracemalloc.get_traced_memory()[1] - panel_bytes
         finally:
             tracemalloc.stop()
+        a = graph.adjacency
         edge_bytes = a.data.nbytes + a.indices.nbytes + a.indptr.nbytes
         assert panel_peak / panel_bytes < 4
         assert edge_peak / edge_bytes < 4
+
+        # the edge writer's traced peak is a small multiple of its two int64
+        # pair arrays, and it writes the simulated file's bytes
+        again = tmp_path / "edges-again.csv"
+        tracemalloc.start()
+        try:
+            network.write_edge_csv(graph, str(again))
+            write_peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert again.read_bytes() == first["edges.csv"]
+        assert write_peak / (2 * 8 * (a.nnz // 2)) <= 3
 
 
 class TestFitJsonNumbers:

@@ -40,7 +40,7 @@ def test_every_traced_function_resolves(spans):
 
 def small_case(n=24, t=5):
     rng = np.random.default_rng(3)
-    p = network.connection_matrix(network.RdpgSpec(np.full((n, 1), 0.6)))
+    p = network.ConnectionOperator(network.RdpgSpec(np.full((n, 1), 0.6)))
     graph = network.sample_graph(p, rng)
     latent = network.spectral_embed(graph, 1).vectors
     params = process.EnarParams(0.2, 0.2, np.array([1.0]), np.array([0.5]), 1.0)

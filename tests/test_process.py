@@ -82,7 +82,7 @@ class TestStationaryMoments:
             oracle = kron_gamma0(big_g, params.sigma**2)
             assert np.max(np.abs(m.gamma0 - oracle)) < 1e-10
             assert np.allclose(m.phi, np.linalg.solve(np.eye(g.n) - big_g, b), atol=1e-10)
-            assert np.allclose(m.g, big_g, atol=1e-12)
+            assert np.allclose((m.eigvecs * m.g_eig) @ m.eigvecs.T, big_g, atol=1e-12)
 
     def test_innovation_scale_includes_covariates(self):
         g = ring_graph(4)
@@ -158,12 +158,13 @@ class TestAutocov:
 
 class TestSimulate:
     def test_fixed_point_path_when_noise_free(self):
+        # with sigma = 0 and no covariates the drawn start is phi itself
         g = ring_graph(8)
         u = np.linalg.qr(np.random.default_rng(0).standard_normal((8, 2)))[0]
         params = EnarParams(0.2, 0.2, np.array([1.0, -0.5]), np.zeros(0), 0.0)
         cov = no_cov()
         m = stationary_moments(g, u @ params.beta, params, cov)
-        panel = simulate_enar(params, g, u, cov, 20, np.random.default_rng(1), y0=m.phi)
+        panel = simulate_enar(params, g, u, cov, 20, np.random.default_rng(1))
         for t in range(21):
             assert np.max(np.abs(panel.y[:, t] - m.phi)) < 1e-12
 
@@ -172,8 +173,7 @@ class TestSimulate:
         g, alpha, theta = random_stationary_instance(rng)
         u = np.linalg.qr(rng.standard_normal((g.n, 1)))[0]
         params = EnarParams(alpha, theta, np.array([0.7]), np.zeros(0), 0.0)
-        y0 = rng.standard_normal(g.n)
-        panel = simulate_enar(params, g, u, no_cov(), 5, rng, y0=y0)
+        panel = simulate_enar(params, g, u, no_cov(), 5, rng)
         big_g = dense_transition(g, alpha, theta)
         for t in range(5):
             expected = big_g @ panel.y[:, t] + u @ params.beta
@@ -315,23 +315,24 @@ class TestSeriesSimulation:
         assert np.max(np.abs(panel.phi - m.phi)) <= 1e-12 * np.max(np.abs(m.phi))
         assert np.all(np.isfinite(panel.y))
 
-    def test_given_start_leaves_the_recursion_noise(self):
+    def test_start_path_leaves_the_recursion_noise(self):
+        # one seed, two starts: the series at rho = 0.15 (J = 21 <= N) and
+        # the closed form at rho = 0.7 (J = 110 > N)
         g = graph_with_isolated_nodes(25, 2, 6)
         u = np.linalg.qr(np.random.default_rng(0).standard_normal((25, 2)))[0]
-        params = EnarParams(0.3, 0.4, np.array([1.0, -0.5]), np.array([0.3, 0.2]), 0.5)
         cov = CovariateSpec(2, np.array([1.0, 2.0]))
-        drawn = simulate_enar(params, g, u, cov, 10, np.random.default_rng(9))
-        pinned = simulate_enar(params, g, u, cov, 10, np.random.default_rng(9),
-                               y0=np.full(25, 3.0))
-        assert np.array_equal(drawn.z, pinned.z)
-        assert not np.array_equal(drawn.y[:, 0], pinned.y[:, 0])
-        big_g = dense_transition(g, params.alpha, params.theta)
-
-        def noise(panel):
+        noises, zs = [], []
+        for alpha, theta in ((0.05, 0.1), (0.3, 0.4)):
+            params = EnarParams(alpha, theta, np.array([1.0, -0.5]), np.array([0.3, 0.2]), 0.5)
+            panel = simulate_enar(params, g, u, cov, 10, np.random.default_rng(9))
+            big_g = dense_transition(g, alpha, theta)
             y = panel.y
-            return y[:, 1:] - big_g @ y[:, :-1] - (u @ params.beta)[:, None] - panel.z @ params.gamma
-
-        assert np.max(np.abs(noise(drawn) - noise(pinned))) < 1e-12
+            noises.append(y[:, 1:] - big_g @ y[:, :-1] - (u @ params.beta)[:, None]
+                          - panel.z @ params.gamma)
+            zs.append(panel.z)
+        assert series_terms(0.05, 0.1) <= g.n < series_terms(0.3, 0.4)
+        assert np.array_equal(zs[0], zs[1])
+        assert np.max(np.abs(noises[0] - noises[1])) < 1e-12
 
 
 class TestAmnar:
