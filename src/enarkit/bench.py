@@ -177,7 +177,7 @@ class ExperimentConfig:
         return self.beta if self.beta is not None else alternating_beta(k)
 
     def cov_spec(self) -> process.CovariateSpec:
-        return process.CovariateSpec(len(self.cov_variances), self.cov_variances)
+        return process.CovariateSpec(self.cov_variances)
 
     def truth_params(self, truth: str, k: int) -> process.EnarParams | process.AmnarParams:
         """The parameters of ``truth`` in a cell of dimension ``k``; nar has no beta."""

@@ -128,21 +128,19 @@ class Rows:
 def parse_lines(
     lines: Sequence[str], usecols: Sequence[int], dtype
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Columns ``usecols`` of comma-separated ``lines`` (one record per line
-    for a structured ``dtype``, else a lines x columns array) and a mask of
-    the lines that parse. A line that lacks a column or holds a field that
-    does not parse is left unset. Lines parse independently, so the failures
-    are isolated by halving."""
-    structured = np.dtype(dtype).names is not None
-    values = np.empty((len(lines),) if structured else (len(lines), len(usecols)), dtype)
+    """Columns ``usecols`` of comma-separated ``lines``, one record of the
+    structured ``dtype`` per line, and a mask of the lines that parse. A
+    line that lacks a column or holds a field that does not parse is left
+    unset. Lines parse independently, so the failures are isolated by
+    halving."""
+    values = np.empty(len(lines), dtype)
     ok = np.ones(len(lines), dtype=bool)
     spans = [(0, len(lines))] if lines else []
     while spans:
         a, b = spans.pop()
         try:
             values[a:b] = np.loadtxt(
-                lines[a:b], delimiter=",", usecols=usecols, dtype=dtype, comments=None,
-                ndmin=1 if structured else 2,
+                lines[a:b], delimiter=",", usecols=usecols, dtype=dtype, comments=None, ndmin=1
             )
         except ValueError:
             if b - a == 1:

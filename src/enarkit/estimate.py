@@ -143,7 +143,6 @@ class FitResult:
     sigma2_hat: float
     cov_hat: np.ndarray
     n_obs: int
-    n_params: int
     loglik: float
     aic: float
     bic: float
@@ -152,6 +151,10 @@ class FitResult:
     r: float | None = None
     latent: np.ndarray | None = None
     diagnostics: Diagnostics = field(default_factory=Diagnostics)
+
+    @property
+    def n_params(self) -> int:
+        return self.mu_hat.size
 
     @property
     def se(self) -> np.ndarray:
@@ -342,7 +345,6 @@ def fit_ls(w: np.ndarray, y_resp: np.ndarray) -> FitResult:
         sigma2_hat=sigma2_hat,
         cov_hat=cov_hat,
         n_obs=n_obs,
-        n_params=d,
         loglik=loglik,
         aic=aic,
         bic=bic,
@@ -375,9 +377,9 @@ def fit_model(panel: Panel, graph: Graph, spec: DesignSpec) -> FitResult:
     nar has no latent block. enar and enr take one eigendecomposition with
     k+1 eigenpairs (k when k = N), whose first k columns are the latent
     block and whose eigenvalues give the eigengap and kappa diagnostics.
-    amnar takes the MLE [Q | v] of :func:`enarkit.lsm.fit_lsm` at its
-    default iteration cap, with the MLE's state in ``fit.diagnostics``; no
-    eigendecomposition is made, so eigengap and kappa stay NaN.
+    amnar takes the MLE [Q | v] of :func:`enarkit.lsm.fit_lsm`, with the
+    MLE's state in ``fit.diagnostics``; no eigendecomposition is made, so
+    eigengap and kappa stay NaN.
     """
     k = spec.k
     if spec.model == "nar":
@@ -543,7 +545,7 @@ def read_fit_json(path: str) -> FitResult:
         return FitResult(
             mu_hat=mu, sigma2_hat=float(doc.get("sigma2_hat", 0.0)),
             cov_hat=np.diag(coefficients("se", names) ** 2), n_obs=doc.get("n_obs", 0),
-            n_params=mu.size, loglik=doc.get("loglik", math.nan), aic=doc.get("aic", math.nan),
+            loglik=doc.get("loglik", math.nan), aic=doc.get("aic", math.nan),
             bic=doc.get("bic", math.nan), spec=spec, names=names, r=doc.get("r"), latent=latent,
         )
     except DataError as exc:  # the spec's own checks included

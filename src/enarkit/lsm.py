@@ -31,7 +31,7 @@ import numpy as np
 from scipy.special import expit
 
 from .errors import DataError, DimensionMismatch, ShapeMismatch
-from .network import Graph, _fix_signs, _leading_eigenpairs, _sweep_graph, upper_mask
+from .network import Graph, _fix_signs, _from_upper, _leading_eigenpairs, _sweep_pairs, upper_mask
 
 # Settings of the ascent (see fit_lsm) and of the alternation in
 # project_constraints.
@@ -220,7 +220,7 @@ def _spectral_init(graph: Graph, k: int) -> LsmState:
     return LsmState(q0, v0)
 
 
-def fit_lsm(graph: Graph, k: int, max_iters: int = MAX_ITERS) -> LsmFit:
+def fit_lsm(graph: Graph, k: int) -> LsmFit:
     """Projected gradient ascent with backtracking from a spectral start.
 
     Every accepted step strictly increases the pairwise log-likelihood and
@@ -230,7 +230,7 @@ def fit_lsm(graph: Graph, k: int, max_iters: int = MAX_ITERS) -> LsmFit:
     odd iterations try s's / s'y and even ones s'y / y'y; the first
     iteration, and any whose s'y is not positive, tries 1/N. A rejected
     step is halved (BACKTRACK) until it ascends. The ascent stops after
-    ``max_iters`` accepted steps, or earlier once the log-likelihood gained
+    MAX_ITERS accepted steps, or earlier once the log-likelihood gained
     over the last WINDOW accepted steps falls below
     WINDOW_TOL * max(|loglik|, 1) (``converged``). When no step down to
     MIN_STEP ascends, the last feasible state is returned with
@@ -249,8 +249,6 @@ def fit_lsm(graph: Graph, k: int, max_iters: int = MAX_ITERS) -> LsmFit:
         raise DataError("k must be >= 1")
     if k > graph.n:
         raise ShapeMismatch(f"k = {k} must satisfy 1 <= k <= {graph.n}")
-    if max_iters < 0:
-        raise DataError("max_iters must be >= 0")
 
     kernels = _Kernels(graph)
     state = project_constraints(_spectral_init(graph, k))
@@ -259,7 +257,7 @@ def fit_lsm(graph: Graph, k: int, max_iters: int = MAX_ITERS) -> LsmFit:
     trace = fit.loglik_trace
     x_prev = g_prev = None  # the last iterate and ascent direction
 
-    for it in range(max_iters):
+    for it in range(MAX_ITERS):
         dq, dv = kernels.gradient(state.q)
         x, g = state.x(), np.column_stack([dq, dv])
         step = 1.0 / graph.n
@@ -310,4 +308,4 @@ def sample_lsm_graph(state: LsmState, rng: np.random.Generator) -> Graph:
         chi = f[r0:r1] @ g[r0:].T
         return expit(chi, out=chi)
 
-    return _sweep_graph(state.n, strip, rng)
+    return _from_upper(state.n, *_sweep_pairs(state.n, strip, rng))

@@ -71,18 +71,16 @@ class Graph:
 
     ``adjacency`` may be given dense or sparse; it is stored as a
     ``scipy.sparse.csr_array`` with sorted indices and no explicit zeros.
-    Invariants (checked on construction): the matrix is square of size
-    ``n``, symmetric, hollow (zero diagonal), 0/1 and read-only.
+    Invariants (checked on construction): the matrix is square, symmetric,
+    hollow (zero diagonal), 0/1 and read-only. ``n`` is read off its shape.
     """
 
-    n: int
     adjacency: scipy.sparse.csr_array
 
     def __post_init__(self):
-        if np.shape(self.adjacency) != (self.n, self.n):
-            raise ShapeMismatch(
-                f"adjacency shape {np.shape(self.adjacency)} != ({self.n}, {self.n})"
-            )
+        shape = np.shape(self.adjacency)
+        if len(shape) != 2 or shape[0] != shape[1]:
+            raise ShapeMismatch(f"adjacency shape {shape} is not square")
         a = _FrozenCsr(self.adjacency, dtype=float, copy=True)
         a.sum_duplicates()
         a.eliminate_zeros()
@@ -95,12 +93,16 @@ class Graph:
         self.adjacency = _freeze(a)
 
     @classmethod
-    def _built(cls, n: int, adjacency: _FrozenCsr) -> Graph:
-        """Graph over a CSR that its builder made n x n, symmetric, hollow,
+    def _built(cls, adjacency: _FrozenCsr) -> Graph:
+        """Graph over a CSR that its builder made square, symmetric, hollow,
         0/1 and sorted: frozen in place, without the copy and the checks."""
         g = object.__new__(cls)
-        g.n, g.adjacency = n, _freeze(adjacency)
+        g.adjacency = _freeze(adjacency)
         return g
+
+    @property
+    def n(self) -> int:
+        return self.adjacency.shape[0]
 
     @functools.cached_property
     def laplacian(self) -> scipy.sparse.csr_array:
@@ -125,7 +127,7 @@ def _from_upper(n: int, lo: np.ndarray, hi: np.ndarray) -> Graph:
     rows, cols = np.concatenate([hi, lo]), np.concatenate([lo, hi])
     # the conversion to CSR sorts each row's indices
     a = _FrozenCsr(scipy.sparse.coo_array((np.ones(rows.size), (rows, cols)), shape=(n, n)))
-    return Graph._built(n, a)
+    return Graph._built(a)
 
 
 @dataclass
@@ -378,8 +380,9 @@ def _check_pairs(n: int, probs: np.ndarray, start: int) -> None:
     raise InvalidProbability(int(i), int(j), float(probs[bad]))
 
 
-def _sweep_graph(n: int, strip, rng: np.random.Generator) -> Graph:
-    """Bernoulli graph on ``n`` nodes drawn strip by strip.
+def _sweep_pairs(n: int, strip, rng: np.random.Generator) -> tuple[np.ndarray, np.ndarray]:
+    """The pairs (i, j), i < j, of a Bernoulli draw on ``n`` nodes, in
+    row-major order, drawn strip by strip.
 
     ``strip(r0, r1)`` gives rows r0:r1 of the probability matrix on columns
     r0:n, for strips of _STRIP_ROWS rows; only the strip's pairs i < j are
@@ -396,7 +399,7 @@ def _sweep_graph(n: int, strip, rng: np.random.Generator) -> Graph:
         _check_pairs(n, probs, done)
         hits.append(done + np.flatnonzero(rng.random(probs.size) < probs))
         done += probs.size
-    return _from_upper(n, *_upper_pairs(n, np.concatenate(hits)))
+    return _upper_pairs(n, np.concatenate(hits))
 
 
 def sample_graph(p: ConnectionOperator, rng: np.random.Generator) -> Graph:
@@ -408,7 +411,7 @@ def sample_graph(p: ConnectionOperator, rng: np.random.Generator) -> Graph:
     NaN or outside [0, 1] raises :class:`InvalidProbability`, the pair that
     ``connection_matrix`` reports for an RDPG.
     """
-    return _sweep_graph(p.shape[0], p.strip, rng)
+    return _from_upper(p.shape[0], *_sweep_pairs(p.shape[0], p.strip, rng))
 
 
 def _order_by_magnitude(eigenvalues: np.ndarray) -> np.ndarray:
@@ -508,20 +511,22 @@ def select_k(
     k_max: int,
     folds: int = 5,
     holdout_fraction: float = 0.1,
-    rng: np.random.Generator | None = None,
+    *,
+    rng: np.random.Generator,
 ) -> int:
     """Embedding dimension chosen by cross-validation on hidden node pairs.
 
-    Each fold hides a random ``holdout_fraction`` of the node pairs, takes
-    the hidden edges out of the sparse adjacency, scales the remaining
-    entries by 1/(1 - holdout_fraction) and reconstructs with a rank-k
-    truncated eigendecomposition; squared error on the hidden pairs is
-    averaged over folds and the k with the smallest mean error wins (ties go
-    to the smaller k). No dense copy of the graph is made above the dense
-    eigensolver's limit.
+    Each fold hides each node pair i < j with probability
+    ``holdout_fraction`` through the strip sweep of ``sample_graph``, so no
+    array over all pairs is made, takes the hidden edges out of the sparse
+    adjacency, scales the remaining entries by 1/(1 - holdout_fraction) and
+    reconstructs with a rank-k truncated eigendecomposition; squared error
+    on the hidden pairs is averaged over folds and the k with the smallest
+    mean error wins (ties go to the smaller k). No dense copy of the graph
+    is made above the dense eigensolver's limit. An ``rng`` in the state
+    that drew ``g`` would hide every edge drawn with a probability below
+    ``holdout_fraction``.
     """
-    if rng is None:
-        rng = np.random.default_rng()
     if not 1 <= k_max < g.n:
         raise ShapeMismatch(f"k_max = {k_max} must satisfy 1 <= k_max < n = {g.n}")
     if folds < 2:
@@ -529,25 +534,26 @@ def select_k(
     if not 0.0 < holdout_fraction < 1.0:
         raise DataError("holdout_fraction must lie in (0, 1)")
 
-    a = g.adjacency
-    n_pairs = g.n * (g.n - 1) // 2
-    n_hidden = max(1, int(round(holdout_fraction * n_pairs)))
-    errors = np.zeros((folds, k_max))
+    def hidden(r0: int, r1: int) -> np.ndarray:  # the probability that a pair is hidden
+        return np.broadcast_to(holdout_fraction, (r1 - r0, g.n - r0))
+
+    a, errors = g.adjacency, np.zeros((folds, k_max))
     for f in range(folds):
-        i, j = _upper_pairs(g.n, rng.choice(n_pairs, size=n_hidden, replace=False))
+        i, j = _sweep_pairs(g.n, hidden, rng)
+        if not i.size:  # a fold that hides no pair scores every k as 0
+            continue
         truth = a[i, j]
         edge = truth != 0
         a_obs = (a - _from_upper(g.n, i[edge], j[edge]).adjacency) / (1.0 - holdout_fraction)
         emb = embed_symmetric(a_obs, k_max)
         # Rank-k reconstructions share the leading eigenpairs, so build the
         # holdout predictions incrementally.
-        pred = np.zeros(n_hidden)
+        pred = np.zeros(i.size)
         for k in range(k_max):
             uk = emb.vectors[:, k]
             pred += emb.eigenvalues[k] * uk[i] * uk[j]
             errors[f, k] = np.sum((truth - pred) ** 2)
-    mean_err = errors.mean(axis=0)
-    return int(np.argmin(mean_err)) + 1
+    return int(np.argmin(errors.mean(axis=0))) + 1
 
 
 def read_edge_csv(path: str, n_nodes: int | None = None) -> Graph:
@@ -586,10 +592,11 @@ def _read_pairs(path: str) -> tuple[np.ndarray, np.ndarray]:
     with read_table(path) as (header, chunks):
         if header is None or [h.strip() for h in header[:2]] != ["src", "dst"]:
             raise DataError(f"{path}: expected header 'src,dst', got {header}")
-        edges = Rows((np.int64, (2,)))
+        record = [("src", np.int64), ("dst", np.int64)]
+        edges = Rows(record)
         for chunk in chunks:
-            edges.add(len(chunk.lines))[:] = chunk.load((0, 1), np.int64, "edge ")
-    src, dst = edges.array().T
+            edges.add(len(chunk.lines))[:] = chunk.load((0, 1), record, "edge ")
+    src, dst = (edges.array()[end] for end in ("src", "dst"))
     return np.minimum(src, dst), np.maximum(src, dst)
 
 

@@ -40,17 +40,19 @@ from .network import Graph
 
 @dataclass
 class CovariateSpec:
-    """Dimension and diagonal covariance of the iid Gaussian covariates."""
+    """Diagonal covariance of the iid Gaussian covariates; their dimension
+    ``p`` is the number of variances."""
 
-    p: int
     variances: np.ndarray
 
     def __post_init__(self):
         self.variances = np.asarray(self.variances, dtype=float).reshape(-1)
-        if self.variances.shape != (self.p,):
-            raise DimensionMismatch(f"expected {self.p} variances, got {self.variances.shape}")
         if np.any(self.variances <= 0):
             raise DataError("covariate variances must be strictly positive")
+
+    @property
+    def p(self) -> int:
+        return self.variances.size
 
     def quad_form(self, gamma: np.ndarray) -> float:
         """gamma' Sigma_z gamma."""
@@ -76,10 +78,6 @@ class EnarParams:
     @property
     def k(self) -> int:
         return self.beta.size
-
-    @property
-    def p(self) -> int:
-        return self.gamma.size
 
 
 @dataclass
@@ -109,10 +107,6 @@ class AmnarParams:
     @property
     def k(self) -> int:
         return self.beta1.size
-
-    @property
-    def p(self) -> int:
-        return self.gamma.size
 
     @property
     def beta(self) -> np.ndarray:

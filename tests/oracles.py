@@ -127,8 +127,8 @@ def _ascent(graph, k, max_iters, loglik, gradient, first_step, stop):
     """Projected gradient ascent with halving backtracking, each
     log-likelihood and gradient taken through ``loglik(state, graph)`` and
     ``gradient(state, graph)``, so chi is rebuilt for every call and no
-    buffer outlives one. Starts from the projected initializer (``fit_lsm``
-    with no iterations). Iteration ``it`` tries ``first_step(it, x, g)``
+    buffer outlives one. Starts from the projected spectral start, as
+    ``fit_lsm`` does. Iteration ``it`` tries ``first_step(it, x, g)``
     first, for the iterate x = [Q | v] and the ascent direction g stacked
     the same way; the ascent stops once ``stop(trace)`` holds for the
     log-likelihood trace. Returns the fit, whose ``n_evals`` counts the
@@ -140,7 +140,7 @@ def _ascent(graph, k, max_iters, loglik, gradient, first_step, stop):
         calls += 1
         return loglik(state, graph)
 
-    state = lsm.fit_lsm(graph, k, max_iters=0).state
+    state = project_constraints(lsm._spectral_init(graph, k))
     ll = counted(state, graph)
     fit = LsmFit(state=state, loglik_trace=[ll])
     rejected = 0
@@ -219,7 +219,8 @@ def fit_lsm_fixed_step(graph, k: int, max_iters: int) -> LsmFit:
 def sample_dense(p: np.ndarray, rng):
     """The Bernoulli graph of a dense symmetric probability matrix ``p``,
     drawn by the strip sweep that ``sample_graph`` runs on an operator."""
-    return network._sweep_graph(p.shape[0], lambda r0, r1: p[r0:r1, r0:], rng)
+    n = p.shape[0]
+    return network._from_upper(n, *network._sweep_pairs(n, lambda r0, r1: p[r0:r1, r0:], rng))
 
 
 def sample_graph_triu(p: np.ndarray, rng) -> np.ndarray:
@@ -231,25 +232,23 @@ def sample_graph_triu(p: np.ndarray, rng) -> np.ndarray:
     return a + a.T
 
 
-def select_k_dense(g, k_max: int, folds: int = 5, holdout_fraction: float = 0.1, rng=None) -> int:
-    """``select_k`` on a dense copy of the adjacency: each fold zeroes the
-    hidden ``np.triu_indices`` pairs of a dense N x N array, symmetrizes and
-    scales it, and embeds it with the library's ``embed_symmetric``."""
+def select_k_dense(g, k_max: int, folds: int = 5, holdout_fraction: float = 0.1, *, rng) -> int:
+    """``select_k`` on a dense copy of the adjacency: each fold hides the
+    ``np.triu_indices`` pairs whose uniform, from one ``rng.random`` call
+    over all pairs, falls below ``holdout_fraction``, zeroes them in a dense
+    N x N array, symmetrizes and scales it, and embeds it with the
+    library's ``embed_symmetric``."""
     a = g.adjacency.toarray()
     iu = np.triu_indices(g.n, k=1)
-    n_pairs = iu[0].size
-    n_hidden = max(1, int(round(holdout_fraction * n_pairs)))
     errors = np.zeros((folds, k_max))
     for f in range(folds):
-        hidden = rng.choice(n_pairs, size=n_hidden, replace=False)
-        mask = np.ones(n_pairs, dtype=bool)
-        mask[hidden] = False
+        hidden = rng.random(iu[0].size) < holdout_fraction
         a_obs = np.zeros_like(a)
-        a_obs[iu[0][mask], iu[1][mask]] = a[iu[0][mask], iu[1][mask]]
+        a_obs[iu[0][~hidden], iu[1][~hidden]] = a[iu[0][~hidden], iu[1][~hidden]]
         a_obs = (a_obs + a_obs.T) / (1.0 - holdout_fraction)
         emb = embed_symmetric(a_obs, k_max)
         truth = a[iu[0][hidden], iu[1][hidden]]
-        pred = np.zeros(n_hidden)
+        pred = np.zeros(truth.size)
         for k in range(k_max):
             uk = emb.vectors[:, k]
             pred += emb.eigenvalues[k] * uk[iu[0][hidden]] * uk[iu[1][hidden]]
@@ -395,4 +394,4 @@ def random_stationary_instance(rng: np.random.Generator, n_max: int = 8):
     split = rng.uniform(0.05, 0.95)
     alpha = scale * split * rng.choice([-1.0, 1.0])
     theta = scale * (1 - split) * rng.choice([-1.0, 1.0])
-    return Graph(n, a), alpha, theta
+    return Graph(a), alpha, theta

@@ -175,9 +175,16 @@ class TestConfig:
         ({"k_values": [21]}, ShapeMismatch, "K = 21 exceeds N = 20"),
         ({"k_values": [21], "truth_models": ["nar"], "fit_models": ["amnar"]},
          ShapeMismatch, "K = 21 exceeds N = 20"),
+        ({"n_values": [20, 0]}, DataError, "n_values must be positive"),
+        ({"t_values": [-1]}, DataError, "t_values must be positive"),
+        ({"k_values": [0]}, DataError, "k_values must be positive"),
+        ({"generators": ["er"]}, DataError, "unknown generator 'er'"),
+        ({"truth_models": ["enr"]}, DataError, "unknown truth model 'enr'"),
+        ({"fit_models": ["ols"]}, DataError, "unknown fit model 'ols'"),
     ], ids=["sigma-enar", "sigma-amnar", "stationarity", "cov-variance", "s-amnar-truth",
             "s-amnar-fit", "rho-rdpg", "rho-negative", "beta-enar", "beta-amnar",
-            "k-enar", "k-amnar-fit"])
+            "k-enar", "k-amnar-fit", "n-values", "t-values", "k-values", "generator",
+            "truth-model", "fit-model"])
     def test_rejects_seed_independent_errors(self, params, error, message):
         with pytest.raises(error, match=re.escape(message)):
             smoke_config(**params)

@@ -359,7 +359,7 @@ class TestFitPredict:
         assert not (tmp_path / "forecast.csv").exists()
 
     def test_rank_deficiency_is_numerical_error(self, tmp_path, capsys):
-        g = Graph(4, np.array([[0, 1, 0, 0], [1, 0, 1, 0], [0, 1, 0, 1], [0, 0, 1, 0]], dtype=float))
+        g = Graph(np.array([[0, 1, 0, 0], [1, 0, 1, 0], [0, 1, 0, 1], [0, 0, 1, 0]], dtype=float))
         write_edge_csv(g, str(tmp_path / "e.csv"))
         panel = Panel(y=np.zeros((4, 5)), z=np.zeros((4, 4, 0)))
         write_panel_csv(panel, str(tmp_path / "p.csv"))
@@ -862,6 +862,7 @@ class TestFitJsonNumbers:
          "not a finite number"),
         ("enar", lambda doc: doc["latent"].pop(), "DimensionMismatch",
          "latent matrix has shape (29, 2), expected (30, 2)"),
+        ("enar", lambda doc: doc.pop("model"), "DataError", "malformed fit JSON ('model')"),
     ])
     def test_malformed_latent_or_coefficient_is_data_error(
         self, fitted, capsys, model, edit, kind, where
@@ -987,7 +988,7 @@ class TestSelectK:
             a = np.zeros((n, n))
             a[iu] = (rng.random(iu[0].size) < p[iu]).astype(float)
             a = a + a.T
-            write_edge_csv(Graph(n, a), str(tmp_path / "g.csv"))
+            write_edge_csv(Graph(a), str(tmp_path / "g.csv"))
             code, out, _ = run_cli(
                 capsys, "select-k", "--edges", str(tmp_path / "g.csv"),
                 "--k-max", "6", "--seed", str(seed),
@@ -1146,8 +1147,10 @@ class TestHelp:
     def test_console_script_installed(self, tmp_path):
         import subprocess, sys
 
+        src = str(Path(enarkit.__file__).resolve().parents[1])
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
         proc = subprocess.run([sys.executable, "-m", "enarkit.cli", "--help"],
-                              capture_output=True, text=True)
+                              env=env, capture_output=True, text=True)
         assert proc.returncode == 0
         assert "fit" in proc.stdout
 
@@ -1164,6 +1167,24 @@ class TestEnvSeed:
         monkeypatch.delenv("ENARKIT_SEED")
         assert run_cli(capsys, "simulate", "--config", str(path), "--seed", "11")[0] == 0
         assert (tmp_path / "panel.csv").read_bytes() == from_env
+
+    @pytest.mark.parametrize("env, message", [
+        ("abc", "ENARKIT_SEED='abc' is not an integer"),
+        ("1.5", "ENARKIT_SEED='1.5' is not an integer"),
+        ("-2", "seed -2 is negative"),
+    ])
+    def test_env_seed_that_numpy_cannot_take_is_a_data_error(
+        self, tmp_path, capsys, monkeypatch, env, message
+    ):
+        path, cfg = write_sim_config(tmp_path)
+        doc = json.loads(path.read_text())
+        del doc["seed"]
+        path.write_text(json.dumps(doc))
+        monkeypatch.setenv("ENARKIT_SEED", env)
+        code, stdout, err = run_cli(capsys, "simulate", "--config", str(path))
+        assert (code, stdout) == (3, "")
+        assert json.loads(err) == {"error": "DataError", "message": message}
+        assert not os.path.exists(cfg["out_panel"])
 
     def test_amnar_fit_reads_no_env_seed(self, tmp_path, capsys, monkeypatch):
         path, cfg = write_sim_config(tmp_path, model="amnar", n=50, t=10, seed=4)
@@ -1248,6 +1269,22 @@ class TestMc:
             )
             assert code == expected
         assert "'reps' has type bool" in json.loads(err)["message"]
+
+    @pytest.mark.parametrize("missing", ["n_values", "t_values", "k_values"])
+    def test_missing_required_key_is_a_data_error(self, tmp_path, capsys, missing):
+        doc = {"n_values": [12], "t_values": [4], "k_values": [2], "fit_models": ["nar"]}
+        del doc[missing]
+        cfg_path = tmp_path / "mc.json"
+        cfg_path.write_text(json.dumps(doc))
+        code, _, err = run_cli(
+            capsys, "mc", "--config", str(cfg_path),
+            "--out", str(tmp_path / "r.csv"), "--summary-out", str(tmp_path / "s.csv"),
+        )
+        assert code == 3
+        assert json.loads(err) == {
+            "error": "DataError", "message": f"{cfg_path}: missing required key {missing!r}"
+        }
+        assert not (tmp_path / "r.csv").exists()
 
     @pytest.mark.parametrize("override, message", [
         ({"n_values": [12.9], "t_values": ["4"], "k_values": [True]},

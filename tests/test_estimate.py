@@ -36,7 +36,7 @@ def random_graph(n, density, rng):
         a = np.triu((rng.random((n, n)) < density).astype(float), 1)
         a = a + a.T
         if np.all(a.sum(axis=1) > 0):
-            return Graph(n, a)
+            return Graph(a)
 
 
 def noiseless_panel(graph, u, params, cov, t_len, rng):
@@ -48,7 +48,7 @@ class TestBuildDesign:
         y = np.array([[1.0, 2.0], [3.0, 4.0]])
         panel = Panel(y=y, z=np.zeros((2, 1, 0)))
         a = np.array([[0.0, 1.0], [1.0, 0.0]])
-        lap = normalized_laplacian(Graph(2, a))
+        lap = normalized_laplacian(Graph(a))
         w, y_resp = build_design(panel, lap, None, DesignSpec("nar"))
         assert w.shape == (2, 2)
         # columns are (own lag, Laplacian-weighted lag)
@@ -72,6 +72,12 @@ class TestBuildDesign:
         panel = Panel(y=rng.standard_normal((16, 5)), z=rng.standard_normal((16, 4, 0)))
         w, _ = build_design(panel, normalized_laplacian(g), x, DesignSpec("amnar", 2, s=0.25))
         assert np.allclose(w[:16, :3], 0.25 * x)
+
+    def test_regression_takes_one_transition(self):
+        rng = np.random.default_rng(3)
+        panel = Panel(y=rng.standard_normal((6, 3)), z=rng.standard_normal((6, 2, 1)))
+        with pytest.raises(DimensionMismatch, match="single transition, got T=2"):
+            build_design(panel, None, np.ones((6, 1)), DesignSpec("enr", 1))
 
     def test_row_ordering_is_time_major(self):
         rng = np.random.default_rng(2)
@@ -122,6 +128,14 @@ class TestFitLs:
         expected = fit.sigma2_hat * np.linalg.inv(w.T @ w)
         assert np.max(np.abs(fit.cov_hat - expected)) < 1e-10
         assert np.min(np.linalg.eigvalsh(fit.cov_hat)) > -1e-12
+
+    @pytest.mark.parametrize("w_shape, n_resp, message", [
+        ((5, 2), 4, "5 rows in w but 4 responses"),
+        ((1, 2), 1, "underdetermined system: 1 obs, 2 columns"),
+    ])
+    def test_inconsistent_shapes_rejected(self, w_shape, n_resp, message):
+        with pytest.raises(DimensionMismatch, match=message):
+            fit_ls(np.ones(w_shape), np.ones(n_resp))
 
     def test_rank_deficient_identifies_columns(self):
         rng = np.random.default_rng(4)
@@ -236,7 +250,7 @@ class TestNoiselessRecovery:
         self.g = random_graph(30, 0.3, self.rng)
         self.lap = normalized_laplacian(self.g)
         self.u = np.linalg.qr(self.rng.standard_normal((30, 3)))[0]
-        self.cov = CovariateSpec(2, np.array([2.0, 1.0]))
+        self.cov = CovariateSpec(np.array([2.0, 1.0]))
 
     def test_enar_exact(self):
         params = EnarParams(0.2, 0.2, np.array([1.0, -0.5, 1 / 3]), np.array([0.4, -0.2]), 0.0)
@@ -302,7 +316,7 @@ class TestModelCompositions:
         g = random_graph(n, 0.25, rng)
         u = spectral_embed(g, k).vectors
         params = EnarParams(0.2, 0.2, np.array([1.0, -0.5])[:k], np.array([0.3]), sigma)
-        cov = CovariateSpec(1, np.array([2.0]))
+        cov = CovariateSpec(np.array([2.0]))
         panel = simulate_enar(params, g, u, cov, t, rng)
         return g, u, params, cov, panel
 
@@ -364,7 +378,7 @@ class TestModelCompositions:
             return build(g)
 
         monkeypatch.setattr(network, "normalized_laplacian", counting)
-        return Graph(g.n, g.adjacency), built
+        return Graph(g.adjacency), built
 
     def test_enar_fit_and_forecast_build_one_laplacian(self, monkeypatch):
         g, _, _, _, panel = self.make_panel()
@@ -462,9 +476,9 @@ class TestModelCompositions:
         # with no failed line search
         rng = np.random.default_rng(1)
         a = np.triu((rng.random((8, 8)) < 0.5).astype(float), 1)
-        g = Graph(8, a + a.T)
+        g = Graph(a + a.T)
         params = EnarParams(0.2, 0.2, np.zeros(0), np.array([0.3]), 0.4)
-        panel = simulate_enar(params, g, np.zeros((8, 0)), CovariateSpec(1, np.array([2.0])),
+        panel = simulate_enar(params, g, np.zeros((8, 0)), CovariateSpec(np.array([2.0])),
                               10, rng)
         diag = fit_model(panel, g, DesignSpec("amnar", 2, s=0.25)).diagnostics
         assert diag.lsm_iters == lsm.MAX_ITERS == 500
@@ -484,7 +498,7 @@ class TestPredict:
         g = random_graph(25, 0.3, rng)
         u = np.linalg.qr(rng.standard_normal((25, 2)))[0]
         params = EnarParams(0.2, 0.2, np.array([1.0, -0.5]), np.array([0.3]), 0.0)
-        cov = CovariateSpec(1, np.array([2.0]))
+        cov = CovariateSpec(np.array([2.0]))
         panel = simulate_enar(params, g, u, cov, 8, rng)
         lap = normalized_laplacian(g)
         spec = DesignSpec("enar", 2)
@@ -499,7 +513,7 @@ class TestPredict:
         rng = np.random.default_rng(4)
         g = random_graph(30, 0.3, rng)
         params = EnarParams(0.2, 0.2, np.zeros(0), np.array([0.3]), 0.5)
-        cov = CovariateSpec(1, np.array([2.0]))
+        cov = CovariateSpec(np.array([2.0]))
         panel = simulate_enar(params, g, np.zeros((30, 0)), cov, 40, rng)
         fit_e = fit_enar(panel, g, 2)
         fit_n = fit_enar(panel, g, 0)
@@ -531,6 +545,10 @@ class TestMetrics:
         with pytest.raises(ZeroDenominator):
             rmse_rel(np.zeros(2), np.ones(2))
 
+    def test_rmse_shape_mismatch(self):
+        with pytest.raises(DimensionMismatch, match=r"shapes \(2,\) and \(3,\) differ"):
+            rmse_rel(np.ones(2), np.ones(3))
+
 
 class TestConfint:
     def test_degenerate_interval(self):
@@ -538,6 +556,12 @@ class TestConfint:
         fit.cov_hat = np.zeros((3, 3))
         lo, hi = confint(fit, 1, 0.95)
         assert lo == hi == fit.mu_hat[1]
+
+    @pytest.mark.parametrize("level", [0.0, 1.0, 1.5])
+    def test_level_outside_unit_interval_rejected(self, level):
+        fit = fit_ls(np.eye(3), np.array([1.0, 2.0, 3.0]))
+        with pytest.raises(DataError, match="must lie in"):
+            confint(fit, 0, level)
 
     def test_symmetric_and_level_monotone(self):
         rng = np.random.default_rng(1)
@@ -560,7 +584,7 @@ class TestConfint:
             g = random_graph(80, 0.15, rng)
             u = spectral_embed(g, 2).vectors
             params = EnarParams(0.2, 0.0, 0.5 * np.array([1.0, -0.5]), np.array([0.3]), 0.5)
-            cov = CovariateSpec(1, np.array([2.0]))
+            cov = CovariateSpec(np.array([2.0]))
             panel = simulate_enar(params, g, u, cov, 60, rng)
             fit = fit_enar(panel, g, 2)
             lo, hi = confint(fit, fit.names.index("theta"), 0.95)
@@ -573,7 +597,7 @@ class TestConfint:
         g = random_graph(40, 0.3, rng)
         u = spectral_embed(g, 2).vectors
         params = EnarParams(0.5, 0.3, np.array([1.0, -0.5]), np.array([0.3]), 0.5)
-        cov = CovariateSpec(1, np.array([2.0]))
+        cov = CovariateSpec(np.array([2.0]))
         panel = simulate_enar(params, g, u, cov, 400, rng)
         fit = fit_enar(panel, g, 2)
         for name in ("alpha", "theta"):
@@ -588,7 +612,7 @@ class TestFitJson:
         g = random_graph(20, 0.3, rng)
         u = spectral_embed(g, 2).vectors
         params = EnarParams(0.2, 0.2, np.array([1.0, -0.5]), np.array([0.3]), 0.3)
-        cov = CovariateSpec(1, np.array([2.0]))
+        cov = CovariateSpec(np.array([2.0]))
         panel = simulate_enar(params, g, u, cov, 10, rng)
         fit = fit_enar(panel, g, 2)
         path = tmp_path / "fit.json"
@@ -609,10 +633,10 @@ class TestFitJson:
         n = 30
         a = np.zeros((n, n))
         a[0, 1:] = a[1:, 0] = 1.0
-        g = Graph(n, a)
+        g = Graph(a)
         rng = np.random.default_rng(0)
         params = EnarParams(0.2, 0.2, np.array([1.0]), np.array([0.3]), 0.3)
-        cov = CovariateSpec(1, np.array([2.0]))
+        cov = CovariateSpec(np.array([2.0]))
         panel = simulate_enar(params, g, spectral_embed(g, 1).vectors, cov, 10, rng)
         fit = fit_enar(panel, g, 1)
         assert fit.diagnostics.eigengap == 0.0 and fit.diagnostics.kappa == math.inf
@@ -641,6 +665,12 @@ class TestFitJson:
             if value is not None:
                 check_type(value, estimate.FIT_TYPES[key], key)
         assert ("latent" in doc) == (spec.model != "nar")
+
+    def test_bare_least_squares_fit_is_not_serializable(self):
+        fit = fit_ls(np.eye(3), np.array([1.0, 2.0, 3.0]))
+        assert fit.n_params == 3
+        with pytest.raises(DataError, match="fit lacks spec"):
+            estimate.fit_to_json_dict(fit)
 
     def test_diagnostics_serialization_drops_nan(self):
         d = Diagnostics(eigengap=math.nan, kappa=math.nan, condition_number=5.0)
@@ -792,7 +822,7 @@ class TestSparsePath:
         path = tmp_path / "edges.csv"
         path.write_text("src,dst\n" + "".join(f"{i},{j}\n" for i, j in pairs))
         params = EnarParams(0.2, 0.2, np.array([1.0, -0.5]), np.array([0.3]), 1.0)
-        cov = CovariateSpec(1, np.array([1.0]))
+        cov = CovariateSpec(np.array([1.0]))
         u = np.linalg.qr(rng.standard_normal((n, 2)))[0]
         tracemalloc.start()
         try:

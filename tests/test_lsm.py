@@ -15,8 +15,8 @@ from enarkit.lsm import (
     project_constraints,
     sample_lsm_graph,
 )
-from enarkit import blas
-from enarkit.errors import DataError, ShapeMismatch
+from enarkit import blas, lsm
+from enarkit.errors import DataError, DimensionMismatch, ShapeMismatch
 from enarkit.network import Graph, select_k
 from oracles import (
     fit_lsm_fixed_step,
@@ -33,20 +33,25 @@ from oracles import (
 
 
 def empty_graph(n):
-    return Graph(n, np.zeros((n, n)))
+    return Graph(np.zeros((n, n)))
 
 
 def complete_graph(n):
-    return Graph(n, np.ones((n, n)) - np.eye(n))
+    return Graph(np.ones((n, n)) - np.eye(n))
 
 
 def random_graph(n, density, rng):
     a = np.triu((rng.random((n, n)) < density).astype(float), 1)
-    return Graph(n, a + a.T)
+    return Graph(a + a.T)
 
 
 def random_state(n, k, rng, scale=1.0):
     return LsmState(scale * rng.standard_normal((n, k)), scale * rng.standard_normal(n))
+
+
+def test_state_rows_must_agree():
+    with pytest.raises(DimensionMismatch, match="q has 4 rows but v has 3 entries"):
+        LsmState(np.zeros((4, 2)), np.zeros(3))
 
 
 class TestLoglik:
@@ -114,7 +119,7 @@ def graph_with_isolated(n, rng):
     """Random graph whose first three nodes have no edges."""
     a = random_graph(n, 0.4, rng).adjacency.toarray()
     a[:3] = a[:, :3] = 0.0
-    return Graph(n, a)
+    return Graph(a)
 
 
 def wide_state(n, k, rng):
@@ -157,11 +162,12 @@ class TestKernelsMatchDenseOracle:
         assert np.all(np.abs(dq - ref_dq) <= 1e-12 * scale[:, :-1])
         assert np.all(np.abs(dv - ref_dv) <= 1e-12 * scale[:, -1])
 
-    def test_fit_follows_dense_ascent(self, lanczos_path):
+    def test_fit_follows_dense_ascent(self, lanczos_path, monkeypatch):
         rng = np.random.default_rng(21)
         n = 150
         g = sample_lsm_graph(planted_state(n, 2, rng), rng)
-        fit = fit_lsm(g, 2, max_iters=200)
+        monkeypatch.setattr(lsm, "MAX_ITERS", 200)
+        fit = fit_lsm(g, 2)
         ref, _ = fit_lsm_reference(
             g, 2, 200,
             loglik=lambda s, graph: lsm_loglik_dense(s, graph.adjacency.toarray()),
@@ -231,49 +237,49 @@ class TestProjection:
 
 
 class TestFitLsm:
-    def test_zero_iters_returns_projected_initializer(self):
+    def test_zero_iters_returns_projected_initializer(self, monkeypatch):
         rng = np.random.default_rng(8)
         g = random_graph(30, 0.3, rng)
-        fit = fit_lsm(g, 2, max_iters=0)
+        monkeypatch.setattr(lsm, "MAX_ITERS", 0)
+        fit = fit_lsm(g, 2)
         assert fit.n_iters == 0
         assert len(fit.loglik_trace) == 1
         assert fit.state.centering_residual() < 1e-8
 
-    def test_k_above_node_count_rejected(self):
+    def test_k_above_node_count_rejected(self, monkeypatch):
         g = random_graph(4, 0.5, np.random.default_rng(8))
         with pytest.raises(ShapeMismatch, match=re.escape("k = 5 must satisfy 1 <= k <= 4")):
             fit_lsm(g, 5)
-        assert fit_lsm(g, 4, max_iters=5).state.k == 4
+        monkeypatch.setattr(lsm, "MAX_ITERS", 5)
+        assert fit_lsm(g, 4).state.k == 4
 
     def test_k_below_one_rejected(self):
         g = random_graph(4, 0.5, np.random.default_rng(8))
         with pytest.raises(DataError):
             fit_lsm(g, 0)
 
-    def test_negative_iteration_cap_rejected(self):
-        g = random_graph(20, 0.3, np.random.default_rng(8))
-        with pytest.raises(DataError):
-            fit_lsm(g, 2, max_iters=-1)
-
-    def test_monotone_ascent_and_improvement(self):
+    def test_monotone_ascent_and_improvement(self, monkeypatch):
         rng = np.random.default_rng(9)
         g = random_graph(40, 0.25, rng)
-        fit = fit_lsm(g, 2, max_iters=100)
+        monkeypatch.setattr(lsm, "MAX_ITERS", 100)
+        fit = fit_lsm(g, 2)
         trace = np.array(fit.loglik_trace)
         assert np.all(np.diff(trace) >= -1e-12)
         assert trace[-1] >= trace[0]
 
-    def test_feasibility_after_fit(self):
+    def test_feasibility_after_fit(self, monkeypatch):
         rng = np.random.default_rng(10)
         g = random_graph(35, 0.3, rng)
-        fit = fit_lsm(g, 3, max_iters=50)
+        monkeypatch.setattr(lsm, "MAX_ITERS", 50)
+        fit = fit_lsm(g, 3)
         assert fit.state.centering_residual() < 1e-8
         assert fit.state.diagonality_residual() < 1e-8
         cap = 3.0 * math.sqrt(4.0)
         norms = np.sqrt((fit.state.q**2).sum(axis=1) + fit.state.v**2)
         assert np.all(norms <= cap + 1e-9)
 
-    def test_planted_model_recovery_improves_with_n(self):
+    def test_planted_model_recovery_improves_with_n(self, monkeypatch):
+        monkeypatch.setattr(lsm, "MAX_ITERS", 300)
         medians = []
         for n in (60, 150):
             errs = []
@@ -281,7 +287,7 @@ class TestFitLsm:
                 rng = np.random.default_rng(1000 * n + rep)
                 truth = planted_state(n, 2, rng)
                 g = sample_lsm_graph(truth, rng)
-                fit = fit_lsm(g, 2, max_iters=300)
+                fit = fit_lsm(g, 2)
                 chi_t, chi_h = lsm_chi_terms(truth), lsm_chi_terms(fit.state)
                 errs.append(np.linalg.norm(chi_h - chi_t) / np.linalg.norm(chi_t))
             medians.append(np.median(errs))
@@ -317,7 +323,9 @@ class TestFitLsm:
         monkeypatch.setattr(np.random, "default_rng", spy)
         g = make_graph(20)
         global_state = np.random.get_state()[1].copy()
-        assert np.any(fit_lsm(g, 2, max_iters=0).state.q != 0.0)
+        with monkeypatch.context() as capped:
+            capped.setattr(lsm, "MAX_ITERS", 0)
+            assert np.any(fit_lsm(g, 2).state.q != 0.0)
         with warnings.catch_warnings():
             warnings.simplefilter("ignore", RuntimeWarning)  # no ascent on a complete graph
             first, second = fit_lsm(g, 2), fit_lsm(g, 2)
@@ -327,7 +335,7 @@ class TestFitLsm:
         assert np.array_equal(np.random.get_state()[1], global_state)
 
     @pytest.mark.parametrize("call", [
-        lambda: fit_lsm(random_graph(30, 0.3, np.random.default_rng(13)), 2, max_iters=5),
+        lambda: fit_lsm(random_graph(30, 0.3, np.random.default_rng(13)), 2),
         lambda: lsm_loglik(random_state(30, 2, np.random.default_rng(1)),
                            random_graph(30, 0.3, np.random.default_rng(13))),
         lambda: lsm_gradient(random_state(30, 2, np.random.default_rng(1)),
@@ -338,6 +346,7 @@ class TestFitLsm:
     def test_no_dense_adjacency(self, call, monkeypatch):
         # the latent-space kernels and select_k above the dense eigensolver's
         # limit read the CSR adjacency only
+        monkeypatch.setattr(lsm, "MAX_ITERS", 5)
         calls = []
         for cls in (scipy.sparse.csr_array, scipy.sparse.csc_array, scipy.sparse.coo_array):
             for name in ("toarray", "todense"):
@@ -351,11 +360,12 @@ class TestFitLsm:
         call()
         assert calls == []
 
-    def test_lanczos_start_repeat_fits_bitwise_equal(self, lanczos_path):
+    def test_lanczos_start_repeat_fits_bitwise_equal(self, lanczos_path, monkeypatch):
         rng = np.random.default_rng(12)
         g = random_graph(60, 0.2, rng)
-        first = fit_lsm(g, 2, max_iters=20)
-        second = fit_lsm(g, 2, max_iters=20)
+        monkeypatch.setattr(lsm, "MAX_ITERS", 20)
+        first = fit_lsm(g, 2)
+        second = fit_lsm(g, 2)
         assert lanczos_path == ["LA", "LA"]
         assert np.array_equal(first.state.q, second.state.q)
         assert np.array_equal(first.state.v, second.state.v)
@@ -371,9 +381,10 @@ class TestFitMatchesReference:
         (20, 0.3, 2, 0, 20, "cap"),
         (10, 0.5, 1, 2, 40, "backtracked"),
     ])
-    def test_bitwise_equal(self, n, density, k, seed, max_iters, stop):
+    def test_bitwise_equal(self, n, density, k, seed, max_iters, stop, monkeypatch):
         g = random_graph(n, density, np.random.default_rng(seed))
-        fit = fit_lsm(g, k, max_iters=max_iters)
+        monkeypatch.setattr(lsm, "MAX_ITERS", max_iters)
+        fit = fit_lsm(g, k)
         ref, rejected = fit_lsm_reference(g, k, max_iters)
         assert fit.loglik_trace == ref.loglik_trace
         assert fit.state.q.tobytes() == ref.state.q.tobytes()

@@ -1,3 +1,4 @@
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -45,12 +46,12 @@ def path_graph(n):
     a = np.zeros((n, n))
     for i in range(n - 1):
         a[i, i + 1] = a[i + 1, i] = 1.0
-    return Graph(n, a)
+    return Graph(a)
 
 
 def complete_graph(n):
     a = np.ones((n, n)) - np.eye(n)
-    return Graph(n, a)
+    return Graph(a)
 
 
 class TestGraph:
@@ -58,18 +59,27 @@ class TestGraph:
         a = np.zeros((3, 3))
         a[0, 1] = 1.0
         with pytest.raises(DataError):
-            Graph(3, a)
+            Graph(a)
 
     def test_rejects_self_loop(self):
         a = np.eye(2)
         with pytest.raises(DataError):
-            Graph(2, a)
+            Graph(a)
 
     def test_rejects_non_binary(self):
         a = np.zeros((2, 2))
         a[0, 1] = a[1, 0] = 0.5
         with pytest.raises(DataError):
-            Graph(2, a)
+            Graph(a)
+
+    @pytest.mark.parametrize("shape", [(2, 3), (4,), (2, 2, 2)])
+    def test_rejects_non_square(self, shape):
+        with pytest.raises(ShapeMismatch, match="not square"):
+            Graph(np.zeros(shape))
+
+    def test_node_count_read_off_shape(self):
+        assert path_graph(5).n == 5
+        assert Graph(scipy.sparse.csr_array((0, 0))).n == 0
 
     def test_adjacency_is_read_only(self):
         g = path_graph(3)
@@ -83,7 +93,7 @@ class TestGraph:
 def assert_same_as_checked(g):
     """``g`` equals the graph that the checked constructor builds from its
     CSR, buffer for buffer, and is frozen like it."""
-    ref = Graph(g.n, g.adjacency)
+    ref = Graph(g.adjacency)
     a, b = g.adjacency, ref.adjacency
     assert type(a) is type(b)
     for name in ("indptr", "indices", "data"):
@@ -150,7 +160,7 @@ class TestLaplacian:
     def test_allow_isolated_zero_rows(self):
         a = np.zeros((3, 3))
         a[0, 1] = a[1, 0] = 1.0
-        lap = normalized_laplacian(Graph(3, a)).toarray()
+        lap = normalized_laplacian(Graph(a)).toarray()
         assert np.all(lap[2, :] == 0) and np.all(lap[:, 2] == 0)
 
     def test_matches_entrywise_oracle_with_isolated_nodes(self):
@@ -158,7 +168,7 @@ class TestLaplacian:
         isolated = 0
         for n in (1, 2, 7, 30, 60):
             a = np.triu((rng.random((n, n)) < 2.0 / n).astype(float), 1)
-            g = Graph(n, a + a.T)
+            g = Graph(a + a.T)
             lap = normalized_laplacian(g)
             assert isinstance(lap, scipy.sparse.csr_array)
             assert np.allclose(lap.toarray(), dense_transition(g, 0.0, 1.0), rtol=1e-15, atol=0)
@@ -174,7 +184,7 @@ class TestLaplacian:
                 a = a + a.T
                 if np.all(a.sum(axis=1) > 0):
                     break
-            lap = normalized_laplacian(Graph(n, a)).toarray()
+            lap = normalized_laplacian(Graph(a)).toarray()
             assert np.max(np.abs(np.linalg.eigvalsh(lap))) <= 1.0 + 1e-10
 
 
@@ -683,7 +693,7 @@ class TestSelectK:
             a = np.zeros((n, n))
             a[iu] = (rng.random(iu[0].size) < p[iu]).astype(float)
             a = a + a.T
-            g = Graph(n, a)
+            g = Graph(a)
             if select_k(g, k_max=6, rng=rng) == 3:
                 hits += 1
         assert hits >= 0.8 * runs
@@ -697,13 +707,48 @@ class TestSelectK:
         p = connection_matrix(spec)
         for seed in range(4):
             g = sample_dense(p, np.random.default_rng(seed))
-            assert select_k(g, 6, rng=np.random.default_rng(seed)) == select_k_dense(
-                g, 6, rng=np.random.default_rng(seed)
+            # hold-out draws on a stream apart from the graph's: the graph's
+            # own uniforms would hide every edge whose p is below 0.1
+            assert select_k(g, 6, rng=np.random.default_rng(seed + 100)) == select_k_dense(
+                g, 6, rng=np.random.default_rng(seed + 100)
             )
 
     def test_k_max_one(self):
         g = complete_graph(10)
         assert select_k(g, 1, rng=np.random.default_rng(0)) == 1
+
+    def test_folds_that_hide_no_pair(self):
+        # 3 pairs hidden with probability 0.01 each: most folds hide none
+        g = complete_graph(3)
+        for seed in range(5):
+            assert select_k(g, 2, holdout_fraction=0.01, rng=np.random.default_rng(seed)) == 1
+
+    @pytest.mark.parametrize("kwargs, error", [
+        ({"k_max": 0}, ShapeMismatch),
+        ({"k_max": 10}, ShapeMismatch),
+        ({"folds": 1}, DataError),
+        ({"holdout_fraction": 0.0}, DataError),
+        ({"holdout_fraction": 1.0}, DataError),
+    ])
+    def test_rejects_invalid_settings(self, kwargs, error):
+        with pytest.raises(error):
+            select_k(complete_graph(10), **{"k_max": 2, **kwargs}, rng=np.random.default_rng(0))
+
+    def test_holdout_draw_bounds_memory_at_n6000(self):
+        # the hidden pairs are drawn strip by strip, one uniform per pair:
+        # no array over all N(N-1)/2 = 18M pairs is made
+        n, k = 6000, 3
+        spec = DcsbmSpec(0.3 * np.eye(k) + 0.1 * np.ones((k, k)), np.arange(n) % k,
+                         np.ones(n), 40.0)
+        g = sample_graph(ConnectionOperator(spec), np.random.default_rng(0))
+        tracemalloc.start()
+        try:
+            got = select_k(g, 4, folds=2, rng=np.random.default_rng(100))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert got == k
+        assert peak < 170 * 2**20
 
     def test_tie_breaks_to_smaller(self):
         # argmin picks the first minimum, i.e. the smallest k
@@ -716,7 +761,7 @@ class TestEdgeCsv:
         rng = np.random.default_rng(0)
         a = np.triu((rng.random((12, 12)) < 0.4).astype(float), 1)
         a = a + a.T
-        g = Graph(12, a)
+        g = Graph(a)
         path = tmp_path / "edges.csv"
         write_edge_csv(g, str(path))
         back = read_edge_csv(str(path), n_nodes=12)
@@ -743,12 +788,12 @@ class TestEdgeCsv:
     def test_bytes_match_csv_writer(self, tmp_path):
         rng = np.random.default_rng(1)
         a = np.triu((rng.random((30, 30)) < 0.2).astype(float), 1)
-        g = Graph(30, a + a.T)
+        g = Graph(a + a.T)
         fast, ref = tmp_path / "fast.csv", tmp_path / "ref.csv"
         write_edge_csv(g, str(fast))
         write_edge_csv_loop(g, str(ref))
         assert fast.read_bytes() == ref.read_bytes()
-        write_edge_csv(Graph(3, np.zeros((3, 3))), str(fast))
+        write_edge_csv(Graph(np.zeros((3, 3))), str(fast))
         assert fast.read_bytes() == b"src,dst\r\n"
         assert read_edge_csv(str(fast), n_nodes=3).adjacency.sum() == 0
 
@@ -799,7 +844,7 @@ class TestEmbeddingConcentration:
             u_p = embed_symmetric(p, k).vectors
             residuals = []
             for _ in range(20):
-                g = Graph(n, _draw(p, rng))
+                g = Graph(_draw(p, rng))
                 u_hat = spectral_embed(g, k).vectors
                 residuals.append(procrustes_align(u_hat, u_p)[1])
             medians.append(np.median(residuals))

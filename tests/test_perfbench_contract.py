@@ -44,15 +44,16 @@ def small_case(n=24, t=5):
     graph = network.sample_graph(p, rng)
     latent = network.spectral_embed(graph, 1).vectors
     params = process.EnarParams(0.2, 0.2, np.array([1.0]), np.array([0.5]), 1.0)
-    cov = process.CovariateSpec(1, np.array([1.0]))
+    cov = process.CovariateSpec(np.array([1.0]))
     return graph, latent, params, cov, rng
 
 
-def test_attributes_read_off_results():
+def test_attributes_read_off_results(monkeypatch):
     graph, latent, params, cov, rng = small_case()
     moments = process.stationary_moments(graph, latent @ params.beta, params, cov)
     assert isinstance(moments.iterations, int)
-    fit = lsm.fit_lsm(graph, 1, max_iters=3)
+    monkeypatch.setattr(lsm, "MAX_ITERS", 3)
+    fit = lsm.fit_lsm(graph, 1)
     assert isinstance(fit.n_iters, int) and isinstance(fit.converged, bool)
     panel = process.simulate_enar(params, graph, latent, cov, 5, rng)
     lap = network.normalized_laplacian(graph)

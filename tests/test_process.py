@@ -30,11 +30,11 @@ def ring_graph(n):
     a = np.zeros((n, n))
     for i in range(n):
         a[i, (i + 1) % n] = a[(i + 1) % n, i] = 1.0
-    return Graph(n, a)
+    return Graph(a)
 
 
 def no_cov():
-    return CovariateSpec(0, np.zeros(0))
+    return CovariateSpec(np.zeros(0))
 
 
 def basic_params(alpha=0.2, theta=0.2, k=0, p=0, sigma=0.5):
@@ -86,7 +86,8 @@ class TestStationaryMoments:
 
     def test_innovation_scale_includes_covariates(self):
         g = ring_graph(4)
-        cov = CovariateSpec(3, np.array([3.0, 2.0, 1.0]))
+        cov = CovariateSpec(np.array([3.0, 2.0, 1.0]))
+        assert cov.p == 3
         params = EnarParams(0.2, 0.2, np.zeros(0), np.array([1 / 3, -1 / 6, 0.0]), 0.5)
         m = stationary_moments(g, np.zeros(4), params, cov)
         expected = 0.25 + 3 * (1 / 3) ** 2 + 2 * (1 / 6) ** 2
@@ -184,7 +185,7 @@ class TestSimulate:
         rng = np.random.default_rng(5)
         a = np.triu((rng.random((n, n)) < 0.2).astype(float), 1)
         a = a + a.T
-        g = Graph(n, a)
+        g = Graph(a)
         u = np.linalg.qr(rng.standard_normal((n, k)))[0]
         params = EnarParams(0.2, 0.2, np.array([1.0, -0.5, 1 / 3]), np.zeros(0), 0.5)
         cov = no_cov()
@@ -201,31 +202,48 @@ class TestSimulate:
         rng = np.random.default_rng(9)
         a = np.triu((rng.random((n, n)) < 0.2).astype(float), 1)
         a = a + a.T
-        g = Graph(n, a)
+        g = Graph(a)
         u = np.linalg.qr(rng.standard_normal((n, k)))[0]
         params = EnarParams(0.2, 0.2, np.array([1.0, -0.5, 1 / 3]),
                             np.array([1 / 3, -1 / 6, 0.0]), 0.5)
-        cov = CovariateSpec(3, np.array([3.0, 2.0, 1.0]))
+        cov = CovariateSpec(np.array([3.0, 2.0, 1.0]))
         panel = simulate_enar(params, g, u, cov, t_len, rng)
         assert panel.y.shape == (40, 41)
         assert panel.z.shape == (40, 40, 3)
         assert np.all(np.isfinite(panel.y)) and np.all(np.isfinite(panel.z))
+
+    @pytest.mark.parametrize("call, message", [
+        (lambda g, p, a: stationary_moments(g, np.zeros(5), p, no_cov()),
+         r"latent effect has shape \(5,\), expected \(6,\)"),
+        (lambda g, p, a: simulate_enar(p, g, np.zeros((6, 0)), no_cov(), 0,
+                                       np.random.default_rng(0)), "t_len must be >= 1"),
+        (lambda g, p, a: simulate_enar(EnarParams(0.2, 0.2, [1.0], [], 0.5), g,
+                                       np.zeros((5, 1)), no_cov(), 3, np.random.default_rng(0)),
+         r"embedding shape \(5, 1\) incompatible with N=6, K=1"),
+        (lambda g, p, a: simulate_amnar(a, g, np.zeros((6, 2)), no_cov(), 3,
+                                        np.random.default_rng(0)),
+         r"latent truth shape \(6, 2\), expected \(6, 3\)"),
+    ], ids=["moments-latent-effect", "t-len", "enar-embedding", "amnar-latent"])
+    def test_shapes_are_checked(self, call, message):
+        amnar = AmnarParams(0.2, 0.2, np.zeros(2), 1.0, np.zeros(0), 0.5, 0.25)
+        with pytest.raises(DimensionMismatch, match=message):
+            call(ring_graph(6), basic_params(), amnar)
 
     @pytest.mark.parametrize("sigma, gamma", [(1e200, [0.3]), (0.5, [1e200]), (np.nan, [0.3])])
     def test_innovation_variance_not_finite_is_data_error(self, sigma, gamma):
         g = ring_graph(6)
         params = EnarParams(0.2, 0.2, np.zeros(0), np.array(gamma), sigma)
         with pytest.raises(DataError, match="innovation variance .* is not finite"):
-            simulate_enar(params, g, np.zeros((6, 0)), CovariateSpec(1, [1.0]), 3,
+            simulate_enar(params, g, np.zeros((6, 0)), CovariateSpec([1.0]), 3,
                           np.random.default_rng(0))
         with pytest.raises(DataError, match="innovation variance .* is not finite"):
-            stationary_moments(g, np.zeros(6), params, CovariateSpec(1, [1.0]))
+            stationary_moments(g, np.zeros(6), params, CovariateSpec([1.0]))
 
     def test_seed_determinism(self):
         g = ring_graph(10)
         u = np.linalg.qr(np.random.default_rng(0).standard_normal((10, 2)))[0]
         params = EnarParams(0.1, 0.3, np.array([0.5, 0.5]), np.array([0.2]), 0.5)
-        cov = CovariateSpec(1, np.array([2.0]))
+        cov = CovariateSpec(np.array([2.0]))
         p1 = simulate_enar(params, g, u, cov, 30, np.random.default_rng(42))
         p2 = simulate_enar(params, g, u, cov, 30, np.random.default_rng(42))
         assert np.array_equal(p1.y, p2.y) and np.array_equal(p1.z, p2.z)
@@ -252,12 +270,12 @@ class TestSimulate:
         a = np.zeros((6, 6))
         for i, j in [(0, 1), (1, 2), (2, 3), (3, 0), (0, 2), (3, 4), (4, 5)]:
             a[i, j] = a[j, i] = 1.0
-        cases = [(Graph(6, a), 0.3, 0.5), (graph_with_isolated_nodes(30, 3, 4), 0.1, 0.15)]
+        cases = [(Graph(a), 0.3, 0.5), (graph_with_isolated_nodes(30, 3, 4), 0.1, 0.15)]
         for g, alpha, theta in cases:
             n = g.n
             u = np.linalg.qr(np.random.default_rng(0).standard_normal((n, 2)))[0]
             params = EnarParams(alpha, theta, np.array([1.0, -0.5]), np.array([0.4]), 0.5)
-            cov = CovariateSpec(1, np.array([2.0]))
+            cov = CovariateSpec(np.array([2.0]))
             big_g = dense_transition(g, params.alpha, params.theta)
             phi = np.linalg.solve(np.eye(n) - big_g, u @ params.beta)
             gamma0 = kron_gamma0(big_g, params.sigma**2 + 2.0 * 0.4**2)
@@ -279,7 +297,7 @@ def graph_with_isolated_nodes(n, n_isolated, seed):
     a = np.zeros((n, n))
     a[:m, :m] = np.triu((rng.random((m, m)) < 0.3).astype(float), 1)
     a += a.T
-    return Graph(n, a)
+    return Graph(a)
 
 
 class TestSeriesSimulation:
@@ -320,7 +338,7 @@ class TestSeriesSimulation:
         # the closed form at rho = 0.7 (J = 110 > N)
         g = graph_with_isolated_nodes(25, 2, 6)
         u = np.linalg.qr(np.random.default_rng(0).standard_normal((25, 2)))[0]
-        cov = CovariateSpec(2, np.array([1.0, 2.0]))
+        cov = CovariateSpec(np.array([1.0, 2.0]))
         noises, zs = [], []
         for alpha, theta in ((0.05, 0.1), (0.3, 0.4)):
             params = EnarParams(alpha, theta, np.array([1.0, -0.5]), np.array([0.3, 0.2]), 0.5)
@@ -348,7 +366,7 @@ class TestAmnar:
         x = np.random.default_rng(0).standard_normal((10, 3))
         amnar = AmnarParams(0.2, 0.2, np.zeros(2), 0.0, np.array([0.3]), 0.5, 0.25)
         enar = EnarParams(0.2, 0.2, np.zeros(0), np.array([0.3]), 0.5)
-        cov = CovariateSpec(1, np.array([1.5]))
+        cov = CovariateSpec(np.array([1.5]))
         pa = simulate_amnar(amnar, g, x, cov, 25, np.random.default_rng(77))
         pe = simulate_enar(enar, g, np.zeros((10, 0)), cov, 25, np.random.default_rng(77))
         assert np.array_equal(pa.y, pe.y)
@@ -472,6 +490,11 @@ class TestPanelCsv:
         with pytest.raises(DataError, match=message):
             read_panel_csv(str(path))
 
-    def test_dimension_coherence_enforced(self):
-        with pytest.raises(DimensionMismatch):
-            Panel(y=np.zeros((3, 4)), z=np.zeros((3, 4, 1)))
+    @pytest.mark.parametrize("y_shape, z_shape, message", [
+        ((3, 4), (3, 4, 1), "incoherent panel dims"),
+        ((3,), (3, 0, 1), "y must be N x"),
+        ((3, 4), (3, 3), "z must be N x T x p"),
+    ])
+    def test_dimension_coherence_enforced(self, y_shape, z_shape, message):
+        with pytest.raises(DimensionMismatch, match=message):
+            Panel(y=np.zeros(y_shape), z=np.zeros(z_shape))
