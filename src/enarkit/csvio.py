@@ -1,20 +1,23 @@
 """CSV tables: one header line over rows of numbers and identifiers.
 
-Files are read as UTF-8 and streamed: ``read_table`` yields the body in
-chunks of at most ``CHUNK_LINES`` physical lines, so only one chunk's text is
-held at a time. A line ends at LF, CR or CRLF. Blank and whitespace-only
+Files are read as UTF-8 and streamed: ``read_table`` checks the header's
+leading fields, each stripped of surrounding whitespace, and yields the body
+in chunks of at most ``CHUNK_LINES`` physical lines, so only one chunk's text
+is held at a time. A line ends at LF, CR or CRLF. Blank and whitespace-only
 lines are skipped but still counted, so every error names the file row it
-came from, the header being row 1. ``np.loadtxt`` parses a chunk's columns
-in C; when a parse fails, the offending lines are found afterwards by
-halving. An error found after parsing names its row by streaming the file
-again (``row_of``). ``write_table``, the one CSV writer, formats each row from
-one template, ends lines in CRLF and replaces the file atomically.
+came from, the header being row 1. ``np.loadtxt`` parses in C the leading
+columns that a record dtype names; when a parse fails, the offending lines
+are found afterwards by halving. An error found after parsing names its row
+by streaming the file again (``row_of``). ``write_table``, the one CSV
+writer, formats each row from one template, ends lines in CRLF and replaces
+the file atomically.
 """
 
 from __future__ import annotations
 
 import contextlib
 import csv
+import math
 from collections.abc import Iterable, Iterator, Sequence
 from itertools import filterfalse, islice
 
@@ -40,11 +43,11 @@ class Chunk:
         rows = [r for r, line in enumerate(self._raw, start=self._row) if not line.isspace()]
         return f"{self.path}: row {rows[j]}"
 
-    def load(self, usecols: Sequence[int], dtype, what: str = "") -> np.ndarray:
-        """Columns ``usecols`` of ``self.lines``, as :func:`parse_lines` gives
+    def load(self, dtype, what: str = "") -> np.ndarray:
+        """``self.lines`` as records of ``dtype``, as :func:`parse_lines` gives
         them; the first line that does not parse raises ``DataError`` naming
         its row and quoting it after ``"cannot parse <what>"``."""
-        values, ok = parse_lines(self.lines, usecols, dtype)
+        values, ok = parse_lines(self.lines, dtype)
         if not ok.all():
             j = int(ok.argmin())
             raise DataError(f"{self.where(j)}: cannot parse {what}{self.lines[j].rstrip(_ENDS)!r}")
@@ -52,15 +55,18 @@ class Chunk:
 
 
 @contextlib.contextmanager
-def read_table(path: str) -> Iterator[tuple[list[str] | None, Iterator[Chunk]]]:
-    """The header fields of the CSV file at ``path`` (``None`` for an empty
-    file) and an iterator over its body in :class:`Chunk` s of
-    ``CHUNK_LINES`` lines, valid inside the ``with`` block. A byte that is
-    not UTF-8 raises ``DataError`` naming its row."""
+def read_table(path: str, names: Sequence[str]) -> Iterator[tuple[list[str], Iterator[Chunk]]]:
+    """The header fields of the CSV file at ``path``, each stripped of
+    surrounding whitespace, and an iterator over its body in :class:`Chunk` s
+    of ``CHUNK_LINES`` lines, valid inside the ``with`` block. A header that
+    does not begin with the fields ``names`` raises ``DataError``, and so
+    does a byte that is not UTF-8, naming its row."""
     try:
         with open(path, encoding="utf-8", newline="") as fh:
-            first = fh.readline()
-            header = next(csv.reader([first.rstrip(_ENDS)]), None) if first else None
+            fields = next(csv.reader([fh.readline().rstrip(_ENDS)]), [])
+            header = [field.strip() for field in fields]
+            if header[: len(names)] != list(names):
+                raise DataError(f"{path}: expected header '{','.join(names)},...', got {header}")
             yield header, _chunks(path, fh)
     except UnicodeDecodeError:
         raise DataError(_undecodable(path)) from None
@@ -91,9 +97,10 @@ def _undecodable(path: str) -> str:
 def row_of(path: str, j: int) -> str:
     """``"<path>: row <r>"`` for data line ``j`` of the CSV file at ``path``,
     counting from 0 and skipping blank lines, found by streaming the file
-    again."""
-    with read_table(path) as (_, chunks):
-        for chunk in chunks:
+    again; its header is not read."""
+    with open(path, encoding="utf-8", newline="") as fh:
+        fh.readline()
+        for chunk in _chunks(path, fh):
             if j < len(chunk.lines):
                 return chunk.where(j)
             j -= len(chunk.lines)
@@ -125,15 +132,15 @@ class Rows:
         return self._buf[: self.size]
 
 
-def parse_lines(
-    lines: Sequence[str], usecols: Sequence[int], dtype
-) -> tuple[np.ndarray, np.ndarray]:
-    """Columns ``usecols`` of comma-separated ``lines``, one record of the
-    structured ``dtype`` per line, and a mask of the lines that parse. A
-    line that lacks a column or holds a field that does not parse is left
-    unset. Lines parse independently, so the failures are isolated by
-    halving."""
+def parse_lines(lines: Sequence[str], dtype) -> tuple[np.ndarray, np.ndarray]:
+    """Comma-separated ``lines`` as records of the structured ``dtype``, and
+    a mask of the lines that parse. A record reads the leading columns that
+    its fields name: one for a scalar field, and as many as its size for a
+    subarray field; later columns are not read. A line that lacks a column
+    or holds a field that does not parse is left unset. Lines parse
+    independently, so the failures are isolated by halving."""
     values = np.empty(len(lines), dtype)
+    usecols = range(sum(math.prod(values.dtype[name].shape) for name in values.dtype.names))
     ok = np.ones(len(lines), dtype=bool)
     spans = [(0, len(lines))] if lines else []
     while spans:

@@ -10,7 +10,8 @@ isolated nodes are kept. ``ConnectionOperator`` holds P as its low-rank
 factors, the hollow diagonal and a sparse excess of the clipped entries, so
 neither the draw nor the truth embedding forms the N x N matrix:
 ``sample_graph`` sweeps the operator in strips of rows, and Lanczos takes
-products with it. ``connection_matrix`` builds the dense P as a reference.
+products with it. The operator is P's one implementation:
+``connection_matrix`` is its dense form, with the RDPG pair check.
 Spectral embeddings keep the eigenvectors of the k eigenvalues of largest
 magnitude with a deterministic sign convention and, above the dense limit, a
 fixed Lanczos start, so that repeated runs agree exactly.
@@ -230,9 +231,8 @@ def hollow_row_sums(theta: np.ndarray, m: np.ndarray, block: np.ndarray) -> np.n
     without forming the N x N matrix:
     theta * (M B (M' theta)) - theta^2 * diag(M B M').
 
-    The block models' one rescale rule: ``connection_matrix`` and
-    ``ConnectionOperator`` scale P so the largest of these sums is the
-    target maximum expected degree."""
+    The block models' one rescale rule: ``ConnectionOperator`` scales P so
+    the largest of these sums is the target maximum expected degree."""
     mb = m @ block
     return theta * (mb @ (m.T @ theta)) - theta**2 * np.einsum("ij,ij->i", mb, m)
 
@@ -245,41 +245,22 @@ def _rescale(spec: DcsbmSpec) -> float:
     return spec.max_expected_degree / row_max
 
 
-def _warn_clipped(n_clipped: int) -> None:
-    if n_clipped:
-        warnings.warn(
-            f"{n_clipped} connection probabilities exceeded 1 and were clipped",
-            RuntimeWarning,
-            stacklevel=3,
-        )
-
-
 def connection_matrix(spec: LatentGraphSpec) -> np.ndarray:
     """Population edge-probability matrix P implied by a generator spec, as
-    a dense N x N array: the reference that ``ConnectionOperator`` applies
-    without forming it.
+    a dense N x N array: ``ConnectionOperator(spec).toarray()``, the one
+    computation of P, with its warning about clipped entries.
 
     For latent positions this is rho * X X'; its first pair i < j (row-major)
     that is NaN or outside [0, 1] raises :class:`InvalidProbability`, as in
     ``sample_graph``, and the diagonal, no edge's probability, is not checked.
     For block models it is Theta M B M' Theta with its diagonal zeroed,
     rescaled so the largest row sum equals the target maximum expected
-    degree, then clipped to [0, 1] (a warning reports how many were clipped).
+    degree, then clipped to [0, 1].
     """
+    p = ConnectionOperator(spec).toarray()
     if isinstance(spec, RdpgSpec):
-        p = spec.rho * (spec.x @ spec.x.T)
         _check_pairs(p.shape[0], p[upper_mask(p.shape[0])], 0)
-        return p
-    m = spec.membership_matrix()
-    theta = spec.degrees
-    p = (theta[:, None] * theta[None, :]) * (m @ spec.block_matrix @ m.T)
-    # expected degrees are over the hollow graph, so the diagonal carries
-    # no mass before the rescale
-    np.fill_diagonal(p, 0.0)
-    p *= _rescale(spec)
-    n_clipped = int(np.count_nonzero(p > 1.0))
-    _warn_clipped(n_clipped)
-    return np.minimum(p, 1.0) if n_clipped else p
+    return p
 
 
 class ConnectionOperator(scipy.sparse.linalg.LinearOperator):
@@ -287,13 +268,13 @@ class ConnectionOperator(scipy.sparse.linalg.LinearOperator):
     array, as P = U V' - D - E.
 
     An RDPG has U = rho X and V = X, with D and E zero. A block model has
-    U = c Theta M B and V = Theta M, where c is ``connection_matrix``'s
-    rescale, D the diagonal of U V' (the graph is hollow) and E the sparse
-    excess U_i'V_j - 1 of the entries that ``connection_matrix`` clips to 1.
-    E is found without a sweep: entry (i, j) is at most c max(B) w_i w_j for
-    the row sums w of |V| (theta, for membership rows on the simplex), so
-    sorting w bounds the pairs that can clip. Building the operator warns
-    about clipped entries as ``connection_matrix`` does, with the same count.
+    U = c Theta M B and V = Theta M, where c is the rescale that takes the
+    largest hollow row sum to the target degree, D the diagonal of U V' (the
+    graph is hollow) and E the sparse excess U_i'V_j - 1 of the entries
+    clipped to 1. E is found without a sweep: entry (i, j) is at most
+    c max(B) w_i w_j for the row sums w of |V| (theta, for membership rows on
+    the simplex), so sorting w bounds the pairs that can clip. Building the
+    operator warns how many entries were clipped.
 
     A product takes O(N K) plus the sparse E; ``eigsh`` runs on it directly.
     ``toarray`` gives the dense P, and ``strip`` the rows of it that the
@@ -310,7 +291,12 @@ class ConnectionOperator(scipy.sparse.linalg.LinearOperator):
             self.hollow = True
             self.diagonal = np.einsum("ij,ij->i", self.left, self.right)
             self.excess = self._clipped_excess(scale * spec.block_matrix.max())
-            _warn_clipped(self.excess.nnz)
+            if self.excess.nnz:
+                warnings.warn(
+                    f"{self.excess.nnz} connection probabilities exceeded 1 and were clipped",
+                    RuntimeWarning,
+                    stacklevel=2,
+                )
         super().__init__(dtype=np.dtype(float), shape=(self.left.shape[0],) * 2)
 
     def _clipped_excess(self, c_max: float) -> scipy.sparse.csr_array:
@@ -589,13 +575,11 @@ def read_edge_csv(path: str, n_nodes: int | None = None) -> Graph:
 def _read_pairs(path: str) -> tuple[np.ndarray, np.ndarray]:
     """The smaller and the larger id of each edge of an ``src,dst`` file, in
     file order."""
-    with read_table(path) as (header, chunks):
-        if header is None or [h.strip() for h in header[:2]] != ["src", "dst"]:
-            raise DataError(f"{path}: expected header 'src,dst', got {header}")
+    with read_table(path, ["src", "dst"]) as (_, chunks):
         record = [("src", np.int64), ("dst", np.int64)]
         edges = Rows(record)
         for chunk in chunks:
-            edges.add(len(chunk.lines))[:] = chunk.load((0, 1), record, "edge ")
+            edges.add(len(chunk.lines))[:] = chunk.load(record, "edge ")
     src, dst = (edges.array()[end] for end in ("src", "dst"))
     return np.minimum(src, dst), np.maximum(src, dst)
 

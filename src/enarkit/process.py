@@ -390,9 +390,7 @@ def read_panel_csv(path: str) -> Panel:
     carry ``p`` covariates; a violation raises :class:`DataError` naming
     the row, or the node and time.
     """
-    with read_table(path) as (header, chunks):
-        if header is None or header[:3] != ["node", "t", "y"]:
-            raise DataError(f"{path}: expected header 'node,t,y,z1,...', got {header}")
+    with read_table(path, ["node", "t", "y"]) as (header, chunks):
         p = len(header) - 3
         record = _PANEL_KEYS + [("z", np.float64, (p,))]
         rows = Rows(record + [("has_z", bool)])
@@ -403,13 +401,13 @@ def read_panel_csv(path: str) -> Panel:
             # time's, which are never read, or a gap reported below
             has_z = block["has_z"]
             has_z[:] = [not line.endswith(_EMPTY_LAST) for line in lines] if p else False
-            full, ok = parse_lines(list(compress(lines, has_z)), range(3 + p), record)
-            keys, keys_ok = parse_lines(list(compress(lines, ~has_z)), range(3), _PANEL_KEYS)
+            full, ok = parse_lines(list(compress(lines, has_z)), record)
+            keys, keys_ok = parse_lines(list(compress(lines, ~has_z)), _PANEL_KEYS)
             if ok.all() and keys_ok.all():
                 block[["node", "t", "y", "z"]][has_z] = full
                 block[["node", "t", "y"]][~has_z] = keys
             else:  # raise for the first key that does not parse; mark bad covariates
-                block[["node", "t", "y"]] = chunk.load((0, 1, 2), _PANEL_KEYS)
+                block[["node", "t", "y"]] = chunk.load(_PANEL_KEYS)
                 block["z"][has_z] = full["z"]
                 has_z[np.flatnonzero(has_z)] = ok
     data = rows.array()

@@ -8,12 +8,16 @@ and ``fit_lsm_fixed_step``: they run the ascent's steps through the public
 projection and on whichever log-likelihood and gradient they are given, by
 default the public ones, whose values the loop, dense and finite-difference
 oracles check; ``select_k_dense``, which embeds its dense fold matrices
-with the library's ``embed_symmetric``; and ``sample_dense``, which draws
+with the library's ``embed_symmetric``; ``sample_dense``, which draws
 from a dense probability matrix through the library's strip sweep, whose
-uniforms and edges ``sample_graph_triu`` checks.
+uniforms and edges ``sample_graph_triu`` checks; and
+``connection_matrix_dense``, which forms P whole but takes the block models'
+rescale and the RDPG pair check from the library, whose hollow row sums
+``TestHollowRowSums`` checks against dense sums.
 """
 
 import csv
+import warnings
 
 import numpy as np
 import scipy.linalg
@@ -214,6 +218,39 @@ def fit_lsm_fixed_step(graph, k: int, max_iters: int) -> LsmFit:
         graph, k, max_iters, lsm_loglik, lsm_gradient, lambda it, x, g: 1.0 / graph.n, stop
     )
     return fit
+
+
+def connection_matrix_dense(spec) -> np.ndarray:
+    """Population edge-probability matrix P implied by a generator spec, as
+    a dense N x N array formed whole: the reference that
+    ``network.ConnectionOperator`` applies without forming it.
+
+    For latent positions this is rho * X X'; its first pair i < j (row-major)
+    that is NaN or outside [0, 1] raises :class:`InvalidProbability`, and the
+    diagonal is not checked. For block models it is Theta M B M' Theta with
+    its diagonal zeroed, rescaled so the largest row sum equals the target
+    maximum expected degree, then clipped to [0, 1] (a warning reports how
+    many were clipped).
+    """
+    if isinstance(spec, network.RdpgSpec):
+        p = spec.rho * (spec.x @ spec.x.T)
+        network._check_pairs(p.shape[0], p[network.upper_mask(p.shape[0])], 0)
+        return p
+    m = spec.membership_matrix()
+    theta = spec.degrees
+    p = (theta[:, None] * theta[None, :]) * (m @ spec.block_matrix @ m.T)
+    # expected degrees are over the hollow graph, so the diagonal carries
+    # no mass before the rescale
+    np.fill_diagonal(p, 0.0)
+    p *= network._rescale(spec)
+    n_clipped = int(np.count_nonzero(p > 1.0))
+    if n_clipped:
+        warnings.warn(
+            f"{n_clipped} connection probabilities exceeded 1 and were clipped",
+            RuntimeWarning,
+            stacklevel=2,
+        )
+    return np.minimum(p, 1.0) if n_clipped else p
 
 
 def sample_dense(p: np.ndarray, rng):

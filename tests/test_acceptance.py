@@ -265,9 +265,8 @@ def test_criterion_09_embedding_concentration():
         np.fill_diagonal(raw, 0.0)
         target = n ** 0.5 * raw.sum(axis=1).max() / raw.sum(axis=1).mean()
         spec = network.DcsbmSpec(block, memberships, degrees, target)
-        p = network.connection_matrix(spec)
-        u_p = network.embed_symmetric(p, k).vectors
         op = network.ConnectionOperator(spec)
+        u_p = network.embed_symmetric(op, k).vectors
         draw_rng = np.random.default_rng(9_000 + n)
         residuals = []
         for _ in range(20):

@@ -29,7 +29,7 @@ from enarkit.bench import (
     summary_to_csv,
 )
 from enarkit.errors import DataError, DimensionMismatch, EmptyGroup, NotStationary, ShapeMismatch
-from oracles import write_results_csv_loop, write_summary_csv_loop
+from oracles import connection_matrix_dense, write_results_csv_loop, write_summary_csv_loop
 
 
 @pytest.fixture
@@ -609,7 +609,7 @@ class TestEnarDraw:
             spec = bench._make_generator_spec(cell, config, bench.stage_rng(seed, "latents"))
             with warnings.catch_warnings(record=True) as ref:
                 warnings.simplefilter("always")
-                network.connection_matrix(spec)
+                connection_matrix_dense(spec)
             with warnings.catch_warnings(record=True) as got:
                 warnings.simplefilter("always")
                 bench.simulate_cell_data(cell, config, seed)

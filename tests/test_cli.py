@@ -162,6 +162,24 @@ class TestSimulate:
         assert str(tmp_path / "missing") in json.loads(err)["message"]
         assert os.listdir(tmp_path) == ["sim.json"]
 
+    def test_output_in_an_unwritable_directory_draws_and_writes_nothing(
+        self, tmp_path, capsys, monkeypatch
+    ):
+        # a test run as root cannot make a directory unwritable by chmod
+        def forbidden(*args, **kwargs):
+            raise AssertionError("simulate drew before checking its outputs")
+
+        access = os.access
+        monkeypatch.setattr(bench, "simulate_cell_data", forbidden)
+        monkeypatch.setattr(
+            os, "access", lambda path, mode, **kw: mode != os.W_OK and access(path, mode, **kw)
+        )
+        path, _ = write_sim_config(tmp_path)
+        code, stdout, err = run_cli(capsys, "simulate", "--config", str(path))
+        assert (code, stdout, json.loads(err)["error"]) == (3, "", "io")
+        assert "directory not writable" in json.loads(err)["message"]
+        assert os.listdir(tmp_path) == ["sim.json"]
+
 
     @pytest.mark.parametrize("first, second", [
         ("out_edges", "out_panel"), ("out_edges", "out_truth"), ("out_panel", "out_truth"),

@@ -217,3 +217,32 @@ class TestEncoding:
         path = tmp_path / "edges.csv"
         path.write_text("src,dst,note\n0,1,caf\u00e9\n1,2,\u2603\n", encoding="utf-8")
         assert read_edge_csv(str(path)).adjacency.sum() == 4
+
+
+class TestHeader:
+    @pytest.mark.parametrize("header", ["node, t, y, z1", " node ,\tt,y , z1 "])
+    def test_panel_fields_may_carry_surrounding_spaces(self, tmp_path, header):
+        lines = panel_lines(n=5, t_len=4, p=1)
+        assert lines[0] == "node,t,y,z1"
+        expected = read_panel_csv(str(_write(tmp_path / "plain.csv", lines)))
+        back = read_panel_csv(str(_write(tmp_path / "spaced.csv", [header, *lines[1:]])))
+        assert back.y.tobytes() == expected.y.tobytes()
+        assert back.z.tobytes() == expected.z.tobytes()
+
+    @pytest.mark.parametrize("header", ["src, dst", " src\t, dst "])
+    def test_edge_fields_may_carry_surrounding_spaces(self, tmp_path, header):
+        lines = edge_lines(n=20)
+        expected = read_edge_csv(str(_write(tmp_path / "plain.csv", lines))).adjacency
+        back = read_edge_csv(str(_write(tmp_path / "spaced.csv", [header, *lines[1:]]))).adjacency
+        assert (back != expected).nnz == 0
+
+
+class TestRowOf:
+    def test_counts_data_lines_past_blanks_and_stops_at_the_last(self, tmp_path):
+        path = tmp_path / "t.csv"
+        path.write_text("not,a,checked,header\n0,1\n\n  \n2,3\r\n4,5\n", newline="")
+        assert [csvio.row_of(str(path), j) for j in range(3)] == [
+            f"{path}: row {r}" for r in (2, 5, 6)
+        ]
+        with pytest.raises(IndexError):
+            csvio.row_of(str(path), 3)

@@ -9,6 +9,7 @@ import enarkit.network as net
 from enarkit import bench
 from enarkit.errors import (
     DataError,
+    EigConvergenceFailure,
     InvalidProbability,
     ShapeMismatch,
 )
@@ -31,6 +32,7 @@ from enarkit.network import (
 )
 from enarkit.lsm import LsmState, sample_lsm_graph
 from oracles import (
+    connection_matrix_dense,
     dense_transition,
     fix_signs_loop,
     magnitude_order_sorted,
@@ -113,7 +115,7 @@ class TestBuiltGraph:
     def test_sample_graph(self, n):
         rng = np.random.default_rng(n)
         x = rng.random((n, 2))
-        assert_same_as_checked(sample_dense(connection_matrix(RdpgSpec(x, rho=0.5)), rng))
+        assert_same_as_checked(sample_dense(connection_matrix_dense(RdpgSpec(x, rho=0.5)), rng))
         spec = mc_spec("dcmmsbm", n, n)
         assert_same_as_checked(sample_graph(ConnectionOperator(spec), rng))
 
@@ -191,7 +193,7 @@ class TestLaplacian:
 class TestGenerators:
     def test_rdpg_all_ones_complete(self):
         spec = RdpgSpec(np.ones((6, 1)), rho=1.0)
-        g = sample_dense(connection_matrix(spec), np.random.default_rng(0))
+        g = sample_dense(connection_matrix_dense(spec), np.random.default_rng(0))
         assert np.array_equal(g.adjacency.toarray(), complete_graph(6).adjacency.toarray())
 
     def test_probability_above_one_rejected(self):
@@ -235,7 +237,7 @@ class TestGenerators:
     def test_rdpg_density_matches_probability(self):
         n = 1000
         x = np.full((n, 2), 1 / np.sqrt(2))
-        g = sample_dense(connection_matrix(RdpgSpec(x, rho=0.5)), np.random.default_rng(11))
+        g = sample_dense(connection_matrix_dense(RdpgSpec(x, rho=0.5)), np.random.default_rng(11))
         n_pairs = n * (n - 1) / 2
         se = np.sqrt(0.5 * 0.5 / n_pairs)
         assert abs(g.density - 0.5) < 3 * se
@@ -248,7 +250,7 @@ class TestGenerators:
         block = 2 * 0.225 * np.eye(k) + 0.225 * np.ones((k, k))
         for draw in range(5):
             spec = DcsbmSpec(block, rng.integers(0, k, 40), rng.lognormal(0, 1, 40), 8.0)
-            g = sample_dense(connection_matrix(spec), rng)
+            g = sample_dense(connection_matrix_dense(spec), rng)
             a = g.adjacency.toarray()
             assert np.array_equal(a, a.T)
             assert np.all(np.diag(a) == 0)
@@ -256,7 +258,7 @@ class TestGenerators:
 
     def test_dcsbm_complete_when_saturated(self):
         spec = DcsbmSpec(np.ones((1, 1)), np.zeros(5, dtype=int), np.ones(5), 4.0)
-        g = sample_dense(connection_matrix(spec), np.random.default_rng(0))
+        g = sample_dense(connection_matrix_dense(spec), np.random.default_rng(0))
         assert np.array_equal(g.adjacency.toarray(), complete_graph(5).adjacency.toarray())
 
     def test_block_ratio_three(self):
@@ -272,7 +274,7 @@ class TestGenerators:
         memberships = np.repeat([0, 1], n // 2)
         degrees = rng.lognormal(0, 1, n)
         spec = DcsbmSpec(block, memberships, degrees, n ** 0.5)
-        g = sample_dense(connection_matrix(spec), rng)
+        g = sample_dense(connection_matrix_dense(spec), rng)
         same = memberships[:, None] == memberships[None, :]
         iu = np.triu_indices(n, 1)
         within_mask = same[iu]
@@ -313,6 +315,11 @@ class TestGenerators:
         x = np.full((4, 1), 1.5)
         with pytest.raises(InvalidProbability):
             connection_matrix(RdpgSpec(x, rho=1.0))
+
+    @pytest.mark.parametrize("rho", [0.0, -0.5, 1.5, np.nan])
+    def test_rdpg_rho_outside_unit_interval_rejected(self, rho):
+        with pytest.raises(DataError, match=r"must lie in \(0, 1\]"):
+            RdpgSpec(np.full((4, 1), 0.5), rho=rho)
 
 
 STRIP = net._STRIP_ROWS
@@ -432,7 +439,7 @@ class TestStripSweep:
     @pytest.mark.parametrize("n", [30, 2 * STRIP + 1])
     def test_operator_draw_matches_triu_indices_reference(self, n):
         spec = mc_spec("dcmmsbm", n, 8)
-        p = connection_matrix(spec)
+        p = connection_matrix_dense(spec)
         g = sample_graph(ConnectionOperator(spec), np.random.default_rng(9))
         assert np.array_equal(g.adjacency.toarray(), sample_graph_triu(p, np.random.default_rng(9)))
 
@@ -442,10 +449,34 @@ GENS = ["dcsbm", "dcmmsbm", "rdpg"]
 
 class TestConnectionOperator:
     @pytest.mark.parametrize("gen", GENS)
+    def test_connection_matrix_is_the_operator_dense_form(self, gen):
+        # P has one computation: the dense form is the operator's, bit for
+        # bit, with the same clipping warning
+        spec = mc_spec(gen, 300, 300)
+        with warnings.catch_warnings(record=True) as dense:
+            warnings.simplefilter("always")
+            p = connection_matrix(spec)
+        with warnings.catch_warnings(record=True) as held:
+            warnings.simplefilter("always")
+            q = ConnectionOperator(spec).toarray()
+        assert p.tobytes() == q.tobytes()
+        assert [str(w.message) for w in dense] == [str(w.message) for w in held]
+        assert len(held) == (gen != "rdpg")
+
+    @pytest.mark.parametrize("block, memberships", [
+        (np.zeros((2, 2)), [0, 1, 0]),  # no block pair carries mass
+        (np.eye(2), [0, 1]),  # within-block mass only, one node per block
+    ])
+    def test_spec_without_pair_mass_cannot_be_rescaled(self, block, memberships):
+        spec = DcsbmSpec(block, np.array(memberships), np.ones(len(memberships)), 2.0)
+        with pytest.raises(DataError, match="connection matrix has no mass to rescale"):
+            ConnectionOperator(spec)
+
+    @pytest.mark.parametrize("gen", GENS)
     @pytest.mark.parametrize("n", [100, 300])
     def test_graphs_match_the_dense_reference(self, gen, n):
         spec = mc_spec(gen, n, n)
-        op, p = ConnectionOperator(spec), connection_matrix(spec)
+        op, p = ConnectionOperator(spec), connection_matrix_dense(spec)
         for seed in range(6):
             got = sample_graph(op, np.random.default_rng(seed))
             ref = sample_dense(p, np.random.default_rng(seed))
@@ -455,7 +486,7 @@ class TestConnectionOperator:
     @pytest.mark.parametrize("n", [100, 300])
     def test_products_and_dense_form_match_the_reference(self, gen, n):
         spec = mc_spec(gen, n, n + 1)
-        op, p = ConnectionOperator(spec), connection_matrix(spec)
+        op, p = ConnectionOperator(spec), connection_matrix_dense(spec)
         if gen != "rdpg":
             assert op.excess.nnz > 0  # the clipped correction is exercised
         assert np.max(np.abs(op.toarray() - p)) <= 1e-14 * np.max(p)
@@ -470,7 +501,7 @@ class TestConnectionOperator:
         # dense eigh at N = 100, Lanczos at N = 300
         spec = mc_spec(gen, n, n + 2)
         got = embed_symmetric(ConnectionOperator(spec), 3)
-        ref = embed_symmetric(connection_matrix(spec), 3)
+        ref = embed_symmetric(connection_matrix_dense(spec), 3)
         assert np.max(np.abs(got.vectors - ref.vectors)) < 1e-10
         assert np.max(np.abs(got.eigenvalues - ref.eigenvalues)) < 1e-10 * ref.eigenvalues[0]
 
@@ -480,7 +511,7 @@ class TestConnectionOperator:
             spec = mc_spec(gen, 1000, seed)
             with warnings.catch_warnings(record=True) as ref:
                 warnings.simplefilter("always")
-                connection_matrix(spec)
+                connection_matrix_dense(spec)
             with warnings.catch_warnings(record=True) as got:
                 warnings.simplefilter("always")
                 op = ConnectionOperator(spec)
@@ -518,7 +549,7 @@ class TestConnectionOperator:
         x = np.abs(np.random.default_rng(1).standard_normal((300, 3)))
         x /= np.linalg.norm(x, axis=1, keepdims=True)
         spec = RdpgSpec(x, rho=1.0)
-        p = connection_matrix(spec)
+        p = connection_matrix_dense(spec)
         assert p[4, 4] > 1.0
         got = sample_graph(ConnectionOperator(spec), np.random.default_rng(0))
         assert np.array_equal(got.adjacency.toarray(), sample_graph_triu(p, np.random.default_rng(0)))
@@ -625,6 +656,17 @@ class TestSpectralEmbed:
         assert np.max(np.abs(emb.eigenvalues - vals[lead])) < 1e-10
         assert np.max(np.abs(emb.vectors - ref)) < 1e-7
 
+    def test_lanczos_without_convergence_is_typed(self, monkeypatch):
+        def stalled(a, k, **kwargs):
+            raise scipy.sparse.linalg.ArpackNoConvergence(
+                "ARPACK error -1: No convergence", np.zeros(0), np.zeros((a.shape[0], 0))
+            )
+
+        monkeypatch.setattr(scipy.sparse.linalg, "eigsh", stalled)
+        with pytest.raises(EigConvergenceFailure, match="No convergence") as err:
+            spectral_embed(path_graph(net.DENSE_EIG_LIMIT + 1), 2)
+        assert isinstance(err.value.__cause__, scipy.sparse.linalg.ArpackNoConvergence)
+
     def test_k_bounds(self):
         with pytest.raises(ShapeMismatch):
             spectral_embed(complete_graph(3), 4)
@@ -704,7 +746,7 @@ class TestSelectK:
         k = 3
         spec = DcsbmSpec(0.3 * np.eye(k) + 0.1 * np.ones((k, k)), np.arange(n) % k,
                          np.ones(n), n ** 0.6)
-        p = connection_matrix(spec)
+        p = connection_matrix_dense(spec)
         for seed in range(4):
             g = sample_dense(p, np.random.default_rng(seed))
             # hold-out draws on a stream apart from the graph's: the graph's
@@ -821,6 +863,10 @@ class TestEdgeCsv:
         ("src,dst\n0,1\n1,x\n", r"row 3: cannot parse edge '1,x'"),
         ("src,dst\n0,1\n4\n", r"row 3: cannot parse edge '4'"),
         ("src,dst\n0,1\n1,9\n", r"row 3: edge \(1,9\) exceeds node count 5"),
+        ("a,b\n0,1\n", "expected header 'src,dst,...'"),
+        ("dst,src\n0,1\n", "expected header"),
+        ("src\n0\n", "expected header"),
+        ("", "expected header"),
     ])
     def test_malformed_file_names_offender(self, tmp_path, body, message):
         path = tmp_path / "bad.csv"
@@ -840,7 +886,7 @@ class TestEmbeddingConcentration:
         for n in (100, 500, 2000):
             memberships = np.arange(n) % k
             spec = DcsbmSpec(block, memberships, np.ones(n), n ** 0.5)
-            p = connection_matrix(spec)
+            p = connection_matrix_dense(spec)
             u_p = embed_symmetric(p, k).vectors
             residuals = []
             for _ in range(20):

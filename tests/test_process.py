@@ -480,7 +480,9 @@ class TestPanelCsv:
         ("node,t,y\n0,0,1.0\n0,1\n", r"row 3: cannot parse '0,1'"),
         ("node,t,y\n0,0,1.0\n-1,1,2.0\n", "row 3: node -1, t 1 outside"),
         ("node,t,y\n0,0,1.0\n1000000000000,0,2.0\n", "row 3: node 1000000000000, t 0 outside"),
-        ("node,time,y\n0,0,1.0\n", "expected header"),
+        ("node,time,y\n0,0,1.0\n", "expected header 'node,t,y,...'"),
+        ("t,node,y,z1\n0,0,1.0,0.5\n", "expected header"),
+        ("node,t\n0,0\n", "expected header"),
         ("", "expected header"),
         ("node,t,y\n\n", "empty panel"),
     ])
